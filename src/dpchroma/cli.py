@@ -122,7 +122,8 @@ def generate_hub_instance(hubs, rim, seed):
     one outside), hubs=3 the fan wheel.  Returns (PlaneGraph, Cover)
     where the cover has sizes min(16, d) and seeded random matchings.
     The construction is checked, not trusted: planarity via the rotation
-    trace, 3-connectivity exhaustively, and the heavy-vertex count.
+    trace, 3-connectivity with connectivity_at_least, and the
+    heavy-vertex count.
     """
     if hubs not in (1, 2, 3):
         raise GenerationFailed("supported hub counts are 1, 2, 3 (got %r)" % (hubs,))

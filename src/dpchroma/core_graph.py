@@ -55,16 +55,21 @@ class Graph:
         return out
 
     def subgraph(self, keep) -> "Graph":
+        """Induced subgraph in O(sum of the kept vertices' degrees)."""
         keep = frozenset(keep)
-        assert keep <= self.vertices
-        edges = [(u, w) for u, w in self.edges() if u in keep and w in keep]
-        return Graph(keep, edges)
+        if not keep <= self.vertices:
+            raise ValueError("subgraph keeps unknown vertices %r" % (sorted(keep - self.vertices),))
+        sub = Graph.__new__(Graph)
+        sub.vertices = keep
+        sub.adj = {v: self.adj[v] & keep for v in keep}
+        return sub
 
     def without_vertex(self, v) -> "Graph":
         return self.subgraph(self.vertices - {v})
 
     def with_edge(self, u, w) -> "Graph":
-        assert u in self.vertices and w in self.vertices and u != w
+        if u not in self.vertices or w not in self.vertices or u == w:
+            raise ValueError("cannot add edge (%r, %r)" % (u, w))
         return Graph(self.vertices, self.edges() + [(min(u, w), max(u, w))])
 
     def max_degree(self):
@@ -237,8 +242,21 @@ def is_complete_graph(g: Graph) -> bool:
     return 2 * g.m == g.n * (g.n - 1)
 
 
-def is_cycle_graph(g: Graph) -> bool:
-    return g.n >= 3 and is_connected(g) and all(len(g.adj[v]) == 2 for v in g.vertices)
+def block_kind(g: Graph, blk):
+    """Kind of a block of g: "complete", "cycle" or None.
+
+    Decided from the vertex count k and the induced edge count e alone:
+    complete iff e = k(k-1)/2, and, since a block on k >= 3 vertices is
+    2-connected, a cycle iff k >= 3 and e = k.  K3 counts as complete.
+    """
+    keep = frozenset(blk)
+    k = len(keep)
+    e = sum(len(g.adj[v] & keep) for v in keep) // 2
+    if 2 * e == k * (k - 1):
+        return "complete"
+    if k >= 3 and e == k:
+        return "cycle"
+    return None
 
 
 def is_gallai_tree(g: Graph) -> bool:
@@ -246,12 +264,9 @@ def is_gallai_tree(g: Graph) -> bool:
     if not is_connected(g):
         raise NotConnected("is_gallai_tree needs a connected graph")
     for blk in blocks_and_cut_vertices(g)[0]:
-        b = g.subgraph(blk)
-        if is_complete_graph(b):
-            continue
-        if is_cycle_graph(b) and b.n % 2 == 1:
-            continue
-        return False
+        kind = block_kind(g, blk)
+        if not (kind == "complete" or (kind == "cycle" and len(blk) % 2 == 1)):
+            return False
     return True
 
 
@@ -259,11 +274,7 @@ def is_gdp_tree(g: Graph) -> bool:
     """Every block complete or a cycle of any parity."""
     if not is_connected(g):
         raise NotConnected("is_gdp_tree needs a connected graph")
-    for blk in blocks_and_cut_vertices(g)[0]:
-        b = g.subgraph(blk)
-        if not (is_complete_graph(b) or is_cycle_graph(b)):
-            return False
-    return True
+    return all(block_kind(g, blk) for blk in blocks_and_cut_vertices(g)[0])
 
 
 def degeneracy_order(g: Graph, d: int, groups=None):
@@ -297,12 +308,59 @@ def degeneracy_order(g: Graph, d: int, groups=None):
     return order
 
 
-def connectivity_at_least(g: Graph, s: int) -> bool:
-    """Exhaustive s-connectivity test by deleting vertex sets.
+def _biconnected_without(g: Graph, skip=None) -> bool:
+    """Is g minus the vertex skip (None: minus nothing) 2-connected?
 
-    s <= 3 in every caller; the s = 3 case runs one articulation-point
-    pass per vertex, which is what makes a 1094-vertex instance finish
-    in seconds rather than hours.
+    One iterative low-point pass over g's own adjacency: no graph is
+    built, nothing is sorted, and the pass stops at the first
+    articulation point.
+    """
+    n = g.n - (skip is not None)
+    if n <= 2:
+        return False
+    adj = g.adj
+    root = next(v for v in adj if v != skip)
+    disc = {root: 0}
+    low = {root: 0}
+    root_children = 0
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        v, parent, it = stack[-1]
+        for w in it:
+            if w == skip or w == parent:
+                continue
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, v, iter(adj[w])))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if not stack:
+                continue
+            p = stack[-1][0]
+            if low[v] < disc[p]:
+                if low[v] < low[p]:
+                    low[p] = low[v]
+            elif p != root:
+                return False
+            else:
+                root_children += 1
+                if root_children > 1:
+                    return False
+    return len(disc) == n
+
+
+def connectivity_at_least(g: Graph, s: int) -> bool:
+    """Is g s-connected: more than s vertices, and no set of fewer than
+    s vertices whose deletion disconnects it?
+
+    s = 2 is one low-point pass.  s = 3 rejects any vertex of degree
+    below 3, then runs one low-point pass per vertex with that vertex
+    skipped in place, so the cost is O(n (n + m)) and no graph is
+    rebuilt.  s >= 4 deletes each vertex in turn and recurses down to
+    s = 3.
     """
     if s <= 0:
         return g.n > 0
@@ -311,7 +369,11 @@ def connectivity_at_least(g: Graph, s: int) -> bool:
     if s == 1:
         return is_connected(g)
     if s == 2:
-        return is_connected(g) and not blocks_and_cut_vertices(g)[1]
+        return _biconnected_without(g)
+    if s == 3:
+        if any(len(ns) < 3 for ns in g.adj.values()):
+            return False
+        return all(_biconnected_without(g, v) for v in g.vertices)
     for v in sorted(g.vertices):
         if not connectivity_at_least(g.without_vertex(v), s - 1):
             return False

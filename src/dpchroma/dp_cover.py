@@ -9,8 +9,8 @@ colors sharing a token are matched (induced_cover).
 
 from __future__ import annotations
 
-from .core_graph import Graph, bfs_parents, blocks_and_cut_vertices, is_complete_graph, \
-    is_connected, is_cycle_graph, is_gdp_tree
+from .core_graph import Graph, bfs_parents, block_kind, blocks_and_cut_vertices, is_connected, \
+    is_gdp_tree
 from .errors import (GDPTreeTight, InternalInvariantBreach, MalformedInput,
                      NotConnected, PreconditionViolated)
 
@@ -438,13 +438,7 @@ def degree_dp_color(g: Graph, cover: Cover):
         return coloring
     if is_gdp_tree(g):
         raise GDPTreeTight("tight cover on a GDP-tree")
-    candidates = []
-    for blk in blocks_and_cut_vertices(g)[0]:
-        b = g.subgraph(blk)
-        if not (is_complete_graph(b) or is_cycle_graph(b)):
-            candidates.append(sorted(blk))
-    assert candidates
-    block = min(candidates)
+    block = min(blk for blk in blocks_and_cut_vertices(g)[0] if block_kind(g, blk) is None)
     order = _reverse_bfs_from(g, block)
     _greedy_color(cover, avail, coloring, order)
     _color_awkward_block(cover, avail, coloring, block)

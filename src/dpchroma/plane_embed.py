@@ -325,12 +325,17 @@ def _restrict_rot(pg, keep):
 
 
 def _connected_plane(g, rot, outer_edge=None):
-    """Build a PlaneGraph on a connected graph, outer face named by a
-    directed edge (walk index equals face id when connected)."""
+    """PlaneGraph of a connected graph, outer face named by a directed edge.
+
+    The rotation is traced once.  On a connected graph the walk index
+    is the face id and `outer` only names a face, so naming the face of
+    outer_edge afterwards gives the same PlaneGraph as tracing again
+    with outer= that face.
+    """
     pg = PlaneGraph(g, rot)
-    if outer_edge is None:
-        return pg
-    return PlaneGraph(g, rot, outer=pg.face_of_directed_edge(*outer_edge))
+    if outer_edge is not None:
+        pg.outer = pg.face_of_directed_edge(*outer_edge)
+    return pg
 
 
 def _lift(h, face_map):
@@ -591,14 +596,14 @@ def _vns_leaf_block(pg, v_star, blocks, cuts):
         pure_fids = {p_keys[pgb0.face_key(f)] for f in range(pgb0.face_count()) if f != impure[0]}
         if pg.outer in pure_fids:
             continue
-        chosen = (blk, r, impure[0])
+        chosen = (blk, r, pgb0, impure[0])
         break
     if chosen is None:
         raise InternalInvariantBreach("no splittable leaf block")
-    blk, r, star_idx = chosen
-    gb = g.subgraph(blk)
-    rotb = _restrict_rot(pg, blk)
-    pgb = PlaneGraph(gb, rotb, outer=star_idx)
+    # a block is connected, so naming its outer face needs no second
+    # trace (see _connected_plane); the same holds for g2 below
+    blk, r, pgb, star_idx = chosen
+    pgb.outer = star_idx
     mixed = pg.face_of_directed_edge(*pgb.face_walk(pgb.outer)[0])
 
     dead = set(blk) - {r}
@@ -609,16 +614,14 @@ def _vns_leaf_block(pg, v_star, blocks, cuts):
         pg2 = PlaneGraph(g2, rot2)
         theta_b = 0
     else:
-        pg2a = PlaneGraph(g2, rot2)
+        pg2 = PlaneGraph(g2, rot2)
         mixed_surv = [de for walk in pg.face_walks(mixed) for de in walk
                       if de[0] not in dead and de[1] not in dead]
         assert mixed_surv, "rest of the graph has edges but none on the shared face"
-        theta_b0 = pg2a.face_of_directed_edge(*mixed_surv[0])
+        theta_b = pg2.face_of_directed_edge(*mixed_surv[0])
         outer_surv = [de for walk in pg.face_walks(pg.outer) for de in walk
                       if de[0] not in dead and de[1] not in dead]
-        outer2 = pg2a.face_of_directed_edge(*outer_surv[0]) if outer_surv else theta_b0
-        pg2 = PlaneGraph(g2, rot2, outer=outer2)
-        theta_b = theta_b0
+        pg2.outer = pg2.face_of_directed_edge(*outer_surv[0]) if outer_surv else theta_b
 
     hb = _vns(pgb, r)
     h2 = _vns(pg2, v_star)

@@ -68,6 +68,21 @@ def connected_graph_classes(n):
     return out
 
 
+def connected_graph_extensions(n):
+    """Every connected graph class on n >= 2 vertices, with repeats.
+
+    Each (n-1)-class gets a fresh vertex joined to every nonempty
+    subset, as in connected_graph_classes(n) but without the canonical
+    deduplication that makes n = 7 take over a minute.
+    """
+    out = []
+    for small in connected_graph_classes(n - 1):
+        for r in range(1, n):
+            for sub in itertools.combinations(range(n - 1), r):
+                out.append(Graph(range(n), small.edges() + [(u, n - 1) for u in sub]))
+    return out
+
+
 def nx_planar_rotation(g: Graph):
     """Rotation system for g from networkx's planarity test, or None.
 

@@ -2,10 +2,50 @@
 
 Everything here is deliberately naive: straight products over itertools,
 no pruning, no sharing with the package under test beyond the Graph
-container.  Only usable for tiny instances.
+container (and, for connectivity_by_deletion, the block decomposition).
+Only usable for tiny instances.
 """
 
 import itertools
+
+from dpchroma.core_graph import Graph, blocks_and_cut_vertices, is_complete_graph, is_connected
+
+
+def subgraph_by_edge_filter(g, keep):
+    """Induced subgraph rebuilt from the parent's filtered edge list."""
+    keep = frozenset(keep)
+    return Graph(keep, [(u, w) for u, w in g.edges() if u in keep and w in keep])
+
+
+def is_cycle_graph(g):
+    return g.n >= 3 and is_connected(g) and all(len(g.adj[v]) == 2 for v in g.vertices)
+
+
+def block_kind_by_subgraph(g, blk):
+    """Kind of a block ("complete", "cycle" or None), from the block built as a graph."""
+    b = subgraph_by_edge_filter(g, blk)
+    if is_complete_graph(b):
+        return "complete"
+    if is_cycle_graph(b):
+        return "cycle"
+    return None
+
+
+def connectivity_by_deletion(g, s):
+    """s-connectivity by deleting vertices one at a time down to s = 2,
+    where one block decomposition decides."""
+    if s <= 0:
+        return g.n > 0
+    if g.n <= s:
+        return False
+    if s == 1:
+        return is_connected(g)
+    if s == 2:
+        return is_connected(g) and not blocks_and_cut_vertices(g)[1]
+    for v in sorted(g.vertices):
+        if not connectivity_by_deletion(subgraph_by_edge_filter(g, g.vertices - {v}), s - 1):
+            return False
+    return True
 
 
 def raw_has_coloring(g, lists):

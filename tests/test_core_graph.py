@@ -1,7 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+from oracles import is_cycle_graph
+import dpchroma
 from dpchroma.core_graph import (
     Graph,
     blocks_and_cut_vertices,
@@ -9,7 +14,6 @@ from dpchroma.core_graph import (
     connectivity_at_least,
     is_complete_graph,
     is_connected,
-    is_cycle_graph,
     is_gallai_tree,
     is_gdp_tree,
     parse_graph,
@@ -51,6 +55,36 @@ def test_subgraph_keeps_ids():
     assert h.vertices == {1, 3, 4}
     assert h.edges() == [(1, 3), (1, 4), (3, 4)]
     assert g.without_vertex(0).n == 4
+
+
+def test_bad_vertices_raise_value_error():
+    g = path(3)
+    with pytest.raises(ValueError):
+        g.subgraph({0, 7})
+    with pytest.raises(ValueError):
+        g.with_edge(0, 0)
+    with pytest.raises(ValueError):
+        g.with_edge(0, 9)
+
+
+def test_bad_vertex_checks_survive_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dpchroma.__file__)))
+    script = (
+        "import sys\n"
+        "from dpchroma.core_graph import Graph\n"
+        "g = Graph(range(3), [(0, 1)])\n"
+        "for call in (lambda: g.subgraph({0, 7}), lambda: g.with_edge(0, 0),\n"
+        "             lambda: g.with_edge(0, 9)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    sys.exit('no ValueError')\n"
+        "print('raised', sys.flags.optimize)\n")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "raised 1\n"), out.stderr
 
 
 def test_parse_roundtrip():

@@ -1,0 +1,104 @@
+"""The fast graph paths against slow references and networkx.
+
+connectivity_at_least (low-point passes, vertex skipped in place),
+Graph.subgraph (adjacency intersection) and block_kind (vertex and
+edge counts) are each compared with the straightforward construction
+in tests/oracles.py, and connectivity also with networkx's
+node_connectivity on the hub instances and the drum fixture.
+"""
+
+import itertools
+import random
+
+import networkx as nx
+import pytest
+
+from corpus import connected_graph_classes, connected_graph_extensions
+from oracles import block_kind_by_subgraph, connectivity_by_deletion, subgraph_by_edge_filter
+from dpchroma.cli import generate_hub_instance
+from dpchroma.core_graph import Graph, block_kind, blocks_and_cut_vertices, connectivity_at_least
+from test_planar_truncated import drum_plane
+
+
+def corpus_graphs(max_n):
+    """Every connected class up to max_n vertices (n = 7 with repeats)."""
+    for n in range(1, max_n + 1):
+        yield from connected_graph_classes(n) if n <= 6 else connected_graph_extensions(n)
+
+
+def random_graphs(count, seed):
+    """Seeded graphs on 0-9 vertices with sparse to dense edge sets.
+
+    Many are disconnected or have isolated vertices; a third of them are
+    relabelled to sparse, non-contiguous ids.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(10)
+        p = rng.choice((0.15, 0.3, 0.5, 0.7, 0.9))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        if rng.random() < 1 / 3:
+            ids = rng.sample(range(100), n)
+            yield Graph(ids, [(ids[u], ids[w]) for u, w in edges])
+        else:
+            yield Graph(range(n), edges)
+
+
+def nx_graph(g):
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices)
+    G.add_edges_from(g.edges())
+    return G
+
+
+def test_connectivity_matches_deletion_on_corpus():
+    for g in corpus_graphs(7):
+        for s in range(1, 5):
+            assert connectivity_at_least(g, s) == connectivity_by_deletion(g, s), (g.edges(), s)
+
+
+def test_connectivity_matches_deletion_on_random_graphs():
+    for g in random_graphs(600, 20240):
+        for s in range(0, 5):
+            assert connectivity_at_least(g, s) == connectivity_by_deletion(g, s), (g.edges(), s)
+
+
+@pytest.mark.parametrize("hubs,rim", [(1, 24), (1, 60), (2, 24), (2, 60), (3, 30), (3, 60)])
+def test_connectivity_matches_networkx_on_hub_instances(hubs, rim):
+    g = generate_hub_instance(hubs, rim, 7)[0].g
+    # the wheel and the fan wheel are 3-connected, the double wheel 4-connected
+    assert nx.node_connectivity(nx_graph(g)) == (4 if hubs == 2 else 3)
+    for h in (g, Graph(g.vertices, [e for e in g.edges() if e != (0, 1)])):
+        kappa = nx.node_connectivity(nx_graph(h))
+        for s in range(1, 5):
+            assert connectivity_at_least(h, s) == (kappa >= s), (kappa, s)
+
+
+def test_connectivity_matches_networkx_on_drum():
+    g = drum_plane(quarter=15).g
+    kappa = nx.node_connectivity(nx_graph(g))
+    for s in range(1, 5):
+        assert connectivity_at_least(g, s) == (kappa >= s)
+        assert connectivity_at_least(g, s) == connectivity_by_deletion(g, s)
+
+
+def test_subgraph_matches_edge_filter():
+    graphs = list(corpus_graphs(6)) + list(random_graphs(200, 77))
+    for g in graphs:
+        vs = sorted(g.vertices)
+        for r in range(len(vs) + 1):
+            for keep in itertools.combinations(vs, r):
+                got = g.subgraph(keep)
+                want = subgraph_by_edge_filter(g, keep)
+                assert got.vertices == want.vertices and got.adj == want.adj
+                assert got.edges() == want.edges()
+
+
+def test_block_kind_matches_subgraph_reference():
+    kinds = set()
+    for g in itertools.chain(corpus_graphs(7), random_graphs(300, 5)):
+        for blk in blocks_and_cut_vertices(g)[0]:
+            kind = block_kind(g, blk)
+            assert kind == block_kind_by_subgraph(g, blk), (g.edges(), blk)
+            kinds.add(kind)
+    assert kinds == {"complete", "cycle", None}

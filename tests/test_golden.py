@@ -1,0 +1,89 @@
+"""Golden digests of the CLI outputs on seeded hub instances.
+
+For hubs 2 at rims 24 and 60, and hubs 3 at rims 30 and 60 (the fan
+wheel needs rim 30 for both fan hubs to reach degree 16), with seed 7,
+the test runs `gen`, `color-planar`, `color-minor` and `nice` through
+`cli.main` and pins the sha256 of each output:
+
+- gen: the .plane file followed by the .cover file;
+- planar, minor: the trace file followed by the printed witness;
+- nice: the printed covering subgraph.
+
+`color-minor` reads the graph records of the .plane file (its `r` lines
+dropped) and runs with s = hubs, t = 2 and the override
+q=6,k=16,peel=2,degen=1.  Refactors must leave every digest unchanged.
+"""
+
+import hashlib
+
+import pytest
+
+from dpchroma.cli import main
+
+SEED = 7
+
+GOLDEN = {
+    (2, 24): {
+        "gen": "59e8ab7d10683fb97b682ea98e2b7ef82cc7917709dbe5732a17b9b487d12032",
+        "planar": "dec467bd10e9a7d2606aeb61b85f9bec1ab645c5e25efea751d83026055ae7b8",
+        "minor": "01435f3a52d2d84149de649f21417fc442675793cbc9cfa177f5207c4ecb16d8",
+        "nice": "aaf76a3a6cb08034c7e724e04d0871b497e2799d89f0df286a89811af61a1365",
+    },
+    (2, 60): {
+        "gen": "809ca7e63514e52b23f9467f75923249153fe76212b58359fe42d5bea66bcc56",
+        "planar": "dac87a2d12cd8b09a5716bb828a8bf256fd9e5f210c39af782a50302af809164",
+        "minor": "bcd5564920184bdf9d67e85588b053c84c9b7f3e661ae186160586e903b8f7fa",
+        "nice": "5e2c679869e9d31392facbb2c0747b0890322fcf3a03591dff6f6bb0b4288e30",
+    },
+    (3, 30): {
+        "gen": "ca0d356cf56f4c2b1d5769dfa69560054864566e2ae0033fc84e67908cd6a971",
+        "planar": "dbe3630e548d2ee5f6cc12678808dcab0c9236e207fd8f9f467f6e63eeafa4d9",
+        "minor": "3f4dc8e3879ca23e70d02139630dde3744b4014552d6fffb5dd51bd48485ffd1",
+        "nice": "25b6a90d62e8d940db11b245cd9a204ed5d6ebc336197e0406be48df508e3b1b",
+    },
+    (3, 60): {
+        "gen": "6f6da9efc67527c7a447cce41bd2b070e59cbeebe8c42951e251e07e1de7e6dd",
+        "planar": "f4f464b110b6e5496331d453d570c6d8496cf05694270d9c5c6a7f04a1ccf1da",
+        "minor": "cfbba61b4e0bf36445ba8463914c7f7b59d8faa5566cffa85cc7a7f4ec794a1c",
+        "nice": "9ea2c0feb614714e9377cc5f5f525deb61ca8162e621dfee38612fa46e51d4ce",
+    },
+}
+
+
+def _run(capsys, argv):
+    assert main(argv) == 0
+    return "".join(ln + "\n" for ln in capsys.readouterr().out.splitlines()
+                   if not ln.startswith("wrote "))
+
+
+def golden_outputs(tmp_path, capsys, hubs, rim):
+    """Output texts of the four subcommands on one generated instance."""
+    pre = str(tmp_path / ("h%d.r%d" % (hubs, rim)))
+    _run(capsys, ["gen", "--hubs", str(hubs), "--rim", str(rim),
+                  "--seed", str(SEED), "--out", pre])
+    with open(pre + ".plane") as fh:
+        plane = fh.read()
+    with open(pre + ".cover") as fh:
+        cover = fh.read()
+    with open(pre + ".graph", "w") as fh:
+        fh.write("".join(ln + "\n" for ln in plane.splitlines() if not ln.startswith("r ")))
+    out = {"gen": plane + cover}
+    planar_witness = _run(capsys, ["color-planar", "--embed", pre + ".plane",
+                                   "--cover", pre + ".cover", "--trace", pre + ".pt"])
+    with open(pre + ".pt") as fh:
+        out["planar"] = fh.read() + planar_witness
+    minor_witness = _run(capsys, ["color-minor", "--graph", pre + ".graph",
+                                  "--cover", pre + ".cover", "--s", str(hubs), "--t", "2",
+                                  "--override", "q=6,k=16,peel=2,degen=1",
+                                  "--trace", pre + ".mt"])
+    with open(pre + ".mt") as fh:
+        out["minor"] = fh.read() + minor_witness
+    out["nice"] = _run(capsys, ["nice", "--embed", pre + ".plane"])
+    return out
+
+
+@pytest.mark.parametrize("hubs,rim", sorted(GOLDEN))
+def test_golden_digests(tmp_path, capsys, hubs, rim):
+    out = golden_outputs(tmp_path, capsys, hubs, rim)
+    got = {k: hashlib.sha256(text.encode()).hexdigest() for k, text in out.items()}
+    assert got == GOLDEN[(hubs, rim)]
