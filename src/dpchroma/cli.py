@@ -180,22 +180,20 @@ from .constructions import (build_G42, build_H, build_k2_k2, build_ks_minus1,
                             verify_counterexample)
 from .core_graph import parse_graph, write_graph
 from .dp_cover import parse_cover, parse_lists, write_cover, write_lists
-from .errors import (A2Unattainable, ColorExhausted, DegreeBelowS,
-                     EmptyResidualList, GDPTreeTight, InstanceTooLarge,
-                     InternalInvariantBreach, ListTooSmall, MalformedInput,
-                     NotConnected, NotDegenerate, NotPlanarEmbedding,
-                     PeelBoundExceeded, PreconditionViolated, ProtectorInfeasible)
+from .errors import (A2Unattainable, DegreeBelowS, EmptyResidualList, GDPTreeTight,
+                     InstanceTooLarge, InternalInvariantBreach, ListTooSmall,
+                     MalformedInput, NotConnected, NotDegenerate, PeelBoundExceeded,
+                     PreconditionViolated, ProtectorInfeasible)
 from .exact_oracle import solve_cover, solve_list
 from .minor_truncated import color_minor_truncated, constants
 from .plane_embed import parse_plane, very_nice_subgraph, write_plane
 from .planar_truncated import color_planar_truncated
 
-_INPUT_ERRORS = (MalformedInput, BadRotation, NotPlanarEmbedding, NotConnected,
-                 PreconditionViolated, InstanceTooLarge, ListTooSmall,
-                 GenerationFailed, ValueError, OSError)
-_DIAGNOSTICS = (GDPTreeTight, EmptyResidualList, ProtectorInfeasible,
-                ColorExhausted, PeelBoundExceeded, DegreeBelowS, NotDegenerate,
-                InternalInvariantBreach, A2Unattainable, AssertionError)
+_INPUT_ERRORS = (MalformedInput, BadRotation, NotConnected, PreconditionViolated,
+                 InstanceTooLarge, ListTooSmall, GenerationFailed, ValueError, OSError)
+_DIAGNOSTICS = (GDPTreeTight, EmptyResidualList, ProtectorInfeasible, PeelBoundExceeded,
+                DegreeBelowS, NotDegenerate, InternalInvariantBreach, A2Unattainable,
+                AssertionError)
 
 
 def _read(path):
@@ -255,7 +253,7 @@ def cmd_solve(args):
                          budget=args.budget or None)
     else:
         cover = parse_cover(_read(args.cover), g)
-        col = solve_cover(g, cover, budget=args.budget or None)
+        col = solve_cover(cover, budget=args.budget or None)
     if col is None:
         print("UNCOLORABLE")
         return 10

@@ -67,14 +67,6 @@ class Graph:
     def without_vertex(self, v) -> "Graph":
         return self.subgraph(self.vertices - {v})
 
-    def with_edge(self, u, w) -> "Graph":
-        if u not in self.vertices or w not in self.vertices or u == w:
-            raise ValueError("cannot add edge (%r, %r)" % (u, w))
-        return Graph(self.vertices, self.edges() + [(min(u, w), max(u, w))])
-
-    def max_degree(self):
-        return max((len(ns) for ns in self.adj.values()), default=0)
-
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.m)
 

@@ -43,9 +43,6 @@ class Cover:
                 bwd[j] = i
         self._m = m
 
-    def colors(self, v):
-        return [(v, i) for i in range(self.sizes[v])]
-
     def partner(self, u, i, w):
         """Index at w matched to (u, i), or None."""
         d = self._m.get((u, w))

@@ -47,16 +47,8 @@ class BadRotation(DPChromaError):
     """Rotation system is not a neighbor permutation or fails the Euler check."""
 
 
-class NotPlanarEmbedding(DPChromaError):
-    """A claimed plane graph failed embedding validation."""
-
-
 class ReconstructionFailed(DPChromaError):
     """A built gadget failed one of its build-time validations."""
-
-
-class AmbiguousFace(DPChromaError):
-    """A component touches more than one face of the host subgraph."""
 
 
 class GDPTreeTight(DPChromaError):
@@ -89,10 +81,6 @@ class DegreeBelowS(DPChromaError):
 
 class PeelBoundExceeded(DPChromaError):
     """Min-degree peeling hit a vertex of larger degree than guaranteed."""
-
-
-class ColorExhausted(DPChromaError):
-    """A peel-order coloring step found no admissible color."""
 
 
 class GenerationFailed(DPChromaError):

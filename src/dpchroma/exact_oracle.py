@@ -26,55 +26,21 @@ from __future__ import annotations
 import itertools
 
 from .core_graph import Graph, bfs_parents, connected_components
-from .dp_cover import Cover, degree_dp_color, token_sort_key
+from .dp_cover import Cover, induced_cover
 from .errors import InstanceTooLarge
 
 
-def find_list_coloring(g: Graph, lists):
-    """Proper coloring from explicit token lists, or None.
+def find_dp_coloring(cover: Cover, budget=None):
+    """Coloring of a cover, or None.
 
     Most-constrained vertex first with forward checking; good enough to
-    refute the engineered gadgets in milliseconds.
-    """
-    avail = {}
-    for v in g.vertices:
-        ts = list(lists[v])
-        assert len(set(ts)) == len(ts)
-        avail[v] = set(ts)
-    coloring = {}
-
-    def step():
-        pending = [v for v in avail if v not in coloring]
-        if not pending:
-            return True
-        v = min(pending, key=lambda u: (len(avail[u]), u))
-        for t in sorted(avail[v], key=token_sort_key):
-            coloring[v] = t
-            removed = []
-            dead = False
-            for u in g.adj[v]:
-                if u not in coloring and t in avail[u]:
-                    avail[u].discard(t)
-                    removed.append(u)
-                    if not avail[u]:
-                        dead = True
-            if not dead and step():
-                return True
-            del coloring[v]
-            for u in removed:
-                avail[u].add(t)
-        return False
-
-    return dict(coloring) if step() else None
-
-
-def find_dp_coloring(cover: Cover, budget=None):
-    """Coloring of a cover, or None.  Same search as find_list_coloring.
-
-    budget caps the number of color attempts; exceeding it raises
-    InstanceTooLarge instead of risking an open-ended search.
+    refute the engineered gadgets in milliseconds.  budget caps the
+    number of color attempts; exceeding it raises InstanceTooLarge
+    instead of risking an open-ended search.
     """
     g = cover.g
+    # per vertex: (neighbor, own color -> matched color at the neighbor)
+    links = {v: [(u, dict(cover.edge_pairs(v, u))) for u in g.adj[v]] for v in g.vertices}
     avail = {v: set(range(cover.sizes[v])) for v in g.vertices}
     coloring = {}
     nodes = [0]
@@ -92,9 +58,9 @@ def find_dp_coloring(cover: Cover, budget=None):
             coloring[v] = i
             removed = []
             dead = False
-            for u in g.adj[v]:
+            for u, match in links[v]:
                 if u not in coloring:
-                    j = cover.partner(v, i, u)
+                    j = match.get(i)
                     if j is not None and j in avail[u]:
                         avail[u].discard(j)
                         removed.append((u, j))
@@ -115,14 +81,11 @@ def find_dp_coloring(cover: Cover, budget=None):
 DEFAULT_SOLVE_BUDGET = 5_000_000
 
 
-def solve_cover(g: Graph, cover: Cover, budget=DEFAULT_SOLVE_BUDGET):
-    """Coloring of g under the cover, or None when none exists.
+def solve_cover(cover: Cover, budget=DEFAULT_SOLVE_BUDGET):
+    """Coloring of the cover's graph, or None when none exists.
 
-    g must be the cover's graph (the redundancy is a cheap seam for
-    callers holding both).  Passing budget=None lifts the node cap.
+    Passing budget=None lifts the node cap.
     """
-    if set(g.vertices) != set(cover.g.vertices) or g.edges() != cover.g.edges():
-        raise ValueError("graph does not match the cover's graph")
     return find_dp_coloring(cover, budget=budget)
 
 
@@ -132,13 +95,17 @@ def solve_list(g: Graph, lists, budget=DEFAULT_SOLVE_BUDGET):
     Decided on the induced cover, so the verdict agrees with solve_cover
     by construction.
     """
-    from .dp_cover import induced_cover
-
     cover, tokens = induced_cover(g, lists)
-    col = solve_cover(g, cover, budget=budget)
+    col = solve_cover(cover, budget=budget)
     if col is None:
         return None
     return {v: tokens[v][i] for v, (_, i) in col.items()}
+
+
+def find_list_coloring(g: Graph, lists):
+    """Proper coloring from explicit token lists, or None: solve_list
+    with no node cap."""
+    return solve_list(g, lists, budget=None)
 
 
 # ---------------------------------------------------------------------------

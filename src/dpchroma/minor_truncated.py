@@ -7,13 +7,15 @@ side has degrees >= s the other side keeps a vertex of degree at most
 4^{s+1}s!st.  From those, vertices of degree >= k form V2, every V2
 vertex gets a q-color sublist chosen so that sublists of adjacent V2
 vertices share no matched pair, the components of G[V1] are contracted
-and peeled against V2, and the peel order is colored with the same (R1)
-rule as the planar pipeline.  When a V2 vertex is colored, it protects
-the not-yet-safe components that the peel assigned to it; each costs at
-most s+t-1 forbidden colors because leaf blocks have at most s+t-1
-vertices.  The true constants are astronomically past desk scale, so the
-entry point takes overridable parameters and refuses real ones whenever
-the high-degree machinery would actually engage.
+and peeled against V2, and the peel order is colored with the planar
+pipeline's (R1) and (R2) steps, state and finisher.  Only MinorState
+differs: a V2 vertex's duties are the not-yet-safe components that the
+peel assigned to it, each costs at most s+t-1 forbidden colors because
+leaf blocks have at most s+t-1 vertices, and the vertex reaches its
+turn with its whole sublist.  The true constants are astronomically
+past desk scale, so the entry point takes overridable parameters and
+refuses real ones whenever the high-degree machinery would actually
+engage.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ import math
 
 from .core_graph import (Graph, connected_components, connectivity_at_least,
                          degeneracy_order, is_gdp_tree)
-from .dp_cover import is_coloring_valid
-from .errors import (ColorExhausted, DegreeBelowS, InstanceTooLarge, ListTooSmall,
+from .dp_cover import degree_dp_color
+from .errors import (DegreeBelowS, InstanceTooLarge, InternalInvariantBreach, ListTooSmall,
                      PeelBoundExceeded, PreconditionViolated)
-from .exact_oracle import degree_dp_color
-from .planar_truncated import NoMove, PipelineState, finish, step_r1
+from .planar_truncated import NoMove, PipelineState, finish, step_r1, step_r2
 
 
 class ClassParams:
@@ -159,93 +160,29 @@ def peel_sequence(gp, b, bound):
 
 
 class MinorState(PipelineState):
-    """Run state for the minor pipeline.  Reuses the planar state's
-    bookkeeping and the shared (R1) rule; the embedding-tied fields stay
-    empty because protection duty comes from the peel plan instead of
-    face classes."""
+    """Run state for the minor pipeline: the planar state with the
+    sublists as V2 availability, the peel plan's parts as what each V2
+    vertex owes, and the caps q colors at a vertex's turn (C4), the peel
+    bound on protections per vertex (D1) and s+t-1 colors per
+    protection (D2)."""
 
-    __slots__ = ("plan", "node_comp", "params", "protector_cap")
+    __slots__ = ("cost_cap", "protector_cap", "turn_colors")
 
     def __init__(self, g, cover, v1, v2, plan, sublists, params, trace=None):
-        self.v1 = frozenset(v1)
-        self.v2 = frozenset(v2)
-        self.pg = None
-        self.g = g
-        self.cover = cover
-        self.order = tuple(plan.order)
-        self.h_by_class = {}
-        self.theta = {}
-        self.comps = tuple(tuple(c) for c in
-                           connected_components(g.subgraph(self.v1)))
-        self.comp_of = {v: qi for qi, comp in enumerate(self.comps) for v in comp}
-        self.node_comp = {comp[0]: qi for qi, comp in enumerate(self.comps)}
-        self.plan = plan
-        self.params = params
-        self.phi = {}
-        self.avail = {v: set(range(cover.sizes[v])) for v in g.vertices}
+        self._start(g, cover, v1, v2, plan.order, trace)
         for v in self.v2:
             self.avail[v] = set(sublists[v])
-        self.safe = set()
-        self.protectors = {}
+        node_comp = {comp[0]: qi for qi, comp in enumerate(self.comps)}
+        self.owed = {u: {node_comp[n] for n in part} for u, part in zip(plan.order, plan.parts)}
+        self.cost_cap = params.s + params.t - 1
         self.protector_cap = max(params.peel_bound, 1)
-        self.trace = trace
+        self.turn_colors = params.q
         self.check_invariants()
 
-
-def step_r2(state, idx):
-    """Color the next vertex of the peel order, protecting every
-    non-safe component in its part of the plan.  Mirrors the planar
-    rule: each protected component contributes the matched partners of
-    one cheap neighbor's list, at most s+t-1 colors."""
-    u = state.plan.order[idx]
-    assert u not in state.phi and all(w in state.phi for w in state.order[:idx])
-    q = state.params.q
-    cost_cap = state.params.s + state.params.t - 1
-    part = state.plan.parts[idx]
-    assert len(state.avail[u]) == q, \
-        "(C4) sublist of %r shrank to %d" % (u, len(state.avail[u]))
-    assert cost_cap * len(part) < q, \
-        "(D2) part of %d components cannot be protected with q=%d" % (len(part), q)
-    unsafe = set(state.refresh_safety())
-    gathered = []
-    for node in part:
-        qi = state.node_comp[node]
-        if qi not in unsafe:
-            continue
-        cands = []
-        for w in state.g.adj[u]:
-            if state.comp_of.get(w) == qi and w not in state.phi:
-                rd = state.res_degree(w)
-                if rd <= cost_cap:
-                    cands.append((rd, w))
-        assert cands, "no cheap neighbor in component %d" % state.comps[qi][0]
-        w = min(cands)[1]
-        forb = set()
-        for j in state.avail[w]:
-            p = state.cover.partner(w, j, u)
-            if p is not None:
-                forb.add(p)
-        assert len(forb) <= cost_cap, \
-            "(D2) protection of %d would cost %d" % (qi, len(forb))
-        gathered.append((qi, w, forb))
-    forbidden = set()
-    for _, _, forb in gathered:
-        forbidden |= forb
-    allowed = sorted(state.avail[u] - forbidden)
-    if not allowed:
-        raise ColorExhausted(
-            "every color of %r is matched into a protected list" % (u,))
-    i = allowed[0]
-    state.assign(u, i)
-    for qi, _, _ in gathered:
-        state.protectors[qi] = u
-        state.safe.add(qi)
-    line = "R2 %d %d.%d" % (u, u, i)
-    if gathered:
-        line += " protects " + " ".join(str(state.comps[qi][0]) for qi, _, _ in gathered)
-    state.log(line)
-    state.check_invariants()
-    return state
+    def no_cheap_neighbor(self, v, qi):
+        """The peel guarantees v a cheap neighbor in every component of its part."""
+        raise InternalInvariantBreach(
+            "no cheap neighbor of %r in component %d" % (v, self.comps[qi][0]))
 
 
 def color_minor_truncated(g, c, params, trace=None):
@@ -288,12 +225,10 @@ def color_minor_truncated(g, c, params, trace=None):
         sublists = {}
         plan = PeelPlan([], [])
     state = MinorState(g, c, v1, v2, plan, sublists, params, trace=trace)
-    for idx in range(len(plan.order)):
+    for _ in plan.order:
         while step_r1(state) is not NoMove:
             pass
-        step_r2(state, idx)
+        step_r2(state)
     while step_r1(state) is not NoMove:
         pass
-    phi = finish(state)
-    assert is_coloring_valid(c, phi)
-    return phi
+    return finish(state)

@@ -15,10 +15,9 @@ from __future__ import annotations
 from .core_graph import (blocks_and_cut_vertices, connected_components,
                          connectivity_at_least, degeneracy_order, is_complete_graph,
                          is_connected, is_gdp_tree)
-from .dp_cover import Cover, is_coloring_valid, residual_cover
+from .dp_cover import Cover, degree_dp_color, is_coloring_valid, residual_cover
 from .errors import (EmptyResidualList, GDPTreeTight, InternalInvariantBreach,
                      PreconditionViolated, ProtectorInfeasible)
-from .exact_oracle import degree_dp_color
 from .plane_embed import FaceClasses, augment_visibility, component_planes, \
     very_nice_subgraph
 
@@ -39,77 +38,64 @@ def plan_order(g, v2):
     return degeneracy_order(sub, 5, groups=connected_components(sub))
 
 
-def is_safe(g, cover, q, phi):
-    """A component is safe when its uncolored rest is not a GDP-tree or
-    some uncolored vertex has more colors left than uncolored neighbors."""
-    rest = [v for v in sorted(q) if v not in phi]
-    if not rest:
-        return True
-    blocked = {v: set() for v in rest}
-    for v in rest:
-        for w in g.adj[v]:
-            if w in phi:
-                j = cover.partner(w, phi[w][1], v)
-                if j is not None:
-                    blocked[v].add(j)
-    for v in rest:
-        left = cover.sizes[v] - len(blocked[v])
-        if left > sum(1 for w in g.adj[v] if w not in phi):
-            return True
-    sub = g.subgraph(rest)
-    if not is_connected(sub):
-        return True
-    return not is_gdp_tree(sub)
-
-
 class PipelineState:
-    """Mutable run state; the step functions below drive it."""
+    """Mutable run state; the step functions below drive it.
 
-    __slots__ = ("pg", "g", "cover", "v1", "v2", "order", "h_by_class",
-                 "comps", "comp_of", "theta", "phi", "avail", "safe",
-                 "protectors", "trace")
+    owed[v] holds the indices of the components a V2 vertex v looks
+    after.  v reaches its turn in order with at least turn_colors colors (C4),
+    protects at most protector_cap components (D1), and each protection
+    costs at most cost_cap colors (D2).  Here a vertex owes the
+    components in the face classes that H assigns to it; the minor
+    pipeline's subclass takes them from its peel plan and sets its own
+    caps.
+    """
 
+    __slots__ = ("pg", "g", "cover", "v1", "v2", "order", "comps", "comp_of",
+                 "owed", "phi", "avail", "safe", "protectors", "trace")
+
+    cost_cap = 5
     protector_cap = 2
+    turn_colors = THRESHOLD - 5
 
     def __init__(self, pg, cover, v1, v2, trace=None):
-        self.v1 = frozenset(v1)
-        self.v2 = frozenset(v2)
-        if self.v2:
-            pg = augment_visibility(pg, self.v2)
+        v2 = frozenset(v2)
+        if v2:
+            pg = augment_visibility(pg, v2)
             if pg.g.m != cover.g.m:
                 # chords between V2 vertices carry no matched pairs
                 kept = {e: cover.edge_pairs(*e) for e in cover.g.edges()}
                 cover = Cover(pg.g, cover.sizes, {e: p for e, p in kept.items() if p})
         self.pg = pg
-        self.g = pg.g
-        self.cover = cover
-        self.order = tuple(plan_order(self.g, self.v2))
-        h = set()
-        for comp, pgq, cmap, v_star in component_planes(pg, self.v2):
+        self._start(pg.g, cover, v1, v2, plan_order(pg.g, v2), trace)
+        fc = FaceClasses(pg, v2)
+        holder = {fc.class_holding(comp): qi for qi, comp in enumerate(self.comps)}
+        if len(holder) != len(self.comps):
+            raise InternalInvariantBreach("two components share a face class")
+        self.owed = {v: set() for v in v2}
+        for comp, pgq, cmap, v_star in component_planes(pg, v2):
             for v, f in very_nice_subgraph(pgq, v_star):
-                h.add((v, cmap[f]))
-        by_class = {}
-        for v, c in h:
-            by_class.setdefault(c, set()).add(v)
-        self.h_by_class = {c: frozenset(vs) for c, vs in by_class.items()}
-        self.comps = tuple(tuple(c) for c in
-                           connected_components(self.g.subgraph(self.v1)))
+                if cmap[f] in holder:
+                    self.owed[v].add(holder[cmap[f]])
+        self.check_invariants()
+
+    def _start(self, g, cover, v1, v2, order, trace):
+        """Fill the fields both pipelines share, before any step."""
+        self.v1 = frozenset(v1)
+        self.v2 = frozenset(v2)
+        self.g = g
+        self.cover = cover
+        self.order = tuple(order)
+        self.comps = tuple(tuple(c) for c in connected_components(g.subgraph(self.v1)))
         self.comp_of = {v: qi for qi, comp in enumerate(self.comps) for v in comp}
-        self.theta = {}
-        if self.v2:
-            fc = FaceClasses(pg, self.v2)
-            for qi, comp in enumerate(self.comps):
-                cls = {fc.class_of(f) for v in comp for f in pg.faces_at(v)}
-                assert len(cls) == 1, "component straddles face classes"
-                self.theta[qi] = cls.pop()
-            assert len(set(self.theta.values())) == len(self.theta), \
-                "two components share a face class"
         self.phi = {}
-        self.avail = {v: set(range(cover.sizes[v])) for v in self.g.vertices}
+        self.avail = {v: set(range(cover.sizes[v])) for v in g.vertices}
         self.safe = set()
         self.protectors = {}
         self.trace = trace
-        self.check_invariants()
+
+    def no_cheap_neighbor(self, v, qi):
+        """H may name a component that v cannot protect cheaply; it is
+        left to later steps."""
 
     def res_degree(self, v):
         return sum(1 for w in self.g.adj[v] if w not in self.phi)
@@ -204,29 +190,37 @@ def step_r1(state):
 
 
 def step_r2(state):
-    """Color the next V2 vertex, protecting the components it looks after.
+    """Color the next uncolored vertex of state.order, protecting the
+    non-safe components it owes.
 
-    For each non-safe component in one of v's assigned face classes with
-    an uncolored neighbor u of residual degree at most 5, the chosen
-    color avoids the matched partners of u's remaining list, so u ends
-    up with more colors than uncolored neighbors.
+    For each one, the cheapest uncolored neighbor u in it (residual
+    degree at most the cost cap) is protected: the chosen color avoids
+    the matched partners of u's remaining list, so u ends up with more
+    colors than uncolored neighbors.
     """
-    left = [v for v in state.order if v not in state.phi]
-    assert left, "step_r2 needs an uncolored high-degree vertex"
-    v = left[0]
-    assert len(state.avail[v]) >= THRESHOLD - 5, \
-        "(C4) %r reached its turn with %d colors" % (v, len(state.avail[v]))
+    v = next((w for w in state.order if w not in state.phi), None)
+    if v is None:
+        raise InternalInvariantBreach("step_r2 needs an uncolored high-degree vertex")
+    if len(state.avail[v]) < state.turn_colors:
+        raise InternalInvariantBreach(
+            "(C4) %r reached its turn with %d colors" % (v, len(state.avail[v])))
+    owed = state.owed[v]
+    if state.cost_cap * len(owed) >= state.turn_colors:
+        raise InternalInvariantBreach(
+            "(D2) part of %d components cannot be protected with q=%d"
+            % (len(owed), state.turn_colors))
     gathered = []
     for qi in state.refresh_safety():
-        if v not in state.h_by_class.get(state.theta[qi], ()):
+        if qi not in owed:
             continue
         cands = []
         for u in state.g.adj[v]:
             if state.comp_of.get(u) == qi and u not in state.phi:
                 rd = state.res_degree(u)
-                if rd <= 5:
+                if rd <= state.cost_cap:
                     cands.append((rd, u))
         if not cands:
+            state.no_cheap_neighbor(v, qi)
             continue
         u = min(cands)[1]
         forb = set()
@@ -234,11 +228,15 @@ def step_r2(state):
             p = state.cover.partner(u, j, v)
             if p is not None:
                 forb.add(p)
-        assert len(forb) <= 5, "(D2) protection of %d would cost %d" % (qi, len(forb))
-        gathered.append((qi, u, forb))
-    assert len(gathered) <= 2, "(D1) %r asked to protect %d components" % (v, len(gathered))
+        if len(forb) > state.cost_cap:
+            raise InternalInvariantBreach(
+                "(D2) protection of %d would cost %d" % (qi, len(forb)))
+        gathered.append((qi, forb))
+    if len(gathered) > state.protector_cap:
+        raise InternalInvariantBreach(
+            "(D1) %r asked to protect %d components" % (v, len(gathered)))
     forbidden = set()
-    for _, _, forb in gathered:
+    for _, forb in gathered:
         forbidden |= forb
     allowed = sorted(state.avail[v] - forbidden)
     if not allowed:
@@ -246,12 +244,12 @@ def step_r2(state):
             "every color of %r is matched into a protected list" % (v,))
     i = allowed[0]
     state.assign(v, i)
-    for qi, u, _ in gathered:
+    for qi, _ in gathered:
         state.protectors[qi] = v
         state.safe.add(qi)
     line = "R2 %d %d.%d" % (v, v, i)
     if gathered:
-        line += " protects " + " ".join(str(state.comps[qi][0]) for qi, _, _ in gathered)
+        line += " protects " + " ".join(str(state.comps[qi][0]) for qi, _ in gathered)
     state.log(line)
     state.check_invariants()
     return state
@@ -259,10 +257,12 @@ def step_r2(state):
 
 def finish(state):
     """Greedy-color every uncolored component and validate the total."""
-    assert state.v2 <= set(state.phi), "finish needs every V2 vertex colored"
+    if not state.v2 <= set(state.phi):
+        raise InternalInvariantBreach("finish needs every V2 vertex colored")
     res, kept = residual_cover(state.cover, state.phi)
     for v in res.g.vertices:
-        assert kept[v] == sorted(state.avail[v]), "availability drifted at %r" % (v,)
+        if kept[v] != sorted(state.avail[v]):
+            raise InternalInvariantBreach("availability drifted at %r" % (v,))
     phi = dict(state.phi)
     for comp in connected_components(res.g):
         sub = res.subcover(comp)
@@ -272,7 +272,8 @@ def finish(state):
             raise GDPTreeTight("component %d was never made safe" % comp[0])
         for v, (_, i) in col.items():
             phi[v] = (v, kept[v][i])
-    assert is_coloring_valid(state.cover, phi)
+    if not is_coloring_valid(state.cover, phi):
+        raise InternalInvariantBreach("the finished coloring is not valid")
     return phi
 
 
@@ -299,6 +300,4 @@ def color_planar_truncated(pg, cover, trace=None):
         if state.v2 <= set(state.phi):
             break
         step_r2(state)
-    phi = finish(state)
-    assert is_coloring_valid(cover, phi)
-    return phi
+    return finish(state)

@@ -16,11 +16,8 @@ report how old face ids map to new ones.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .core_graph import Graph, connected_components
-from .errors import (A2Unattainable, AmbiguousFace, BadRotation,
-                     InternalInvariantBreach, MalformedInput)
+from .errors import A2Unattainable, BadRotation, InternalInvariantBreach, MalformedInput
 
 
 class PlaneGraph:
@@ -170,15 +167,6 @@ class PlaneGraph:
         return "PlaneGraph(n=%d, m=%d, f=%d)" % (self.g.n, self.g.m, len(self.faces))
 
 
-Face = namedtuple("Face", ["id", "walks", "vertices"])
-
-
-def trace_faces(pg: PlaneGraph):
-    """The traced faces as (id, walks, vertices) records."""
-    return [Face(fid, pg.face_walks(fid), tuple(pg.face_vertices(fid)))
-            for fid in range(pg.face_count())]
-
-
 def parse_plane(text: str) -> PlaneGraph:
     """Graph records plus `r <v> <edge-index>...` rotation lines.
 
@@ -250,33 +238,6 @@ def write_plane(pg: PlaneGraph) -> str:
 
 # ---------------------------------------------------------------------------
 # vertex-face incidence and nice subgraphs
-
-
-class ThetaGraph:
-    """Bipartite incidence of vertices and faces of a plane graph."""
-
-    __slots__ = ("pg", "edges")
-
-    def __init__(self, pg: PlaneGraph):
-        self.pg = pg
-        es = set()
-        for fid in range(pg.face_count()):
-            for v in pg.face_vertices(fid):
-                es.add((v, fid))
-        self.edges = frozenset(es)
-
-    def faces_of(self, v):
-        return sorted(f for (w, f) in self.edges if w == v)
-
-    def vertices_of(self, fid):
-        return self.pg.face_vertices(fid)
-
-    def degree_face(self, fid):
-        return len(self.pg.face_vertices(fid))
-
-
-def theta_graph(pg: PlaneGraph) -> ThetaGraph:
-    return ThetaGraph(pg)
 
 
 def is_nice(pg: PlaneGraph, h, very=None):
@@ -675,6 +636,15 @@ class FaceClasses:
     def class_of(self, fid):
         return self._cls[fid]
 
+    def class_holding(self, comp):
+        """The class of the face that holds comp, a connected vertex set
+        outside v2: every ambient face at comp must fuse into it."""
+        cls = {self._cls[f] for v in comp for f in self.pg.faces_at(v)}
+        if len(cls) != 1:
+            raise InternalInvariantBreach(
+                "vertices %r see face classes %r" % (sorted(comp), sorted(cls)))
+        return cls.pop()
+
     def classes(self):
         return sorted(set(self._cls))
 
@@ -704,17 +674,6 @@ class FaceClasses:
         if set(depth) != set(adj):
             raise InternalInvariantBreach("face classes are not connected")
         return depth
-
-
-def face_of_component(pg: PlaneGraph, v2, q):
-    """The face of the subgraph drawn on v2 that contains the component
-    q of the rest, named by its class.  All ambient faces met by q must
-    fuse into one class; anything else means q straddles faces."""
-    fc = FaceClasses(pg, v2)
-    cls = {fc.class_of(f) for v in q for f in pg.faces_at(v)}
-    if len(cls) != 1:
-        raise AmbiguousFace("vertices %r see face classes %r" % (sorted(q), sorted(cls)))
-    return cls.pop()
 
 
 def component_planes(pg: PlaneGraph, v2):
@@ -811,10 +770,7 @@ def augment_visibility(pg: PlaneGraph, v2) -> PlaneGraph:
     fc = FaceClasses(cur, v2)
     holder = {}
     for comp in sorted(connected_components(cur.g.subgraph(cur.g.vertices - v2)), key=min):
-        cls = {fc.class_of(f) for v in comp for f in cur.faces_at(v)}
-        if len(cls) != 1:
-            raise InternalInvariantBreach("component sees several face classes")
-        c = cls.pop()
+        c = fc.class_holding(comp)
         if c in holder:
             raise A2Unattainable(
                 "components %r and %r lie in the same face of the subgraph on %r"

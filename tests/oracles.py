@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive: straight products over itertools,
 no pruning, no sharing with the package under test beyond the Graph
-container (and, for connectivity_by_deletion, the block decomposition).
+container (and, for connectivity_by_deletion, the block decomposition;
+for is_safe, the GDP-tree test).
 Only usable for tiny instances.
 """
 
 import itertools
 
-from dpchroma.core_graph import Graph, blocks_and_cut_vertices, is_complete_graph, is_connected
+from dpchroma.core_graph import (Graph, blocks_and_cut_vertices, is_complete_graph, is_connected,
+                                 is_gdp_tree)
 
 
 def subgraph_by_edge_filter(g, keep):
@@ -46,6 +48,35 @@ def connectivity_by_deletion(g, s):
         if not connectivity_by_deletion(subgraph_by_edge_filter(g, g.vertices - {v}), s - 1):
             return False
     return True
+
+
+def vertex_face_incidences(pg):
+    """Every (vertex, face id) pair of a plane graph, face by face."""
+    return {(v, fid) for fid in range(pg.face_count()) for v in pg.face_vertices(fid)}
+
+
+def is_safe(g, cover, q, phi):
+    """A component q is safe when its uncolored rest is not a GDP-tree or
+    some uncolored vertex has more colors left than uncolored neighbors;
+    the colors left are recounted from the cover and phi."""
+    rest = [v for v in sorted(q) if v not in phi]
+    if not rest:
+        return True
+    blocked = {v: set() for v in rest}
+    for v in rest:
+        for w in g.adj[v]:
+            if w in phi:
+                j = cover.partner(w, phi[w][1], v)
+                if j is not None:
+                    blocked[v].add(j)
+    for v in rest:
+        left = cover.sizes[v] - len(blocked[v])
+        if left > sum(1 for w in g.adj[v] if w not in phi):
+            return True
+    sub = subgraph_by_edge_filter(g, rest)
+    if not is_connected(sub):
+        return True
+    return not is_gdp_tree(sub)
 
 
 def raw_has_coloring(g, lists):

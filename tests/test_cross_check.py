@@ -4,7 +4,11 @@ connectivity_at_least (low-point passes, vertex skipped in place),
 Graph.subgraph (adjacency intersection) and block_kind (vertex and
 edge counts) are each compared with the straightforward construction
 in tests/oracles.py, and connectivity also with networkx's
-node_connectivity on the hub instances and the drum fixture.
+node_connectivity on the hub instances and the drum fixture.  The
+pipelines' component safety (comp_safe_now, read off the running
+availability sets) is compared with oracles.is_safe, which recounts
+the colors left from the cover, after every R1/R2 step of the
+protection runs pinned in tests/test_golden.py.
 """
 
 import itertools
@@ -14,9 +18,12 @@ import networkx as nx
 import pytest
 
 from corpus import connected_graph_classes, connected_graph_extensions
-from oracles import block_kind_by_subgraph, connectivity_by_deletion, subgraph_by_edge_filter
+from oracles import block_kind_by_subgraph, connectivity_by_deletion, is_safe, \
+    subgraph_by_edge_filter
+from dpchroma import minor_truncated, planar_truncated
 from dpchroma.cli import generate_hub_instance
 from dpchroma.core_graph import Graph, block_kind, blocks_and_cut_vertices, connectivity_at_least
+from test_golden import PROTECTION_RUNS
 from test_planar_truncated import drum_plane
 
 
@@ -102,3 +109,25 @@ def test_block_kind_matches_subgraph_reference():
             assert kind == block_kind_by_subgraph(g, blk), (g.edges(), blk)
             kinds.add(kind)
     assert kinds == {"complete", "cycle", None}
+
+
+@pytest.mark.parametrize("name", sorted(PROTECTION_RUNS))
+def test_safety_matches_recount_after_every_step(monkeypatch, name):
+    steps = []
+
+    def checked(step):
+        def run(state):
+            out = step(state)
+            steps.append(step.__name__)
+            for qi, comp in enumerate(state.comps):
+                want = is_safe(state.g, state.cover, comp, state.phi)
+                assert state.comp_safe_now(qi) == want, (step.__name__, comp[0], len(steps))
+            return out
+        return run
+
+    for module in (planar_truncated, minor_truncated):
+        for attr in ("step_r1", "step_r2"):
+            monkeypatch.setattr(module, attr, checked(getattr(module, attr)))
+    trace = []
+    PROTECTION_RUNS[name]()(trace)
+    assert steps.count("step_r2") == sum(ln.startswith("R2") for ln in trace)

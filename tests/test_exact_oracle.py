@@ -207,7 +207,7 @@ def test_solve_list_and_cover_agree():
         lists = {v: rng.sample(range(6), rng.randint(1, 3)) for v in range(n)}
         cover, tokens = induced_cover(g, lists)
         got = solve_list(g, lists)
-        want = solve_cover(g, cover)
+        want = solve_cover(cover)
         assert (got is None) == (want is None)
         assert (got is None) == (find_list_coloring(g, lists) is None)
         if got is not None:

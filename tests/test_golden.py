@@ -11,7 +11,15 @@ the test runs `gen`, `color-planar`, `color-minor` and `nice` through
 
 `color-minor` reads the graph records of the .plane file (its `r` lines
 dropped) and runs with s = hubs, t = 2 and the override
-q=6,k=16,peel=2,degen=1.  Refactors must leave every digest unchanged.
+q=6,k=16,peel=2,degen=1.
+
+The hub traces never show a minor protection, so PROTECTION_GOLDEN also
+pins trace plus witness (in the CLI's `v <vertex> <color>` form) of the
+runs that do: the planar pipeline on the drum fixture with
+drum_forcing_cover at quarters 15 and 30, and the minor pipeline on the
+fixtures of test_color_minor_double_protection and
+test_color_minor_drum_interleaves_r1.  Refactors must leave every digest
+unchanged.
 """
 
 import hashlib
@@ -19,6 +27,10 @@ import hashlib
 import pytest
 
 from dpchroma.cli import main
+from dpchroma.minor_truncated import color_minor_truncated
+from dpchroma.planar_truncated import color_planar_truncated
+from test_minor_truncated import double_protection_instance, drum_minor_instance
+from test_planar_truncated import drum_forcing_cover, drum_plane
 
 SEED = 7
 
@@ -87,3 +99,40 @@ def test_golden_digests(tmp_path, capsys, hubs, rim):
     out = golden_outputs(tmp_path, capsys, hubs, rim)
     got = {k: hashlib.sha256(text.encode()).hexdigest() for k, text in out.items()}
     assert got == GOLDEN[(hubs, rim)]
+
+
+def _planar_drum(quarter):
+    pg = drum_plane(quarter, perm=(0, 3, 1, 2))
+    cover = drum_forcing_cover(pg)
+    return lambda trace: color_planar_truncated(pg, cover, trace=trace)
+
+
+def _minor(instance):
+    g, cover, params = instance()
+    return lambda trace: color_minor_truncated(g, cover, params, trace=trace)
+
+
+# name -> () -> run(trace) -> witness; each run fires R2 protections
+PROTECTION_RUNS = {
+    "planar-drum-q15": lambda: _planar_drum(15),
+    "planar-drum-q30": lambda: _planar_drum(30),
+    "minor-double-protection": lambda: _minor(double_protection_instance),
+    "minor-drum": lambda: _minor(drum_minor_instance),
+}
+
+PROTECTION_GOLDEN = {
+    "planar-drum-q15": "76c26f703c387b0d5f815ec0c5632685c6528962053eb933ef37fd95c2cd5f71",
+    "planar-drum-q30": "14b9ec993906784707bd08b84ec2fcf8408518b3fe725e9f7318634441699245",
+    "minor-double-protection": "48699921ca8dd22bdb885d3969c83642177927ca6679749e849f71cc33a426ef",
+    "minor-drum": "37435fcb2fd9e669c936b4f060a66e5e4d60777abc16d2c40e2b651cb581f91f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTECTION_RUNS))
+def test_protection_digests(name):
+    trace = []
+    phi = PROTECTION_RUNS[name]()(trace)
+    text = "".join(ln + "\n" for ln in trace)
+    text += "".join("v %s %s\n" % (v, phi[v][1]) for v in sorted(phi))
+    assert "protects" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == PROTECTION_GOLDEN[name]

@@ -5,11 +5,12 @@ import pytest
 from dpchroma.cli import Xorshift64Star, generate_hub_instance, random_tight_matchings
 from dpchroma.core_graph import Graph, degeneracy_order, is_gdp_tree
 from dpchroma.dp_cover import Cover, is_coloring_valid
-from dpchroma.errors import (DegreeBelowS, InstanceTooLarge, ListTooSmall,
-                             PeelBoundExceeded, PreconditionViolated)
-from dpchroma.minor_truncated import (color_minor_truncated, constants,
+from dpchroma.errors import (DegreeBelowS, InstanceTooLarge, InternalInvariantBreach,
+                             ListTooSmall, PeelBoundExceeded, PreconditionViolated)
+from dpchroma.minor_truncated import (MinorState, color_minor_truncated, constants,
                                       contract_components, peel_sequence,
                                       select_sublists)
+from dpchroma.planar_truncated import step_r2
 
 
 def desk_params(s, t, **kw):
@@ -34,6 +35,12 @@ def two_c5_instance():
         else:
             matchings[(u, w)] = [(t, t) for t in range(min(sizes[u], sizes[w]))]
     return g, Cover(g, sizes, matchings)
+
+
+def double_protection_instance():
+    """two_c5_instance with desk constants under which hub 10 protects both cycles."""
+    g, cov = two_c5_instance()
+    return g, cov, desk_params(2, 2, q=7, k=10, peel_bound=2, degeneracy_bound=1)
 
 
 def test_constants_closed_forms():
@@ -150,8 +157,7 @@ def test_peel_plan_invariants():
 
 
 def test_color_minor_double_protection():
-    g, cov = two_c5_instance()
-    params = desk_params(2, 2, q=7, k=10, peel_bound=2, degeneracy_bound=1)
+    g, cov, params = double_protection_instance()
     runs = []
     for _ in range(2):
         trace = []
@@ -162,7 +168,8 @@ def test_color_minor_double_protection():
     assert runs[0][0] == ("R2 11 11.0", "R2 10 10.4 protects 0 5")
 
 
-def test_color_minor_drum_interleaves_r1():
+def drum_minor_instance():
+    """The drum fixture under identity matchings (none between hubs)."""
     from test_planar_truncated import drum_plane
 
     pg = drum_plane()
@@ -174,7 +181,35 @@ def test_color_minor_drum_interleaves_r1():
             continue
         matchings[(u, w)] = [(t, t) for t in range(min(sizes[u], sizes[w]))]
     cov = Cover(g, sizes, matchings)
-    params = desk_params(2, 2, q=7, k=16, peel_bound=2, degeneracy_bound=2)
+    return g, cov, desk_params(2, 2, q=7, k=16, peel_bound=2, degeneracy_bound=2)
+
+
+def test_color_minor_part_cost_check():
+    # hub 10 owes both cycles; 2 * (s + t - 1) colors do not fit in q = 5
+    g, cov, _ = double_protection_instance()
+    params = desk_params(2, 2, q=5, k=10, peel_bound=2, degeneracy_bound=1)
+    trace = []
+    with pytest.raises(InternalInvariantBreach, match=r"\(D2\) part of 2 components"):
+        color_minor_truncated(g, cov, params, trace=trace)
+    assert trace == ["R2 11 11.0"]
+
+
+def test_minor_state_requires_cheap_neighbor():
+    g, cov, params = double_protection_instance()
+    v1, v2 = frozenset(range(10)), frozenset({10, 11})
+    sublists = select_sublists(g, [11, 10], cov, params.q)
+    plan = peel_sequence(contract_components(g, v1, s=2)[0], v2, params.peel_bound)
+    st = MinorState(g, cov, v1, v2, plan, sublists, params)
+    assert (st.owed, st.cost_cap, st.protector_cap, st.turn_colors) == (
+        {11: set(), 10: {0, 1}}, 3, 2, 7)
+    step_r2(st)
+    st.cost_cap = 2  # every cycle vertex keeps residual degree 3
+    with pytest.raises(InternalInvariantBreach, match="no cheap neighbor of 10"):
+        step_r2(st)
+
+
+def test_color_minor_drum_interleaves_r1():
+    g, cov, params = drum_minor_instance()
     trace = []
     phi = color_minor_truncated(g, cov, params, trace=trace)
     assert is_coloring_valid(cov, phi)

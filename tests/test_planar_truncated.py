@@ -1,17 +1,23 @@
 import itertools
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
 
 from corpus import nx_planar_rotation
+from oracles import is_safe
+import dpchroma
 from dpchroma.cli import Xorshift64Star, generate_hub_instance, random_tight_matchings
 from dpchroma.core_graph import Graph, connectivity_at_least
 from dpchroma.dp_cover import Cover, degree_truncated_sizes, is_coloring_valid
-from dpchroma.errors import EmptyResidualList, GDPTreeTight, PreconditionViolated
+from dpchroma.errors import (EmptyResidualList, GDPTreeTight, InternalInvariantBreach,
+                             PreconditionViolated)
 from dpchroma.exact_oracle import solve_cover
 from dpchroma.plane_embed import PlaneGraph
 from dpchroma.planar_truncated import (NoMove, PipelineState, color_planar_truncated,
-                                       finish, is_safe, partition_threshold,
+                                       finish, partition_threshold,
                                        plan_order, step_r1, step_r2)
 
 
@@ -98,7 +104,7 @@ def test_plan_order():
     ico = nx_plane("icosahedron").g
     assert plan_order(ico, set()) == []
     pg, _ = generate_hub_instance(3, 34, 2)
-    g = pg.g.with_edge(34, 35)  # the chord augmentation would add
+    g = Graph(pg.g.vertices, pg.g.edges() + [(34, 35)])  # the chord augmentation would add
     order = plan_order(g, {34, 35, 36})
     assert order == [35, 34, 36]  # fan hubs contiguous, then the outer hub
     pos = {v: i for i, v in enumerate(order)}
@@ -133,7 +139,7 @@ def test_v2_empty_polyhedra():
             assert is_coloring_valid(cover, phi)
     pg = nx_plane("icosahedron")
     cover = tight_cover(pg.g, 77)
-    assert solve_cover(pg.g, cover) is not None
+    assert solve_cover(cover) is not None
 
 
 def test_preconditions():
@@ -214,6 +220,49 @@ def test_step_functions_direct():
     st.avail[29].clear()
     with pytest.raises(EmptyResidualList):
         step_r1(st)
+
+
+def test_step_r2_checks_turn_colors_under_optimize():
+    # the wheel's hub reaches its turn with 10 < 16 - 5 colors: (C4)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dpchroma.__file__)))
+    script = (
+        "import sys\n"
+        "from dpchroma.cli import generate_hub_instance\n"
+        "from dpchroma.errors import InternalInvariantBreach\n"
+        "from dpchroma.planar_truncated import PipelineState, partition_threshold, step_r2\n"
+        "pg, cover = generate_hub_instance(1, 20, 1)\n"
+        "st = PipelineState(pg, cover, *partition_threshold(pg.g))\n"
+        "st.avail[20] = set(range(10))\n"
+        "try:\n"
+        "    step_r2(st)\n"
+        "except InternalInvariantBreach as exc:\n"
+        "    print(sys.flags.optimize, exc)\n")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "1 (C4) 20 reached its turn with 10 colors\n"), \
+        out.stderr
+
+
+def test_step_r2_follows_the_state_caps():
+    class CheapCap(PipelineState):
+        __slots__ = ()
+        cost_cap = 2  # a rim vertex has residual degree 3
+
+    class NoProtector(PipelineState):
+        __slots__ = ()
+        protector_cap = 0
+
+    pg, cover = generate_hub_instance(1, 20, 1)
+    v1, v2 = partition_threshold(pg.g)
+    st = CheapCap(pg, cover, v1, v2)
+    step_r2(st)  # the rim has no cheap neighbor: skipped, not protected
+    assert 20 in st.phi and not st.protectors
+    with pytest.raises(InternalInvariantBreach, match=r"\(D1\)"):
+        step_r2(NoProtector(pg, cover, v1, v2))
+    st = PipelineState(pg, cover, v1, v2)
+    step_r2(st)
+    assert st.protectors == {0: 20}
 
 
 def test_step_r1_nomove_when_all_safe():

@@ -1,10 +1,10 @@
 import pytest
 
+from oracles import vertex_face_incidences
 from dpchroma.core_graph import Graph
-from dpchroma.errors import A2Unattainable, AmbiguousFace, BadRotation, MalformedInput
+from dpchroma.errors import A2Unattainable, BadRotation, InternalInvariantBreach, MalformedInput
 from dpchroma.plane_embed import (FaceClasses, PlaneGraph, augment_visibility,
-                                  component_planes, face_of_component, parse_plane,
-                                  theta_graph, trace_faces, write_plane)
+                                  component_planes, parse_plane, write_plane)
 
 
 def square_with_chord():
@@ -127,24 +127,22 @@ def double_fan_plane():
     return PlaneGraph(g, rot)
 
 
-def test_trace_faces_records():
+def test_face_walks_cover_every_directed_edge():
     pg = square_with_chord()
-    faces = trace_faces(pg)
-    assert [f.id for f in faces] == [0, 1, 2]
-    assert sum(len(w) for f in faces for w in f.walks) == 2 * pg.g.m
-    for f in faces:
-        assert f.vertices == tuple(pg.face_vertices(f.id))
+    assert pg.face_count() == 3
+    walks = [de for fid in range(3) for w in pg.face_walks(fid) for de in w]
+    assert len(walks) == len(set(walks)) == 2 * pg.g.m
+    for fid in range(3):
+        assert set(pg.face_vertices(fid)) == {u for w in pg.face_walks(fid) for u, _ in w}
 
 
-def test_theta_graph_counts():
-    th = theta_graph(PlaneGraph(Graph([0], []), {0: ()}))
-    assert th.edges == {(0, 0)}
+def test_vertex_face_incidences():
+    assert vertex_face_incidences(PlaneGraph(Graph([0], []), {0: ()})) == {(0, 0)}
     tri = PlaneGraph(Graph(range(3), [(0, 1), (1, 2), (0, 2)]),
                      {0: (1, 2), 1: (2, 0), 2: (0, 1)})
-    th = theta_graph(tri)
-    assert len(th.edges) == 6
-    assert th.faces_of(1) == [0, 1]
-    assert th.degree_face(0) == 3
+    assert len(vertex_face_incidences(tri)) == 6
+    assert tri.faces_at(1) == [0, 1]
+    assert len(tri.face_vertices(0)) == 3
 
 
 def test_augment_identity_cases():
@@ -178,7 +176,7 @@ def test_face_classes_wheel_rim():
     depths = fc.class_depths()
     inner = [c for c in fc.classes() if c != fc.outer_class][0]
     assert depths[fc.outer_class] == 0 and depths[inner] == 1
-    assert face_of_component(pg, set(range(5)), [5]) == inner
+    assert fc.class_holding([5]) == inner
 
 
 def nested_cycles_plane():
@@ -212,7 +210,7 @@ def test_component_planes_nested_cycles():
     ring = [c for c, d in depths.items() if d == 1][0]
     # each bridge vertex is its own component, all inside the ring
     for q in ([9], [10], [11]):
-        assert face_of_component(pg, v2, q) == ring
+        assert fc.class_holding(q) == ring
     pieces = component_planes(pg, v2)
     assert [p[0] for p in pieces] == [(0, 1, 2, 3, 4, 5), (6, 7, 8)]
     hexa, tri = pieces
@@ -228,7 +226,7 @@ def test_a2_unattainable_reports_shared_face():
         augment_visibility(pg, {0})
 
 
-def test_face_of_component_rejects_straddling_set():
+def test_class_holding_rejects_straddling_set():
     pg = wheel_plane(5)
-    with pytest.raises(AmbiguousFace):
-        face_of_component(pg, set(range(5)), [5, 0])
+    with pytest.raises(InternalInvariantBreach):
+        FaceClasses(pg, set(range(5))).class_holding([5, 0])

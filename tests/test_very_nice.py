@@ -3,10 +3,11 @@ import itertools
 import pytest
 
 from corpus import planar_classes, random_connected_planar
+from oracles import vertex_face_incidences
 
 from dpchroma.core_graph import Graph, blocks_and_cut_vertices
 from dpchroma.errors import NotConnected, PreconditionViolated
-from dpchroma.plane_embed import PlaneGraph, is_nice, theta_graph, very_nice_subgraph
+from dpchroma.plane_embed import PlaneGraph, is_nice, very_nice_subgraph
 
 
 def check_direct(pg, h, v_star):
@@ -40,8 +41,7 @@ def test_base_cases_take_all_of_theta():
 def test_triangle_matches_exhaustive_search():
     g = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
     pg = PlaneGraph(g, {0: (1, 2), 1: (2, 0), 2: (0, 1)})
-    th = theta_graph(pg)
-    all_edges = sorted(th.edges)
+    all_edges = sorted(vertex_face_incidences(pg))
     for v_star in range(3):
         good = set()
         for r in range(len(all_edges) + 1):
@@ -61,7 +61,7 @@ def test_triangle_matches_exhaustive_search():
 def test_full_theta_on_k4_is_not_nice():
     g = Graph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     pg = PlaneGraph(g, {0: (1, 3, 2), 1: (2, 3, 0), 2: (0, 3, 1), 3: (2, 0, 1)})
-    ok, viol = is_nice(pg, theta_graph(pg).edges)
+    ok, viol = is_nice(pg, vertex_face_incidences(pg))
     assert not ok
     assert any("covered 3" in v for v in viol)
 
