@@ -38,9 +38,6 @@ class Graph:
     def degree(self, v):
         return len(self.adj[v])
 
-    def neighbors(self, v):
-        return self.adj[v]
-
     def has_edge(self, u, w):
         return w in self.adj.get(u, ())
 

@@ -55,18 +55,6 @@ class Cover:
         d = self._m.get((u, w), {})
         return sorted(d.items())
 
-    def neighborhood(self, v, i):
-        """All matched colors of (v, i) across incident edges."""
-        out = set()
-        for w in self.g.adj[v]:
-            j = self.partner(v, i, w)
-            if j is not None:
-                out.add((w, j))
-        return out
-
-    def is_tight_at(self, v):
-        return self.sizes[v] == self.g.degree(v)
-
     def subcover(self, keep) -> "Cover":
         """Induced cover on a vertex subset (matchings restricted)."""
         keep = frozenset(keep)
@@ -142,36 +130,6 @@ def residual_cover(cover: Cover, phi):
         if pairs:
             matchings[(u, w)] = pairs
     return Cover(sub, {v: len(kept[v]) for v in rest}, matchings), kept
-
-
-def validate_cover(g: Graph, sizes, matchings):
-    """Report cover invariant breaches; an empty list means ok.
-
-    Works on the raw fields since a constructed Cover cannot be invalid.
-    Disjointness across vertices is structural with (v, i) identifiers,
-    so the checks are coverage, ranges, and the matching property.
-    """
-    viol = []
-    for v in sorted(set(sizes) - set(g.vertices)):
-        viol.append("size for unknown vertex %r" % (v,))
-    for v in sorted(set(g.vertices) - set(sizes)):
-        viol.append("no size for vertex %r" % (v,))
-    for v in sorted(set(sizes) & set(g.vertices)):
-        if sizes[v] < 0:
-            viol.append("negative size at %r" % (v,))
-    for (u, w), pairs in sorted(matchings.items()):
-        if not g.has_edge(u, w):
-            viol.append("matching on non-edge (%r, %r)" % (u, w))
-            continue
-        fwd, bwd = set(), set()
-        for i, j in pairs:
-            if not (0 <= i < sizes.get(u, 0) and 0 <= j < sizes.get(w, 0)):
-                viol.append("color out of range on (%r, %r): %r %r" % (u, w, i, j))
-            if i in fwd or j in bwd:
-                viol.append("repeated color in matching on (%r, %r)" % (u, w))
-            fwd.add(i)
-            bwd.add(j)
-    return viol
 
 
 def token_sort_key(tok):

@@ -30,13 +30,20 @@ from .errors import (DegreeBelowS, InstanceTooLarge, InternalInvariantBreach, Li
 from .planar_truncated import NoMove, PipelineState, finish, step_r1, step_r2
 
 
+def _require_positive(**values):
+    """ValueError naming the first of values that is below 1."""
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError("%s must be at least 1 (got %r)" % (name, value))
+
+
 class ClassParams:
     """Pipeline constants for a K_{s,t}-minor-free class."""
 
     __slots__ = ("s", "t", "q", "k", "peel_bound", "degeneracy_bound", "overridden")
 
     def __init__(self, s, t, q, k, peel_bound, degeneracy_bound, overridden):
-        assert s >= 1 and t >= 1 and q >= 1 and k >= 1
+        _require_positive(s=s, t=t, q=q, k=k)
         self.s = s
         self.t = t
         self.q = q
@@ -62,7 +69,7 @@ class ClassParams:
 
 def constants(s, t):
     """Exact constants for the class; plain ints, arbitrary precision."""
-    assert s >= 1 and t >= 1
+    _require_positive(s=s, t=t)
     peel = 4 ** (s + 1) * math.factorial(s) * s * t
     q = peel * (s + t - 1) + 1
     k = 2 ** (s + 2) * t * q
@@ -127,7 +134,9 @@ class PeelPlan:
     __slots__ = ("order", "parts")
 
     def __init__(self, order, parts):
-        assert len(order) == len(parts)
+        if len(order) != len(parts):
+            raise InternalInvariantBreach("peel plan has %d vertices but %d parts"
+                                          % (len(order), len(parts)))
         self.order = tuple(order)
         self.parts = tuple(tuple(p) for p in parts)
 
@@ -154,7 +163,8 @@ def peel_sequence(gp, b, bound):
             for x in adj.pop(w):
                 adj[x].discard(w)
         rev.append((u, r))
-    assert not a_left, "component nodes survived the peel"
+    if a_left:
+        raise InternalInvariantBreach("component nodes %r survived the peel" % (sorted(a_left),))
     rev.reverse()
     return PeelPlan([u for u, _ in rev], [r for _, r in rev])
 

@@ -1,39 +1,36 @@
 """Plane graphs as rotation systems, and the covering-subgraph machinery.
 
-A PlaneGraph is a Graph plus, for each vertex, the cyclic order of its
-neighbors.  Faces are traced eagerly: the walk leaving v toward the
-successor of u in rot(v) after arriving from u.  A rotation system is
-accepted only if Euler's relation holds on each component, which is
-exactly planarity of the embedding.
-
-A face usually carries one boundary walk.  Disconnected graphs are
-drawn side by side, so the outer walks of all components (and every
-isolated vertex) share a single outer face; with that convention
-|V| - |E| + |F| = 1 + #components.  Faces are identified across graphs
-by their directed edge sets, so operations that modify the graph can
-report how old face ids map to new ones.
+A PlaneGraph is a connected, non-empty Graph plus, for each vertex, the
+cyclic order of its neighbors.  Faces are traced eagerly: the walk
+leaving v toward the successor of u in rot(v) after arriving from u.
+Each face has exactly one boundary walk (a single vertex has one face
+with an empty walk), and a rotation system is accepted only if
+|V| - |E| + |F| = 2, which is exactly planarity of the embedding.
+Faces are identified across graphs by their directed edges, so
+operations that modify the graph can report how old face ids map to
+new ones.
 """
 
 from __future__ import annotations
 
-from .core_graph import Graph, connected_components
-from .errors import A2Unattainable, BadRotation, InternalInvariantBreach, MalformedInput
+from .core_graph import Graph, connected_components, is_connected
+from .errors import (A2Unattainable, BadRotation, InternalInvariantBreach, MalformedInput,
+                     NotConnected)
 
 
 class PlaneGraph:
-    __slots__ = ("g", "rot", "faces", "outer", "_edge_face", "_edge_walk",
-                 "_iso_face", "_vertex_faces")
+    __slots__ = ("g", "rot", "faces", "outer", "_edge_face", "_vertex_faces")
 
-    def __init__(self, g: Graph, rot, outer=0):
-        """outer names a traced walk (their order is deterministic).
-
-        With one component the walk index equals the face id.  The walk
-        orbits are traced from the smallest unvisited directed edge.
-        """
+    def __init__(self, g: Graph, rot):
+        """Trace every face once, each from the smallest unvisited
+        directed edge; a face id is its walk's index in that order.  The
+        outer face is face 0 until a caller names another one."""
+        if not is_connected(g):
+            raise NotConnected("a plane graph must be connected and non-empty")
+        if set(rot) != g.vertices:
+            raise BadRotation("rotation must cover exactly the vertex set")
         self.g = g
         self.rot = {v: tuple(rot[v]) for v in g.vertices}
-        if set(self.rot) != set(g.vertices):
-            raise BadRotation("rotation must cover exactly the vertex set")
         for v in g.vertices:
             if sorted(self.rot[v]) != sorted(g.adj[v]):
                 raise BadRotation("rotation at %r is not a permutation of neighbors" % (v,))
@@ -42,79 +39,24 @@ class PlaneGraph:
             r = self.rot[v]
             for i, u in enumerate(r):
                 nxt[(u, v)] = (v, r[(i + 1) % len(r)])
-        walks = []
-        seen = set()
+        faces = []
+        ef = {}
         for e in sorted(nxt):
-            if e in seen:
+            if e in ef:
                 continue
             walk = []
             cur = e
-            while cur not in seen:
-                seen.add(cur)
+            while cur not in ef:
+                ef[cur] = len(faces)
                 walk.append(cur)
                 cur = nxt[cur]
             if cur != e:
                 raise BadRotation("face trace did not close")
-            walks.append(tuple(walk))
-        self._edge_walk = {de: wi for wi, walk in enumerate(walks) for de in walk}
-
-        comps = connected_components(g)
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = ci
-        walks_of_comp = {}
-        for wi, walk in enumerate(walks):
-            walks_of_comp.setdefault(comp_of[walk[0][0]], []).append(wi)
-        isolated = [comp[0] for comp in comps if len(comp) == 1 and not g.adj[comp[0]]]
-        for ci, wis in walks_of_comp.items():
-            comp = comps[ci]
-            nc = len(comp)
-            mc = sum(len(g.adj[v]) for v in comp) // 2
-            wc = len(wis)
-            if nc - mc + wc != 2:
-                raise BadRotation("rotation system is not planar (Euler check failed)")
-
-        if walks:
-            if not (0 <= outer < len(walks)):
-                raise ValueError("outer walk index out of range")
-            outer_comp = comp_of[walks[outer][0][0]]
-            merged = {outer}
-            for ci in sorted(walks_of_comp):
-                if ci != outer_comp:
-                    merged.add(walks_of_comp[ci][0])
-            merged_sorted = sorted(merged)
-            faces = []
-            iso_face = {}
-            outer_fid = None
-            for wi, walk in enumerate(walks):
-                if wi in merged:
-                    if outer_fid is None:
-                        outer_fid = len(faces)
-                        faces.append([walks[outer]] + [walks[w] for w in merged_sorted if w != outer])
-                else:
-                    faces.append([walk])
-            if isolated:
-                iso_face[outer_fid] = list(isolated)
-            self.faces = [tuple(ws) for ws in faces]
-            self.outer = outer_fid
-        else:
-            if outer != 0:
-                raise ValueError("outer walk index out of range")
-            self.faces = [()] if g.n else []
-            self.outer = 0
-            iso_face = {0: isolated} if isolated else {}
-        self._iso_face = {fid: tuple(vs) for fid, vs in iso_face.items()}
-
-        ncomp = len(comps)
-        if g.n and g.n - g.m + len(self.faces) != 1 + ncomp:
-            raise InternalInvariantBreach("Euler count wrong after face grouping")
-
-        ef = {}
-        for fid, fwalks in enumerate(self.faces):
-            for walk in fwalks:
-                for de in walk:
-                    ef[de] = fid
+            faces.append(tuple(walk))
+        self.faces = faces or [()]
+        if g.n - g.m + len(self.faces) != 2:
+            raise BadRotation("rotation system is not planar (Euler check failed)")
+        self.outer = 0
         self._edge_face = ef
         vf = {v: [] for v in g.vertices}
         for fid in range(len(self.faces)):
@@ -123,35 +65,11 @@ class PlaneGraph:
         self._vertex_faces = vf
 
     def face_walk(self, fid):
-        """The boundary walk of a single-walk face (the usual case)."""
-        walks = self.faces[fid]
-        if len(walks) != 1:
-            raise ValueError("face %d has %d boundary walks" % (fid, len(walks)))
-        return walks[0]
-
-    def face_walks(self, fid):
         return self.faces[fid]
 
     def face_vertices(self, fid):
         """Distinct vertices on the face boundary, in order of first visit."""
-        out = []
-        seen = set()
-        for walk in self.faces[fid]:
-            for u, _ in walk:
-                if u not in seen:
-                    seen.add(u)
-                    out.append(u)
-        for v in self._iso_face.get(fid, ()):
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-        return out
-
-    def face_key(self, fid):
-        des = frozenset(de for walk in self.faces[fid] for de in walk)
-        if not des:
-            return ("vertices", self._iso_face.get(fid, ()))
-        return des
+        return list(dict.fromkeys(u for u, _ in self.faces[fid])) or list(self.g.vertices)
 
     def face_of_directed_edge(self, u, v):
         return self._edge_face[(u, v)]
@@ -170,9 +88,9 @@ class PlaneGraph:
 def parse_plane(text: str) -> PlaneGraph:
     """Graph records plus `r <v> <edge-index>...` rotation lines.
 
-    Edge indices refer to the lexicographically sorted edge list.  Every
-    vertex with neighbors needs an r line.  The outer face defaults to
-    face id 0.
+    Edge indices refer to the lexicographically sorted edge list.  The
+    graph must be connected, and every vertex with neighbors needs an r
+    line.  The outer face is face id 0.
     """
     from .core_graph import parse_graph
 
@@ -285,20 +203,6 @@ def _restrict_rot(pg, keep):
     return {v: tuple(w for w in pg.rot[v] if w in keep) for v in pg.rot if v in keep}
 
 
-def _connected_plane(g, rot, outer_edge=None):
-    """PlaneGraph of a connected graph, outer face named by a directed edge.
-
-    The rotation is traced once.  On a connected graph the walk index
-    is the face id and `outer` only names a face, so naming the face of
-    outer_edge afterwards gives the same PlaneGraph as tracing again
-    with outer= that face.
-    """
-    pg = PlaneGraph(g, rot)
-    if outer_edge is not None:
-        pg.outer = pg.face_of_directed_edge(*outer_edge)
-    return pg
-
-
 def _lift(h, face_map):
     return {(v, face_map[f]) for (v, f) in h}
 
@@ -311,21 +215,15 @@ def _exact_face_map(child, parent, skip=(), translate=None):
     are left out; every other face must match exactly one parent face.
     """
     fmap = {}
-    for fid in range(child.face_count()):
+    for fid, walk in enumerate(child.faces):
         if fid in skip:
             continue
-        target = None
-        for walk in child.face_walks(fid):
-            for de in walk:
-                pde = translate(de) if translate else de
-                got = parent.face_of_directed_edge(*pde)
-                if target is None:
-                    target = got
-                elif got != target:
-                    raise InternalInvariantBreach("child face %d straddles parent faces" % fid)
-        if target is None:
-            raise InternalInvariantBreach("child face %d has no edges to match" % fid)
-        fmap[fid] = target
+        got = {parent.face_of_directed_edge(*(translate(de) if translate else de))
+               for de in walk}
+        if len(got) != 1:
+            raise InternalInvariantBreach("child face %d maps to parent faces %r"
+                                          % (fid, sorted(got)))
+        fmap[fid] = got.pop()
     return fmap
 
 
@@ -338,11 +236,8 @@ def very_nice_subgraph(pg: PlaneGraph, v_star):
     when the graph is not 2-connected.  The result is checked before it
     is returned; a failed check is a bug, not an input problem.
     """
-    from .core_graph import is_connected
-    from .errors import NotConnected, PreconditionViolated
+    from .errors import PreconditionViolated
 
-    if not is_connected(pg.g):
-        raise NotConnected("very_nice_subgraph needs a connected graph")
     if v_star not in pg.face_vertices(pg.outer):
         raise PreconditionViolated("v_star %r not on the outer face" % (v_star,))
     h = _vns(pg, v_star)
@@ -401,7 +296,8 @@ def _vns_ear(pg, v_star):
     g2 = g.subgraph(g.vertices - dead)
     rot2 = _restrict_rot(pg, g2.vertices)
     surv = next(de for de in pg.face_walk(pg.outer) if de[0] not in dead and de[1] not in dead)
-    pg2 = _connected_plane(g2, rot2, surv)
+    pg2 = PlaneGraph(g2, rot2)
+    pg2.outer = pg2.face_of_directed_edge(*surv)
     h2 = _vns(pg2, v_star)
     fmap = _exact_face_map(pg2, pg, skip={pg2.outer})
     fmap[pg2.outer] = pg.outer
@@ -431,7 +327,8 @@ def _vns_suppress(pg, v_star, v, x, y):
         else:
             rot2[w] = pg.rot[w]
     surv = next(de for de in pg.face_walk(pg.outer) if v not in de)
-    pg2 = _connected_plane(g2, rot2, surv)
+    pg2 = PlaneGraph(g2, rot2)
+    pg2.outer = pg2.face_of_directed_edge(*surv)
 
     def translate(de):
         if de == (x, y):
@@ -474,16 +371,17 @@ def _vns_interior(pg, v_star):
         wk = list(pg.face_walk(theta[t]))
         i = wk.index((nbrs[t], u))
         rotated = wk[i + 1:] + wk[: i + 1]
-        assert rotated[0] == (u, nbrs[(t + 1) % k])
         pvs = [de[0] for de in rotated[1:]]
-        assert pvs[0] == nbrs[(t + 1) % k] and pvs[-1] == nbrs[t]
+        after = nbrs[(t + 1) % k]
+        if rotated[0] != (u, after) or (pvs[0], pvs[-1]) != (after, nbrs[t]):
+            raise InternalInvariantBreach("face %d does not leave %r between neighbors %r and %r"
+                                          % (theta[t], u, nbrs[t], after))
         paths.append(pvs)
         starts.append(pvs[0])
 
     g2 = g.without_vertex(u)
-    rot2 = _restrict_rot(pg, g2.vertices)
-    surv = next(de for de in pg.face_walk(pg.outer))
-    pg2 = _connected_plane(g2, rot2, surv)
+    pg2 = PlaneGraph(g2, _restrict_rot(pg, g2.vertices))
+    pg2.outer = pg2.face_of_directed_edge(*pg.face_walk(pg.outer)[0])
     link_de = next(de for de in pg.face_walk(theta[0]) if u not in de)
     theta_u = pg2.face_of_directed_edge(*link_de)
     link_walk = pg2.face_walk(theta_u)
@@ -523,7 +421,9 @@ def _vns_interior(pg, v_star):
         else:
             s = starts[j]
             jn = (j + 1) % k
-            assert base[s] == (s, theta[jn])
+            if base[s] != (s, theta[jn]):
+                raise InternalInvariantBreach("path start %r is not covered on face %d"
+                                              % (s, theta[jn]))
             add = {(u, theta[j]), (u, theta[jn]), (s, theta[j])}
             drop = {base[z1], base[z2], base[s]}
     h |= set(base.values()) - drop
@@ -538,50 +438,45 @@ def _vns_leaf_block(pg, v_star, blocks, cuts):
     r's block-side incidence when the other side left r uncovered on
     the shared face, so r never exceeds degree 2."""
     g = pg.g
-    p_keys = {pg.face_key(f): f for f in range(pg.face_count())}
+    p_keys = {frozenset(walk): f for f, walk in enumerate(pg.faces)}
     chosen = None
     for blk in sorted(blocks, key=lambda b: b[0]):
         bcuts = [v for v in blk if v in cuts]
         if len(bcuts) != 1:
             continue
         r = bcuts[0]
-        gb = g.subgraph(blk)
-        rotb = _restrict_rot(pg, blk)
-        pgb0 = PlaneGraph(gb, rotb)
-        impure = [f for f in range(pgb0.face_count()) if pgb0.face_key(f) not in p_keys]
+        pgb = PlaneGraph(g.subgraph(blk), _restrict_rot(pg, blk))
+        impure = [f for f, walk in enumerate(pgb.faces) if frozenset(walk) not in p_keys]
         if len(impure) != 1:
             continue
         if v_star in set(blk) - {r}:
             continue
         # the outer face must not sit strictly inside this block
-        pure_fids = {p_keys[pgb0.face_key(f)] for f in range(pgb0.face_count()) if f != impure[0]}
+        pure_fids = {p_keys[frozenset(walk)] for f, walk in enumerate(pgb.faces)
+                     if f != impure[0]}
         if pg.outer in pure_fids:
             continue
-        chosen = (blk, r, pgb0, impure[0])
+        chosen = (blk, r, pgb, impure[0])
         break
     if chosen is None:
         raise InternalInvariantBreach("no splittable leaf block")
-    # a block is connected, so naming its outer face needs no second
-    # trace (see _connected_plane); the same holds for g2 below
     blk, r, pgb, star_idx = chosen
     pgb.outer = star_idx
     mixed = pg.face_of_directed_edge(*pgb.face_walk(pgb.outer)[0])
 
     dead = set(blk) - {r}
     g2 = g.subgraph(g.vertices - dead)
-    rot2 = _restrict_rot(pg, g2.vertices)
-    if g2.m == 0:
-        # everything outside the block hangs on r alone
-        pg2 = PlaneGraph(g2, rot2)
-        theta_b = 0
-    else:
-        pg2 = PlaneGraph(g2, rot2)
-        mixed_surv = [de for walk in pg.face_walks(mixed) for de in walk
-                      if de[0] not in dead and de[1] not in dead]
-        assert mixed_surv, "rest of the graph has edges but none on the shared face"
+    pg2 = PlaneGraph(g2, _restrict_rot(pg, g2.vertices))
+    theta_b = 0
+    if g2.m:
+        def alive(fid):
+            return [de for de in pg.face_walk(fid) if de[0] not in dead and de[1] not in dead]
+
+        mixed_surv = alive(mixed)
+        if not mixed_surv:
+            raise InternalInvariantBreach("rest of the graph has edges but none on the shared face")
         theta_b = pg2.face_of_directed_edge(*mixed_surv[0])
-        outer_surv = [de for walk in pg.face_walks(pg.outer) for de in walk
-                      if de[0] not in dead and de[1] not in dead]
+        outer_surv = alive(pg.outer)
         pg2.outer = pg2.face_of_directed_edge(*outer_surv[0]) if outer_surv else theta_b
 
     hb = _vns(pgb, r)
@@ -591,7 +486,8 @@ def _vns_leaf_block(pg, v_star, blocks, cuts):
     fmap_2 = _exact_face_map(pg2, pg, skip={theta_b})
     fmap_2[theta_b] = mixed
     if (r, theta_b) not in h2:
-        assert (r, pgb.outer) in hb
+        if (r, pgb.outer) not in hb:
+            raise InternalInvariantBreach("cut vertex %r is uncovered on both sides" % (r,))
         hb = set(hb) - {(r, pgb.outer)}
     return _lift(h2, fmap_2) | _lift(hb, fmap_b)
 
@@ -631,7 +527,7 @@ class FaceClasses:
             if a != b:
                 parent[max(a, b)] = min(a, b)
         self._cls = tuple(find(f) for f in range(pg.face_count()))
-        self.outer_class = self._cls[pg.outer] if self._cls else 0
+        self.outer_class = self._cls[pg.outer]
 
     def class_of(self, fid):
         return self._cls[fid]
@@ -688,51 +584,34 @@ def component_planes(pg: PlaneGraph, v2):
     depth = fc.class_depths()
     sub = pg.g.subgraph(set(v2))
     out = []
-    for comp in sorted(connected_components(sub), key=min):
-        gq = pg.g.subgraph(comp)
-        rotq = _restrict_rot(pg, comp)
-        pgq0 = PlaneGraph(gq, rotq)
+    for comp in connected_components(sub):
+        pgq = PlaneGraph(sub.subgraph(comp), _restrict_rot(pg, comp))
         cmap = {}
-        for fid in range(pgq0.face_count()):
-            cs = {fc.class_of(pg.face_of_directed_edge(*de))
-                  for walk in pgq0.face_walks(fid) for de in walk}
-            if not cs:
-                cs = {fc.class_of(f) for f in pg.faces_at(min(comp))}
+        for fid, walk in enumerate(pgq.faces):
+            # a single-vertex piece has one face and no edges to read it from
+            cs = ({fc.class_of(pg.face_of_directed_edge(*de)) for de in walk}
+                  or {fc.class_of(f) for f in pg.faces_at(comp[0])})
             if len(cs) != 1:
                 raise InternalInvariantBreach("piece face touches several classes")
             cmap[fid] = cs.pop()
         order = sorted(cmap, key=lambda f: (depth[cmap[f]], f))
         if len(order) > 1 and depth[cmap[order[0]]] == depth[cmap[order[1]]]:
             raise InternalInvariantBreach("outer face of a piece is not unique")
-        louter = order[0]
-        pgq = pgq0 if louter == pgq0.outer else PlaneGraph(gq, rotq, outer=louter)
-        out.append((tuple(sorted(comp)), pgq, cmap, min(pgq.face_vertices(pgq.outer))))
+        pgq.outer = order[0]
+        out.append((tuple(comp), pgq, cmap, min(pgq.face_vertices(pgq.outer))))
     return out
 
 
 def _insert_chord(pg, fid, a, b):
-    """New PlaneGraph with the chord a-b drawn inside face fid."""
+    """New PlaneGraph with the chord a-b drawn inside face fid, after
+    the edge on which the face walk arrives at each end."""
     g = pg.g
     rot2 = {v: list(pg.rot[v]) for v in g.vertices}
-
-    def arriving(v):
-        for walk in pg.face_walks(fid):
-            for de in walk:
-                if de[1] == v:
-                    return de[0]
-        return None
-
     for v, w in ((a, b), (b, a)):
-        x = arriving(v)
-        if x is None:
-            rot2[v].append(w)
-        else:
-            rot2[v].insert(rot2[v].index(x) + 1, w)
-    g2 = Graph(g.vertices, list(g.edges()) + [(min(a, b), max(a, b))])
-    old_outer = sorted(de for walk in pg.face_walks(pg.outer) for de in walk)
-    pg2 = PlaneGraph(g2, rot2)
-    if old_outer:
-        pg2 = PlaneGraph(g2, rot2, outer=pg2._edge_walk[old_outer[0]])
+        x = next(de[0] for de in pg.face_walk(fid) if de[1] == v)
+        rot2[v].insert(rot2[v].index(x) + 1, w)
+    pg2 = PlaneGraph(Graph(g.vertices, list(g.edges()) + [(min(a, b), max(a, b))]), rot2)
+    pg2.outer = pg2.face_of_directed_edge(*min(pg.face_walk(pg.outer)))
     return pg2
 
 

@@ -141,6 +141,19 @@ def test_input_errors_exit_2(tmp_path, capsys):
                  "--cover", str(tmp_path / "c"), "--s", "2", "--t", "2",
                  "--override", "frob=1"]) == 2
     capsys.readouterr()
+    for bad, named in ((["--s", "0", "--t", "2"], "s must be"),
+                       (["--s", "2", "--t", "0"], "t must be"),
+                       (["--s", "2", "--t", "2", "--override", "q=0"], "q must be")):
+        assert main(["color-minor", "--graph", str(tmp_path / "g"),
+                     "--cover", str(tmp_path / "c")] + bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+    (tmp_path / "empty.plane").write_text("v 0\n")
+    (tmp_path / "split.plane").write_text("v 3\ne 0 1\nr 0 0\nr 1 0\n")
+    for plane in ("empty.plane", "split.plane"):
+        for argv in (["nice"], ["color-planar", "--cover", str(tmp_path / "c")]):
+            assert main(argv + ["--embed", str(tmp_path / plane)]) == 2
+            assert "error: a plane graph must be connected" in capsys.readouterr().err
 
 
 def test_diagnostics_exit_3(tmp_path, capsys):

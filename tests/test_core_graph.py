@@ -39,7 +39,7 @@ def test_basic_accessors():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     assert g.n == 4 and g.m == 5
     assert g.degree(0) == 3 and g.degree(3) == 2
-    assert g.neighbors(1) == {0, 2}
+    assert g.adj[1] == {0, 2}
     assert g.has_edge(0, 2) and g.has_edge(2, 0) and not g.has_edge(1, 3)
     assert g.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
 

@@ -20,15 +20,27 @@ drum_forcing_cover at quarters 15 and 30, and the minor pipeline on the
 fixtures of test_color_minor_double_protection and
 test_color_minor_drum_interleaves_r1.  Refactors must leave every digest
 unchanged.
+
+H_GOLDEN pins the covering subgraph H itself: one sha256 over the
+sorted `very_nice_subgraph` output for every outer face and every outer
+v_star of each planar class on at most 5 vertices, plus the random
+planar graphs of test_sweep_random_planar.  That covers the leaf-block,
+ear, suppress and interior branches.  PIECES_GOLDEN pins
+`component_planes` (piece, outer face, face-to-class map, v_star) on the
+chord-augmented hub instances above and the drum fixture at quarters
+15 and 30.
 """
 
 import hashlib
 
 import pytest
 
-from dpchroma.cli import main
+from corpus import planar_classes, random_connected_planar
+from dpchroma.cli import generate_hub_instance, main
 from dpchroma.minor_truncated import color_minor_truncated
-from dpchroma.planar_truncated import color_planar_truncated
+from dpchroma.planar_truncated import color_planar_truncated, partition_threshold
+from dpchroma.plane_embed import (PlaneGraph, augment_visibility, component_planes,
+                                  very_nice_subgraph)
 from test_minor_truncated import double_protection_instance, drum_minor_instance
 from test_planar_truncated import drum_forcing_cover, drum_plane
 
@@ -136,3 +148,43 @@ def test_protection_digests(name):
     text += "".join("v %s %s\n" % (v, phi[v][1]) for v in sorted(phi))
     assert "protects" in text
     assert hashlib.sha256(text.encode()).hexdigest() == PROTECTION_GOLDEN[name]
+
+
+H_GOLDEN = "292cea8048da13119d2a2a6e5cdbef2cd14f0a58f6347726ab80aa3003c79706"
+PIECES_GOLDEN = "bd419ac19db83b22b6cdb71431e52bb66f20b55a8492ad896fb2edc247c10e47"
+
+
+def _digest(lines):
+    return hashlib.sha256("".join(ln + "\n" for ln in lines).encode()).hexdigest()
+
+
+def test_covering_subgraph_digest():
+    lines = []
+    for n in range(1, 6):
+        for ci, (g, rot) in enumerate(planar_classes(n)):
+            pg = PlaneGraph(g, rot)
+            for outer in range(pg.face_count()):
+                pg.outer = outer
+                for v_star in sorted(pg.face_vertices(pg.outer)):
+                    h = sorted(very_nice_subgraph(pg, v_star))
+                    lines.append("%d %d %d %d %r" % (n, ci, outer, v_star, h))
+    for seed in range(12):
+        g, rot = random_connected_planar(8 + seed, extra_edges=seed % 4, seed=seed)
+        pg = PlaneGraph(g, rot)
+        v_star = min(pg.face_vertices(pg.outer))
+        lines.append("r %d %r" % (seed, sorted(very_nice_subgraph(pg, v_star))))
+    assert len(lines) > 250
+    assert _digest(lines) == H_GOLDEN
+
+
+def test_component_planes_digest():
+    planes = [("hub %d %d" % key, generate_hub_instance(key[0], key[1], SEED)[0])
+              for key in sorted(GOLDEN)]
+    planes += [("drum %d" % q, drum_plane(q, perm=(0, 3, 1, 2))) for q in (15, 30)]
+    lines = []
+    for name, pg in planes:
+        v2 = partition_threshold(pg.g)[1]
+        for comp, pgq, cmap, v_star in component_planes(augment_visibility(pg, v2), v2):
+            lines.append("%s %r %d %r %r" % (name, comp, pgq.outer, sorted(cmap.items()), v_star))
+    assert len(lines) >= 6
+    assert _digest(lines) == PIECES_GOLDEN

@@ -131,6 +131,9 @@ def test_peel_sequence():
         peel_sequence(k23, {2, 3, 4}, 1)
     with pytest.raises(PeelBoundExceeded):
         peel_sequence(star, {5}, 0)
+    # component node 2 sees no V2 vertex, so it survives the peel
+    with pytest.raises(InternalInvariantBreach):
+        peel_sequence(Graph([1, 2, 5], [(1, 5)]), {5}, 5)
 
 
 def test_peel_plan_invariants():

@@ -2,7 +2,8 @@ import pytest
 
 from oracles import vertex_face_incidences
 from dpchroma.core_graph import Graph
-from dpchroma.errors import A2Unattainable, BadRotation, InternalInvariantBreach, MalformedInput
+from dpchroma.errors import (A2Unattainable, BadRotation, InternalInvariantBreach, MalformedInput,
+                             NotConnected)
 from dpchroma.plane_embed import (FaceClasses, PlaneGraph, augment_visibility,
                                   component_planes, parse_plane, write_plane)
 
@@ -28,7 +29,9 @@ def test_face_vertices_and_keys():
     for fid in range(3):
         vs = pg.face_vertices(fid)
         assert len(vs) == len(set(vs))
-        assert pg.face_key(fid) == frozenset(pg.face_walk(fid))
+        # a face is keyed by its directed edges
+        assert all(pg.face_of_directed_edge(*de) == fid for de in pg.face_walk(fid))
+    assert len({frozenset(pg.face_walk(f)) for f in range(3)}) == 3
     tri = [fid for fid in range(3) if len(pg.face_walk(fid)) == 3]
     assert sorted(sorted(pg.face_vertices(f)) for f in tri) == [[0, 1, 2], [0, 2, 3]]
 
@@ -56,22 +59,24 @@ def test_rotation_must_match_adjacency():
         PlaneGraph(g, {0: (1,), 1: (0, 2, 2), 2: (1,)})
 
 
-def test_isolated_vertices_share_the_outer_face():
+def test_isolated_vertices_are_rejected():
     g = Graph(range(4), [(0, 1)])
-    pg = PlaneGraph(g, {0: (1,), 1: (0,), 2: (), 3: ()})
-    assert pg.face_count() == 1   # n - m + f = 1 + c with c = 3
-    assert pg.face_vertices(0) == [0, 1, 2, 3]
+    with pytest.raises(NotConnected):
+        PlaneGraph(g, {0: (1,), 1: (0,), 2: (), 3: ()})
+    with pytest.raises(NotConnected):
+        PlaneGraph(Graph([], []), {})
     lone = PlaneGraph(Graph([7], []), {7: ()})
-    assert lone.face_count() == 1
+    assert lone.face_count() == 1   # n - m + f = 2
+    assert lone.face_walk(0) == ()
     assert lone.face_vertices(0) == [7]
 
 
-def test_disconnected_euler():
+def test_disconnected_drawing_is_rejected():
     g = Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    pg = PlaneGraph(g, {0: (1, 2), 1: (2, 0), 2: (0, 1), 3: (4, 5), 4: (5, 3), 5: (3, 4)})
-    assert pg.face_count() == 3   # n - m + f = 1 + c
-    assert len(pg.face_walks(pg.outer)) == 2
-    assert sorted(pg.face_vertices(pg.outer)) == [0, 1, 2, 3, 4, 5]
+    with pytest.raises(NotConnected):
+        PlaneGraph(g, {0: (1, 2), 1: (2, 0), 2: (0, 1), 3: (4, 5), 4: (5, 3), 5: (3, 4)})
+    with pytest.raises(NotConnected):
+        parse_plane("v 0\n")
 
 
 def test_plane_file_roundtrip():
@@ -130,10 +135,10 @@ def double_fan_plane():
 def test_face_walks_cover_every_directed_edge():
     pg = square_with_chord()
     assert pg.face_count() == 3
-    walks = [de for fid in range(3) for w in pg.face_walks(fid) for de in w]
+    walks = [de for fid in range(3) for de in pg.face_walk(fid)]
     assert len(walks) == len(set(walks)) == 2 * pg.g.m
     for fid in range(3):
-        assert set(pg.face_vertices(fid)) == {u for w in pg.face_walks(fid) for u, _ in w}
+        assert set(pg.face_vertices(fid)) == {u for u, _ in pg.face_walk(fid)}
 
 
 def test_vertex_face_incidences():

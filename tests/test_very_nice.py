@@ -68,13 +68,13 @@ def test_full_theta_on_k4_is_not_nice():
 
 def test_preconditions():
     g = Graph(range(4), [(0, 1), (2, 3)])
-    pg = PlaneGraph(g, {0: (1,), 1: (0,), 2: (3,), 3: (2,)})
     with pytest.raises(NotConnected):
-        very_nice_subgraph(pg, 0)
+        PlaneGraph(g, {0: (1,), 1: (0,), 2: (3,), 3: (2,)})
     tri = PlaneGraph(Graph(range(4), [(0, 1), (1, 2), (0, 2), (0, 3)]),
                      {0: (1, 2, 3), 1: (2, 0), 2: (0, 1), 3: (0,)})
     inner = [f for f in range(tri.face_count()) if 3 not in tri.face_vertices(f)]
-    pg2 = PlaneGraph(tri.g, tri.rot, outer=inner[0])
+    pg2 = PlaneGraph(tri.g, tri.rot)
+    pg2.outer = inner[0]
     with pytest.raises(PreconditionViolated):
         very_nice_subgraph(pg2, 3)
 
@@ -84,9 +84,9 @@ def test_sweep_small_classes_every_outer_and_vstar():
     ran = 0
     for n in range(1, 6):
         for g, rot in planar_classes(n):
-            base = PlaneGraph(g, rot)
-            for outer in range(base.face_count()):
-                pg = PlaneGraph(g, rot, outer=outer)
+            pg = PlaneGraph(g, rot)
+            for outer in range(pg.face_count()):
+                pg.outer = outer
                 for v_star in sorted(pg.face_vertices(pg.outer)):
                     h = very_nice_subgraph(pg, v_star)
                     ok, viol = is_nice(pg, h, very=v_star)
