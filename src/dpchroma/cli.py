@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
-from .core_graph import Graph, connectivity_at_least
-from .dp_cover import Cover, degree_truncated_sizes
-from .errors import BadRotation, GenerationFailed
-from .plane_embed import PlaneGraph
+import argparse
+import sys
+
+from .constructions import (build_G42, build_H, build_k2_k2, build_ks_minus1,
+                            verify_counterexample)
+from .core_graph import Graph, connectivity_at_least, parse_graph, write_graph
+from .dp_cover import (Cover, degree_truncated_sizes, find_dp_coloring, parse_cover,
+                       parse_lists, write_cover, write_lists)
+from .errors import (A2Unattainable, BadRotation, DegreeBelowS, EmptyResidualList,
+                     GDPTreeTight, GenerationFailed, InstanceTooLarge,
+                     InternalInvariantBreach, ListTooSmall, MalformedInput, NotConnected,
+                     NotDegenerate, PeelBoundExceeded, PreconditionViolated,
+                     ProtectorInfeasible)
+from .exact_oracle import solve_list
+from .minor_truncated import color_minor_truncated, constants
+from .plane_embed import PlaneGraph, parse_plane, very_nice_subgraph, write_plane
+from .planar_truncated import color_planar_truncated
 
 MASK64 = (1 << 64) - 1
 
@@ -35,7 +48,8 @@ class Xorshift64Star:
 
     def randrange(self, n):
         """Uniform draw from range(n) by rejection, no modulo bias."""
-        assert n > 0
+        if n <= 0:
+            raise ValueError("randrange needs a positive bound, got %r" % (n,))
         span = (MASK64 + 1) - (MASK64 + 1) % n
         while True:
             r = self.next64()
@@ -173,27 +187,10 @@ def run_report(rows):
 # ---------------------------------------------------------------------------
 # command front end
 
-import argparse
-import sys
-
-from .constructions import (build_G42, build_H, build_k2_k2, build_ks_minus1,
-                            verify_counterexample)
-from .core_graph import parse_graph, write_graph
-from .dp_cover import parse_cover, parse_lists, write_cover, write_lists
-from .errors import (A2Unattainable, DegreeBelowS, EmptyResidualList, GDPTreeTight,
-                     InstanceTooLarge, InternalInvariantBreach, ListTooSmall,
-                     MalformedInput, NotConnected, NotDegenerate, PeelBoundExceeded,
-                     PreconditionViolated, ProtectorInfeasible)
-from .exact_oracle import solve_cover, solve_list
-from .minor_truncated import color_minor_truncated, constants
-from .plane_embed import parse_plane, very_nice_subgraph, write_plane
-from .planar_truncated import color_planar_truncated
-
 _INPUT_ERRORS = (MalformedInput, BadRotation, NotConnected, PreconditionViolated,
                  InstanceTooLarge, ListTooSmall, GenerationFailed, ValueError, OSError)
 _DIAGNOSTICS = (GDPTreeTight, EmptyResidualList, ProtectorInfeasible, PeelBoundExceeded,
-                DegreeBelowS, NotDegenerate, InternalInvariantBreach, A2Unattainable,
-                AssertionError)
+                DegreeBelowS, NotDegenerate, InternalInvariantBreach, A2Unattainable)
 
 
 def _read(path):
@@ -253,7 +250,7 @@ def cmd_solve(args):
                          budget=args.budget or None)
     else:
         cover = parse_cover(_read(args.cover), g)
-        col = solve_cover(cover, budget=args.budget or None)
+        col = find_dp_coloring(cover, budget=args.budget or None)
     if col is None:
         print("UNCOLORABLE")
         return 10

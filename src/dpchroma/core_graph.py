@@ -8,7 +8,7 @@ every algorithm downstream is deterministic.
 
 from __future__ import annotations
 
-from .errors import MalformedInput, NotConnected, NotDegenerate
+from .errors import InternalInvariantBreach, MalformedInput, NotConnected, NotDegenerate
 
 
 class Graph:
@@ -115,7 +115,8 @@ def parse_graph(text: str) -> Graph:
 
 
 def write_graph(g: Graph) -> str:
-    assert g.vertices == frozenset(range(g.n)), "file format needs dense ids"
+    if g.vertices != frozenset(range(g.n)):
+        raise ValueError("file format needs dense ids")
     lines = ["v %d" % g.n]
     lines.extend("e %d %d" % e for e in g.edges())
     return "\n".join(lines) + "\n"
@@ -223,7 +224,8 @@ def blocks_and_cut_vertices(g: Graph):
                     cuts.add(p)
         if root_blocks > 1:
             cuts.add(root)
-        assert not estack
+        if estack:
+            raise InternalInvariantBreach("edge stack not empty after the block search")
     return blocks, cuts
 
 

@@ -9,9 +9,8 @@ colors sharing a token are matched (induced_cover).
 
 from __future__ import annotations
 
-from .core_graph import Graph, bfs_parents, block_kind, blocks_and_cut_vertices, is_connected, \
-    is_gdp_tree
-from .errors import (GDPTreeTight, InternalInvariantBreach, MalformedInput,
+from .core_graph import Graph, block_kind, blocks_and_cut_vertices, is_connected, is_gdp_tree
+from .errors import (GDPTreeTight, InstanceTooLarge, InternalInvariantBreach, MalformedInput,
                      NotConnected, PreconditionViolated)
 
 
@@ -67,17 +66,57 @@ class Cover:
         return Cover(sub, {v: self.sizes[v] for v in keep}, matchings)
 
 
+def find_dp_coloring(cover: Cover, budget=None):
+    """Coloring of a cover, or None.
+
+    Most-constrained vertex first with forward checking; good enough to
+    refute the engineered gadgets in milliseconds.  budget caps the
+    number of color attempts; exceeding it raises InstanceTooLarge
+    instead of risking an open-ended search.
+    """
+    g = cover.g
+    # per vertex: (neighbor, own color -> matched color at the neighbor)
+    links = {v: [(u, dict(cover.edge_pairs(v, u))) for u in g.adj[v]] for v in g.vertices}
+    avail = {v: set(range(cover.sizes[v])) for v in g.vertices}
+    coloring = {}
+    nodes = [0]
+
+    def step():
+        pending = [v for v in avail if v not in coloring]
+        if not pending:
+            return True
+        v = min(pending, key=lambda u: (len(avail[u]), u))
+        for i in sorted(avail[v]):
+            nodes[0] += 1
+            if budget is not None and nodes[0] > budget:
+                raise InstanceTooLarge(
+                    "search passed %d nodes; raise --budget to keep going" % budget)
+            coloring[v] = i
+            removed = []
+            dead = False
+            for u, match in links[v]:
+                if u not in coloring:
+                    j = match.get(i)
+                    if j is not None and j in avail[u]:
+                        avail[u].discard(j)
+                        removed.append((u, j))
+                        if not avail[u]:
+                            dead = True
+            if not dead and step():
+                return True
+            del coloring[v]
+            for u, j in removed:
+                avail[u].add(j)
+        return False
+
+    if step():
+        return {v: (v, i) for v, i in coloring.items()}
+    return None
+
+
 def is_coloring_valid(cover: Cover, coloring) -> bool:
     """Full proper coloring: every vertex, own color, no matched edge pair."""
-    if set(coloring) != set(cover.g.vertices):
-        return False
-    for v, (cv, i) in coloring.items():
-        if cv != v or not (0 <= i < cover.sizes[v]):
-            return False
-    for u, w in cover.g.edges():
-        if cover.partner(u, coloring[u][1], w) == coloring[w][1]:
-            return False
-    return True
+    return set(coloring) == set(cover.g.vertices) and is_partial_coloring_valid(cover, coloring)
 
 
 def degree_truncated_sizes(g: Graph, k: int):
@@ -262,18 +301,22 @@ def write_cover(cover: Cover) -> str:
 # constructive degree-DP-coloring
 
 
+def color_vertex(cover, avail, coloring, v, i):
+    """Color v with i and strike i's partners from its uncolored neighbors' avail."""
+    coloring[v] = (v, i)
+    for w in cover.g.adj[v]:
+        if w not in coloring:
+            j = cover.partner(v, i, w)
+            if j is not None:
+                avail[w].discard(j)
+
+
 def _greedy_color(cover, avail, coloring, order):
     """Color `order` greedily, smallest index first, updating avail."""
     for v in order:
         if not avail[v]:
             raise InternalInvariantBreach("greedy ran dry at %r" % (v,))
-        i = min(avail[v])
-        coloring[v] = (v, i)
-        for w in cover.g.adj[v]:
-            if w not in coloring:
-                j = cover.partner(v, i, w)
-                if j is not None:
-                    avail[w].discard(j)
+        color_vertex(cover, avail, coloring, v, min(avail[v]))
 
 
 def _reverse_bfs_from(g, sources):
@@ -304,7 +347,8 @@ def _color_awkward_block(cover, avail, coloring, block):
     Looks for an induced path v1-u-v2 whose ends can be colored so that
     together they forbid at most one color at u and whose removal keeps
     the block connected; then greedy toward u finishes.  Falls back to
-    plain backtracking (the cover theory says a coloring exists).
+    the exact search on the block's residual cover (the cover theory
+    says a coloring exists).
     """
     sub = cover.g.subgraph(block)
     for u in sorted(block):
@@ -319,24 +363,21 @@ def _color_awkward_block(cover, avail, coloring, block):
                 pick = _pair_sparing_u(cover, avail, u, v1, v2)
                 if pick is None:
                     continue
-                c1, c2 = pick
-                for v, i in ((v1, c1), (v2, c2)):
-                    coloring[v] = (v, i)
-                    for w in cover.g.adj[v]:
-                        if w not in coloring:
-                            j = cover.partner(v, i, w)
-                            if j is not None:
-                                avail[w].discard(j)
+                color_vertex(cover, avail, coloring, v1, pick[0])
+                color_vertex(cover, avail, coloring, v2, pick[1])
                 rest = _reverse_bfs_from(sub.subgraph(set(block) - {v1, v2}), [u])
                 _greedy_color(cover, avail, coloring, rest + [u])
                 return
-    if not _backtrack_block(cover, avail, coloring, sorted(block)):
+    res, kept = residual_cover(cover, coloring)
+    col = find_dp_coloring(res)
+    if col is None:
         raise InternalInvariantBreach("block believed colorable was not")
+    for v, (_, i) in col.items():
+        coloring[v] = (v, kept[v][i])
 
 
 def _pair_sparing_u(cover, avail, u, v1, v2):
     """Colors for v1 and v2 removing at most one color from avail[u]."""
-    best = None
     for c1 in sorted(avail[v1]):
         p1 = cover.partner(v1, c1, u)
         if p1 is None or p1 not in avail[u]:
@@ -345,28 +386,7 @@ def _pair_sparing_u(cover, avail, u, v1, v2):
             p2 = cover.partner(v2, c2, u)
             if p2 is None or p2 not in avail[u] or p2 == p1:
                 return c1, c2
-    return best
-
-
-def _backtrack_block(cover, avail, coloring, order):
-    if not order:
-        return True
-    v = order[0]
-    for i in sorted(avail[v]):
-        coloring[v] = (v, i)
-        removed = []
-        for w in cover.g.adj[v]:
-            if w not in coloring:
-                j = cover.partner(v, i, w)
-                if j is not None and j in avail[w]:
-                    avail[w].discard(j)
-                    removed.append((w, j))
-        if _backtrack_block(cover, avail, coloring, order[1:]):
-            return True
-        del coloring[v]
-        for w, j in removed:
-            avail[w].add(j)
-    return False
+    return None
 
 
 def degree_dp_color(g: Graph, cover: Cover):
@@ -389,13 +409,12 @@ def degree_dp_color(g: Graph, cover: Cover):
         s = surplus[0]
         order = _reverse_bfs_from(g, [s]) + [s]
         _greedy_color(cover, avail, coloring, order)
-        assert is_coloring_valid(cover, coloring)
-        return coloring
-    if is_gdp_tree(g):
+    elif is_gdp_tree(g):
         raise GDPTreeTight("tight cover on a GDP-tree")
-    block = min(blk for blk in blocks_and_cut_vertices(g)[0] if block_kind(g, blk) is None)
-    order = _reverse_bfs_from(g, block)
-    _greedy_color(cover, avail, coloring, order)
-    _color_awkward_block(cover, avail, coloring, block)
-    assert is_coloring_valid(cover, coloring)
+    else:
+        block = min(blk for blk in blocks_and_cut_vertices(g)[0] if block_kind(g, blk) is None)
+        _greedy_color(cover, avail, coloring, _reverse_bfs_from(g, block))
+        _color_awkward_block(cover, avail, coloring, block)
+    if not is_coloring_valid(cover, coloring):
+        raise InternalInvariantBreach("degree_dp_color produced an invalid coloring")
     return coloring

@@ -17,7 +17,8 @@ sizes.  Both enumerate canonical representatives only:
 
 Both return a certificate when the answer is negative (a bad list
 assignment / a bad cover), and the certificate is re-verified by the
-plain solver before being returned.  Instances past the budget guards
+plain solver before being returned; a certificate that the solver
+colors raises InternalInvariantBreach.  Instances past the budget guards
 raise InstanceTooLarge.
 """
 
@@ -26,77 +27,22 @@ from __future__ import annotations
 import itertools
 
 from .core_graph import Graph, bfs_parents, connected_components
-from .dp_cover import Cover, induced_cover
-from .errors import InstanceTooLarge
-
-
-def find_dp_coloring(cover: Cover, budget=None):
-    """Coloring of a cover, or None.
-
-    Most-constrained vertex first with forward checking; good enough to
-    refute the engineered gadgets in milliseconds.  budget caps the
-    number of color attempts; exceeding it raises InstanceTooLarge
-    instead of risking an open-ended search.
-    """
-    g = cover.g
-    # per vertex: (neighbor, own color -> matched color at the neighbor)
-    links = {v: [(u, dict(cover.edge_pairs(v, u))) for u in g.adj[v]] for v in g.vertices}
-    avail = {v: set(range(cover.sizes[v])) for v in g.vertices}
-    coloring = {}
-    nodes = [0]
-
-    def step():
-        pending = [v for v in avail if v not in coloring]
-        if not pending:
-            return True
-        v = min(pending, key=lambda u: (len(avail[u]), u))
-        for i in sorted(avail[v]):
-            nodes[0] += 1
-            if budget is not None and nodes[0] > budget:
-                raise InstanceTooLarge(
-                    "search passed %d nodes; raise --budget to keep going" % budget)
-            coloring[v] = i
-            removed = []
-            dead = False
-            for u, match in links[v]:
-                if u not in coloring:
-                    j = match.get(i)
-                    if j is not None and j in avail[u]:
-                        avail[u].discard(j)
-                        removed.append((u, j))
-                        if not avail[u]:
-                            dead = True
-            if not dead and step():
-                return True
-            del coloring[v]
-            for u, j in removed:
-                avail[u].add(j)
-        return False
-
-    if step():
-        return {v: (v, i) for v, i in coloring.items()}
-    return None
+from .dp_cover import Cover, find_dp_coloring, induced_cover
+from .errors import InstanceTooLarge, InternalInvariantBreach
 
 
 DEFAULT_SOLVE_BUDGET = 5_000_000
 
 
-def solve_cover(cover: Cover, budget=DEFAULT_SOLVE_BUDGET):
-    """Coloring of the cover's graph, or None when none exists.
-
-    Passing budget=None lifts the node cap.
-    """
-    return find_dp_coloring(cover, budget=budget)
-
-
 def solve_list(g: Graph, lists, budget=DEFAULT_SOLVE_BUDGET):
     """Token coloring of g from explicit lists, or None.
 
-    Decided on the induced cover, so the verdict agrees with solve_cover
-    by construction.
+    Decided on the induced cover, so the verdict agrees with
+    find_dp_coloring by construction.  Passing budget=None lifts the
+    node cap.
     """
     cover, tokens = induced_cover(g, lists)
-    col = solve_cover(cover, budget=budget)
+    col = find_dp_coloring(cover, budget=budget)
     if col is None:
         return None
     return {v: tokens[v][i] for v, (_, i) in col.items()}
@@ -106,6 +52,13 @@ def find_list_coloring(g: Graph, lists):
     """Proper coloring from explicit token lists, or None: solve_list
     with no node cap."""
     return solve_list(g, lists, budget=None)
+
+
+def _refuted(cover: Cover):
+    """Re-check a negative certificate: the plain search must fail on it."""
+    if find_dp_coloring(cover) is not None:
+        raise InternalInvariantBreach("certificate cover has a coloring")
+    return cover
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +105,7 @@ def is_f_choosable(g: Graph, f):
                 for v in g.vertices:
                     if v not in cert:
                         cert[v] = list(range(f[v]))
-                assert find_list_coloring(g, cert) is None
+                _refuted(induced_cover(g, cert)[0])
                 return False, cert
         return True, None
     if g.n == 1:
@@ -275,7 +228,7 @@ def is_f_choosable(g: Graph, f):
         return pick(0, fp[p])
 
     if at_vertex(0):
-        assert find_list_coloring(g, found[0]) is None
+        _refuted(induced_cover(g, found[0])[0])
         return False, found[0]
     return True, None
 
@@ -312,9 +265,7 @@ def is_dp_f_colorable(g: Graph, f):
     f = {v: int(f[v]) for v in g.vertices}
     bad_size = sorted(v for v in g.vertices if f[v] <= 0)
     if bad_size:
-        cover = Cover(g, {v: max(0, f[v]) for v in g.vertices}, {})
-        assert find_dp_coloring(cover) is None
-        return False, cover
+        return False, _refuted(Cover(g, {v: max(0, f[v]) for v in g.vertices}, {}))
     if g.n > 8:
         raise InstanceTooLarge("DP oracle handles at most 8 vertices")
     comps = connected_components(g)
@@ -323,9 +274,7 @@ def is_dp_f_colorable(g: Graph, f):
             ok, cert = is_dp_f_colorable(g.subgraph(comp), {v: f[v] for v in comp})
             if not ok:
                 matchings = {(u, w): cert.edge_pairs(u, w) for u, w in cert.g.edges()}
-                cover = Cover(g, f, matchings)
-                assert find_dp_coloring(cover) is None
-                return False, cover
+                return False, _refuted(Cover(g, f, matchings))
         return True, None
 
     vs = sorted(g.vertices)
@@ -450,9 +399,7 @@ def is_dp_f_colorable(g: Graph, f):
         return False
 
     if assign_slot(0):
-        cover = Cover(g, f, witness[0])
-        assert find_dp_coloring(cover) is None
-        return False, cover
+        return False, _refuted(Cover(g, f, witness[0]))
     return True, None
 
 

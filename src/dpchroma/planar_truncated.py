@@ -15,7 +15,7 @@ from __future__ import annotations
 from .core_graph import (blocks_and_cut_vertices, connected_components,
                          connectivity_at_least, degeneracy_order, is_complete_graph,
                          is_connected, is_gdp_tree)
-from .dp_cover import Cover, degree_dp_color, is_coloring_valid, residual_cover
+from .dp_cover import Cover, color_vertex, degree_dp_color, is_coloring_valid, residual_cover
 from .errors import (EmptyResidualList, GDPTreeTight, InternalInvariantBreach,
                      PreconditionViolated, ProtectorInfeasible)
 from .plane_embed import FaceClasses, augment_visibility, component_planes, \
@@ -101,13 +101,9 @@ class PipelineState:
         return sum(1 for w in self.g.adj[v] if w not in self.phi)
 
     def assign(self, v, i):
-        assert v not in self.phi and i in self.avail[v]
-        self.phi[v] = (v, i)
-        for w in self.g.adj[v]:
-            if w not in self.phi:
-                j = self.cover.partner(v, i, w)
-                if j is not None:
-                    self.avail[w].discard(j)
+        if v in self.phi or i not in self.avail[v]:
+            raise InternalInvariantBreach("color %r is not available at %r" % (i, v))
+        color_vertex(self.cover, self.avail, self.phi, v, i)
 
     def comp_safe_now(self, qi):
         rest = [v for v in self.comps[qi] if v not in self.phi]

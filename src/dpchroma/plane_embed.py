@@ -100,8 +100,8 @@ def parse_plane(text: str) -> PlaneGraph:
         line = raw.strip()
         if line.split()[:1] == ["r"]:
             rot_lines.append((ln, line.split()))
-        else:
-            graph_lines.append(raw)
+            raw = ""  # a blank placeholder keeps parse_graph on the file's line numbers
+        graph_lines.append(raw)
     g = parse_graph("\n".join(graph_lines))
     edges = g.edges()
     rot = {}
@@ -248,6 +248,27 @@ def very_nice_subgraph(pg: PlaneGraph, v_star):
 
 
 def _vns(pg, v_star):
+    """Run the reductions from one loop over an explicit stack.
+
+    Each reduction is a generator: it yields a smaller (plane graph,
+    v_star) instance, receives that instance's covering subgraph back,
+    and returns its own.  Depth grows with n, so no Python recursion.
+    """
+    stack = [_vns_reduce(pg, v_star)]
+    h = None
+    while stack:
+        try:
+            child = stack[-1].send(h)
+        except StopIteration as done:
+            stack.pop()
+            h = done.value
+        else:
+            stack.append(_vns_reduce(*child))
+            h = None
+    return h
+
+
+def _vns_reduce(pg, v_star):
     from .core_graph import blocks_and_cut_vertices
 
     g = pg.g
@@ -255,16 +276,16 @@ def _vns(pg, v_star):
         return {(v, fid) for fid in range(pg.face_count()) for v in pg.face_vertices(fid)}
     blocks, cuts = blocks_and_cut_vertices(g)
     if len(blocks) > 1:
-        return _vns_leaf_block(pg, v_star, blocks, cuts)
+        return (yield from _vns_leaf_block(pg, v_star, blocks, cuts))
     outer_vs = set(pg.face_vertices(pg.outer))
     if outer_vs == set(g.vertices):
-        return _vns_ear(pg, v_star)
+        return (yield from _vns_ear(pg, v_star))
     for v in sorted(g.vertices):
         if v != v_star and g.degree(v) == 2:
             x, y = sorted(g.adj[v])
             if not g.has_edge(x, y):
-                return _vns_suppress(pg, v_star, v, x, y)
-    return _vns_interior(pg, v_star)
+                return (yield from _vns_suppress(pg, v_star, v, x, y))
+    return (yield from _vns_interior(pg, v_star))
 
 
 def _vns_ear(pg, v_star):
@@ -298,7 +319,7 @@ def _vns_ear(pg, v_star):
     surv = next(de for de in pg.face_walk(pg.outer) if de[0] not in dead and de[1] not in dead)
     pg2 = PlaneGraph(g2, rot2)
     pg2.outer = pg2.face_of_directed_edge(*surv)
-    h2 = _vns(pg2, v_star)
+    h2 = yield pg2, v_star
     fmap = _exact_face_map(pg2, pg, skip={pg2.outer})
     fmap[pg2.outer] = pg.outer
     h = _lift(h2, fmap)
@@ -337,7 +358,7 @@ def _vns_suppress(pg, v_star, v, x, y):
             return (y, v)
         return de
 
-    h2 = _vns(pg2, v_star)
+    h2 = yield pg2, v_star
     fmap = _exact_face_map(pg2, pg, translate=translate)
     h = _lift(h2, fmap)
     h.add((v, f1))
@@ -389,7 +410,7 @@ def _vns_interior(pg, v_star):
     if len(link_walk) != len(link_vs):
         raise InternalInvariantBreach("merged face around deleted vertex is not a cycle")
 
-    h2 = _vns(pg2, v_star)
+    h2 = yield pg2, v_star
     fmap = _exact_face_map(pg2, pg, skip={theta_u})
     h = {(w, fmap[f]) for (w, f) in h2 if f != theta_u}
     base = {}
@@ -479,8 +500,8 @@ def _vns_leaf_block(pg, v_star, blocks, cuts):
         outer_surv = alive(pg.outer)
         pg2.outer = pg2.face_of_directed_edge(*outer_surv[0]) if outer_surv else theta_b
 
-    hb = _vns(pgb, r)
-    h2 = _vns(pg2, v_star)
+    hb = yield pgb, r
+    h2 = yield pg2, v_star
     fmap_b = _exact_face_map(pgb, pg, skip={pgb.outer})
     fmap_b[pgb.outer] = mixed
     fmap_2 = _exact_face_map(pg2, pg, skip={theta_b})

@@ -147,7 +147,7 @@ def test_acceptance_6_planar_pipeline():
                 bad += 1
             ran += 1
     # C1-C4/D1/D2 are asserted inside the pipeline after every move, so
-    # completion already certifies them; AssertionError would fail here.
+    # completion already certifies them; InternalInvariantBreach would fail here.
     ok = bad == 0 and ran >= 50 and worst < 5.0
     _verdict(6, "planar-pipeline", ok,
              "200 polyhedral covers, %d hub instances, worst %.2fs" % (ran, worst))

@@ -14,6 +14,8 @@ def test_xorshift_pinned_stream():
     assert [r.randrange(10) for _ in range(6)] == [7, 5, 0, 9, 9, 7]
     assert Xorshift64Star(5).shuffle(list(range(8))) == [0, 5, 3, 6, 7, 1, 2, 4]
     assert Xorshift64Star(0).x != 0  # zero seed is remapped, not a fixed point
+    with pytest.raises(ValueError):
+        Xorshift64Star(1).randrange(0)
 
 
 def test_run_report_text():

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import subprocess
@@ -85,6 +86,24 @@ def test_bad_vertex_checks_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert (out.returncode, out.stdout) == (0, "raised 1\n"), out.stderr
+
+
+def test_no_assert_statements_in_the_package():
+    # checks must survive python -O, so the package raises instead
+    root = os.path.dirname(os.path.abspath(dpchroma.__file__))
+    found = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += ["%s:%d" % (name, n.lineno) for n in ast.walk(tree)
+                      if isinstance(n, ast.Assert)]
+    assert found == []
+
+
+def test_write_graph_needs_dense_ids():
+    with pytest.raises(ValueError, match="dense ids"):
+        write_graph(Graph([0, 2], [(0, 2)]))
 
 
 def test_parse_roundtrip():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dpchroma import dp_cover
 from dpchroma.core_graph import Graph, connected_components, is_gdp_tree
 from dpchroma.dp_cover import (
     Cover,
@@ -144,6 +145,29 @@ def test_degree_dp_color_tight_block_with_tails():
                          (3, 4), (4, 5), (0, 6)])
     cover = identity_cover(g, {v: g.degree(v) for v in g.vertices})
     col = degree_dp_color(g, cover)
+    assert is_coloring_valid(cover, col)
+
+
+def test_degree_dp_color_awkward_block_falls_back_to_search(monkeypatch):
+    # K_{2,3} (a = 0, b = 1, z = 2, 3, 4) with three leaves on each of a
+    # and b, tight sizes: every induced path z-a-z' or z-b-z' has its ends
+    # matched into distinct colors at the middle, so no pair spares a
+    # color and the block is colored by the exact search
+    edges = [(a, z) for a in (0, 1) for z in (2, 3, 4)]
+    edges += [(0, x) for x in (5, 6, 7)] + [(1, x) for x in (8, 9, 10)]
+    g = Graph(range(11), edges)
+    matchings = {(a, 2 + k): [(2 * k, 0), (2 * k + 1, 1)] for a in (0, 1) for k in range(3)}
+    cover = Cover(g, {v: g.degree(v) for v in g.vertices}, matchings)
+    calls = []
+    search = dp_cover.find_dp_coloring
+
+    def counting(res, budget=None):
+        calls.append(sorted(res.g.vertices))
+        return search(res, budget)
+
+    monkeypatch.setattr(dp_cover, "find_dp_coloring", counting)
+    col = degree_dp_color(g, cover)
+    assert calls == [[0, 1, 2, 3, 4]]
     assert is_coloring_valid(cover, col)
 
 

@@ -1,18 +1,21 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from corpus import connected_graph_classes
 from oracles import raw_choosable, raw_dp_colorable, raw_has_coloring
 
+import dpchroma
 from dpchroma.core_graph import Graph, is_gallai_tree, is_gdp_tree
 from dpchroma.dp_cover import Cover, degree_dp_color, induced_cover
 from dpchroma.errors import InstanceTooLarge
 from dpchroma.exact_oracle import (
     find_dp_coloring,
     find_list_coloring,
-    solve_cover,
     solve_list,
     is_degree_choosable,
     is_degree_dp_colorable,
@@ -207,7 +210,7 @@ def test_solve_list_and_cover_agree():
         lists = {v: rng.sample(range(6), rng.randint(1, 3)) for v in range(n)}
         cover, tokens = induced_cover(g, lists)
         got = solve_list(g, lists)
-        want = solve_cover(cover)
+        want = find_dp_coloring(cover)
         assert (got is None) == (want is None)
         assert (got is None) == (find_list_coloring(g, lists) is None)
         if got is not None:
@@ -240,3 +243,26 @@ def test_degree_dp_color_preconditions():
     k2 = Graph(range(2), [(0, 1)])
     with pytest.raises(PreconditionViolated):
         degree_dp_color(k2, Cover(k2, {0: 0, 1: 1}, {}))
+
+
+def test_certificate_check_survives_optimize():
+    # a search that colors everything must make both oracles' negative
+    # certificates fail their re-check, also under python -O
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dpchroma.__file__)))
+    script = (
+        "import sys\n"
+        "import dpchroma.exact_oracle as eo\n"
+        "from dpchroma.core_graph import Graph\n"
+        "from dpchroma.errors import InternalInvariantBreach\n"
+        "eo.find_dp_coloring = lambda cover, budget=None: {v: (v, 0) for v in cover.g.vertices}\n"
+        "k3 = Graph(range(3), [(0, 1), (0, 2), (1, 2)])\n"
+        "for oracle in (eo.is_dp_f_colorable, eo.is_f_choosable):\n"
+        "    try:\n"
+        "        oracle(k3, {v: 2 for v in k3.vertices})\n"
+        "    except InternalInvariantBreach as exc:\n"
+        "        print(sys.flags.optimize, exc)\n")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "1 certificate cover has a coloring\n" * 2), \
+        out.stderr

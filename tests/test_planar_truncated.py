@@ -11,10 +11,9 @@ from oracles import is_safe
 import dpchroma
 from dpchroma.cli import Xorshift64Star, generate_hub_instance, random_tight_matchings
 from dpchroma.core_graph import Graph, connectivity_at_least
-from dpchroma.dp_cover import Cover, degree_truncated_sizes, is_coloring_valid
+from dpchroma.dp_cover import Cover, degree_truncated_sizes, find_dp_coloring, is_coloring_valid
 from dpchroma.errors import (EmptyResidualList, GDPTreeTight, InternalInvariantBreach,
                              PreconditionViolated)
-from dpchroma.exact_oracle import solve_cover
 from dpchroma.plane_embed import PlaneGraph
 from dpchroma.planar_truncated import (NoMove, PipelineState, color_planar_truncated,
                                        finish, partition_threshold,
@@ -139,7 +138,7 @@ def test_v2_empty_polyhedra():
             assert is_coloring_valid(cover, phi)
     pg = nx_plane("icosahedron")
     cover = tight_cover(pg.g, 77)
-    assert solve_cover(cover) is not None
+    assert find_dp_coloring(cover) is not None
 
 
 def test_preconditions():

@@ -98,6 +98,9 @@ def test_plane_parse_errors():
     ]:
         with pytest.raises(MalformedInput):
             parse_plane(text)
+    # r lines before the graph records must not shift the line number
+    with pytest.raises(MalformedInput, match="line 7: bad endpoint"):
+        parse_plane("v 3\nr 0\nr 1\nr 2\ne 0 1\ne 0 2\ne 1 x\n")
 
 
 def wheel_plane(nrim):

@@ -1,10 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
 from corpus import planar_classes, random_connected_planar
 from oracles import vertex_face_incidences
 
+import dpchroma
 from dpchroma.core_graph import Graph, blocks_and_cut_vertices
 from dpchroma.errors import NotConnected, PreconditionViolated
 from dpchroma.plane_embed import PlaneGraph, is_nice, very_nice_subgraph
@@ -102,3 +106,20 @@ def test_sweep_random_planar():
         v_star = min(pg.face_vertices(pg.outer))
         h = very_nice_subgraph(pg, v_star)
         assert is_nice(pg, h, very=v_star)[0]
+
+
+def test_no_python_recursion_on_long_rims():
+    # n = 243: one reduction per vertex would pass a recursion limit of 200
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dpchroma.__file__)))
+    script = (
+        "import sys\n"
+        "from dpchroma.cli import generate_hub_instance\n"
+        "from dpchroma.plane_embed import very_nice_subgraph\n"
+        "pg, _ = generate_hub_instance(3, 240, 1)\n"
+        "sys.setrecursionlimit(200)\n"
+        "h = very_nice_subgraph(pg, min(pg.face_vertices(pg.outer)))\n"
+        "print(pg.g.n, len({v for v, _ in h}))\n")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stdout) == (0, "243 243\n"), out.stderr[-2000:]
