@@ -244,13 +244,14 @@ def cmd_verify(args):
 
 
 def cmd_solve(args):
+    if args.budget is not None and args.budget < 1:
+        raise ValueError("--budget must be at least 1 (got %d)" % args.budget)
     g = parse_graph(_read(args.graph))
     if args.lists is not None:
-        col = solve_list(g, parse_lists(_read(args.lists)),
-                         budget=args.budget or None)
+        col = solve_list(g, parse_lists(_read(args.lists)), budget=args.budget)
     else:
         cover = parse_cover(_read(args.cover), g)
-        col = find_dp_coloring(cover, budget=args.budget or None)
+        col = find_dp_coloring(cover, budget=args.budget)
     if col is None:
         print("UNCOLORABLE")
         return 10
@@ -380,3 +381,7 @@ def main(argv=None):
     except _DIAGNOSTICS as exc:
         print("diagnostic: %s" % exc, file=sys.stderr)
         return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -72,7 +72,8 @@ def find_dp_coloring(cover: Cover, budget=None):
     Most-constrained vertex first with forward checking; good enough to
     refute the engineered gadgets in milliseconds.  budget caps the
     number of color attempts; exceeding it raises InstanceTooLarge
-    instead of risking an open-ended search.
+    instead of risking an open-ended search.  So does a search deeper
+    than Python's recursion limit.
     """
     g = cover.g
     # per vertex: (neighbor, own color -> matched color at the neighbor)
@@ -109,9 +110,11 @@ def find_dp_coloring(cover: Cover, budget=None):
                 avail[u].add(j)
         return False
 
-    if step():
-        return {v: (v, i) for v, i in coloring.items()}
-    return None
+    try:
+        found = step()
+    except RecursionError:
+        raise InstanceTooLarge("search on %d vertices passed the recursion limit" % g.n)
+    return {v: (v, i) for v, i in coloring.items()} if found else None
 
 
 def is_coloring_valid(cover: Cover, coloring) -> bool:
@@ -179,13 +182,19 @@ def token_sort_key(tok):
 def induced_cover(g: Graph, lists):
     """Cover induced by a list assignment.
 
-    lists maps each vertex to an iterable of distinct hashable tokens.
-    Colors of adjacent vertices are matched iff their tokens are equal.
+    lists maps each vertex (and nothing else: ValueError) to an iterable
+    of distinct hashable tokens.  Colors of adjacent vertices are
+    matched iff their tokens are equal.
     Returns (cover, tokens) where tokens[v] is the sorted token list, so
     color (v, i) stands for tokens[v][i].
     """
+    extra = set(lists) - g.vertices
+    if extra:
+        raise ValueError("list for vertex %r, which is not in the graph" % (min(extra),))
     tokens = {}
     for v in sorted(g.vertices):
+        if v not in lists:
+            raise ValueError("no list for vertex %r" % (v,))
         ts = list(lists[v])
         if len(set(ts)) != len(ts):
             raise ValueError("duplicate token in list of %r" % (v,))

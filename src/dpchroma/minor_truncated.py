@@ -27,7 +27,7 @@ from .core_graph import (Graph, connected_components, connectivity_at_least,
 from .dp_cover import degree_dp_color
 from .errors import (DegreeBelowS, InstanceTooLarge, InternalInvariantBreach, ListTooSmall,
                      PeelBoundExceeded, PreconditionViolated)
-from .planar_truncated import NoMove, PipelineState, finish, step_r1, step_r2
+from .planar_truncated import NoMove, PipelineState, entry_gate, finish, step_r1, step_r2
 
 
 def _require_positive(**values):
@@ -182,8 +182,8 @@ class MinorState(PipelineState):
         self._start(g, cover, v1, v2, plan.order, trace)
         for v in self.v2:
             self.avail[v] = set(sublists[v])
-        node_comp = {comp[0]: qi for qi, comp in enumerate(self.comps)}
-        self.owed = {u: {node_comp[n] for n in part} for u, part in zip(plan.order, plan.parts)}
+        # a component node is named by the component's smallest vertex
+        self.owed = {u: {self.comp_of[n] for n in part} for u, part in zip(plan.order, plan.parts)}
         self.cost_cap = params.s + params.t - 1
         self.protector_cap = max(params.peel_bound, 1)
         self.turn_colors = params.q
@@ -201,29 +201,21 @@ def color_minor_truncated(g, c, params, trace=None):
     high-degree machinery only fits graphs far past desk scale, so
     instances that would engage it are refused unless params carries
     overridden values."""
-    if c.g.vertices != g.vertices or c.g.edges() != g.edges():
-        raise ValueError("graph does not match the cover's graph")
-    for v in sorted(g.vertices):
-        if c.sizes[v] < min(params.k, g.degree(v)):
-            raise PreconditionViolated(
-                "list at %r is smaller than min(k, degree)" % (v,))
+    v1, v2 = entry_gate(g, c, params.k)
+    if params.s > 1:
+        if v2 and not params.overridden:
+            raise InstanceTooLarge(
+                "%d vertices of degree >= %d; override the constants for desk scale"
+                % (len(v2), params.k))
+        if not connectivity_at_least(g, params.s):
+            raise PreconditionViolated("input graph is not %d-connected" % params.s)
+    if is_gdp_tree(g):
+        raise PreconditionViolated("GDP-trees are excluded")
     if params.s == 1:
         # K_{1,t}-minor-free caps the maximum degree below k, so the
         # truncation never bites and the degree-DP argument is the
         # whole pipeline
-        if is_gdp_tree(g):
-            raise PreconditionViolated("GDP-trees are excluded")
         return degree_dp_color(g, c)
-    v1 = frozenset(v for v in g.vertices if g.degree(v) < params.k)
-    v2 = g.vertices - v1
-    if v2 and not params.overridden:
-        raise InstanceTooLarge(
-            "%d vertices of degree >= %d; override the constants for desk scale"
-            % (len(v2), params.k))
-    if not connectivity_at_least(g, params.s):
-        raise PreconditionViolated("input graph is not %d-connected" % params.s)
-    if is_gdp_tree(g):
-        raise PreconditionViolated("GDP-trees are excluded")
     if v2:
         order_w = degeneracy_order(g.subgraph(v2), params.degeneracy_bound)
         sublists = select_sublists(g, order_w, c, params.q)

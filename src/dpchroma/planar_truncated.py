@@ -15,9 +15,9 @@ from __future__ import annotations
 from .core_graph import (blocks_and_cut_vertices, connected_components,
                          connectivity_at_least, degeneracy_order, is_complete_graph,
                          is_connected, is_gdp_tree)
-from .dp_cover import Cover, color_vertex, degree_dp_color, is_coloring_valid, residual_cover
-from .errors import (EmptyResidualList, GDPTreeTight, InternalInvariantBreach,
-                     PreconditionViolated, ProtectorInfeasible)
+from .dp_cover import color_vertex, degree_dp_color, is_coloring_valid, residual_cover
+from .errors import (A2Unattainable, EmptyResidualList, GDPTreeTight,
+                     InternalInvariantBreach, PreconditionViolated, ProtectorInfeasible)
 from .plane_embed import FaceClasses, augment_visibility, component_planes, \
     very_nice_subgraph
 
@@ -47,10 +47,13 @@ class PipelineState:
     costs at most cost_cap colors (D2).  Here a vertex owes the
     components in the face classes that H assigns to it; the minor
     pipeline's subclass takes them from its peel plan and sets its own
-    caps.
+    caps.  The planar set-up keeps the input g and cover: the chords of
+    augment_visibility stay in the drawing that plan_order, the face
+    classes and H read.  It raises A2Unattainable when a face class of
+    that drawing holds two components of G[V1].
     """
 
-    __slots__ = ("pg", "g", "cover", "v1", "v2", "order", "comps", "comp_of",
+    __slots__ = ("g", "cover", "v1", "v2", "order", "comps", "comp_of",
                  "owed", "phi", "avail", "safe", "protectors", "trace")
 
     cost_cap = 5
@@ -59,20 +62,18 @@ class PipelineState:
 
     def __init__(self, pg, cover, v1, v2, trace=None):
         v2 = frozenset(v2)
-        if v2:
-            pg = augment_visibility(pg, v2)
-            if pg.g.m != cover.g.m:
-                # chords between V2 vertices carry no matched pairs
-                kept = {e: cover.edge_pairs(*e) for e in cover.g.edges()}
-                cover = Cover(pg.g, cover.sizes, {e: p for e, p in kept.items() if p})
-        self.pg = pg
-        self._start(pg.g, cover, v1, v2, plan_order(pg.g, v2), trace)
-        fc = FaceClasses(pg, v2)
-        holder = {fc.class_holding(comp): qi for qi, comp in enumerate(self.comps)}
-        if len(holder) != len(self.comps):
-            raise InternalInvariantBreach("two components share a face class")
+        drawn = augment_visibility(pg, v2)
+        self._start(pg.g, cover, v1, v2, plan_order(drawn.g, v2), trace)
+        fc = FaceClasses(drawn, v2)
+        holder = {}
+        for qi, comp in enumerate(self.comps):
+            first = holder.setdefault(fc.class_holding(comp), qi)
+            if first != qi:
+                raise A2Unattainable(
+                    "components %r and %r lie in the same face of the subgraph on %r"
+                    % (list(self.comps[first]), list(comp), sorted(v2)))
         self.owed = {v: set() for v in v2}
-        for comp, pgq, cmap, v_star in component_planes(pg, v2):
+        for comp, pgq, cmap, v_star in component_planes(fc):
             for v, f in very_nice_subgraph(pgq, v_star):
                 if cmap[f] in holder:
                     self.owed[v].add(holder[cmap[f]])
@@ -273,22 +274,27 @@ def finish(state):
     return phi
 
 
+def entry_gate(g, cover, k=THRESHOLD):
+    """partition_threshold(g, k), once the cover is known to lie on g
+    with at least min(k, degree) colors in every list."""
+    if cover.g.vertices != g.vertices or cover.g.edges() != g.edges():
+        raise ValueError("graph does not match the cover's graph")
+    for v in sorted(g.vertices):
+        if cover.sizes[v] < min(k, g.degree(v)):
+            raise PreconditionViolated(
+                "list at %r is smaller than min(%d, degree)" % (v, k))
+    return partition_threshold(g, k)
+
+
 def color_planar_truncated(pg, cover, trace=None):
     """Color a 3-connected non-complete plane graph under a cover with
     list sizes at least min(16, degree).  trace, when given, is a list
     that receives one line per R1/R2 step for replay checking."""
-    g = pg.g
-    if cover.g.vertices != g.vertices or cover.g.edges() != g.edges():
-        raise ValueError("graph does not match the cover's graph")
-    if not connectivity_at_least(g, 3):
+    v1, v2 = entry_gate(pg.g, cover)
+    if not connectivity_at_least(pg.g, 3):
         raise PreconditionViolated("input graph is not 3-connected")
-    if is_complete_graph(g):
+    if is_complete_graph(pg.g):
         raise PreconditionViolated("complete graphs are excluded")
-    for v in sorted(g.vertices):
-        if cover.sizes[v] < min(THRESHOLD, g.degree(v)):
-            raise PreconditionViolated(
-                "list at %r is smaller than min(%d, degree)" % (v, THRESHOLD))
-    v1, v2 = partition_threshold(g)
     state = PipelineState(pg, cover, v1, v2, trace=trace)
     while True:
         while step_r1(state) is not NoMove:

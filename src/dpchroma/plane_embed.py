@@ -13,9 +13,11 @@ new ones.
 
 from __future__ import annotations
 
-from .core_graph import Graph, connected_components, is_connected
-from .errors import (A2Unattainable, BadRotation, InternalInvariantBreach, MalformedInput,
-                     NotConnected)
+from itertools import combinations
+
+from .core_graph import Graph, connected_components, is_connected, parse_graph, write_graph
+from .errors import (BadRotation, InternalInvariantBreach, MalformedInput, NotConnected,
+                     PreconditionViolated)
 
 
 class PlaneGraph:
@@ -92,8 +94,6 @@ def parse_plane(text: str) -> PlaneGraph:
     graph must be connected, and every vertex with neighbors needs an r
     line.  The outer face is face id 0.
     """
-    from .core_graph import parse_graph
-
     graph_lines = []
     rot_lines = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -141,8 +141,6 @@ def parse_plane(text: str) -> PlaneGraph:
 
 
 def write_plane(pg: PlaneGraph) -> str:
-    from .core_graph import write_graph
-
     edges = pg.g.edges()
     eidx = {e: i for i, e in enumerate(edges)}
     lines = [write_graph(pg.g).rstrip("\n")]
@@ -236,8 +234,6 @@ def very_nice_subgraph(pg: PlaneGraph, v_star):
     when the graph is not 2-connected.  The result is checked before it
     is returned; a failed check is a bug, not an input problem.
     """
-    from .errors import PreconditionViolated
-
     if v_star not in pg.face_vertices(pg.outer):
         raise PreconditionViolated("v_star %r not on the outer face" % (v_star,))
     h = _vns(pg, v_star)
@@ -577,33 +573,29 @@ class FaceClasses:
                     adj[a].add(b)
                     adj[b].add(a)
         depth = {self.outer_class: 0}
-        frontier = [self.outer_class]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for c in frontier:
-                for c2 in sorted(adj[c]):
-                    if c2 not in depth:
-                        depth[c2] = d
-                        nxt.append(c2)
-            frontier = nxt
+        queue = [self.outer_class]
+        for c in queue:
+            for c2 in adj[c]:
+                if c2 not in depth:
+                    depth[c2] = depth[c] + 1
+                    queue.append(c2)
         if set(depth) != set(adj):
             raise InternalInvariantBreach("face classes are not connected")
         return depth
 
 
-def component_planes(pg: PlaneGraph, v2):
-    """Standalone plane pieces of the subgraph drawn on v2.
+def component_planes(fc: FaceClasses):
+    """Standalone plane pieces of the subgraph drawn on fc.v2 in fc.pg.
 
     For each connected piece, ordered by smallest vertex, yields
     (vertices, piece PlaneGraph, local face id -> class, v_star).  The
     piece's outer face is its incident class nearest the ambient outer
-    region; v_star is the smallest vertex on it.
+    region; v_star is the smallest vertex on it.  The planar set-up
+    builds fc once and runs the one-component-per-face check on it.
     """
-    fc = FaceClasses(pg, v2)
+    pg = fc.pg
     depth = fc.class_depths()
-    sub = pg.g.subgraph(set(v2))
+    sub = pg.g.subgraph(fc.v2)
     out = []
     for comp in connected_components(sub):
         pgq = PlaneGraph(sub.subgraph(comp), _restrict_rot(pg, comp))
@@ -642,38 +634,16 @@ def augment_visibility(pg: PlaneGraph, v2) -> PlaneGraph:
     Faces are scanned by id and the lexicographically smallest
     nonadjacent v2-pair on a boundary gets the chord; the scan restarts
     after every insertion, so the output embedding is deterministic.
-    Afterwards the faces of the subgraph drawn on v2 are checked to
-    hold at most one component of the rest each (A2Unattainable names
-    the first clash; wanting 3-connectivity is the usual cause).
+    The chords carry no color constraint; the planar set-up checks that
+    each face of the drawn subgraph holds at most one component.
     """
     v2 = frozenset(v2)
     cur = pg
     for _ in range(3 * pg.g.n + 8):
-        pick = None
-        for fid in range(cur.face_count()):
-            onface = sorted(v for v in cur.face_vertices(fid) if v in v2)
-            for i in range(len(onface)):
-                for j in range(i + 1, len(onface)):
-                    if not cur.g.has_edge(onface[i], onface[j]):
-                        pick = (fid, onface[i], onface[j])
-                        break
-                if pick:
-                    break
-            if pick:
-                break
+        pick = next(((fid, a, b) for fid in range(cur.face_count())
+                     for a, b in combinations(sorted(set(cur.face_vertices(fid)) & v2), 2)
+                     if not cur.g.has_edge(a, b)), None)
         if pick is None:
-            break
+            return cur
         cur = _insert_chord(cur, *pick)
-    else:
-        raise InternalInvariantBreach("chord insertion did not reach a fixpoint")
-
-    fc = FaceClasses(cur, v2)
-    holder = {}
-    for comp in sorted(connected_components(cur.g.subgraph(cur.g.vertices - v2)), key=min):
-        c = fc.class_holding(comp)
-        if c in holder:
-            raise A2Unattainable(
-                "components %r and %r lie in the same face of the subgraph on %r"
-                % (holder[c], sorted(comp), sorted(v2)))
-        holder[c] = sorted(comp)
-    return cur
+    raise InternalInvariantBreach("chord insertion did not reach a fixpoint")

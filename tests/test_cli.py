@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from dpchroma import cli
 from dpchroma.cli import Xorshift64Star, main, run_report
-from dpchroma.core_graph import write_graph
+from dpchroma.core_graph import Graph, write_graph
 from dpchroma.dp_cover import write_cover
 
 
@@ -150,12 +154,52 @@ def test_input_errors_exit_2(tmp_path, capsys):
                      "--cover", str(tmp_path / "c")] + bad) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
+    (tmp_path / "p2").write_text("v 2\ne 0 1\n")
+    for lists, named in (("A 0 1 2\n", "no list for vertex 1"),
+                         ("A 0 1 2\nA 1 1 2\nA 7 1 2\n", "list for vertex 7, which is not")):
+        (tmp_path / "l").write_text(lists)
+        assert main(["solve", "--graph", str(tmp_path / "p2"),
+                     "--lists", str(tmp_path / "l")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
     (tmp_path / "empty.plane").write_text("v 0\n")
     (tmp_path / "split.plane").write_text("v 3\ne 0 1\nr 0 0\nr 1 0\n")
     for plane in ("empty.plane", "split.plane"):
         for argv in (["nice"], ["color-planar", "--cover", str(tmp_path / "c")]):
             assert main(argv + ["--embed", str(tmp_path / plane)]) == 2
             assert "error: a plane graph must be connected" in capsys.readouterr().err
+
+
+def test_solve_budget_below_one_exits_2(tmp_path, capsys):
+    (tmp_path / "g").write_text("v 2\ne 0 1\n")
+    (tmp_path / "l").write_text("A 0 x\nA 1 x\n")
+    base = ["solve", "--graph", str(tmp_path / "g"), "--lists", str(tmp_path / "l")]
+    for budget in ("0", "-1"):
+        assert main(base + ["--budget", budget]) == 2
+        assert capsys.readouterr().err == "error: --budget must be at least 1 (got %s)\n" % budget
+    assert main(base + ["--budget", "1"]) == 10
+
+
+def test_solve_deeper_than_the_recursion_limit_exits_2(tmp_path, capsys):
+    n = 2000
+    (tmp_path / "g").write_text(write_graph(Graph(range(n), [(i, i + 1) for i in range(n - 1)])))
+    (tmp_path / "l").write_text("".join("A %d a b\n" % v for v in range(n)))
+    assert main(["solve", "--graph", str(tmp_path / "g"), "--lists", str(tmp_path / "l")]) == 2
+    assert capsys.readouterr().err.startswith("error: search on 2000 vertices passed the recursion")
+
+
+def test_module_entry_point(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    pre = str(tmp_path / "w")
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "dpchroma.cli"] + list(argv), env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    assert run("build", "--family", "k2k2", "--k", "2", "--out", pre).returncode == 0
+    out = run("solve", "--graph", pre + ".graph", "--lists", pre + ".lists")
+    assert (out.returncode, out.stdout, out.stderr) == (10, "UNCOLORABLE\n", "")
 
 
 def test_diagnostics_exit_3(tmp_path, capsys):

@@ -162,3 +162,9 @@ def test_verify_counterexample_dispatch():
         assert rows and all(ok for _, ok in rows)
     g, lists = build_G42()
     assert (g.n, g.m) == (1094, 3276)
+
+
+def test_verify_chain_in_parallel_matches_serial():
+    serial = verify_counterexample("G42")
+    assert len(serial) == 45 and all(ok for _, ok in serial)
+    assert verify_counterexample("G42", jobs=2) == serial  # two worker processes

@@ -39,8 +39,8 @@ from corpus import planar_classes, random_connected_planar
 from dpchroma.cli import generate_hub_instance, main
 from dpchroma.minor_truncated import color_minor_truncated
 from dpchroma.planar_truncated import color_planar_truncated, partition_threshold
-from dpchroma.plane_embed import (PlaneGraph, augment_visibility, component_planes,
-                                  very_nice_subgraph)
+from dpchroma.plane_embed import (FaceClasses, PlaneGraph, augment_visibility,
+                                  component_planes, very_nice_subgraph)
 from test_minor_truncated import double_protection_instance, drum_minor_instance
 from test_planar_truncated import drum_forcing_cover, drum_plane
 
@@ -184,7 +184,8 @@ def test_component_planes_digest():
     lines = []
     for name, pg in planes:
         v2 = partition_threshold(pg.g)[1]
-        for comp, pgq, cmap, v_star in component_planes(augment_visibility(pg, v2), v2):
+        fc = FaceClasses(augment_visibility(pg, v2), v2)
+        for comp, pgq, cmap, v_star in component_planes(fc):
             lines.append("%s %r %d %r %r" % (name, comp, pgq.outer, sorted(cmap.items()), v_star))
     assert len(lines) >= 6
     assert _digest(lines) == PIECES_GOLDEN

@@ -9,6 +9,7 @@ import pytest
 from corpus import nx_planar_rotation
 from oracles import is_safe
 import dpchroma
+from dpchroma import plane_embed
 from dpchroma.cli import Xorshift64Star, generate_hub_instance, random_tight_matchings
 from dpchroma.core_graph import Graph, connectivity_at_least
 from dpchroma.dp_cover import Cover, degree_truncated_sizes, find_dp_coloring, is_coloring_valid
@@ -205,6 +206,22 @@ def test_drum_r1_march():
     r1 = [ln for ln in trace if ln.startswith("R1")]
     assert len(r1) == 14 and r1[0] == "R1 28 28.1" and r1[-1] == "R1 41 41.2"
     assert "R2 9 9.0 protects 12" in trace
+
+
+def test_set_up_builds_the_face_classes_once(monkeypatch):
+    built = []
+    init = plane_embed.FaceClasses.__init__
+
+    def counting(self, pg, v2):
+        built.append(len(v2))
+        init(self, pg, v2)
+
+    monkeypatch.setattr(plane_embed.FaceClasses, "__init__", counting)
+    for hubs, rim in ((2, 60), (3, 60)):
+        built.clear()
+        pg, cover = generate_hub_instance(hubs, rim, 7)
+        color_planar_truncated(pg, cover)
+        assert built == [hubs]
 
 
 def test_step_functions_direct():

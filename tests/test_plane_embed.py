@@ -2,10 +2,12 @@ import pytest
 
 from oracles import vertex_face_incidences
 from dpchroma.core_graph import Graph
+from dpchroma.dp_cover import Cover
 from dpchroma.errors import (A2Unattainable, BadRotation, InternalInvariantBreach, MalformedInput,
                              NotConnected)
 from dpchroma.plane_embed import (FaceClasses, PlaneGraph, augment_visibility,
                                   component_planes, parse_plane, write_plane)
+from dpchroma.planar_truncated import PipelineState
 
 
 def square_with_chord():
@@ -219,7 +221,7 @@ def test_component_planes_nested_cycles():
     # each bridge vertex is its own component, all inside the ring
     for q in ([9], [10], [11]):
         assert fc.class_holding(q) == ring
-    pieces = component_planes(pg, v2)
+    pieces = component_planes(fc)
     assert [p[0] for p in pieces] == [(0, 1, 2, 3, 4, 5), (6, 7, 8)]
     hexa, tri = pieces
     assert hexa[2][hexa[1].outer] == fc.outer_class
@@ -228,10 +230,14 @@ def test_component_planes_nested_cycles():
 
 
 def test_a2_unattainable_reports_shared_face():
+    # the check lives in the planar set-up; augment_visibility only adds chords
     g = Graph([0, 1, 2], [(0, 1), (0, 2)])
     pg = PlaneGraph(g, {0: (1, 2), 1: (0,), 2: (0,)})
-    with pytest.raises(A2Unattainable):
-        augment_visibility(pg, {0})
+    assert augment_visibility(pg, {0}) is pg
+    cover = Cover(g, {0: 2, 1: 1, 2: 1}, {})
+    with pytest.raises(A2Unattainable, match=r"^components \[1\] and \[2\] lie in the same "
+                                             r"face of the subgraph on \[0\]$"):
+        PipelineState(pg, cover, {1, 2}, {0})
 
 
 def test_class_holding_rejects_straddling_set():
