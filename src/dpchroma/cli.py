@@ -238,6 +238,8 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1 (got %d)" % args.jobs)
     rows = verify_counterexample(args.family, k=args.k, s=args.s, jobs=args.jobs)
     sys.stdout.write(run_report(rows))
     return 0 if all(r[1] for r in rows) else 10

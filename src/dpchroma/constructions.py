@@ -16,6 +16,7 @@ min(degree, 7) everywhere, and is not colorable from its lists.
 from __future__ import annotations
 
 import itertools
+import os
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 
@@ -367,7 +368,11 @@ def _case_refuted(i):
 
 
 def verify_chain(jobs=1):
-    """Full chain verification; list of (name, ok) rows."""
+    """Full chain verification; list of (name, ok) rows.
+
+    The 42 case refutations run on min(jobs, CPU count) worker
+    processes, serially when that is 1.
+    """
     g, lists = chain_graph()
     rows = []
     rows.append(("list-sizes", all(len(lists[v]) == min(g.degree(v), 7)
@@ -388,8 +393,9 @@ def verify_chain(jobs=1):
             break
     rows.append(("copies-induce-gadget", ok))
     rows.append(("three-connected", connectivity_at_least(g, 3)))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_case_refuted, range(42)))
     else:
         results = [_case_refuted(i) for i in range(42)]

@@ -69,52 +69,79 @@ class Cover:
 def find_dp_coloring(cover: Cover, budget=None):
     """Coloring of a cover, or None.
 
-    Most-constrained vertex first with forward checking; good enough to
-    refute the engineered gadgets in milliseconds.  budget caps the
+    Most-constrained vertex first (fewest colors left, ties to the
+    smallest vertex), colors in ascending order, with forward checking:
+    an attempt stops as soon as it leaves an uncolored neighbor no
+    color.  Good enough to refute the engineered gadgets in
+    milliseconds.  The search is one loop over an explicit stack, so
+    its depth has no limit but the vertex count.  budget caps the
     number of color attempts; exceeding it raises InstanceTooLarge
-    instead of risking an open-ended search.  So does a search deeper
-    than Python's recursion limit.
+    instead of risking an open-ended search.  The witness lists the
+    vertices in the order they were colored.
     """
-    g = cover.g
-    # per vertex: (neighbor, own color -> matched color at the neighbor)
-    links = {v: [(u, dict(cover.edge_pairs(v, u))) for u in g.adj[v]] for v in g.vertices}
-    avail = {v: set(range(cover.sizes[v])) for v in g.vertices}
-    coloring = {}
-    nodes = [0]
-
-    def step():
-        pending = [v for v in avail if v not in coloring]
-        if not pending:
-            return True
-        v = min(pending, key=lambda u: (len(avail[u]), u))
-        for i in sorted(avail[v]):
-            nodes[0] += 1
-            if budget is not None and nodes[0] > budget:
+    order = sorted(cover.g.vertices)
+    index = {v: x for x, v in enumerate(order)}
+    # vertices by index; avail[x] is a bitmask of x's colors left (0
+    # while x is colored, so no strike reaches it), and strikes[x][i]
+    # the (neighbor, bit) pairs that color i of x rules out
+    avail = [(1 << cover.sizes[v]) - 1 for v in order]
+    strikes = [[[] for _ in range(cover.sizes[v])] for v in order]
+    for (v, u), match in cover._m.items():
+        row, y = strikes[index[v]], index[u]
+        for i, j in match.items():
+            row[i].append((y, 1 << j))
+    # buckets[c]: the uncolored vertices with c colors left
+    buckets = [set() for _ in range(max(cover.sizes.values(), default=0) + 1)]
+    for x, mask in enumerate(avail):
+        buckets[mask.bit_count()].add(x)
+    stack = []  # (vertex, color, colors still to try, struck pairs, full mask)
+    nodes = 0
+    x = None
+    while True:
+        if x is None:
+            for bucket in buckets:
+                if bucket:
+                    break
+            else:
+                return {order[y]: (order[y], i) for y, i, _, _, _ in stack}
+            x = min(bucket)
+            bucket.remove(x)
+            rest = full = avail[x]
+            avail[x] = 0
+        if rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            nodes += 1
+            if budget is not None and nodes > budget:
                 raise InstanceTooLarge(
                     "search passed %d nodes; raise --budget to keep going" % budget)
-            coloring[v] = i
-            removed = []
-            dead = False
-            for u, match in links[v]:
-                if u not in coloring:
-                    j = match.get(i)
-                    if j is not None and j in avail[u]:
-                        avail[u].discard(j)
-                        removed.append((u, j))
-                        if not avail[u]:
-                            dead = True
-            if not dead and step():
-                return True
-            del coloring[v]
-            for u, j in removed:
-                avail[u].add(j)
-        return False
-
-    try:
-        found = step()
-    except RecursionError:
-        raise InstanceTooLarge("search on %d vertices passed the recursion limit" % g.n)
-    return {v: (v, i) for v, i in coloring.items()} if found else None
+            struck = []
+            for y, bit in strikes[x][i]:
+                if avail[y] & bit:
+                    c = avail[y].bit_count()
+                    buckets[c].remove(y)
+                    buckets[c - 1].add(y)
+                    avail[y] ^= bit
+                    struck.append((y, bit))
+                    if c == 1:
+                        break
+            else:
+                stack.append((x, i, rest, struck, full))
+                x = None
+                continue
+        else:
+            avail[x] = full
+            buckets[full.bit_count()].add(x)
+            if not stack:
+                return None
+            x, _, rest, struck, full = stack.pop()
+        # undo a dead attempt, or the attempt just backtracked out of
+        for y, bit in struck:
+            c = avail[y].bit_count()
+            buckets[c].remove(y)
+            buckets[c + 1].add(y)
+            avail[y] |= bit
 
 
 def is_coloring_valid(cover: Cover, coloring) -> bool:

@@ -4,13 +4,17 @@ Everything here is deliberately naive: straight products over itertools,
 no pruning, no sharing with the package under test beyond the Graph
 container (and, for connectivity_by_deletion, the block decomposition;
 for is_safe, the GDP-tree test).
-Only usable for tiny instances.
+Only usable for tiny instances.  The exception is
+recursive_dp_coloring, the package's exact cover search written as a
+recursion over dicts and sets: the reference that pins the iterative
+search's witnesses, verdicts and budget trips.
 """
 
 import itertools
 
 from dpchroma.core_graph import (Graph, blocks_and_cut_vertices, is_complete_graph, is_connected,
                                  is_gdp_tree)
+from dpchroma.errors import InstanceTooLarge
 
 
 def subgraph_by_edge_filter(g, keep):
@@ -128,3 +132,54 @@ def raw_dp_colorable(g, f, maximal_only=True):
         if not ok:
             return False, dict(zip(es, combo))
     return True, None
+
+
+def recursive_dp_coloring(cover, budget=None):
+    """Coloring of a cover, or None.
+
+    Most-constrained vertex first with forward checking; good enough to
+    refute the engineered gadgets in milliseconds.  budget caps the
+    number of color attempts; exceeding it raises InstanceTooLarge
+    instead of risking an open-ended search.  So does a search deeper
+    than Python's recursion limit.
+    """
+    g = cover.g
+    # per vertex: (neighbor, own color -> matched color at the neighbor)
+    links = {v: [(u, dict(cover.edge_pairs(v, u))) for u in g.adj[v]] for v in g.vertices}
+    avail = {v: set(range(cover.sizes[v])) for v in g.vertices}
+    coloring = {}
+    nodes = [0]
+
+    def step():
+        pending = [v for v in avail if v not in coloring]
+        if not pending:
+            return True
+        v = min(pending, key=lambda u: (len(avail[u]), u))
+        for i in sorted(avail[v]):
+            nodes[0] += 1
+            if budget is not None and nodes[0] > budget:
+                raise InstanceTooLarge(
+                    "search passed %d nodes; raise --budget to keep going" % budget)
+            coloring[v] = i
+            removed = []
+            dead = False
+            for u, match in links[v]:
+                if u not in coloring:
+                    j = match.get(i)
+                    if j is not None and j in avail[u]:
+                        avail[u].discard(j)
+                        removed.append((u, j))
+                        if not avail[u]:
+                            dead = True
+            if not dead and step():
+                return True
+            del coloring[v]
+            for u, j in removed:
+                avail[u].add(j)
+        return False
+
+    try:
+        found = step()
+    except RecursionError:
+        raise InstanceTooLarge("search on %d vertices passed the recursion limit" % g.n)
+    return {v: (v, i) for v, i in coloring.items()} if found else None

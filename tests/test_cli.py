@@ -180,12 +180,19 @@ def test_solve_budget_below_one_exits_2(tmp_path, capsys):
     assert main(base + ["--budget", "1"]) == 10
 
 
-def test_solve_deeper_than_the_recursion_limit_exits_2(tmp_path, capsys):
-    n = 2000
+def test_solve_on_a_10000_vertex_path_exits_0(tmp_path, capsys):
+    n = 10000
     (tmp_path / "g").write_text(write_graph(Graph(range(n), [(i, i + 1) for i in range(n - 1)])))
     (tmp_path / "l").write_text("".join("A %d a b\n" % v for v in range(n)))
-    assert main(["solve", "--graph", str(tmp_path / "g"), "--lists", str(tmp_path / "l")]) == 2
-    assert capsys.readouterr().err.startswith("error: search on 2000 vertices passed the recursion")
+    assert main(["solve", "--graph", str(tmp_path / "g"), "--lists", str(tmp_path / "l")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["v %d %s" % (v, "ab"[v % 2]) for v in range(n)]
+
+
+def test_verify_jobs_below_one_exits_2(capsys):
+    for jobs in ("0", "-3"):
+        assert main(["verify", "--family", "k2k2", "--k", "2", "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == "error: --jobs must be at least 1 (got %s)\n" % jobs
 
 
 def test_module_entry_point(tmp_path):

@@ -5,6 +5,9 @@ Graph.subgraph (adjacency intersection) and block_kind (vertex and
 edge counts) are each compared with the straightforward construction
 in tests/oracles.py, and connectivity also with networkx's
 node_connectivity on the hub instances and the drum fixture.  The
+exact cover search (one loop over bitmasks and buckets) is compared
+with the recursive search it replaced: same witnesses in the same
+order, same None verdicts, same budget trips.  The
 pipelines' component safety (comp_safe_now, read off the running
 availability sets) is compared with oracles.is_safe, which recounts
 the colors left from the cover, after every R1/R2 step of the
@@ -19,10 +22,13 @@ import pytest
 
 from corpus import connected_graph_classes, connected_graph_extensions
 from oracles import block_kind_by_subgraph, connectivity_by_deletion, is_safe, \
-    subgraph_by_edge_filter
+    recursive_dp_coloring, subgraph_by_edge_filter
 from dpchroma import minor_truncated, planar_truncated
 from dpchroma.cli import generate_hub_instance
+from dpchroma.constructions import chain_case
 from dpchroma.core_graph import Graph, block_kind, blocks_and_cut_vertices, connectivity_at_least
+from dpchroma.dp_cover import Cover, find_dp_coloring, induced_cover
+from dpchroma.errors import InstanceTooLarge
 from test_golden import PROTECTION_RUNS
 from test_planar_truncated import drum_plane
 
@@ -109,6 +115,51 @@ def test_block_kind_matches_subgraph_reference():
             assert kind == block_kind_by_subgraph(g, blk), (g.edges(), blk)
             kinds.add(kind)
     assert kinds == {"complete", "cycle", None}
+
+
+def search_outcome(search, cover, budget):
+    """("witness", items in order), ("none",) or ("trip", message)."""
+    try:
+        col = search(cover, budget)
+    except InstanceTooLarge as exc:
+        return ("trip", str(exc))
+    return ("none",) if col is None else ("witness", list(col.items()))
+
+
+def random_covers(count, seed):
+    """Seeded covers with list sizes 0-4 and a partial matching per edge."""
+    rng = random.Random(seed)
+    for g in random_graphs(count, seed):
+        sizes = {v: rng.randrange(5) for v in g.vertices}
+        matchings = {}
+        for u, w in g.edges():
+            cols = rng.sample(range(sizes[w]), min(sizes[u], sizes[w]))
+            matchings[(u, w)] = [(i, j) for i, j in enumerate(cols) if rng.random() < 0.8]
+        yield Cover(g, sizes, matchings)
+
+
+def random_induced_covers(count, seed):
+    """Seeded list assignments over mixed int and str tokens, as covers."""
+    rng = random.Random(seed)
+    for g in random_graphs(count, seed):
+        yield induced_cover(g, {v: rng.sample((0, 1, 2, "a", "b", "c"), rng.randrange(5))
+                                for v in g.vertices})[0]
+
+
+def test_search_matches_recursive_reference():
+    rng = random.Random(8)
+    seen = set()
+    covers = itertools.chain(random_covers(2400, 31), random_induced_covers(600, 32))
+    for cover in covers:
+        budget = rng.choice((None, 1, 3, 10, 30))
+        want = search_outcome(recursive_dp_coloring, cover, budget)
+        assert search_outcome(find_dp_coloring, cover, budget) == want, \
+            (cover.sizes, [(e, cover.edge_pairs(*e)) for e in cover.g.edges()], budget)
+        seen.add(want[0])
+    assert seen == {"witness", "none", "trip"}
+    for i in range(42):
+        cover = induced_cover(*chain_case(i))[0]
+        assert find_dp_coloring(cover) is None and recursive_dp_coloring(cover) is None
 
 
 @pytest.mark.parametrize("name", sorted(PROTECTION_RUNS))

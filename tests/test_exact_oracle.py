@@ -266,3 +266,24 @@ def test_certificate_check_survives_optimize():
                          capture_output=True, text=True, timeout=60)
     assert (out.returncode, out.stdout) == (0, "1 certificate cover has a coloring\n" * 2), \
         out.stderr
+
+
+def test_search_needs_no_recursion_under_optimize():
+    # the search is one loop: a recursion limit of 100 still refutes a
+    # G42 chain case and colors a 3,000-vertex path, also under python -O
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dpchroma.__file__)))
+    script = (
+        "import sys\n"
+        "from dpchroma.constructions import chain_case\n"
+        "from dpchroma.core_graph import Graph\n"
+        "from dpchroma.exact_oracle import find_list_coloring, solve_list\n"
+        "sys.setrecursionlimit(100)\n"
+        "print(sys.flags.optimize, find_list_coloring(*chain_case(0)))\n"
+        "n = 3000\n"
+        "col = solve_list(Graph(range(n), [(i, i + 1) for i in range(n - 1)]),\n"
+        "                 {v: [0, 1] for v in range(n)})\n"
+        "print(len(col), all(col[v] != col[v + 1] for v in range(n - 1)))\n")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "1 None\n3000 True\n"), out.stderr
