@@ -141,6 +141,8 @@ def gadget_h_plane() -> PlaneGraph:
 # ---------------------------------------------------------------------------
 # bipartite list counterexamples
 
+BIG_SIDE_CAP = 4096  # most big-side vertices k2k2 and ks will build
+
 
 def build_k2_k2(k):
     """K_{2,k^2} with lists splitting a k-set across the big side.
@@ -151,6 +153,8 @@ def build_k2_k2(k):
     """
     if k < 1:
         raise ValueError("need k >= 1")
+    if k * k > BIG_SIDE_CAP:
+        raise InstanceTooLarge("big side would have %d vertices (cap %d)" % (k * k, BIG_SIDE_CAP))
     a = ["a%d" % i for i in range(1, k + 1)]
     b = ["b%d" % j for j in range(1, k + 1)]
     edges = []
@@ -163,7 +167,7 @@ def build_k2_k2(k):
     return Graph(range(2 + k * k), edges), lists
 
 
-def build_ks_minus1(s, k, cap=4096):
+def build_ks_minus1(s, k):
     """K_{s-1,k^(s-1)} with product lists, tokens written "c.i".
 
     Small-side vertex i carries (c,i) for c in 1..k; the big-side vertex
@@ -173,8 +177,8 @@ def build_ks_minus1(s, k, cap=4096):
     if s < 2 or k < 1:
         raise ValueError("need s >= 2 and k >= 1")
     nbig = k ** (s - 1)
-    if nbig > cap:
-        raise InstanceTooLarge("big side would have %d vertices (cap %d)" % (nbig, cap))
+    if nbig > BIG_SIDE_CAP:
+        raise InstanceTooLarge("big side would have %d vertices (cap %d)" % (nbig, BIG_SIDE_CAP))
     small = list(range(s - 1))
     lists = {i: ["%d.%d" % (c, i + 1) for c in range(1, k + 1)] for i in small}
     edges = []

@@ -25,6 +25,7 @@ raise InstanceTooLarge.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 
 from .core_graph import Graph, bfs_parents, connected_components
 from .dp_cover import Cover, find_dp_coloring, induced_cover
@@ -65,10 +66,17 @@ def _refuted(cover: Cover):
 # choosability
 
 
-def _profile_count(sizes, cap):
-    """Number of list assignments up to color renaming, or None past cap."""
-    from collections import defaultdict
+def _profile_count(sizes, cap, limit):
+    """Number of list assignments up to color renaming, or None once the
+    state table passes cap or a prefix count passes limit.
 
+    Subsets are visited in increasing order, so after t = 2^p - 1 the
+    state with the first p sizes spent and the rest untouched counts the
+    assignments of the first p vertices.  Each one extends to a distinct
+    full assignment (the later vertices take fresh colors), so the full
+    count is at least every prefix count, and the last prefix is the
+    full count itself.
+    """
     n = len(sizes)
     cur = {tuple(sizes): 1}
     for t in range(1, 1 << n):
@@ -84,7 +92,11 @@ def _profile_count(sizes, cap):
         cur = nxt
         if len(cur) > cap:
             return None
-    return cur.get(tuple([0] * n), 0)
+        if t & (t + 1) == 0:
+            p = t.bit_length()
+            if cur.get((0,) * p + tuple(sizes[p:]), 0) > limit:
+                return None
+    return cur.get((0,) * n, 0)
 
 
 def is_f_choosable(g: Graph, f):
@@ -116,8 +128,7 @@ def is_f_choosable(g: Graph, f):
     rest = sorted((v for v in vs if v != w), key=lambda v: (-f[v], v))
     k = len(rest)
     if k >= 6:
-        count = _profile_count([f[v] for v in rest], 300000)
-        if count is None or count > 20_000_000:
+        if _profile_count([f[v] for v in rest], 300000, 20_000_000) is None:
             raise InstanceTooLarge("too many list assignments to enumerate")
     pos = {v: p for p, v in enumerate(rest)}
     fp = [f[v] for v in rest]
@@ -180,8 +191,6 @@ def is_f_choosable(g: Graph, f):
         if not realized[0]:
             bad[w] = [-(i + 1) for i in range(fw)]
         else:
-            if len(inter[0]) < fw:
-                return False
             bad[w] = sorted(inter[0])[:fw]
         found[0] = bad
         return True
@@ -341,7 +350,7 @@ def is_dp_f_colorable(g: Graph, f):
             if pairs:
                 out[(u, w)] = pairs
         if extra:
-            out[e_star if e_star[0] < e_star[1] else (e_star[1], e_star[0])] = extra
+            out[e_star] = extra
         return out
 
     witness = [None]
@@ -375,9 +384,6 @@ def is_dp_f_colorable(g: Graph, f):
         free_x = [cx for cx in range(f[x]) if not rows[cx]]
         free_y = [cy for cy in range(f[y]) if cy not in set(used)]
         pairs += list(zip(free_x, free_y))
-        mx, my = (x, y) if x < y else (y, x)
-        if mx != x:
-            pairs = [(j, i) for i, j in pairs]
         witness[0] = current_matchings(extra=sorted(pairs))
         return True
 

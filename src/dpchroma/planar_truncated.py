@@ -32,10 +32,9 @@ def partition_threshold(g, k=THRESHOLD):
     return v1, g.vertices - v1
 
 
-def plan_order(g, v2):
-    """5-degenerate order on V2, components of G[V2] consecutive."""
-    sub = g.subgraph(set(v2))
-    return degeneracy_order(sub, 5, groups=connected_components(sub))
+def plan_order(fc):
+    """5-degenerate order on fc's G[V2], each of fc.pieces consecutive."""
+    return degeneracy_order(fc.sub, 5, groups=fc.pieces)
 
 
 class PipelineState:
@@ -47,10 +46,10 @@ class PipelineState:
     costs at most cost_cap colors (D2).  Here a vertex owes the
     components in the face classes that H assigns to it; the minor
     pipeline's subclass takes them from its peel plan and sets its own
-    caps.  The planar set-up keeps the input g and cover: the chords of
-    augment_visibility stay in the drawing that plan_order, the face
-    classes and H read.  It raises A2Unattainable when a face class of
-    that drawing holds two components of G[V1].
+    caps.  The planar set-up stores the input g and cover; the chorded
+    drawing of augment_visibility lives only in one FaceClasses, whose
+    G[V2] and pieces plan_order and H read.  It raises A2Unattainable
+    when a face class of that drawing holds two components of G[V1].
     """
 
     __slots__ = ("g", "cover", "v1", "v2", "order", "comps", "comp_of",
@@ -62,9 +61,8 @@ class PipelineState:
 
     def __init__(self, pg, cover, v1, v2, trace=None):
         v2 = frozenset(v2)
-        drawn = augment_visibility(pg, v2)
-        self._start(pg.g, cover, v1, v2, plan_order(drawn.g, v2), trace)
-        fc = FaceClasses(drawn, v2)
+        fc = FaceClasses(augment_visibility(pg, v2), v2)
+        self._start(pg.g, cover, v1, v2, plan_order(fc), trace)
         holder = {}
         for qi, comp in enumerate(self.comps):
             first = holder.setdefault(fc.class_holding(comp), qi)

@@ -1,14 +1,15 @@
 """Plane graphs as rotation systems, and the covering-subgraph machinery.
 
 A PlaneGraph is a connected, non-empty Graph plus, for each vertex, the
-cyclic order of its neighbors.  Faces are traced eagerly: the walk
-leaving v toward the successor of u in rot(v) after arriving from u.
-Each face has exactly one boundary walk (a single vertex has one face
-with an empty walk), and a rotation system is accepted only if
-|V| - |E| + |F| = 2, which is exactly planarity of the embedding.
+cyclic order of its neighbors; it stores that rotation, the face walks
+and the directed-edge-to-face map, and derives the rest (the faces at a
+vertex are those of the edges leaving it; restrict cuts out G[keep]).
+Faces are traced eagerly: the walk leaving v toward the successor of u
+in rot(v) after arriving from u.  Each face has one boundary walk (a
+single vertex has one face with an empty walk), and a rotation system is
+accepted only if |V| - |E| + |F| = 2, i.e. the embedding is planar.
 Faces are identified across graphs by their directed edges, so
-operations that modify the graph can report how old face ids map to
-new ones.
+operations that modify the graph can report how old face ids map to new.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from .errors import (BadRotation, InternalInvariantBreach, MalformedInput, NotCo
 
 
 class PlaneGraph:
-    __slots__ = ("g", "rot", "faces", "outer", "_edge_face", "_vertex_faces")
+    """Stores g, rot, the face walks, the directed-edge-to-face map and
+    outer; faces at a vertex and sub-drawings are derived from those."""
+
+    __slots__ = ("g", "rot", "faces", "outer", "_edge_face")
 
     def __init__(self, g: Graph, rot):
         """Trace every face once, each from the smallest unvisited
@@ -60,11 +64,6 @@ class PlaneGraph:
             raise BadRotation("rotation system is not planar (Euler check failed)")
         self.outer = 0
         self._edge_face = ef
-        vf = {v: [] for v in g.vertices}
-        for fid in range(len(self.faces)):
-            for v in self.face_vertices(fid):
-                vf[v].append(fid)
-        self._vertex_faces = vf
 
     def face_walk(self, fid):
         return self.faces[fid]
@@ -77,8 +76,14 @@ class PlaneGraph:
         return self._edge_face[(u, v)]
 
     def faces_at(self, v):
-        """Face ids incident to v (each once, in id order)."""
-        return list(self._vertex_faces[v])
+        """Face ids at v, once each in id order: those of its out-edges."""
+        return sorted({self._edge_face[(v, u)] for u in self.rot[v]}) or [0]
+
+    def restrict(self, keep):
+        """Drawing of G[keep], rotations filtered; outer face 0 until set."""
+        sub = self.g.subgraph(keep)
+        return PlaneGraph(sub, {v: tuple(w for w in self.rot[v] if w in sub.vertices)
+                                for v in sub.vertices})
 
     def face_count(self):
         return len(self.faces)
@@ -196,11 +201,6 @@ def is_nice(pg: PlaneGraph, h, very=None):
     return (not viol), viol
 
 
-def _restrict_rot(pg, keep):
-    keep = set(keep)
-    return {v: tuple(w for w in pg.rot[v] if w in keep) for v in pg.rot if v in keep}
-
-
 def _lift(h, face_map):
     return {(v, face_map[f]) for (v, f) in h}
 
@@ -310,10 +310,8 @@ def _vns_ear(pg, v_star):
         raise InternalInvariantBreach("no removable ear face")
     fid, e1, e2, internals = pick
     dead = set(internals)
-    g2 = g.subgraph(g.vertices - dead)
-    rot2 = _restrict_rot(pg, g2.vertices)
     surv = next(de for de in pg.face_walk(pg.outer) if de[0] not in dead and de[1] not in dead)
-    pg2 = PlaneGraph(g2, rot2)
+    pg2 = pg.restrict(g.vertices - dead)
     pg2.outer = pg2.face_of_directed_edge(*surv)
     h2 = yield pg2, v_star
     fmap = _exact_face_map(pg2, pg, skip={pg2.outer})
@@ -333,16 +331,10 @@ def _vns_suppress(pg, v_star, v, x, y):
     if f1 == f2:
         raise InternalInvariantBreach("degree-2 vertex sees one face twice")
     keep = g.vertices - {v}
-    edges = [e for e in g.edges() if v not in e] + [(min(x, y), max(x, y))]
-    g2 = Graph(keep, edges)
-    rot2 = {}
-    for w in keep:
-        if w == x:
-            rot2[w] = tuple(y if z == v else z for z in pg.rot[w])
-        elif w == y:
-            rot2[w] = tuple(x if z == v else z for z in pg.rot[w])
-        else:
-            rot2[w] = pg.rot[w]
+    g2 = Graph(keep, [e for e in g.edges() if v not in e] + [(x, y)])
+    rot2 = {w: pg.rot[w] for w in keep}
+    for a, b in ((x, y), (y, x)):
+        rot2[a] = tuple(b if z == v else z for z in pg.rot[a])
     surv = next(de for de in pg.face_walk(pg.outer) if v not in de)
     pg2 = PlaneGraph(g2, rot2)
     pg2.outer = pg2.face_of_directed_edge(*surv)
@@ -383,7 +375,6 @@ def _vns_interior(pg, v_star):
     if len(set(theta)) != k:
         raise InternalInvariantBreach("faces around interior vertex repeat")
     paths = []
-    starts = []
     for t in range(k):
         wk = list(pg.face_walk(theta[t]))
         i = wk.index((nbrs[t], u))
@@ -394,10 +385,8 @@ def _vns_interior(pg, v_star):
             raise InternalInvariantBreach("face %d does not leave %r between neighbors %r and %r"
                                           % (theta[t], u, nbrs[t], after))
         paths.append(pvs)
-        starts.append(pvs[0])
 
-    g2 = g.without_vertex(u)
-    pg2 = PlaneGraph(g2, _restrict_rot(pg, g2.vertices))
+    pg2 = pg.restrict(g.vertices - {u})
     pg2.outer = pg2.face_of_directed_edge(*pg.face_walk(pg.outer)[0])
     link_de = next(de for de in pg.face_walk(theta[0]) if u not in de)
     theta_u = pg2.face_of_directed_edge(*link_de)
@@ -409,15 +398,12 @@ def _vns_interior(pg, v_star):
     h2 = yield pg2, v_star
     fmap = _exact_face_map(pg2, pg, skip={theta_u})
     h = {(w, fmap[f]) for (w, f) in h2 if f != theta_u}
-    base = {}
+    base, where = {}, {}
     for t in range(k):
         for w in paths[t][1:]:
             base[w] = (w, theta[t])
-    zs = sorted(w for w in link_vs if (w, theta_u) not in h2)
-    where = {}
-    for t in range(k):
-        for w in paths[t][1:]:
             where.setdefault(w, t)
+    zs = sorted(w for w in link_vs if (w, theta_u) not in h2)
     add = set()
     drop = set()
     if len(zs) == 0:
@@ -436,7 +422,7 @@ def _vns_interior(pg, v_star):
             add = {(u, theta[i]), (u, theta[j])}
             drop = {base[z1], base[z2]}
         else:
-            s = starts[j]
+            s = paths[j][0]
             jn = (j + 1) % k
             if base[s] != (s, theta[jn]):
                 raise InternalInvariantBreach("path start %r is not covered on face %d"
@@ -462,7 +448,7 @@ def _vns_leaf_block(pg, v_star, blocks, cuts):
         if len(bcuts) != 1:
             continue
         r = bcuts[0]
-        pgb = PlaneGraph(g.subgraph(blk), _restrict_rot(pg, blk))
+        pgb = pg.restrict(blk)
         impure = [f for f, walk in enumerate(pgb.faces) if frozenset(walk) not in p_keys]
         if len(impure) != 1:
             continue
@@ -482,10 +468,9 @@ def _vns_leaf_block(pg, v_star, blocks, cuts):
     mixed = pg.face_of_directed_edge(*pgb.face_walk(pgb.outer)[0])
 
     dead = set(blk) - {r}
-    g2 = g.subgraph(g.vertices - dead)
-    pg2 = PlaneGraph(g2, _restrict_rot(pg, g2.vertices))
+    pg2 = pg.restrict(g.vertices - dead)
     theta_b = 0
-    if g2.m:
+    if pg2.g.m:
         def alive(fid):
             return [de for de in pg.face_walk(fid) if de[0] not in dead and de[1] not in dead]
 
@@ -521,14 +506,17 @@ class FaceClasses:
     classes are exactly the faces of the drawn subgraph in the inherited
     drawing, which is the honest face structure even when the subgraph
     is disconnected or nested.  A class is named by its smallest member
-    face id.
+    face id.  It stores each face's class, G[v2] as sub and its
+    components as pieces; depths and holding classes are derived.
     """
 
-    __slots__ = ("pg", "v2", "_cls", "outer_class")
+    __slots__ = ("pg", "v2", "sub", "pieces", "_cls", "outer_class")
 
     def __init__(self, pg: PlaneGraph, v2):
         self.pg = pg
         self.v2 = frozenset(v2)
+        self.sub = pg.g.subgraph(self.v2)
+        self.pieces = connected_components(self.sub)
         parent = list(range(pg.face_count()))
 
         def find(x):
@@ -587,7 +575,7 @@ class FaceClasses:
 def component_planes(fc: FaceClasses):
     """Standalone plane pieces of the subgraph drawn on fc.v2 in fc.pg.
 
-    For each connected piece, ordered by smallest vertex, yields
+    For each piece in fc.pieces, ordered by smallest vertex, yields
     (vertices, piece PlaneGraph, local face id -> class, v_star).  The
     piece's outer face is its incident class nearest the ambient outer
     region; v_star is the smallest vertex on it.  The planar set-up
@@ -595,10 +583,9 @@ def component_planes(fc: FaceClasses):
     """
     pg = fc.pg
     depth = fc.class_depths()
-    sub = pg.g.subgraph(fc.v2)
     out = []
-    for comp in connected_components(sub):
-        pgq = PlaneGraph(sub.subgraph(comp), _restrict_rot(pg, comp))
+    for comp in fc.pieces:
+        pgq = pg.restrict(comp)
         cmap = {}
         for fid, walk in enumerate(pgq.faces):
             # a single-vertex piece has one face and no edges to read it from

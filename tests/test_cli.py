@@ -195,6 +195,11 @@ def test_verify_jobs_below_one_exits_2(capsys):
         assert capsys.readouterr().err == "error: --jobs must be at least 1 (got %s)\n" % jobs
 
 
+def test_k2k2_past_the_big_side_cap_exits_2(capsys):
+    assert main(["verify", "--family", "k2k2", "--k", "65"]) == 2
+    assert "big side would have 4225 vertices (cap 4096)" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))

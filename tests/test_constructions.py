@@ -133,6 +133,8 @@ def test_build_k2_k2_instances():
         if k >= 2:
             assert all(len(lists[v]) == min(g.degree(v), k) for v in g.vertices)
         assert find_list_coloring(g, lists) is None
+    with pytest.raises(InstanceTooLarge):
+        build_k2_k2(65)  # big side 4225 > 4096, refused before building
 
 
 def test_build_ks_minus1_instances():

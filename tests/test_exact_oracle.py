@@ -188,6 +188,15 @@ def test_size_guards():
         is_f_choosable(g, degrees(g))
     with pytest.raises(InstanceTooLarge):
         is_dp_f_colorable(g, degrees(g))
+    # the list-assignment count is bounded from its prefixes, so K7 and K8
+    # are refused within seconds
+    for n in (7, 8):
+        with pytest.raises(InstanceTooLarge):
+            is_degree_choosable(complete(n))
+    # six vertices besides the largest list: C7 passes the guard
+    c7 = cycle(7)
+    ok, cert = is_degree_choosable(c7)
+    assert not ok and find_list_coloring(c7, cert) is None
 
 
 def test_determinism_of_certificates():

@@ -15,7 +15,7 @@ from dpchroma.core_graph import Graph, connectivity_at_least
 from dpchroma.dp_cover import Cover, degree_truncated_sizes, find_dp_coloring, is_coloring_valid
 from dpchroma.errors import (EmptyResidualList, GDPTreeTight, InternalInvariantBreach,
                              PreconditionViolated)
-from dpchroma.plane_embed import PlaneGraph
+from dpchroma.plane_embed import FaceClasses, PlaneGraph, augment_visibility
 from dpchroma.planar_truncated import (NoMove, PipelineState, color_planar_truncated,
                                        finish, partition_threshold,
                                        plan_order, step_r1, step_r2)
@@ -101,11 +101,13 @@ def test_partition_threshold():
 
 
 def test_plan_order():
-    ico = nx_plane("icosahedron").g
-    assert plan_order(ico, set()) == []
+    assert plan_order(FaceClasses(nx_plane("icosahedron"), set())) == []
     pg, _ = generate_hub_instance(3, 34, 2)
-    g = Graph(pg.g.vertices, pg.g.edges() + [(34, 35)])  # the chord augmentation would add
-    order = plan_order(g, {34, 35, 36})
+    v2 = {34, 35, 36}
+    fc = FaceClasses(augment_visibility(pg, v2), v2)
+    g = fc.pg.g
+    assert g.has_edge(34, 35) and not pg.g.has_edge(34, 35)  # the chord is drawn
+    order = plan_order(fc)
     assert order == [35, 34, 36]  # fan hubs contiguous, then the outer hub
     pos = {v: i for i, v in enumerate(order)}
     for v in order:
@@ -222,6 +224,22 @@ def test_set_up_builds_the_face_classes_once(monkeypatch):
         pg, cover = generate_hub_instance(hubs, rim, 7)
         color_planar_truncated(pg, cover)
         assert built == [hubs]
+
+
+def test_set_up_builds_g_v2_once(monkeypatch):
+    pg, cover = generate_hub_instance(3, 60, 7)
+    v1, v2 = partition_threshold(pg.g)
+    kept = []
+    subgraph = Graph.subgraph
+
+    def counting(self, keep):
+        sub = subgraph(self, keep)
+        kept.append(sub.vertices)
+        return sub
+
+    monkeypatch.setattr(Graph, "subgraph", counting)
+    PipelineState(pg, cover, v1, v2)
+    assert kept.count(v2) == 1
 
 
 def test_step_functions_direct():

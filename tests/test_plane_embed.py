@@ -1,13 +1,16 @@
 import pytest
 
+from corpus import planar_classes
 from oracles import vertex_face_incidences
+from dpchroma.cli import generate_hub_instance
+from dpchroma.constructions import gadget_h_plane
 from dpchroma.core_graph import Graph
 from dpchroma.dp_cover import Cover
 from dpchroma.errors import (A2Unattainable, BadRotation, InternalInvariantBreach, MalformedInput,
                              NotConnected)
 from dpchroma.plane_embed import (FaceClasses, PlaneGraph, augment_visibility,
                                   component_planes, parse_plane, write_plane)
-from dpchroma.planar_truncated import PipelineState
+from dpchroma.planar_truncated import PipelineState, partition_threshold
 
 
 def square_with_chord():
@@ -42,6 +45,28 @@ def test_faces_at_vertex():
     pg = square_with_chord()
     assert len(pg.faces_at(0)) == 3
     assert len(pg.faces_at(1)) == 2
+
+
+def test_faces_at_matches_face_incidences():
+    lone = PlaneGraph(Graph([0], []), {0: ()})
+    assert lone.faces_at(0) == [0]
+    drawings = [lone, gadget_h_plane()]
+    drawings += [PlaneGraph(g, rot) for n in range(1, 7) for g, rot in planar_classes(n)]
+    for hubs, rim in ((2, 24), (3, 30), (3, 60)):
+        pg, _ = generate_hub_instance(hubs, rim, 7)
+        drawings += [pg, augment_visibility(pg, partition_threshold(pg.g)[1])]
+    for pg in drawings:
+        for v in pg.g.vertices:
+            fids = pg.faces_at(v)
+            assert fids == sorted(set(fids))
+        assert {(v, f) for v in pg.g.vertices for f in pg.faces_at(v)} == vertex_face_incidences(pg)
+
+
+def test_restrict_filters_each_rotation():
+    tri = square_with_chord().restrict({0, 1, 2})
+    assert tri.g.edges() == [(0, 1), (0, 2), (1, 2)]
+    assert tri.rot == {0: (1, 2), 1: (2, 0), 2: (0, 1)}
+    assert tri.outer == 0 and tri.face_count() == 2
 
 
 def test_euler_check_rejects_nonplanar_rotation():
