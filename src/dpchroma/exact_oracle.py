@@ -2,18 +2,24 @@
 
 The two quantified oracles (is_f_choosable, is_dp_f_colorable) decide a
 universal statement over all list assignments / all covers with given
-sizes.  Both enumerate canonical representatives only:
+sizes.  Both enumerate canonical representatives only, and both carry
+the proper colorings that survive at a search node as one int: bit
+sum(c_i * stride_i) stands for the coloring giving vertex i its color
+(or list entry) c_i, in mixed radix over the list sizes, and
+_coloring_masks gives the colorings where a vertex takes a color.
 
 * list assignments are enumerated up to renaming of colors, as a tree of
-  "reuse or fresh" decisions, and the vertex with the largest list is
-  never enumerated: whether some list for it breaks the assignment is
-  decided from the colorings of the rest (the set of colors a bad list
-  would have to be contained in shrinks monotonically, so this closes
-  early almost always);
+  "reuse or fresh" decisions, and the vertex w with the largest list is
+  never enumerated.  Fixing a vertex's list strikes the colorings of
+  G - w where it shares a token with an earlier neighbor; at a leaf, a
+  list for w is bad iff every token in it is used on N(w) by every
+  surviving coloring (any list at all when none survives);
 * covers are enumerated with spanning-tree matchings normalized by
   relabeling colors top-down, the remaining edges carrying arbitrary
-  injections, and one non-tree edge left out: the realizable color pairs
-  across that edge admit a bad matching iff they form a partial matching.
+  injections, and one non-tree edge left out.  Each matching strikes
+  the colorings it forbids; at a leaf, the realizable color pairs across
+  the left-out edge admit a bad matching iff they form a partial
+  matching.
 
 Both return a certificate when the answer is negative (a bad list
 assignment / a bad cover), and the certificate is re-verified by the
@@ -60,6 +66,23 @@ def _refuted(cover: Cover):
     if find_dp_coloring(cover) is not None:
         raise InternalInvariantBreach("certificate cover has a coloring")
     return cover
+
+
+def _coloring_masks(sizes):
+    """(every, at) over the prod(sizes) colorings of vertices 0, 1, ...
+    (mixed radix, vertex 0 the lowest digit): every has all their bits
+    set, at[i][c] those of the colorings where i takes color c."""
+    total = 1
+    for s in sizes:
+        total *= s
+    at = []
+    stride = 1
+    for s in sizes:
+        period = stride * s
+        rep = ((1 << total) - 1) // ((1 << period) - 1)
+        at.append([((1 << stride) - 1 << c * stride) * rep for c in range(s)])
+        stride = period
+    return (1 << total) - 1, at
 
 
 # ---------------------------------------------------------------------------
@@ -133,73 +156,63 @@ def is_f_choosable(g: Graph, f):
     pos = {v: p for p, v in enumerate(rest)}
     fp = [f[v] for v in rest]
     fw = f[w]
-
-    # search order for colorings of G - w: neighbors of w first
     nw = sorted(pos[u] for u in g.adj[w])
-    sorder = nw + [p for p in range(k) if p not in set(nw)]
-    sidx = {p: i for i, p in enumerate(sorder)}
-    sadj = [[sidx[pos[u]] for u in g.adj[rest[p]]
-             if u in pos and sidx[pos[u]] < sidx[p]] for p in sorder]
-    nw_count = len(nw)
+    earlier = [[pos[u] for u in g.adj[v] if u in pos and pos[u] < p] for p, v in enumerate(rest)]
+    # colorings of G - w, vertex p taking entry i of its list
+    every, at = _coloring_masks(fp)
+    stride = [1] * k
+    for p in range(1, k):
+        stride[p] = stride[p - 1] * fp[p - 1]
 
     vlist = [[] for _ in range(k)]
     entries = []            # [mask, ids]; ids sorted, masks pairwise distinct
     counter = [0]
     found = [None]
 
-    def leaf_has_bad_list():
-        assign = [None] * k
-        inter = [None]
-        realized = [False]
-
-        def extend(i):
-            if i == k:
-                return True
-            for c in vlist[sorder[i]]:
-                if all(assign[j] != c for j in sadj[i]):
-                    assign[i] = c
-                    if extend(i + 1):
-                        assign[i] = None
-                        return True
-                    assign[i] = None
-            return False
-
-        def enum_nw(i):
-            # True means the leaf is settled as fine
-            if i == nw_count:
-                if extend(nw_count):
-                    realized[0] = True
-                    s = {assign[j] for j in range(nw_count)}
-                    inter[0] = s if inter[0] is None else inter[0] & s
-                    if len(inter[0]) < fw:
-                        return True
+    def leaf_has_bad_list(surv):
+        forced = []
+        if surv:
+            # only the tokens of one surviving coloring on N(w) can be
+            # used by all of them
+            bit = (surv & -surv).bit_length() - 1
+            tokens = sorted({vlist[p][bit // stride[p] % fp[p]] for p in nw})
+            spare = len(tokens) - fw
+            if spare < 0:
                 return False
-            used = {assign[j] for j in range(i)}
-            lst = vlist[sorder[i]]
-            for c in [c for c in lst if c in used] + [c for c in lst if c not in used]:
-                if all(assign[j] != c for j in sadj[i]):
-                    assign[i] = c
-                    if enum_nw(i + 1):
-                        assign[i] = None
-                        return True
-                    assign[i] = None
-            return False
-
-        if enum_nw(0):
-            return False
+            for c in tokens:
+                uses = 0
+                for p in nw:
+                    if c in vlist[p]:
+                        uses |= at[p][vlist[p].index(c)]
+                if not surv & ~uses:
+                    forced.append(c)
+                elif spare:
+                    spare -= 1
+                else:
+                    return False
         bad = {rest[p]: list(vlist[p]) for p in range(k)}
-        if not realized[0]:
-            bad[w] = [-(i + 1) for i in range(fw)]
-        else:
-            bad[w] = sorted(inter[0])[:fw]
+        bad[w] = forced[:fw] if surv else [-(i + 1) for i in range(fw)]
         found[0] = bad
         return True
 
-    def at_vertex(p):
+    def at_vertex(p, surv):
         if p == k:
-            return leaf_has_bad_list()
+            return leaf_has_bad_list(surv)
+        # near[c]: the colorings where an earlier neighbor of p takes c
+        near = {}
+        for q in earlier[p]:
+            for i, c in enumerate(vlist[q]):
+                near[c] = near.get(c, 0) | at[q][i]
         ne = len(entries)
         chosen = []
+
+        def strike():
+            # fresh tokens come last in vlist[p] and no neighbor has them
+            hit = 0
+            for j, c in enumerate(chosen):
+                if c in near:
+                    hit |= at[p][j] & near[c]
+            return surv & ~hit
 
         def pick(ti, r):
             if r == 0 or ti == ne:
@@ -209,12 +222,12 @@ def is_f_choosable(g: Graph, f):
                     counter[0] = base + r
                     entries.append([1 << p, fresh])
                     vlist[p] = chosen + fresh
-                    stop = at_vertex(p + 1)
+                    stop = at_vertex(p + 1, strike())
                     entries.pop()
                     counter[0] = base
                 else:
                     vlist[p] = list(chosen)
-                    stop = at_vertex(p + 1)
+                    stop = at_vertex(p + 1, strike())
                 vlist[p] = []
                 return stop
             mask, ids = entries[ti]
@@ -236,7 +249,7 @@ def is_f_choosable(g: Graph, f):
 
         return pick(0, fp[p])
 
-    if at_vertex(0):
+    if at_vertex(0, every):
         _refuted(induced_cover(g, found[0])[0])
         return False, found[0]
     return True, None
@@ -307,104 +320,66 @@ def is_dp_f_colorable(g: Graph, f):
         if total > 30_000_000:
             raise InstanceTooLarge("too many covers to enumerate")
 
-    pt = {}
-    for u in vs:
-        for w in g.adj[u]:
-            pt[(u, w)] = [None] * f[u]
-
-    if e_star is not None:
-        x, y = e_star
-        corder = [x, y] + [v for v in order if v not in (x, y)]
-    else:
-        x = y = None
-        corder = list(order)
-    cpos = {v: i for i, v in enumerate(corder)}
-    cadj = [[u for u in sorted(g.adj[v]) if cpos[u] < cpos[v]
-             and not (e_star is not None and {u, v} == {x, y})] for v in corder]
-    colors = [None] * len(corder)
-
-    def exists(i):
-        if i == len(corder):
-            return True
-        v = corder[i]
-        for c in range(f[v]):
-            ok = True
-            for u in cadj[i]:
-                if pt[(u, v)][colors[cpos[u]]] == c:
-                    ok = False
-                    break
-            if ok:
-                colors[i] = c
-                if exists(i + 1):
-                    colors[i] = None
-                    return True
-                colors[i] = None
-        return False
+    every, at = _coloring_masks([f[v] for v in vs])
+    at = dict(zip(vs, at))
+    slot_of = {(min(u, w), max(u, w)): si for si, (u, w, _) in enumerate(slots)}
+    # pair_masks[si][i][j]: the colorings that slot si's pair (i, j) forbids
+    pair_masks = [[[a & b for b in at[w]] for a in at[u]] for u, w, _ in slots]
+    chosen = [None] * len(slots)
+    witness = [None]
 
     def current_matchings(extra=None):
         out = {}
-        for u, w in g.edges():
-            if e_star is not None and (u, w) == e_star:
-                continue
-            pairs = [(i, j) for i, j in enumerate(pt[(u, w)]) if j is not None]
-            if pairs:
-                out[(u, w)] = pairs
+        for e in g.edges():
+            if e != e_star:
+                si = slot_of[e]
+                form = chosen[si]
+                out[e] = sorted(form if slots[si][0] == e[0] else [(j, i) for i, j in form])
         if extra:
             out[e_star] = extra
         return out
 
-    witness = [None]
-
-    def handle_full():
+    def handle_full(surv):
         if e_star is None:
-            if exists(0):
+            if surv:
                 return False
             witness[0] = current_matchings()
             return True
         # realizable color pairs across the missing edge
-        rows = {}
-        for cx in range(f[x]):
-            colors[0] = cx
-            hits = []
-            for cy in range(f[y]):
-                colors[1] = cy
-                if exists(2):
-                    hits.append(cy)
-                    if len(hits) > 1:
-                        colors[0] = colors[1] = None
-                        return False
-            rows[cx] = hits
-            colors[1] = None
-        colors[0] = None
-        used = [cy for hits in rows.values() for cy in hits]
-        if len(set(used)) < len(used):
-            return False
-        pairs = sorted((cx, hits[0]) for cx, hits in rows.items() if hits)
+        x, y = e_star
+        pairs = []
+        for cx, ax in enumerate(at[x]):
+            sx = surv & ax
+            if sx:
+                for cy, ay in enumerate(at[y]):
+                    if sx & ay:
+                        break
+                # a second color at y, or a second color at x for cy
+                if sx & ~ay or any(cy == b for _, b in pairs):
+                    return False
+                pairs.append((cx, cy))
         # extend the realizable pairs to a maximal matching
-        free_x = [cx for cx in range(f[x]) if not rows[cx]]
-        free_y = [cy for cy in range(f[y]) if cy not in set(used)]
-        pairs += list(zip(free_x, free_y))
+        free_x = [cx for cx in range(f[x]) if all(cx != a for a, _ in pairs)]
+        free_y = [cy for cy in range(f[y]) if all(cy != b for _, b in pairs)]
+        pairs += zip(free_x, free_y)
         witness[0] = current_matchings(extra=sorted(pairs))
         return True
 
-    def assign_slot(si):
+    def assign_slot(si, surv):
         if si == len(slots):
-            return handle_full()
+            return handle_full(surv)
         u, w, forms = slots[si]
-        fu, fw_ = pt[(u, w)], pt[(w, u)]
+        both = pair_masks[si]
         for form in forms:
+            hit = 0
             for i, j in form:
-                fu[i] = j
-                fw_[j] = i
-            stop = assign_slot(si + 1)
-            for i, j in form:
-                fu[i] = None
-                fw_[j] = None
-            if stop:
+                hit |= both[i][j]
+            chosen[si] = form
+            if assign_slot(si + 1, surv & ~hit):
                 return True
         return False
 
-    if assign_slot(0):
+    if assign_slot(0, every):
         return False, _refuted(Cover(g, f, witness[0]))
     return True, None
 

@@ -7,7 +7,10 @@ in tests/oracles.py, and connectivity also with networkx's
 node_connectivity on the hub instances and the drum fixture.  The
 exact cover search (one loop over bitmasks and buckets) is compared
 with the recursive search it replaced: same witnesses in the same
-order, same None verdicts, same budget trips.  The
+order, same None verdicts, same budget trips.  The quantified
+oracles (surviving colorings kept as one bitmask per search node) are
+compared with the versions that re-searched the colorings at every
+leaf: same verdicts, same bad lists, same bad covers.  The
 pipelines' component safety (comp_safe_now, read off the running
 availability sets) is compared with oracles.is_safe, which recounts
 the colors left from the cover, after every R1/R2 step of the
@@ -22,13 +25,15 @@ import pytest
 
 from corpus import connected_graph_classes, connected_graph_extensions
 from oracles import block_kind_by_subgraph, connectivity_by_deletion, is_safe, \
-    recursive_dp_coloring, subgraph_by_edge_filter
+    recursive_dp_coloring, reference_dp_f_colorable, reference_f_choosable, \
+    subgraph_by_edge_filter
 from dpchroma import minor_truncated, planar_truncated
 from dpchroma.cli import generate_hub_instance
 from dpchroma.constructions import chain_case
 from dpchroma.core_graph import Graph, block_kind, blocks_and_cut_vertices, connectivity_at_least
 from dpchroma.dp_cover import Cover, find_dp_coloring, induced_cover
 from dpchroma.errors import InstanceTooLarge
+from dpchroma.exact_oracle import is_dp_f_colorable, is_f_choosable
 from test_golden import PROTECTION_RUNS
 from test_planar_truncated import drum_plane
 
@@ -160,6 +165,43 @@ def test_search_matches_recursive_reference():
     for i in range(42):
         cover = induced_cover(*chain_case(i))[0]
         assert find_dp_coloring(cover) is None and recursive_dp_coloring(cover) is None
+
+
+def oracle_outcome(oracle, g, f):
+    """Verdict plus certificate: the bad lists, or the bad cover's sizes
+    and the matching on every edge."""
+    ok, cert = oracle(g, f)
+    if isinstance(cert, Cover):
+        cert = (cert.sizes, [(e, cert.edge_pairs(*e)) for e in g.edges()])
+    return ok, cert
+
+
+def test_oracles_match_reference():
+    """Every connected class on at most 5 vertices under degree sizes,
+    300 seeded size vectors (each size in 1..deg+1; DP only on the
+    classes with at most 6 edges, where the reference is quick), and
+    the disconnected inputs of test_disconnected_inputs."""
+    cases = [(g, {v: g.degree(v) for v in g.vertices}, True)
+             for n in range(1, 6) for g in connected_graph_classes(n)]
+    pool = [g for n in range(1, 6) for g in connected_graph_classes(n)]
+    rng = random.Random(2024)
+    for _ in range(300):
+        g = rng.choice(pool)
+        cases.append((g, {v: rng.randint(1, g.degree(v) + 1) for v in sorted(g.vertices)},
+                      g.m <= 6))
+    triangle = Graph(range(5), [(0, 1), (1, 2), (0, 2)])
+    cases += [(triangle, {0: s, 1: s, 2: s, 3: 1, 4: 1}, True) for s in (2, 3)]
+    seen = set()
+    for g, f, with_dp in cases:
+        pairs = [(is_f_choosable, reference_f_choosable)]
+        if with_dp:
+            pairs.append((is_dp_f_colorable, reference_dp_f_colorable))
+        for oracle, reference in pairs:
+            want = oracle_outcome(reference, g, f)
+            assert oracle_outcome(oracle, g, f) == want, (oracle.__name__, g.edges(), f)
+            seen.add((oracle.__name__, want[0]))
+    assert seen == {(name, ok) for name in ("is_f_choosable", "is_dp_f_colorable")
+                    for ok in (True, False)}
 
 
 @pytest.mark.parametrize("name", sorted(PROTECTION_RUNS))

@@ -199,6 +199,22 @@ def test_size_guards():
     assert not ok and find_list_coloring(c7, cert) is None
 
 
+def test_oracles_at_eight_vertices():
+    # the largest coloring masks the oracles build: 3^8 colorings of the
+    # cube for DP, 2^7 of C8 - w for choosability
+    cube = Graph(range(8), [(u, u | b) for u in range(8) for b in (1, 2, 4) if not u & b])
+    assert is_degree_dp_colorable(cube) == (True, None)
+    c8 = cycle(8)
+    ok, cover = is_degree_dp_colorable(c8)
+    assert not ok and find_dp_coloring(cover) is None
+    assert is_degree_choosable(c8) == (True, None)
+    wheel = Graph(range(8), [(0, i) for i in range(1, 8)] + [(i, i % 7 + 1) for i in range(1, 8)])
+    with pytest.raises(InstanceTooLarge):
+        is_degree_choosable(wheel)
+    with pytest.raises(InstanceTooLarge):
+        is_degree_dp_colorable(wheel)
+
+
 def test_determinism_of_certificates():
     g = Graph(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     a = is_degree_choosable(g)

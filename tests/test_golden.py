@@ -28,15 +28,19 @@ planar graphs of test_sweep_random_planar.  That covers the leaf-block,
 ear, suppress and interior branches.  PIECES_GOLDEN pins
 `component_planes` (piece, outer face, face-to-class map, v_star) on the
 chord-augmented hub instances above and the drum fixture at quarters
-15 and 30.
+15 and 30.  ORACLE_GOLDEN pins the verdict and certificate of both
+quantified oracles (`is_degree_choosable`, `is_degree_dp_colorable`) on
+every connected class on at most 5 vertices: the bad lists, or the
+cover's sizes and the matching on every edge.
 """
 
 import hashlib
 
 import pytest
 
-from corpus import planar_classes, random_connected_planar
+from corpus import connected_graph_classes, planar_classes, random_connected_planar
 from dpchroma.cli import generate_hub_instance, main
+from dpchroma.exact_oracle import is_degree_choosable, is_degree_dp_colorable
 from dpchroma.minor_truncated import color_minor_truncated
 from dpchroma.planar_truncated import color_planar_truncated, partition_threshold
 from dpchroma.plane_embed import (FaceClasses, PlaneGraph, augment_visibility,
@@ -152,6 +156,7 @@ def test_protection_digests(name):
 
 H_GOLDEN = "292cea8048da13119d2a2a6e5cdbef2cd14f0a58f6347726ab80aa3003c79706"
 PIECES_GOLDEN = "bd419ac19db83b22b6cdb71431e52bb66f20b55a8492ad896fb2edc247c10e47"
+ORACLE_GOLDEN = "d6835479251098155e7503f25cd25b7fcc1d7af08000e4d46e01f3d2c249526b"
 
 
 def _digest(lines):
@@ -189,3 +194,18 @@ def test_component_planes_digest():
             lines.append("%s %r %d %r %r" % (name, comp, pgq.outer, sorted(cmap.items()), v_star))
     assert len(lines) >= 6
     assert _digest(lines) == PIECES_GOLDEN
+
+
+def test_oracle_certificates_digest():
+    lines = []
+    for n in range(1, 6):
+        for ci, g in enumerate(connected_graph_classes(n)):
+            ok, lists = is_degree_choosable(g)
+            cert = None if ok else sorted((v, list(lst)) for v, lst in lists.items())
+            lines.append("ch %d %d %s %r" % (n, ci, ok, cert))
+            ok, cover = is_degree_dp_colorable(g)
+            cert = None if ok else (sorted(cover.sizes.items()),
+                                    [(e, cover.edge_pairs(*e)) for e in g.edges()])
+            lines.append("dp %d %d %s %r" % (n, ci, ok, cert))
+    assert len(lines) == 2 * (1 + 1 + 2 + 6 + 21)
+    assert _digest(lines) == ORACLE_GOLDEN
