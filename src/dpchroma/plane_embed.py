@@ -8,12 +8,27 @@ Faces are traced eagerly: the walk leaving v toward the successor of u
 in rot(v) after arriving from u.  Each face has one boundary walk (a
 single vertex has one face with an empty walk), and a rotation system is
 accepted only if |V| - |E| + |F| = 2, i.e. the embedding is planar.
-Faces are identified across graphs by their directed edges, so
-operations that modify the graph can report how old face ids map to new.
+
+very_nice_subgraph copies the caller's drawing once into a private
+working drawing with stable face ids: each face keeps its id until a
+reduction merges it away, a merged face takes an id the reduction names,
+and every reduction (interior deletion, degree-2 suppression, ear
+removal, leaf-block split) edits only the faces it merges and puts them
+back from its undo record when the smaller instance's H returns.  H is
+therefore built in the caller's face ids with no per-level re-trace or
+face-id map.  A step costs the face edges it reads plus the heap work
+that picks it, and an ear step scans every inner face: near-linear on
+the hub instances, where each interior step reads a dozen face edges
+and the ear phase is about one step.  The
+block decomposition runs only where 2-connectivity is not known (at the
+top and on a leaf block's remainder); whether deleting an interior
+vertex keeps 2-connectivity is read off the merged face, which must
+visit no vertex twice.
 """
 
 from __future__ import annotations
 
+import heapq
 from itertools import combinations
 
 from .core_graph import Graph, connected_components, is_connected, parse_graph, write_graph
@@ -166,30 +181,37 @@ def is_nice(pg: PlaneGraph, h, very=None):
 
     h is a collection of (vertex, face id) incidence pairs.  With
     very=v_star the outer face must be fully covered and v_star must
-    have degree exactly 1.
+    have degree exactly 1.  One pass over h groups it by face and
+    counts vertex degrees.
     """
     from .core_graph import blocks_and_cut_vertices
 
     h = set(h)
     viol = []
     face_vs = {fid: pg.face_vertices(fid) for fid in range(pg.face_count())}
+    on_face = {fid: set(vs) for fid, vs in face_vs.items()}
     for (v, fid) in sorted(h):
-        if fid not in face_vs or v not in face_vs[fid]:
+        if fid not in on_face or v not in on_face[fid]:
             viol.append("not an incidence: vertex %r face %r" % (v, fid))
     dv = {}
+    covered = {}
     for (v, fid) in h:
         dv[v] = dv.get(v, 0) + 1
+        covered.setdefault(fid, set()).add(v)
     for v in sorted(dv):
         if dv[v] > 2:
             viol.append("vertex %r covered %d times" % (v, dv[v]))
-    blocks = [set(b) for b in blocks_and_cut_vertices(pg.g)[0]]
+    in_blocks = {}
+    for i, blk in enumerate(blocks_and_cut_vertices(pg.g)[0]):
+        for v in blk:
+            in_blocks.setdefault(v, set()).add(i)
     for fid in range(pg.face_count()):
-        vs = face_vs[fid]
-        covered = {v for (v, f) in h if f == fid}
-        uncovered = [v for v in vs if v not in covered]
+        cov = covered.get(fid, ())
+        uncovered = [v for v in face_vs[fid] if v not in cov]
         if len(uncovered) > 2:
             viol.append("face %d misses %d vertices" % (fid, len(uncovered)))
-        if uncovered and not any(set(uncovered) <= b for b in blocks):
+        if uncovered and not in_blocks[uncovered[0]].intersection(
+                *(in_blocks[v] for v in uncovered[1:])):
             viol.append("face %d misses vertices across blocks: %r" % (fid, sorted(uncovered)))
     if very is not None:
         outer_vs = face_vs[pg.outer]
@@ -199,30 +221,6 @@ def is_nice(pg: PlaneGraph, h, very=None):
         if dv.get(very, 0) != 1:
             viol.append("designated vertex %r has degree %d" % (very, dv.get(very, 0)))
     return (not viol), viol
-
-
-def _lift(h, face_map):
-    return {(v, face_map[f]) for (v, f) in h}
-
-
-def _exact_face_map(child, parent, skip=(), translate=None):
-    """Map child face ids to parent ids by directed-edge identity.
-
-    translate rewrites a child directed edge into a parent one (used
-    when an edge was introduced by suppression).  Faces listed in skip
-    are left out; every other face must match exactly one parent face.
-    """
-    fmap = {}
-    for fid, walk in enumerate(child.faces):
-        if fid in skip:
-            continue
-        got = {parent.face_of_directed_edge(*(translate(de) if translate else de))
-               for de in walk}
-        if len(got) != 1:
-            raise InternalInvariantBreach("child face %d maps to parent faces %r"
-                                          % (fid, sorted(got)))
-        fmap[fid] = got.pop()
-    return fmap
 
 
 def very_nice_subgraph(pg: PlaneGraph, v_star):
@@ -243,14 +241,207 @@ def very_nice_subgraph(pg: PlaneGraph, v_star):
     return frozenset(h)
 
 
+class _Drawing:
+    """The one working drawing that very_nice_subgraph edits in place.
+
+    A private copy of the caller's PlaneGraph.  Each rotation is a
+    cyclic linked list (succ, pred) with head, the first neighbor of the
+    caller's rotation still present; the vertex set is succ's keys.
+    Faces have stable ids: rep holds one directed edge of each face (None
+    for a lone vertex's face) and ef the face id of every directed edge,
+    and a walk is traced from the rotation when it is read.  Ids are never
+    renumbered: the caller's faces keep theirs, and a face made by a
+    surgery takes an id the surgery names, so only the edges of the faces
+    that lose their id are relabelled.  Each surgery returns an undo
+    record that restores the drawing exactly, so the reductions' H is
+    built in the caller's face ids.
+    """
+
+    __slots__ = ("succ", "pred", "head", "ef", "rep", "fresh")
+
+    def __init__(self, pg):
+        self.succ, self.pred, self.head = {}, {}, {}
+        for v, r in pg.rot.items():
+            k = len(r)
+            self.succ[v] = {r[i]: r[(i + 1) % k] for i in range(k)}
+            self.pred[v] = {r[(i + 1) % k]: r[i] for i in range(k)}
+            self.head[v] = r[0] if r else None
+        self.ef = dict(pg._edge_face)
+        self.rep = {fid: walk[0] if walk else None for fid, walk in enumerate(pg.faces)}
+        self.fresh = len(pg.faces)
+
+    def around(self, v):
+        """v's neighbors in rotation order, from its head."""
+        first = self.head[v]
+        if first is None:
+            return []
+        out = [first]
+        nxt = self.succ[v]
+        w = nxt[first]
+        while w != first:
+            out.append(w)
+            w = nxt[w]
+        return out
+
+    def walk(self, fid):
+        """Face fid's walk, from its representative edge."""
+        de = self.rep[fid]
+        if de is None:
+            return []
+        walk = [de]
+        u, v = de
+        cur = (v, self.succ[v][u])
+        while cur != de:
+            walk.append(cur)
+            u, v = cur
+            cur = (v, self.succ[v][u])
+        return walk
+
+    def face_vertices(self, fid):
+        return list(dict.fromkeys(a for a, _ in self.walk(fid))) or list(self.succ)
+
+    def graph(self):
+        return Graph(self.succ, [(v, w) for v, nb in self.succ.items() for w in nb if v < w])
+
+    def cut(self, dead, fid, rep):
+        """Delete the vertices in dead.  What is left of the faces with
+        an edge at dead is one face, which takes the id fid and rep, one
+        of its edges: the surviving edges of the faces other than fid
+        are relabelled.  Returns the undo record."""
+        dead = set(dead)
+        succ, ef = self.succ, self.ef
+        labels = {}
+        for v in dead:
+            for w in succ[v]:
+                labels[(v, w)] = ef[(v, w)]
+                labels[(w, v)] = ef[(w, v)]
+        merged = {f: self.walk(f) for f in set(labels.values()) if f != fid}
+        reps = {f: self.rep.pop(f) for f in merged}
+        reps[fid] = self.rep.get(fid)
+        links = []
+        kept = {}
+        for v in dead:
+            for w in succ[v]:
+                if w not in dead:
+                    links.append(self._unlink(w, v))
+            kept[v] = (succ.pop(v), self.pred.pop(v), self.head.pop(v))
+        for de in labels:
+            del ef[de]
+        for walk in merged.values():
+            for de in walk:
+                if de in ef:
+                    ef[de] = fid
+        self.rep[fid] = rep
+        return (labels, merged, reps, links, kept)
+
+    def _unlink(self, w, v):
+        """Take v out of w's rotation; returns what puts it back."""
+        nxt, prv = self.succ[w], self.pred[w]
+        a, b = prv.pop(v), nxt.pop(v)
+        was_head = self.head[w] == v
+        if a == v:
+            self.head[w] = None
+        else:
+            nxt[a], prv[b] = b, a
+            if was_head:
+                self.head[w] = b
+        return (w, v, a, b, was_head)
+
+    def uncut(self, rec):
+        labels, merged, reps, links, kept = rec
+        succ, pred, head, ef = self.succ, self.pred, self.head, self.ef
+        for v, (nxt, prv, first) in kept.items():
+            succ[v], pred[v], head[v] = nxt, prv, first
+        for w, v, a, b, was_head in reversed(links):
+            nxt, prv = succ[w], pred[w]
+            nxt[v], prv[v] = b, a
+            if a != v:
+                nxt[a], prv[b] = v, v
+            if was_head:
+                head[w] = v
+        for f, walk in merged.items():
+            for de in walk:
+                ef[de] = f
+        ef.update(labels)
+        for f, de in reps.items():
+            if de is None:
+                del self.rep[f]
+            else:
+                self.rep[f] = de
+
+    def _rename(self, w, old, new):
+        """Put new in old's slot of w's rotation."""
+        nxt, prv = self.succ[w], self.pred[w]
+        a, b = prv.pop(old), nxt.pop(old)
+        if a == old:
+            a = b = new
+        nxt[a], prv[b] = new, new
+        nxt[new], prv[new] = b, a
+        if self.head[w] == old:
+            self.head[w] = new
+
+    def smooth(self, v, x, y, f1, f2):
+        """Replace the path x-v-y by the edge x-y at the same rotation
+        slots; the faces f1 of (x, v) and f2 of (y, v) keep their ids."""
+        ef = self.ef
+        self._rename(x, v, y)
+        self._rename(y, v, x)
+        kept = (self.succ.pop(v), self.pred.pop(v), self.head.pop(v))
+        for de in ((x, v), (v, y), (y, v), (v, x)):
+            del ef[de]
+        ef[(x, y)], ef[(y, x)] = f1, f2
+        reps = (self.rep[f1], self.rep[f2])
+        self.rep[f1], self.rep[f2] = (x, y), (y, x)
+        return (v, x, y, f1, f2, kept, reps)
+
+    def unsmooth(self, rec):
+        v, x, y, f1, f2, kept, reps = rec
+        ef = self.ef
+        self.succ[v], self.pred[v], self.head[v] = kept
+        self._rename(x, y, v)
+        self._rename(y, x, v)
+        del ef[(x, y)], ef[(y, x)]
+        ef[(x, v)] = ef[(v, y)] = f1
+        ef[(y, v)] = ef[(v, x)] = f2
+        self.rep[f1], self.rep[f2] = reps
+
+
+class _Instance:
+    """What a chain of reductions shares besides the drawing: v_star,
+    the outer face id, whether the graph is known to be 2-connected,
+    and two lazily checked min-heaps of candidates, for suppression
+    (degree-2 vertices) and for deletion (vertices off the outer face).
+    Interior deletion, suppression and ear removal never move a vertex
+    onto the outer face, so the second heap only loses vertices."""
+
+    __slots__ = ("v_star", "outer", "biconnected", "deg2", "interior")
+
+    def __init__(self, wd, v_star, outer, biconnected):
+        self.v_star = v_star
+        self.outer = outer
+        self.biconnected = biconnected
+        vs = sorted(wd.succ)
+        on_outer = set(wd.face_vertices(outer))
+        self.deg2 = [v for v in vs if len(wd.succ[v]) == 2]
+        self.interior = [v for v in vs if v not in on_outer]
+
+    def touched(self, wd, vs):
+        """Queue the survivors among vs that now have degree 2."""
+        for v in vs:
+            if len(wd.succ.get(v, ())) == 2:
+                heapq.heappush(self.deg2, v)
+
+
 def _vns(pg, v_star):
     """Run the reductions from one loop over an explicit stack.
 
-    Each reduction is a generator: it yields a smaller (plane graph,
-    v_star) instance, receives that instance's covering subgraph back,
-    and returns its own.  Depth grows with n, so no Python recursion.
+    Each reduction is a generator: it edits the shared drawing, yields
+    the smaller instance, receives that instance's covering subgraph
+    back, undoes its edit and returns its own H, in the same face ids.
+    Depth grows with n, so no Python recursion.
     """
-    stack = [_vns_reduce(pg, v_star)]
+    wd = _Drawing(pg)
+    stack = [_vns_reduce(wd, _Instance(wd, v_star, pg.outer, False))]
     h = None
     while stack:
         try:
@@ -259,124 +450,136 @@ def _vns(pg, v_star):
             stack.pop()
             h = done.value
         else:
-            stack.append(_vns_reduce(*child))
+            stack.append(_vns_reduce(wd, child))
             h = None
     return h
 
 
-def _vns_reduce(pg, v_star):
+def _vns_reduce(wd, inst):
     from .core_graph import blocks_and_cut_vertices
 
-    g = pg.g
-    if g.n <= 2:
-        return {(v, fid) for fid in range(pg.face_count()) for v in pg.face_vertices(fid)}
-    blocks, cuts = blocks_and_cut_vertices(g)
-    if len(blocks) > 1:
-        return (yield from _vns_leaf_block(pg, v_star, blocks, cuts))
-    outer_vs = set(pg.face_vertices(pg.outer))
-    if outer_vs == set(g.vertices):
-        return (yield from _vns_ear(pg, v_star))
-    for v in sorted(g.vertices):
-        if v != v_star and g.degree(v) == 2:
-            x, y = sorted(g.adj[v])
-            if not g.has_edge(x, y):
-                return (yield from _vns_suppress(pg, v_star, v, x, y))
-    return (yield from _vns_interior(pg, v_star))
+    if len(wd.succ) <= 2:
+        return {(v, fid) for fid in wd.rep for v in wd.face_vertices(fid)}
+    if not inst.biconnected:
+        blocks, cuts = blocks_and_cut_vertices(wd.graph())
+        if len(blocks) > 1:
+            return (yield from _vns_leaf_block(wd, inst, blocks, cuts))
+        inst.biconnected = True
+    heap = inst.interior
+    while heap and heap[0] not in wd.succ:
+        heapq.heappop(heap)
+    if not heap:
+        return (yield from _vns_ear(wd, inst))
+    heap = inst.deg2
+    while heap:
+        v = heapq.heappop(heap)
+        nb = wd.succ.get(v, ())
+        if v != inst.v_star and len(nb) == 2:
+            x, y = sorted(nb)
+            if y not in wd.succ[x]:
+                return (yield from _vns_suppress(wd, inst, v, x, y))
+    return (yield from _vns_interior(wd, inst))
 
 
-def _vns_ear(pg, v_star):
+def _ear_in(wd, inst, fid):
+    """(e1, e2, internals) of face fid's first ear, read from its
+    smallest directed edge, or None: every vertex but the boundary
+    neighbors e1 and e2 has degree 2, and v_star is not among them."""
+    walk = wd.walk(fid)
+    i = walk.index(min(walk))
+    cyc = list(dict.fromkeys(a for a, _ in walk[i:] + walk[:i]))
+    k = len(cyc)
+    high = [v for v in cyc if len(wd.succ[v]) >= 3]
+    if len(high) > 2 or k < 3:
+        return None
+    for i in range(k):
+        e1, e2 = cyc[i], cyc[(i + 1) % k]
+        if all(v in (e1, e2) for v in high) and (inst.v_star in (e1, e2) or inst.v_star not in cyc):
+            return e1, e2, [v for v in cyc if v not in (e1, e2)]
+    return None
+
+
+def _vns_ear(wd, inst):
     """All vertices on the outer cycle: peel an inner face that is an
-    ear (every vertex between two chosen boundary neighbors has degree
-    2), recurse, then cover the ear on its two faces."""
-    g = pg.g
-    pick = None
-    for fid in range(pg.face_count()):
-        if fid == pg.outer:
-            continue
-        cyc = pg.face_vertices(fid)
-        k = len(cyc)
-        high = [v for v in cyc if g.degree(v) >= 3]
-        if len(high) > 2:
-            continue
-        for i in range(k):
-            e1, e2 = cyc[i], cyc[(i + 1) % k]
-            internals = [v for v in cyc if v not in (e1, e2)]
-            if all(v in (e1, e2) for v in high) and v_star not in internals and internals:
-                pick = (fid, e1, e2, internals)
-                break
-        if pick:
-            break
-    if pick is None:
+    ear, recurse, then cover the ear on its two faces.  The first face
+    in order of smallest directed edge that holds an ear is peeled."""
+    outer = inst.outer
+    ears = [(min(wd.walk(fid)), fid) for fid in wd.rep
+            if fid != outer and _ear_in(wd, inst, fid)]
+    if not ears:
         raise InternalInvariantBreach("no removable ear face")
-    fid, e1, e2, internals = pick
-    dead = set(internals)
-    surv = next(de for de in pg.face_walk(pg.outer) if de[0] not in dead and de[1] not in dead)
-    pg2 = pg.restrict(g.vertices - dead)
-    pg2.outer = pg2.face_of_directed_edge(*surv)
-    h2 = yield pg2, v_star
-    fmap = _exact_face_map(pg2, pg, skip={pg2.outer})
-    fmap[pg2.outer] = pg.outer
-    h = _lift(h2, fmap)
+    fid = min(ears)[1]
+    e1, e2, internals = _ear_in(wd, inst, fid)
+    rec = wd.cut(internals, outer, (e1, e2))
+    h = yield inst
+    wd.uncut(rec)
     for v in internals:
         h.add((v, fid))
-        h.add((v, pg.outer))
+        h.add((v, outer))
     return h
 
 
-def _vns_suppress(pg, v_star, v, x, y):
+def _vns_suppress(wd, inst, v, x, y):
     """Replace the path x-v-y by the edge x-y at the same rotation slot."""
-    g = pg.g
-    f1 = pg.face_of_directed_edge(x, v)
-    f2 = pg.face_of_directed_edge(y, v)
+    f1 = wd.ef[(x, v)]
+    f2 = wd.ef[(y, v)]
     if f1 == f2:
         raise InternalInvariantBreach("degree-2 vertex sees one face twice")
-    keep = g.vertices - {v}
-    g2 = Graph(keep, [e for e in g.edges() if v not in e] + [(x, y)])
-    rot2 = {w: pg.rot[w] for w in keep}
-    for a, b in ((x, y), (y, x)):
-        rot2[a] = tuple(b if z == v else z for z in pg.rot[a])
-    surv = next(de for de in pg.face_walk(pg.outer) if v not in de)
-    pg2 = PlaneGraph(g2, rot2)
-    pg2.outer = pg2.face_of_directed_edge(*surv)
-
-    def translate(de):
-        if de == (x, y):
-            return (x, v)
-        if de == (y, x):
-            return (y, v)
-        return de
-
-    h2 = yield pg2, v_star
-    fmap = _exact_face_map(pg2, pg, translate=translate)
-    h = _lift(h2, fmap)
+    rec = wd.smooth(v, x, y, f1, f2)
+    inst.touched(wd, (x, y))
+    h = yield inst
+    wd.unsmooth(rec)
     h.add((v, f1))
     h.add((v, f2))
     return h
 
 
-def _vns_interior(pg, v_star):
+def _merges_to_cycle(wd, u):
+    """Whether G - u is 2-connected, for a 2-connected G and a vertex u
+    off the outer face: the faces around u merge into one, and a
+    connected plane graph on at least 3 vertices is 2-connected iff
+    every face is bounded by a cycle, so it is iff the merged walk
+    visits no vertex twice.  Each face around u is a cycle through u,
+    so that walk has sum(len - 2) steps over the faces' other
+    vertices."""
+    theta = [wd.ef[(w, u)] for w in wd.succ[u]]
+    if len(set(theta)) != len(theta):
+        raise InternalInvariantBreach("faces around interior vertex repeat")
+    seen = set()
+    steps = 0
+    for f in theta:
+        walk = wd.walk(f)
+        steps += len(walk) - 2
+        seen.update(a for a, _ in walk)
+    seen.discard(u)
+    return steps == len(seen)
+
+
+def _vns_interior(wd, inst):
     """Delete an interior vertex u; its faces merge into one face of
     G - u, and the recursion's coverage of that face is redistributed
     over the restored faces around u."""
-    from .core_graph import connectivity_at_least
-
-    g = pg.g
-    outer_vs = set(pg.face_vertices(pg.outer))
+    heap = inst.interior
+    failed = []
     u = None
-    for cand in sorted(g.vertices - outer_vs):
-        if connectivity_at_least(g.without_vertex(cand), 2):
+    while heap:
+        cand = heapq.heappop(heap)
+        if cand not in wd.succ:
+            continue
+        if _merges_to_cycle(wd, cand):
             u = cand
             break
+        failed.append(cand)
+    for cand in failed:
+        heapq.heappush(heap, cand)
     if u is None:
         raise InternalInvariantBreach("no interior vertex with 2-connected remainder")
-    nbrs = pg.rot[u]
+    nbrs = wd.around(u)
     k = len(nbrs)
-    theta = [pg.face_of_directed_edge(nbrs[t], u) for t in range(k)]
-    if len(set(theta)) != k:
-        raise InternalInvariantBreach("faces around interior vertex repeat")
+    theta = [wd.ef[(nbrs[t], u)] for t in range(k)]
     paths = []
     for t in range(k):
-        wk = list(pg.face_walk(theta[t]))
+        wk = wd.walk(theta[t])
         i = wk.index((nbrs[t], u))
         rotated = wk[i + 1:] + wk[: i + 1]
         pvs = [de[0] for de in rotated[1:]]
@@ -386,24 +589,24 @@ def _vns_interior(pg, v_star):
                                           % (theta[t], u, nbrs[t], after))
         paths.append(pvs)
 
-    pg2 = pg.restrict(g.vertices - {u})
-    pg2.outer = pg2.face_of_directed_edge(*pg.face_walk(pg.outer)[0])
-    link_de = next(de for de in pg.face_walk(theta[0]) if u not in de)
-    theta_u = pg2.face_of_directed_edge(*link_de)
-    link_walk = pg2.face_walk(theta_u)
-    link_vs = pg2.face_vertices(theta_u)
+    theta_u = wd.fresh
+    wd.fresh += 1
+    rec = wd.cut((u,), theta_u, (paths[0][0], paths[0][1]))
+    link_walk = wd.walk(theta_u)
+    link_vs = {a for a, _ in link_walk}
     if len(link_walk) != len(link_vs):
         raise InternalInvariantBreach("merged face around deleted vertex is not a cycle")
+    inst.touched(wd, nbrs)
 
-    h2 = yield pg2, v_star
-    fmap = _exact_face_map(pg2, pg, skip={theta_u})
-    h = {(w, fmap[f]) for (w, f) in h2 if f != theta_u}
+    h = yield inst
+    wd.uncut(rec)
+    zs = sorted(w for w in link_vs if (w, theta_u) not in h)
+    h.difference_update((w, theta_u) for w in link_vs)
     base, where = {}, {}
     for t in range(k):
         for w in paths[t][1:]:
             base[w] = (w, theta[t])
             where.setdefault(w, t)
-    zs = sorted(w for w in link_vs if (w, theta_u) not in h2)
     add = set()
     drop = set()
     if len(zs) == 0:
@@ -434,64 +637,56 @@ def _vns_interior(pg, v_star):
     return h
 
 
-def _vns_leaf_block(pg, v_star, blocks, cuts):
+def _vns_leaf_block(wd, inst, blocks, cuts):
     """Split off a leaf block B at its cut vertex r.  B must hold the
     rest of the graph in a single one of its faces (that face plays the
-    infinite face of B).  Recurse on both sides and glue at r, dropping
-    r's block-side incidence when the other side left r uncovered on
-    the shared face, so r never exceeds degree 2."""
-    g = pg.g
-    p_keys = {frozenset(walk): f for f, walk in enumerate(pg.faces)}
+    infinite face of B): the rest's neighbors of r form one run of r's
+    rotation.  The mixed face of G passes from the run's last vertex a
+    through r to the next B-neighbor b; each side is cut out of the
+    drawing in turn, its share of the mixed face keeping the mixed
+    face's id.  Recurse on both sides and glue at r, dropping r's
+    block-side incidence when the other side left r uncovered on the
+    shared face, so r never exceeds degree 2."""
+    outer_vs = set(wd.face_vertices(inst.outer))
     chosen = None
     for blk in sorted(blocks, key=lambda b: b[0]):
         bcuts = [v for v in blk if v in cuts]
         if len(bcuts) != 1:
             continue
         r = bcuts[0]
-        pgb = pg.restrict(blk)
-        impure = [f for f, walk in enumerate(pgb.faces) if frozenset(walk) not in p_keys]
-        if len(impure) != 1:
-            continue
-        if v_star in set(blk) - {r}:
+        inside = set(blk)
+        if inst.v_star != r and inst.v_star in inside:
             continue
         # the outer face must not sit strictly inside this block
-        pure_fids = {p_keys[frozenset(walk)] for f, walk in enumerate(pgb.faces)
-                     if f != impure[0]}
-        if pg.outer in pure_fids:
+        if outer_vs <= inside:
             continue
-        chosen = (blk, r, pgb, impure[0])
+        ring = wd.around(r)
+        d = len(ring)
+        starts = [t for t in range(d) if ring[t] not in inside and ring[t - 1] in inside]
+        if len(starts) != 1:
+            continue
+        t = starts[0]
+        while ring[t % d] not in inside:
+            t += 1
+        chosen = (inside, r, ring[(t - 1) % d], ring[t % d])
         break
     if chosen is None:
         raise InternalInvariantBreach("no splittable leaf block")
-    blk, r, pgb, star_idx = chosen
-    pgb.outer = star_idx
-    mixed = pg.face_of_directed_edge(*pgb.face_walk(pgb.outer)[0])
+    inside, r, a, b = chosen
+    mixed = wd.ef[(r, b)]
 
-    dead = set(blk) - {r}
-    pg2 = pg.restrict(g.vertices - dead)
-    theta_b = 0
-    if pg2.g.m:
-        def alive(fid):
-            return [de for de in pg.face_walk(fid) if de[0] not in dead and de[1] not in dead]
-
-        mixed_surv = alive(mixed)
-        if not mixed_surv:
-            raise InternalInvariantBreach("rest of the graph has edges but none on the shared face")
-        theta_b = pg2.face_of_directed_edge(*mixed_surv[0])
-        outer_surv = alive(pg.outer)
-        pg2.outer = pg2.face_of_directed_edge(*outer_surv[0]) if outer_surv else theta_b
-
-    hb = yield pgb, r
-    h2 = yield pg2, v_star
-    fmap_b = _exact_face_map(pgb, pg, skip={pgb.outer})
-    fmap_b[pgb.outer] = mixed
-    fmap_2 = _exact_face_map(pg2, pg, skip={theta_b})
-    fmap_2[theta_b] = mixed
-    if (r, theta_b) not in h2:
-        if (r, pgb.outer) not in hb:
+    rec = wd.cut([v for v in wd.succ if v not in inside], mixed, (r, b))
+    hb = yield _Instance(wd, r, mixed, True)
+    wd.uncut(rec)
+    rec = wd.cut(inside - {r}, mixed, (a, r))
+    h2 = yield _Instance(wd, inst.v_star, inst.outer, False)
+    wd.uncut(rec)
+    if (r, mixed) not in h2:
+        if (r, mixed) not in hb:
             raise InternalInvariantBreach("cut vertex %r is uncovered on both sides" % (r,))
-        hb = set(hb) - {(r, pgb.outer)}
-    return _lift(h2, fmap_2) | _lift(hb, fmap_b)
+        hb.discard((r, mixed))
+    h2 |= hb
+    return h2
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,21 @@ quantified oracles as they were before the surviving colorings became
 one bitmask per search node: they re-search the colorings at every leaf
 (by recursion over G - w, and once per color pair across the left-out
 edge), and pin the bitmask oracles' verdicts and certificates.
+reference_is_nice (one scan of h per face) and
+reference_very_nice_subgraph (a fresh PlaneGraph, block decomposition
+and face-id map at every reduction) are the covering-subgraph checker
+and construction as they were before the one working drawing; they pin
+the violations and the H that plane_embed produces.
 """
 
 import itertools
 
 from dpchroma.core_graph import (Graph, bfs_parents, blocks_and_cut_vertices, connected_components,
-                                 is_complete_graph, is_connected, is_gdp_tree)
+                                 connectivity_at_least, is_complete_graph, is_connected, is_gdp_tree)
 from dpchroma.dp_cover import Cover, induced_cover
-from dpchroma.errors import InstanceTooLarge
+from dpchroma.errors import InstanceTooLarge, InternalInvariantBreach, PreconditionViolated
 from dpchroma.exact_oracle import _maximal_matchings, _profile_count, _refuted, _tree_forms
+from dpchroma.plane_embed import PlaneGraph
 
 
 def subgraph_by_edge_filter(g, keep):
@@ -476,3 +482,334 @@ def reference_dp_f_colorable(g: Graph, f):
     if assign_slot(0):
         return False, _refuted(Cover(g, f, witness[0]))
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# covering subgraphs as built before the working drawing
+
+
+def reference_is_nice(pg: PlaneGraph, h, very=None):
+    """Check the covering-subgraph conditions; returns (ok, violations).
+
+    h is a collection of (vertex, face id) incidence pairs.  With
+    very=v_star the outer face must be fully covered and v_star must
+    have degree exactly 1.
+    """
+    h = set(h)
+    viol = []
+    face_vs = {fid: pg.face_vertices(fid) for fid in range(pg.face_count())}
+    for (v, fid) in sorted(h):
+        if fid not in face_vs or v not in face_vs[fid]:
+            viol.append("not an incidence: vertex %r face %r" % (v, fid))
+    dv = {}
+    for (v, fid) in h:
+        dv[v] = dv.get(v, 0) + 1
+    for v in sorted(dv):
+        if dv[v] > 2:
+            viol.append("vertex %r covered %d times" % (v, dv[v]))
+    blocks = [set(b) for b in blocks_and_cut_vertices(pg.g)[0]]
+    for fid in range(pg.face_count()):
+        vs = face_vs[fid]
+        covered = {v for (v, f) in h if f == fid}
+        uncovered = [v for v in vs if v not in covered]
+        if len(uncovered) > 2:
+            viol.append("face %d misses %d vertices" % (fid, len(uncovered)))
+        if uncovered and not any(set(uncovered) <= b for b in blocks):
+            viol.append("face %d misses vertices across blocks: %r" % (fid, sorted(uncovered)))
+    if very is not None:
+        outer_vs = face_vs[pg.outer]
+        missing = [v for v in outer_vs if (v, pg.outer) not in h]
+        if missing:
+            viol.append("outer face not saturated, missing %r" % (sorted(missing),))
+        if dv.get(very, 0) != 1:
+            viol.append("designated vertex %r has degree %d" % (very, dv.get(very, 0)))
+    return (not viol), viol
+
+
+def _lift(h, face_map):
+    return {(v, face_map[f]) for (v, f) in h}
+
+
+def _exact_face_map(child, parent, skip=(), translate=None):
+    """Map child face ids to parent ids by directed-edge identity.
+
+    translate rewrites a child directed edge into a parent one (used
+    when an edge was introduced by suppression).  Faces listed in skip
+    are left out; every other face must match exactly one parent face.
+    """
+    fmap = {}
+    for fid, walk in enumerate(child.faces):
+        if fid in skip:
+            continue
+        got = {parent.face_of_directed_edge(*(translate(de) if translate else de))
+               for de in walk}
+        if len(got) != 1:
+            raise InternalInvariantBreach("child face %d maps to parent faces %r"
+                                          % (fid, sorted(got)))
+        fmap[fid] = got.pop()
+    return fmap
+
+
+def reference_very_nice_subgraph(pg: PlaneGraph, v_star):
+    """Covering subgraph that saturates the outer face and pins v_star.
+
+    Follows the inductive construction: ear removal when everything is
+    on the outer face, suppression of a degree-2 vertex, deletion of an
+    interior vertex with a face-by-face patch, and leaf-block gluing
+    when the graph is not 2-connected.  The result is checked before it
+    is returned; a failed check is a bug, not an input problem.
+    """
+    if v_star not in pg.face_vertices(pg.outer):
+        raise PreconditionViolated("v_star %r not on the outer face" % (v_star,))
+    h = _vns(pg, v_star)
+    ok, viol = reference_is_nice(pg, h, very=v_star)
+    if not ok:
+        raise InternalInvariantBreach("construction failed checks: %s" % "; ".join(viol))
+    return frozenset(h)
+
+
+def _vns(pg, v_star):
+    """Run the reductions from one loop over an explicit stack.
+
+    Each reduction is a generator: it yields a smaller (plane graph,
+    v_star) instance, receives that instance's covering subgraph back,
+    and returns its own.  Depth grows with n, so no Python recursion.
+    """
+    stack = [_vns_reduce(pg, v_star)]
+    h = None
+    while stack:
+        try:
+            child = stack[-1].send(h)
+        except StopIteration as done:
+            stack.pop()
+            h = done.value
+        else:
+            stack.append(_vns_reduce(*child))
+            h = None
+    return h
+
+
+def _vns_reduce(pg, v_star):
+    g = pg.g
+    if g.n <= 2:
+        return {(v, fid) for fid in range(pg.face_count()) for v in pg.face_vertices(fid)}
+    blocks, cuts = blocks_and_cut_vertices(g)
+    if len(blocks) > 1:
+        return (yield from _vns_leaf_block(pg, v_star, blocks, cuts))
+    outer_vs = set(pg.face_vertices(pg.outer))
+    if outer_vs == set(g.vertices):
+        return (yield from _vns_ear(pg, v_star))
+    for v in sorted(g.vertices):
+        if v != v_star and g.degree(v) == 2:
+            x, y = sorted(g.adj[v])
+            if not g.has_edge(x, y):
+                return (yield from _vns_suppress(pg, v_star, v, x, y))
+    return (yield from _vns_interior(pg, v_star))
+
+
+def _vns_ear(pg, v_star):
+    """All vertices on the outer cycle: peel an inner face that is an
+    ear (every vertex between two chosen boundary neighbors has degree
+    2), recurse, then cover the ear on its two faces."""
+    g = pg.g
+    pick = None
+    for fid in range(pg.face_count()):
+        if fid == pg.outer:
+            continue
+        cyc = pg.face_vertices(fid)
+        k = len(cyc)
+        high = [v for v in cyc if g.degree(v) >= 3]
+        if len(high) > 2:
+            continue
+        for i in range(k):
+            e1, e2 = cyc[i], cyc[(i + 1) % k]
+            internals = [v for v in cyc if v not in (e1, e2)]
+            if all(v in (e1, e2) for v in high) and v_star not in internals and internals:
+                pick = (fid, e1, e2, internals)
+                break
+        if pick:
+            break
+    if pick is None:
+        raise InternalInvariantBreach("no removable ear face")
+    fid, e1, e2, internals = pick
+    dead = set(internals)
+    surv = next(de for de in pg.face_walk(pg.outer) if de[0] not in dead and de[1] not in dead)
+    pg2 = pg.restrict(g.vertices - dead)
+    pg2.outer = pg2.face_of_directed_edge(*surv)
+    h2 = yield pg2, v_star
+    fmap = _exact_face_map(pg2, pg, skip={pg2.outer})
+    fmap[pg2.outer] = pg.outer
+    h = _lift(h2, fmap)
+    for v in internals:
+        h.add((v, fid))
+        h.add((v, pg.outer))
+    return h
+
+
+def _vns_suppress(pg, v_star, v, x, y):
+    """Replace the path x-v-y by the edge x-y at the same rotation slot."""
+    g = pg.g
+    f1 = pg.face_of_directed_edge(x, v)
+    f2 = pg.face_of_directed_edge(y, v)
+    if f1 == f2:
+        raise InternalInvariantBreach("degree-2 vertex sees one face twice")
+    keep = g.vertices - {v}
+    g2 = Graph(keep, [e for e in g.edges() if v not in e] + [(x, y)])
+    rot2 = {w: pg.rot[w] for w in keep}
+    for a, b in ((x, y), (y, x)):
+        rot2[a] = tuple(b if z == v else z for z in pg.rot[a])
+    surv = next(de for de in pg.face_walk(pg.outer) if v not in de)
+    pg2 = PlaneGraph(g2, rot2)
+    pg2.outer = pg2.face_of_directed_edge(*surv)
+
+    def translate(de):
+        if de == (x, y):
+            return (x, v)
+        if de == (y, x):
+            return (y, v)
+        return de
+
+    h2 = yield pg2, v_star
+    fmap = _exact_face_map(pg2, pg, translate=translate)
+    h = _lift(h2, fmap)
+    h.add((v, f1))
+    h.add((v, f2))
+    return h
+
+
+def _vns_interior(pg, v_star):
+    """Delete an interior vertex u; its faces merge into one face of
+    G - u, and the recursion's coverage of that face is redistributed
+    over the restored faces around u."""
+    g = pg.g
+    outer_vs = set(pg.face_vertices(pg.outer))
+    u = None
+    for cand in sorted(g.vertices - outer_vs):
+        if connectivity_at_least(g.without_vertex(cand), 2):
+            u = cand
+            break
+    if u is None:
+        raise InternalInvariantBreach("no interior vertex with 2-connected remainder")
+    nbrs = pg.rot[u]
+    k = len(nbrs)
+    theta = [pg.face_of_directed_edge(nbrs[t], u) for t in range(k)]
+    if len(set(theta)) != k:
+        raise InternalInvariantBreach("faces around interior vertex repeat")
+    paths = []
+    for t in range(k):
+        wk = list(pg.face_walk(theta[t]))
+        i = wk.index((nbrs[t], u))
+        rotated = wk[i + 1:] + wk[: i + 1]
+        pvs = [de[0] for de in rotated[1:]]
+        after = nbrs[(t + 1) % k]
+        if rotated[0] != (u, after) or (pvs[0], pvs[-1]) != (after, nbrs[t]):
+            raise InternalInvariantBreach("face %d does not leave %r between neighbors %r and %r"
+                                          % (theta[t], u, nbrs[t], after))
+        paths.append(pvs)
+
+    pg2 = pg.restrict(g.vertices - {u})
+    pg2.outer = pg2.face_of_directed_edge(*pg.face_walk(pg.outer)[0])
+    link_de = next(de for de in pg.face_walk(theta[0]) if u not in de)
+    theta_u = pg2.face_of_directed_edge(*link_de)
+    link_walk = pg2.face_walk(theta_u)
+    link_vs = pg2.face_vertices(theta_u)
+    if len(link_walk) != len(link_vs):
+        raise InternalInvariantBreach("merged face around deleted vertex is not a cycle")
+
+    h2 = yield pg2, v_star
+    fmap = _exact_face_map(pg2, pg, skip={theta_u})
+    h = {(w, fmap[f]) for (w, f) in h2 if f != theta_u}
+    base, where = {}, {}
+    for t in range(k):
+        for w in paths[t][1:]:
+            base[w] = (w, theta[t])
+            where.setdefault(w, t)
+    zs = sorted(w for w in link_vs if (w, theta_u) not in h2)
+    add = set()
+    drop = set()
+    if len(zs) == 0:
+        add = {(u, theta[0]), (u, theta[1 % k])}
+    elif len(zs) == 1:
+        i = where[zs[0]]
+        j = next(t for t in range(k) if t != i)
+        add = {(u, theta[i]), (u, theta[j])}
+        drop = {base[zs[0]]}
+    else:
+        if len(zs) != 2:
+            raise InternalInvariantBreach("more than two uncovered link vertices")
+        z1, z2 = zs
+        i, j = where[z1], where[z2]
+        if i != j:
+            add = {(u, theta[i]), (u, theta[j])}
+            drop = {base[z1], base[z2]}
+        else:
+            s = paths[j][0]
+            jn = (j + 1) % k
+            if base[s] != (s, theta[jn]):
+                raise InternalInvariantBreach("path start %r is not covered on face %d"
+                                              % (s, theta[jn]))
+            add = {(u, theta[j]), (u, theta[jn]), (s, theta[j])}
+            drop = {base[z1], base[z2], base[s]}
+    h |= set(base.values()) - drop
+    h |= add
+    return h
+
+
+def _vns_leaf_block(pg, v_star, blocks, cuts):
+    """Split off a leaf block B at its cut vertex r.  B must hold the
+    rest of the graph in a single one of its faces (that face plays the
+    infinite face of B).  Recurse on both sides and glue at r, dropping
+    r's block-side incidence when the other side left r uncovered on
+    the shared face, so r never exceeds degree 2."""
+    g = pg.g
+    p_keys = {frozenset(walk): f for f, walk in enumerate(pg.faces)}
+    chosen = None
+    for blk in sorted(blocks, key=lambda b: b[0]):
+        bcuts = [v for v in blk if v in cuts]
+        if len(bcuts) != 1:
+            continue
+        r = bcuts[0]
+        pgb = pg.restrict(blk)
+        impure = [f for f, walk in enumerate(pgb.faces) if frozenset(walk) not in p_keys]
+        if len(impure) != 1:
+            continue
+        if v_star in set(blk) - {r}:
+            continue
+        # the outer face must not sit strictly inside this block
+        pure_fids = {p_keys[frozenset(walk)] for f, walk in enumerate(pgb.faces)
+                     if f != impure[0]}
+        if pg.outer in pure_fids:
+            continue
+        chosen = (blk, r, pgb, impure[0])
+        break
+    if chosen is None:
+        raise InternalInvariantBreach("no splittable leaf block")
+    blk, r, pgb, star_idx = chosen
+    pgb.outer = star_idx
+    mixed = pg.face_of_directed_edge(*pgb.face_walk(pgb.outer)[0])
+
+    dead = set(blk) - {r}
+    pg2 = pg.restrict(g.vertices - dead)
+    theta_b = 0
+    if pg2.g.m:
+        def alive(fid):
+            return [de for de in pg.face_walk(fid) if de[0] not in dead and de[1] not in dead]
+
+        mixed_surv = alive(mixed)
+        if not mixed_surv:
+            raise InternalInvariantBreach("rest of the graph has edges but none on the shared face")
+        theta_b = pg2.face_of_directed_edge(*mixed_surv[0])
+        outer_surv = alive(pg.outer)
+        pg2.outer = pg2.face_of_directed_edge(*outer_surv[0]) if outer_surv else theta_b
+
+    hb = yield pgb, r
+    h2 = yield pg2, v_star
+    fmap_b = _exact_face_map(pgb, pg, skip={pgb.outer})
+    fmap_b[pgb.outer] = mixed
+    fmap_2 = _exact_face_map(pg2, pg, skip={theta_b})
+    fmap_2[theta_b] = mixed
+    if (r, theta_b) not in h2:
+        if (r, pgb.outer) not in hb:
+            raise InternalInvariantBreach("cut vertex %r is uncovered on both sides" % (r,))
+        hb = set(hb) - {(r, pgb.outer)}
+    return _lift(h2, fmap_2) | _lift(hb, fmap_b)

@@ -14,26 +14,35 @@ leaf: same verdicts, same bad lists, same bad covers.  The
 pipelines' component safety (comp_safe_now, read off the running
 availability sets) is compared with oracles.is_safe, which recounts
 the colors left from the cover, after every R1/R2 step of the
-protection runs pinned in tests/test_golden.py.
+protection runs pinned in tests/test_golden.py.  very_nice_subgraph
+(one working drawing edited in place) is compared with the
+construction that rebuilt a PlaneGraph at every reduction: same H,
+with every reduction firing and the face test for deleting an
+interior vertex checked against 2-connectivity each time it runs.
+is_nice (one pass over h) is compared with the checker that rescanned
+h per face: same violations in the same order.
 """
 
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
 
-from corpus import connected_graph_classes, connected_graph_extensions
+from corpus import connected_graph_classes, connected_graph_extensions, planar_classes, \
+    random_connected_planar
 from oracles import block_kind_by_subgraph, connectivity_by_deletion, is_safe, \
-    recursive_dp_coloring, reference_dp_f_colorable, reference_f_choosable, \
-    subgraph_by_edge_filter
-from dpchroma import minor_truncated, planar_truncated
+    recursive_dp_coloring, reference_dp_f_colorable, reference_f_choosable, reference_is_nice, \
+    reference_very_nice_subgraph, subgraph_by_edge_filter, vertex_face_incidences
+from dpchroma import minor_truncated, plane_embed, planar_truncated
 from dpchroma.cli import generate_hub_instance
 from dpchroma.constructions import chain_case
 from dpchroma.core_graph import Graph, block_kind, blocks_and_cut_vertices, connectivity_at_least
 from dpchroma.dp_cover import Cover, find_dp_coloring, induced_cover
 from dpchroma.errors import InstanceTooLarge
 from dpchroma.exact_oracle import is_dp_f_colorable, is_f_choosable
+from dpchroma.plane_embed import PlaneGraph, is_nice, very_nice_subgraph
 from test_golden import PROTECTION_RUNS
 from test_planar_truncated import drum_plane
 
@@ -224,3 +233,77 @@ def test_safety_matches_recount_after_every_step(monkeypatch, name):
     trace = []
     PROTECTION_RUNS[name]()(trace)
     assert steps.count("step_r2") == sum(ln.startswith("R2") for ln in trace)
+
+
+def very_nice_cases():
+    """(plane graph, v_star): every planar class on 6 vertices under
+    every outer face and outer v_star, seeded random planar graphs on
+    20-30 vertices with 10-40 extra edges, and the hubs 2 and hubs 3
+    instances at rim 60."""
+    for g, rot in planar_classes(6):
+        for outer in range(PlaneGraph(g, rot).face_count()):
+            pg = PlaneGraph(g, rot)
+            pg.outer = outer
+            for v_star in sorted(pg.face_vertices(outer)):
+                yield pg, v_star
+    rng = random.Random(11)
+    for seed in range(30):
+        pg = PlaneGraph(*random_connected_planar(rng.randint(20, 30), rng.randint(10, 40), seed))
+        for v_star in sorted(pg.face_vertices(pg.outer)):
+            yield pg, v_star
+    for hubs in (2, 3):
+        pg = generate_hub_instance(hubs, 60, 1)[0]
+        yield pg, min(pg.face_vertices(pg.outer))
+
+
+def test_very_nice_subgraph_matches_reference(monkeypatch):
+    fired = dict.fromkeys(("_vns_ear", "_vns_suppress", "_vns_interior", "_vns_leaf_block"), 0)
+    for name in fired:
+        def counted(*args, _step=getattr(plane_embed, name), _name=name):
+            fired[_name] += 1
+            return (yield from _step(*args))
+        monkeypatch.setattr(plane_embed, name, counted)
+    face_tests = []
+    face_test = plane_embed._merges_to_cycle
+
+    def checked(wd, u):
+        got = face_test(wd, u)
+        g = Graph(wd.succ, [(a, b) for a in wd.succ for b in wd.succ[a] if a < b])
+        assert got == connectivity_at_least(g.without_vertex(u), 2), (g.edges(), u)
+        face_tests.append(got)
+        return got
+
+    monkeypatch.setattr(plane_embed, "_merges_to_cycle", checked)
+    ran = 0
+    for pg, v_star in very_nice_cases():
+        before = (pg.rot, list(pg.faces), dict(pg._edge_face), pg.outer)
+        want = reference_very_nice_subgraph(pg, v_star)
+        assert very_nice_subgraph(pg, v_star) == want, (pg.g.edges(), pg.rot, pg.outer, v_star)
+        assert (pg.rot, pg.faces, pg._edge_face, pg.outer) == before
+        ran += 1
+    assert ran > 1000
+    assert min(fired.values()) > 0, fired
+    assert set(face_tests) == {True, False}
+
+
+def test_is_nice_matches_reference():
+    rng = random.Random(5)
+    kinds = set()
+    for n in range(1, 6):
+        for g, rot in planar_classes(n):
+            pg = PlaneGraph(g, rot)
+            pairs = sorted(vertex_face_incidences(pg))
+            stray = [(v, pg.face_count()) for v in sorted(g.vertices)]
+            for _ in range(40):
+                pg.outer = rng.randrange(pg.face_count())
+                h = set(rng.sample(pairs, rng.randint(0, len(pairs))))
+                if rng.random() < 0.2:
+                    h.add(rng.choice(stray))
+                very = rng.choice([None] + sorted(g.vertices))
+                want = reference_is_nice(pg, h, very=very)
+                assert is_nice(pg, h, very=very) == want, (g.edges(), sorted(h), very)
+                kinds.update(" ".join(re.sub("[^a-z ]", "", msg).split()) for msg in want[1])
+                kinds.add(want[0])
+    assert kinds == {True, False, "not an incidence vertex face", "vertex covered times",
+                     "face misses vertices", "face misses vertices across blocks",
+                     "outer face not saturated missing", "designated vertex has degree"}, kinds

@@ -9,6 +9,8 @@ from corpus import planar_classes, random_connected_planar
 from oracles import vertex_face_incidences
 
 import dpchroma
+from dpchroma import core_graph, plane_embed
+from dpchroma.cli import generate_hub_instance
 from dpchroma.core_graph import Graph, blocks_and_cut_vertices
 from dpchroma.errors import NotConnected, PreconditionViolated
 from dpchroma.plane_embed import PlaneGraph, is_nice, very_nice_subgraph
@@ -123,3 +125,60 @@ def test_no_python_recursion_on_long_rims():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert (out.returncode, out.stdout) == (0, "243 243\n"), out.stderr[-2000:]
+
+
+def test_no_per_level_rebuild(monkeypatch):
+    """Full face traces and block decompositions per call do not grow
+    with the instance: a rebuild at every reduction would show here as
+    counts that quadruple from rim 60 to rim 240."""
+    calls = {"trace": 0, "blocks": 0}
+    trace, blocks = PlaneGraph.__init__, core_graph.blocks_and_cut_vertices
+
+    def counted_trace(self, *args):
+        calls["trace"] += 1
+        trace(self, *args)
+
+    def counted_blocks(*args):
+        calls["blocks"] += 1
+        return blocks(*args)
+
+    counts = []
+    for rim in (60, 240):
+        pg = generate_hub_instance(3, rim, 1)[0]
+        with monkeypatch.context() as m:
+            m.setattr(PlaneGraph, "__init__", counted_trace)
+            m.setattr(core_graph, "blocks_and_cut_vertices", counted_blocks)
+            very_nice_subgraph(pg, min(pg.face_vertices(pg.outer)))
+        counts.append(dict(calls))
+        calls.update(trace=0, blocks=0)
+    assert counts[0] == counts[1], counts
+
+
+def test_undo_restores_the_working_drawing():
+    """Each surgery's undo record puts back every rotation link, head,
+    edge label and face representative, whatever the surgery cut."""
+    def state(wd):
+        return ({v: dict(s) for v, s in wd.succ.items()}, {v: dict(p) for v, p in wd.pred.items()},
+                dict(wd.head), dict(wd.ef), dict(wd.rep))
+
+    cuts = smooths = 0
+    for seed in range(8):
+        pg = PlaneGraph(*random_connected_planar(10 + seed, seed % 4, seed))
+        wd = plane_embed._Drawing(pg)
+        before = state(wd)
+        for v in sorted(pg.g.vertices):
+            for dead in ({v}, {v} | set(sorted(pg.g.adj[v])[:1])):
+                left = [de for f in pg.faces_at(v) for de in pg.face_walk(f)
+                        if not dead & set(de)]
+                if left:
+                    wd.uncut(wd.cut(dead, wd.fresh, left[0]))
+                    assert state(wd) == before, (seed, dead)
+                    cuts += 1
+            if pg.g.degree(v) == 2:
+                x, y = sorted(pg.g.adj[v])
+                if not pg.g.has_edge(x, y):
+                    f1, f2 = wd.ef[(x, v)], wd.ef[(y, v)]
+                    wd.unsmooth(wd.smooth(v, x, y, f1, f2))
+                    assert state(wd) == before, (seed, v)
+                    smooths += 1
+    assert cuts > 150 and smooths > 10, (cuts, smooths)
