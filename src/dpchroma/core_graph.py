@@ -351,7 +351,9 @@ def connectivity_at_least(g: Graph, s: int) -> bool:
     below 3, then runs one low-point pass per vertex with that vertex
     skipped in place, so the cost is O(n (n + m)) and no graph is
     rebuilt.  s >= 4 deletes each vertex in turn and recurses down to
-    s = 3.
+    s = 3.  This is the check for abstract graphs (the minor pipeline,
+    verify); a drawn graph is checked for s = 3 by
+    plane_embed.is_three_connected, which needs one pass for s = 2.
     """
     if s <= 0:
         return g.n > 0

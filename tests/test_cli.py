@@ -8,6 +8,7 @@ from dpchroma import cli
 from dpchroma.cli import Xorshift64Star, main, run_report
 from dpchroma.core_graph import Graph, write_graph
 from dpchroma.dp_cover import write_cover
+from dpchroma.plane_embed import write_plane
 
 
 def test_xorshift_pinned_stream():
@@ -168,6 +169,13 @@ def test_input_errors_exit_2(tmp_path, capsys):
         for argv in (["nice"], ["color-planar", "--cover", str(tmp_path / "c")]):
             assert main(argv + ["--embed", str(tmp_path / plane)]) == 2
             assert "error: a plane graph must be connected" in capsys.readouterr().err
+    pg = __import__("test_planar_truncated").two_k4_plane()
+    (tmp_path / "k4k4.plane").write_text(write_plane(pg))
+    (tmp_path / "k4k4.cover").write_text("".join("L %d %d\n" % (v, pg.g.degree(v))
+                                                 for v in sorted(pg.g.vertices)))
+    assert main(["color-planar", "--embed", str(tmp_path / "k4k4.plane"),
+                 "--cover", str(tmp_path / "k4k4.cover")]) == 2
+    assert capsys.readouterr().err == "error: input graph is not 3-connected\n"
 
 
 def test_solve_budget_below_one_exits_2(tmp_path, capsys):

@@ -4,10 +4,14 @@ connectivity_at_least (low-point passes, vertex skipped in place),
 Graph.subgraph (adjacency intersection) and block_kind (vertex and
 edge counts) are each compared with the straightforward construction
 in tests/oracles.py, and connectivity also with networkx's
-node_connectivity on the hub instances and the drum fixture.  The
-exact cover search (one loop over bitmasks and buckets) is compared
-with the recursive search it replaced: same witnesses in the same
-order, same None verdicts, same budget trips.  The quantified
+node_connectivity on the hub instances and the drum fixture.
+plane_embed.is_three_connected (a face scan on the drawing) is compared
+with connectivity_at_least(g, 3) on small planar classes, random planar
+graphs, 2-sums with a 2-cut that pass every cheap guard, and the
+drawn fixtures up to G42.  The exact cover search (one loop over
+bitmasks and buckets) is compared with the recursive search it
+replaced: same witnesses in the same order, same None verdicts, same
+budget trips.  The quantified
 oracles (surviving colorings kept as one bitmask per search node) are
 compared with the versions that re-searched the colorings at every
 leaf: same verdicts, same bad lists, same bad covers.  The
@@ -30,19 +34,19 @@ import re
 import networkx as nx
 import pytest
 
-from corpus import connected_graph_classes, connected_graph_extensions, planar_classes, \
-    random_connected_planar
+from corpus import connected_graph_classes, connected_graph_extensions, nx_planar_rotation, \
+    planar_classes, random_connected_planar
 from oracles import block_kind_by_subgraph, connectivity_by_deletion, is_safe, \
     recursive_dp_coloring, reference_dp_f_colorable, reference_f_choosable, reference_is_nice, \
     reference_very_nice_subgraph, subgraph_by_edge_filter, vertex_face_incidences
 from dpchroma import minor_truncated, plane_embed, planar_truncated
 from dpchroma.cli import generate_hub_instance
-from dpchroma.constructions import chain_case
+from dpchroma.constructions import build_G42, chain_case, gadget_h_plane
 from dpchroma.core_graph import Graph, block_kind, blocks_and_cut_vertices, connectivity_at_least
 from dpchroma.dp_cover import Cover, find_dp_coloring, induced_cover
 from dpchroma.errors import InstanceTooLarge
 from dpchroma.exact_oracle import is_dp_f_colorable, is_f_choosable
-from dpchroma.plane_embed import PlaneGraph, is_nice, very_nice_subgraph
+from dpchroma.plane_embed import PlaneGraph, is_nice, is_three_connected, very_nice_subgraph
 from test_golden import PROTECTION_RUNS
 from test_planar_truncated import drum_plane
 
@@ -107,6 +111,63 @@ def test_connectivity_matches_networkx_on_drum():
     for s in range(1, 5):
         assert connectivity_at_least(g, s) == (kappa >= s)
         assert connectivity_at_least(g, s) == connectivity_by_deletion(g, s)
+
+
+def two_sums(count, seed):
+    """Seeded 2-sums of two 3-connected random planar graphs along an
+    edge, each with and without that edge, drawn by networkx.  Every one
+    is 2-connected with minimum degree 3 and has a 2-cut."""
+    pool = []
+    for k in range(40):
+        g, _ = random_connected_planar(4 + k % 8, 3 * (4 + k % 8), k)
+        if connectivity_at_least(g, 3):
+            pool.append(g)
+    rng = random.Random(seed)
+    for _ in range(count):
+        g1, g2 = rng.sample(pool, 2)
+        a, b = rng.choice(g1.edges())
+        a2, b2 = rng.choice(g2.edges())
+        label = {a2: a, b2: b}
+        label.update((v, g1.n + i) for i, v in enumerate(sorted(g2.vertices - {a2, b2})))
+        edges = set(g1.edges()) | {tuple(sorted((label[u], label[w]))) for u, w in g2.edges()}
+        for glued in (edges, edges - {(a, b)}):
+            g = Graph(range(g1.n + g2.n - 2), glued)
+            yield PlaneGraph(g, nx_planar_rotation(g))
+
+
+def plane_connectivity_cases():
+    for n in range(1, 7):
+        for g, rot in planar_classes(n):
+            yield PlaneGraph(g, rot)
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(4, 20)
+        yield PlaneGraph(*random_connected_planar(n, rng.randint(0, 2 * n - 6), seed))
+    yield from two_sums(60, 42)
+    for hubs, rim in ((1, 24), (1, 60), (2, 24), (2, 60), (3, 30), (3, 60), (3, 240)):
+        pg = generate_hub_instance(hubs, rim, 7)[0]
+        yield pg
+        # the same drawing less the rim edge 01
+        yield PlaneGraph(Graph(pg.g.vertices, [e for e in pg.g.edges() if e != (0, 1)]),
+                         {v: tuple(w for w in r if {v, w} != {0, 1}) for v, r in pg.rot.items()})
+    yield drum_plane(quarter=15)
+    yield drum_plane(quarter=30)
+    yield gadget_h_plane()
+    g = build_G42()[0]
+    yield PlaneGraph(g, nx_planar_rotation(g))
+
+
+def test_plane_three_connectivity_matches_low_point():
+    ran = guarded_no = 0
+    for pg in plane_connectivity_cases():
+        g = pg.g
+        want = connectivity_at_least(g, 3)
+        assert is_three_connected(pg) == want, (g.edges(), pg.rot)
+        ran += 1
+        guards = g.n >= 4 and min(map(len, g.adj.values())) >= 3 and connectivity_at_least(g, 2)
+        guarded_no += guards and not want
+    assert ran > 500
+    assert guarded_no >= 50, guarded_no
 
 
 def test_subgraph_matches_edge_filter():

@@ -9,7 +9,7 @@ import pytest
 from corpus import nx_planar_rotation
 from oracles import is_safe
 import dpchroma
-from dpchroma import plane_embed
+from dpchroma import core_graph, plane_embed
 from dpchroma.cli import Xorshift64Star, generate_hub_instance, random_tight_matchings
 from dpchroma.core_graph import Graph, connectivity_at_least
 from dpchroma.dp_cover import Cover, degree_truncated_sizes, find_dp_coloring, is_coloring_valid
@@ -144,6 +144,15 @@ def test_v2_empty_polyhedra():
     assert find_dp_coloring(cover) is not None
 
 
+def two_k4_plane():
+    """Two K4s glued along the edge 01: 2-connected, minimum degree 3,
+    and {0, 1} is a 2-cut."""
+    g = Graph(range(6), list(itertools.combinations((0, 1, 2, 3), 2))
+              + list(itertools.combinations((0, 1, 4, 5), 2))[1:])
+    return PlaneGraph(g, {0: (1, 3, 2, 4, 5), 1: (0, 5, 4, 2, 3), 2: (0, 3, 1),
+                          3: (0, 1, 2), 4: (0, 1, 5), 5: (0, 4, 1)})
+
+
 def test_preconditions():
     k4 = Graph(range(4), list(itertools.combinations(range(4), 2)))
     pk4 = PlaneGraph(k4, {0: (1, 3, 2), 1: (2, 3, 0), 2: (0, 3, 1), 3: (2, 0, 1)})
@@ -158,6 +167,27 @@ def test_preconditions():
     sizes[0] -= 1
     with pytest.raises(PreconditionViolated):
         color_planar_truncated(pg, Cover(pg.g, sizes, {}))
+    pg = two_k4_plane()
+    g = pg.g
+    assert connectivity_at_least(g, 2) and min(map(g.degree, g.vertices)) == 3
+    with pytest.raises(PreconditionViolated, match="^input graph is not 3-connected$"):
+        color_planar_truncated(pg, Cover(g, {v: g.degree(v) for v in g.vertices}, {}))
+
+
+def test_no_per_vertex_pass_on_drawings(monkeypatch):
+    calls = []
+    pass_ = core_graph._biconnected_without
+
+    def counting(g, skip=None):
+        calls.append(skip)
+        return pass_(g, skip)
+
+    monkeypatch.setattr(core_graph, "_biconnected_without", counting)
+    pg, cover = generate_hub_instance(3, 240, 1)
+    assert len(calls) <= 1
+    calls.clear()
+    color_planar_truncated(pg, cover)
+    assert len(calls) <= 1
 
 
 def test_hub_instances_color():
