@@ -192,6 +192,13 @@ def build_ks_minus1(s, k):
 GadgetH = namedtuple("GadgetH", ["g", "lists", "plane", "names"])
 
 
+def _gadget_sizes_ok(g, lists):
+    """One color at vertices 0 and 1, min(degree, 7) distinct ones elsewhere."""
+    return (len(lists[0]) == 1 and len(lists[1]) == 1
+            and all(len(lists[v]) == min(g.degree(v), 7) for v in range(2, 28))
+            and all(len(set(lists[v])) == len(lists[v]) for v in g.vertices))
+
+
 def build_H(a="a", b="b") -> GadgetH:
     """The 28-vertex gadget with its drawing, validated before return.
 
@@ -202,9 +209,7 @@ def build_H(a="a", b="b") -> GadgetH:
         raise ReconstructionFailed("gadget tokens must be distinct and not 1..5")
     g, lists = gadget_h(a, b)
     bad = []
-    if not (len(lists[0]) == 1 and len(lists[1]) == 1
-            and all(len(lists[v]) == min(g.degree(v), 7) for v in range(2, 28))
-            and all(len(set(lists[v])) == len(lists[v]) for v in g.vertices)):
+    if not _gadget_sizes_ok(g, lists):
         bad.append("list sizes do not match min(degree, 7)")
     try:
         pg = gadget_h_plane()
@@ -275,11 +280,7 @@ def _enumerate_claim(g, lists, prop):
 def verify_gadget():
     """Run every gadget check; list of (name, ok) rows."""
     g, lists = gadget_h()
-    rows = []
-    sizes_ok = (len(lists[0]) == 1 and len(lists[1]) == 1
-                and all(len(lists[v]) == min(g.degree(v), 7) for v in range(2, 28))
-                and all(len(set(lists[v])) == len(lists[v]) for v in g.vertices))
-    rows.append(("list-sizes", sizes_ok))
+    rows = [("list-sizes", _gadget_sizes_ok(g, lists))]
     try:
         pg = gadget_h_plane()
         rows.append(("planar-embedding", pg.face_count() == 51

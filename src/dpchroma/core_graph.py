@@ -43,13 +43,7 @@ class Graph:
 
     def edges(self):
         """Sorted list of edges as (min, max) tuples."""
-        out = []
-        for v in sorted(self.vertices):
-            for w in self.adj[v]:
-                if v < w:
-                    out.append((v, w))
-        out.sort()
-        return out
+        return sorted((v, w) for v, ns in self.adj.items() for w in ns if v < w)
 
     def subgraph(self, keep) -> "Graph":
         """Induced subgraph in O(sum of the kept vertices' degrees)."""
@@ -134,7 +128,7 @@ def connected_components(g: Graph):
         queue = [s]
         while queue:
             v = queue.pop()
-            for w in sorted(g.adj[v]):
+            for w in g.adj[v]:
                 if w not in seen:
                     seen.add(w)
                     comp.append(w)

@@ -12,10 +12,10 @@ Everything left at the end is safe and falls to the greedy finisher.
 
 from __future__ import annotations
 
-from .core_graph import (blocks_and_cut_vertices, connected_components, degeneracy_order,
-                         is_complete_graph, is_connected, is_gdp_tree)
-# not called here; kept bound because perfbench/layers.py wraps it by name
-from .core_graph import connectivity_at_least
+from .core_graph import (block_kind, blocks_and_cut_vertices, connected_components,
+                         degeneracy_order, is_complete_graph, is_connected)
+# not called here; kept bound because perfbench/layers.py wraps them by name
+from .core_graph import connectivity_at_least, is_gdp_tree
 from .dp_cover import color_vertex, degree_dp_color, is_coloring_valid, residual_cover
 from .errors import (A2Unattainable, EmptyResidualList, GDPTreeTight,
                      InternalInvariantBreach, PreconditionViolated, ProtectorInfeasible)
@@ -105,28 +105,30 @@ class PipelineState:
             raise InternalInvariantBreach("color %r is not available at %r" % (i, v))
         color_vertex(self.cover, self.avail, self.phi, v, i)
 
-    def comp_safe_now(self, qi):
+    def tight_cuts(self, qi):
+        """None when component qi is safe now, else the cut vertices of its
+        uncolored part, which (C1) keeps connected: one block search each."""
         rest = [v for v in self.comps[qi] if v not in self.phi]
-        if not rest:
-            return True
-        for v in rest:
-            if len(self.avail[v]) > self.res_degree(v):
-                return True
+        if not rest or any(len(self.avail[v]) > self.res_degree(v) for v in rest):
+            return None
         sub = self.g.subgraph(rest)
-        if not is_connected(sub):
-            return True
-        return not is_gdp_tree(sub)
+        blocks, cuts = blocks_and_cut_vertices(sub)
+        return cuts if all(block_kind(sub, blk) for blk in blocks) else None
+
+    def comp_safe_now(self, qi):
+        return self.tight_cuts(qi) is None
 
     def refresh_safety(self):
-        """Unsafe component indices; the safe set only ever grows."""
-        out = []
+        """{qi: tight_cuts(qi)} over the unsafe components; the safe set only ever grows."""
+        out = {}
         for qi in range(len(self.comps)):
             if qi in self.safe:
                 continue
-            if self.comp_safe_now(qi):
+            cuts = self.tight_cuts(qi)
+            if cuts is None:
                 self.safe.add(qi)
             else:
-                out.append(qi)
+                out[qi] = cuts
         return out
 
     def log(self, line):
@@ -163,11 +165,9 @@ def step_r1(state):
     no uncolored V2 neighbor.  Returns NoMove when nothing qualifies.
     """
     best = None
-    for qi in state.refresh_safety():
-        rest = [v for v in state.comps[qi] if v not in state.phi]
-        cuts = blocks_and_cut_vertices(state.g.subgraph(rest))[1]
-        for v in rest:
-            if v in cuts:
+    for qi, cuts in state.refresh_safety().items():
+        for v in state.comps[qi]:
+            if v in state.phi or v in cuts:
                 continue
             if any(w in state.v2 and w not in state.phi for w in state.g.adj[v]):
                 continue

@@ -3,7 +3,7 @@
 connected_graph_classes(n) lists one representative per isomorphism
 class of connected graphs on n vertices, built by attaching a fresh
 vertex to every nonempty subset of each (n-1)-class and deduplicating
-by the minimum edge bitmask over all vertex permutations.
+by a canonical edge bitmask (see _canonical_mask).
 """
 
 import itertools
@@ -13,29 +13,28 @@ from dpchroma.core_graph import Graph
 _CLASS_CACHE = {}
 
 
-def _perm_tables(n):
-    eidx = {e: i for i, e in enumerate(itertools.combinations(range(n), 2))}
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        tab = [0] * len(eidx)
-        for (u, w), i in eidx.items():
-            a, b = perm[u], perm[w]
-            tab[i] = eidx[(min(a, b), max(a, b))]
-        tables.append(tab)
-    return eidx, tables
-
-
-def _canon(mask, tables):
+def _canonical_mask(n, edges, eidx):
+    """Smallest edge bitmask over the labelings that order the vertices
+    by (degree, sorted neighbor degrees), any order within a tie; an
+    isomorphism maps those labelings onto each other, so isomorphic
+    graphs get equal masks."""
+    adj = [set() for _ in range(n)]
+    for u, w in edges:
+        adj[u].add(w)
+        adj[w].add(u)
+    cells = {}
+    for v in range(n):
+        key = (len(adj[v]), tuple(sorted(len(adj[w]) for w in adj[v])))
+        cells.setdefault(key, []).append(v)
     best = None
-    for tab in tables:
-        m = 0
-        rem = mask
-        while rem:
-            low = rem & -rem
-            m |= 1 << tab[low.bit_length() - 1]
-            rem ^= low
-        if best is None or m < best:
-            best = m
+    for parts in itertools.product(*(itertools.permutations(cells[k]) for k in sorted(cells))):
+        label = {v: i for i, v in enumerate(itertools.chain.from_iterable(parts))}
+        mask = 0
+        for u, w in edges:
+            a, b = label[u], label[w]
+            mask |= 1 << eidx[(a, b) if a < b else (b, a)]
+        if best is None or mask < best:
+            best = mask
     return best
 
 
@@ -46,23 +45,17 @@ def connected_graph_classes(n):
         out = [Graph([0], [])]
         _CLASS_CACHE[n] = out
         return out
-    eidx, tables = _perm_tables(n)
+    eidx = {e: i for i, e in enumerate(itertools.combinations(range(n), 2))}
     seen = set()
     out = []
     for small in connected_graph_classes(n - 1):
-        base = 0
-        for u, w in small.edges():
-            base |= 1 << eidx[(u, w)]
-        v = n - 1
+        base = small.edges()
         for r in range(1, n):
             for sub in itertools.combinations(range(n - 1), r):
-                mask = base
-                for u in sub:
-                    mask |= 1 << eidx[(u, v)]
-                c = _canon(mask, tables)
+                edges = base + [(u, n - 1) for u in sub]
+                c = _canonical_mask(n, edges, eidx)
                 if c not in seen:
                     seen.add(c)
-                    edges = [e for e, i in eidx.items() if mask >> i & 1]
                     out.append(Graph(range(n), edges))
     _CLASS_CACHE[n] = out
     return out
@@ -73,7 +66,7 @@ def connected_graph_extensions(n):
 
     Each (n-1)-class gets a fresh vertex joined to every nonempty
     subset, as in connected_graph_classes(n) but without the canonical
-    deduplication that makes n = 7 take over a minute.
+    deduplication.
     """
     out = []
     for small in connected_graph_classes(n - 1):

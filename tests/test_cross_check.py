@@ -24,7 +24,9 @@ construction that rebuilt a PlaneGraph at every reduction: same H,
 with every reduction firing and the face test for deleting an
 interior vertex checked against 2-connectivity each time it runs.
 is_nice (one pass over h) is compared with the checker that rescanned
-h per face: same violations in the same order.
+h per face: same violations in the same order.  The corpus of
+connected graph classes is checked against the OEIS counts up to 7
+vertices.
 """
 
 import itertools
@@ -55,6 +57,12 @@ def corpus_graphs(max_n):
     """Every connected class up to max_n vertices (n = 7 with repeats)."""
     for n in range(1, max_n + 1):
         yield from connected_graph_classes(n) if n <= 6 else connected_graph_extensions(n)
+
+
+def test_connected_graph_classes_match_oeis():
+    """A001349: connected graphs on n unlabeled vertices."""
+    counts = [len(connected_graph_classes(n)) for n in range(1, 8)]
+    assert counts == [1, 1, 2, 6, 21, 112, 853]
 
 
 def random_graphs(count, seed):

@@ -9,7 +9,7 @@ import pytest
 from corpus import nx_planar_rotation
 from oracles import is_safe
 import dpchroma
-from dpchroma import core_graph, plane_embed
+from dpchroma import core_graph, planar_truncated, plane_embed
 from dpchroma.cli import Xorshift64Star, generate_hub_instance, random_tight_matchings
 from dpchroma.core_graph import Graph, connectivity_at_least
 from dpchroma.dp_cover import Cover, degree_truncated_sizes, find_dp_coloring, is_coloring_valid
@@ -238,6 +238,27 @@ def test_drum_r1_march():
     r1 = [ln for ln in trace if ln.startswith("R1")]
     assert len(r1) == 14 and r1[0] == "R1 28 28.1" and r1[-1] == "R1 41 41.2"
     assert "R2 9 9.0 protects 12" in trace
+
+
+@pytest.mark.parametrize("quarter", [30, 60])
+def test_r1_march_one_block_search_per_step(monkeypatch, quarter):
+    """Each R1/R2 step finds the blocks of an unsafe component's
+    uncolored part once, for both the safety verdict and R1's cut
+    vertices; a second search per step would double the count."""
+    calls = []
+    blocks = core_graph.blocks_and_cut_vertices
+
+    def counted(g):
+        calls.append(g.n)
+        return blocks(g)
+
+    for owner in (core_graph, planar_truncated):
+        monkeypatch.setattr(owner, "blocks_and_cut_vertices", counted)
+    pg = drum_plane(quarter, perm=(0, 3, 1, 2))
+    trace = []
+    color_planar_truncated(pg, drum_forcing_cover(pg), trace=trace)
+    assert len(trace) == quarter + 3
+    assert len(calls) <= len(trace) + 8, (len(calls), len(trace))
 
 
 def test_set_up_builds_the_face_classes_once(monkeypatch):
