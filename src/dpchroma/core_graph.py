@@ -293,18 +293,17 @@ def degeneracy_order(g: Graph, d: int, groups=None):
     return order
 
 
-def _biconnected_without(g: Graph, skip=None) -> bool:
-    """Is g minus the vertex skip (None: minus nothing) 2-connected?
+def _biconnected_without(g: Graph) -> bool:
+    """Is g 2-connected?
 
     One iterative low-point pass over g's own adjacency: no graph is
     built, nothing is sorted, and the pass stops at the first
     articulation point.
     """
-    n = g.n - (skip is not None)
-    if n <= 2:
+    if g.n <= 2:
         return False
     adj = g.adj
-    root = next(v for v in adj if v != skip)
+    root = next(iter(adj))
     disc = {root: 0}
     low = {root: 0}
     root_children = 0
@@ -312,7 +311,7 @@ def _biconnected_without(g: Graph, skip=None) -> bool:
     while stack:
         v, parent, it = stack[-1]
         for w in it:
-            if w == skip or w == parent:
+            if w == parent:
                 continue
             if w not in disc:
                 disc[w] = low[w] = len(disc)
@@ -334,20 +333,197 @@ def _biconnected_without(g: Graph, skip=None) -> bool:
                 root_children += 1
                 if root_children > 1:
                     return False
-    return len(disc) == n
+    return len(disc) == g.n
+
+
+_EOS = (0, -1, 0)   # end-of-segment marker on the triple stack; its a matches no vertex
+
+
+def _no_separation_pair(g: Graph) -> bool:
+    """Does the 2-connected simple graph g, with minimum degree 3, have
+    no separation pair?
+
+    The path search of Hopcroft and Tarjan (SIAM J. Comput. 1973) as
+    corrected by Gutwenger and Mutzel (GD 2000), stopped at the first
+    separation pair: since nothing has been split off before it, the
+    graph is still g, every degree is at least 3, and the edge stack,
+    the splitting and the multiple-edge cases are never needed.  Three
+    iterative passes, O(n + m) after one sort of the arcs:
+
+    - DFS 1 numbers the vertices 1..n from a root, splits the arcs into
+      tree arcs v -> w and fronds v ~> w (w a proper ancestor), and
+      computes father, lowpt1, lowpt2 and ND (descendant count).
+    - Each adjacency list is sorted by phi: 3 lowpt1(w), plus 2 if
+      lowpt2(w) >= v, for a tree arc; 3 w + 1 for a frond.
+    - DFS 2 walks the sorted lists, gives v the new number m - ND(v) + 1
+      (m starts at n and drops by one on each return from a child),
+      marks the arcs that start a path (the first arc, and each arc
+      after a frond), and sets high(w) to the source of the first frond
+      into w.
+    - The path search keeps triples (h, a, b) of type-2 candidates on a
+      stack, with an end-of-segment marker per path, and answers False
+      at the first type-2 triple with a = v and father(b) != a, or at
+      the first tree arc v -> w with lowpt2(w) >= v > lowpt1(w) where
+      father(v) is not the root or v has a second child (type 1).
+
+    The arcs live in one sorted list of ints and the DFS stacks hold
+    ints, so a search tens of thousands of vertices deep allocates few
+    objects for the garbage collector to trace.
+    """
+    adj = g.adj
+    n = g.n
+    N = n + 1
+    K = 3 * N * N
+    root = next(iter(adj))
+    # DFS 1 over g's adjacency; vertices are their DFS numbers from here on
+    num = {root: 1}
+    father = [0, 0]
+    low1 = [0, 1]
+    low2 = [0, 1]
+    nd = [0, 1]
+    out = [0] * (N + 1)             # arcs leaving each vertex
+    keys = []                       # arc v -> w with sort key phi, as v K + phi N + w
+    stack = [1]
+    its = [iter(adj[root])]
+    while stack:
+        v = stack[-1]
+        for y in its[-1]:
+            w = num.get(y)
+            if w is None:
+                w = num[y] = len(father)
+                father.append(v)
+                low1.append(w)
+                low2.append(w)
+                nd.append(1)
+                stack.append(w)
+                its.append(iter(adj[y]))
+                break
+            if w < v and w != father[v]:
+                keys.append(v * K + (3 * w + 1) * N + w)
+                out[v] += 1
+                if w < low1[v]:
+                    low2[v] = low1[v]
+                    low1[v] = w
+                elif low1[v] < w < low2[v]:
+                    low2[v] = w
+        else:
+            stack.pop()
+            its.pop()
+            p = father[v]
+            if not p:
+                continue
+            l1, l2 = low1[v], low2[v]
+            keys.append(p * K + (3 * l1 + 2 * (l2 >= p)) * N + v)
+            out[p] += 1
+            if l1 < low1[p]:
+                low2[p] = min(low1[p], l2)
+                low1[p] = l1
+            elif l1 == low1[p]:
+                if l2 < low2[p]:
+                    low2[p] = l2
+            elif l1 < low2[p]:
+                low2[p] = l1
+            nd[p] += nd[v]
+    keys.sort()
+    first = [0] * (N + 1)           # the arcs of v are keys[first[v]:first[v + 1]]
+    for v in range(1, N):
+        first[v + 1] = first[v] + out[v]
+    # DFS 2 over the sorted arcs: new numbers, path starts, high
+    new = [0] * N
+    new[1] = 1
+    high = [0] * N
+    starts = [False] * len(keys)
+    nxt = first[:]
+    m = n
+    fresh = True                    # the next arc starts a path
+    stack = [1]
+    while stack:
+        v = stack[-1]
+        i = nxt[v]
+        if i == first[v + 1]:
+            stack.pop()
+            m -= 1
+            continue
+        nxt[v] = i + 1
+        starts[i] = fresh
+        key = keys[i]
+        w = key % N
+        fresh = key // N % 3 == 1
+        if fresh:
+            if not high[w]:
+                high[w] = new[v]
+        else:
+            new[w] = m - nd[w] + 1
+            stack.append(w)
+    # the path search: walks the old numbers, compares the new ones
+    lowpt1 = [new[x] for x in low1]
+    lowpt2 = [new[x] for x in low2]
+    dad = [0] * N                   # by new number
+    for x in range(2, N):
+        dad[new[x]] = new[father[x]]
+    ts = [_EOS]
+    nxt = first[:]
+    stack = [1]
+    while stack:
+        x = stack[-1]
+        i = nxt[x]
+        if i < first[x + 1]:
+            nxt[x] = i + 1
+            key = keys[i]
+            y = key % N
+            tree = key // N % 3 != 1
+            v, w = new[x], new[y]
+            a = lowpt1[y] if tree else w
+            if starts[i]:
+                if ts[-1][1] > a:
+                    h = 0
+                    while ts[-1][1] > a:
+                        top, _, b = ts.pop()
+                        if top > h:
+                            h = top
+                    ts.append((max(h, w + nd[y] - 1) if tree else h, a, b))
+                else:
+                    ts.append((w + nd[y] - 1, a, v) if tree else (v, a, v))
+            if tree:
+                if starts[i]:
+                    ts.append(_EOS)
+                stack.append(y)
+            continue
+        stack.pop()
+        if not stack:
+            break
+        y, x = x, stack[-1]
+        v = new[x]
+        if v != 1:
+            while ts[-1][1] == v:
+                if dad[ts[-1][2]] != v:
+                    return False
+                ts.pop()
+        # a child of the root has no fronds, so its arcs are its children
+        if lowpt2[y] >= v > lowpt1[y] and (father[x] != 1 or out[x] > 1):
+            return False
+        if starts[nxt[x] - 1]:
+            while ts.pop() is not _EOS:
+                pass
+        hv = high[x]
+        while ts[-1] is not _EOS and ts[-1][1] != v and ts[-1][2] != v and hv > ts[-1][0]:
+            ts.pop()
+    return True
 
 
 def connectivity_at_least(g: Graph, s: int) -> bool:
     """Is g s-connected: more than s vertices, and no set of fewer than
     s vertices whose deletion disconnects it?
 
-    s = 2 is one low-point pass.  s = 3 rejects any vertex of degree
-    below 3, then runs one low-point pass per vertex with that vertex
-    skipped in place, so the cost is O(n (n + m)) and no graph is
-    rebuilt.  s >= 4 deletes each vertex in turn and recurses down to
-    s = 3.  This is the check for abstract graphs (the minor pipeline,
-    verify); a drawn graph is checked for s = 3 by
-    plane_embed.is_three_connected, which needs one pass for s = 2.
+    s = 2 is one low-point pass.  For s >= 3 a vertex of degree below s
+    refutes at once: deleting its neighbours cuts it off from the rest.
+    s = 3 is then one low-point pass for 2-connectivity and one linear
+    separation-pair search (_no_separation_pair), O(n + m) after one
+    sort of the arcs.  s >= 4 deletes each vertex in turn and
+    recurses down to s = 3, so it costs n linear tests.  This is the
+    check for abstract graphs (the minor pipeline, verify); a drawn
+    graph is checked for s = 3 by plane_embed.is_three_connected, a face
+    scan after one pass for s = 2.
     """
     if s <= 0:
         return g.n > 0
@@ -357,10 +533,10 @@ def connectivity_at_least(g: Graph, s: int) -> bool:
         return is_connected(g)
     if s == 2:
         return _biconnected_without(g)
+    if any(len(ns) < s for ns in g.adj.values()):
+        return False
     if s == 3:
-        if any(len(ns) < 3 for ns in g.adj.values()):
-            return False
-        return all(_biconnected_without(g, v) for v in g.vertices)
+        return _biconnected_without(g) and _no_separation_pair(g)
     for v in sorted(g.vertices):
         if not connectivity_at_least(g.without_vertex(v), s - 1):
             return False

@@ -12,8 +12,8 @@ accepted only if |V| - |E| + |F| = 2, i.e. the embedding is planar.
 is_three_connected answers 3-connectivity for a drawn graph from its
 faces: one low-point pass for 2-connectivity, then one linear scan for
 two vertices sharing two faces that are not the faces of one edge.
-Drawn inputs (color-planar, gen) use it; abstract graphs keep
-core_graph.connectivity_at_least, one low-point pass per vertex.
+Drawn inputs (color-planar, gen) use it; abstract graphs use
+core_graph.connectivity_at_least, a linear separation-pair search.
 
 very_nice_subgraph copies the caller's drawing once into a private
 working drawing with stable face ids: each face keeps its id until a

@@ -18,6 +18,9 @@ reference_very_nice_subgraph (a fresh PlaneGraph, block decomposition
 and face-id map at every reduction) are the covering-subgraph checker
 and construction as they were before the one working drawing; they pin
 the violations and the H that plane_embed produces.
+three_connected_by_low_point is core_graph's 3-connectivity test as it
+was before the separation-pair search: one low-point pass per deleted
+vertex, O(n (n + m)); it pins the linear test's verdicts.
 """
 
 import itertools
@@ -65,6 +68,14 @@ def connectivity_by_deletion(g, s):
         if not connectivity_by_deletion(subgraph_by_edge_filter(g, g.vertices - {v}), s - 1):
             return False
     return True
+
+
+def three_connected_by_low_point(g):
+    """3-connectivity as minimum degree 3 and a 2-connected g - v for
+    every vertex v, each checked by one low-point pass."""
+    if g.n <= 3 or any(len(ns) < 3 for ns in g.adj.values()):
+        return False
+    return all(connectivity_at_least(g.without_vertex(v), 2) for v in g.vertices)
 
 
 def vertex_face_incidences(pg):

@@ -238,6 +238,30 @@ def test_gallai_and_gdp_trees():
     assert not is_gallai_tree(g) and not is_gdp_tree(g)
 
 
+def prism(rungs):
+    """Two cycles 0..r-1 and r..2r-1 joined by the rungs (i, r + i)."""
+    r = rungs
+    return Graph(range(2 * r), [(i, (i + 1) % r) for i in range(r)]
+                 + [(r + i, r + (i + 1) % r) for i in range(r)] + [(i, r + i) for i in range(r)])
+
+
+def test_three_connectivity_of_deep_prisms():
+    """A 20,000-rung prism is 3-connected.  A second copy glued on along
+    the rung halfway round (a 2-sum, the rung kept) leaves that rung's
+    ends a separation pair.  Every search runs tens of thousands of
+    vertices deep, under the default recursion limit."""
+    r = 20000
+    g = prism(r)
+    assert connectivity_at_least(g, 3)
+    a, b = r // 2, r + r // 2
+    label = {v: 2 * r + v for v in g.vertices}
+    label[a], label[b] = a, b
+    edges = g.edges() + [(label[u], label[w]) for u, w in g.edges() if (u, w) != (a, b)]
+    two = Graph(g.vertices | set(label.values()), edges)
+    assert connectivity_at_least(two, 2) and min(map(two.degree, two.vertices)) == 3
+    assert not connectivity_at_least(two, 3)
+
+
 def test_connectivity_levels():
     assert connectivity_at_least(complete(4), 3)
     assert not connectivity_at_least(complete(4), 4)

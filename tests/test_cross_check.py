@@ -1,10 +1,14 @@
 """The fast graph paths against slow references and networkx.
 
-connectivity_at_least (low-point passes, vertex skipped in place),
-Graph.subgraph (adjacency intersection) and block_kind (vertex and
-edge counts) are each compared with the straightforward construction
-in tests/oracles.py, and connectivity also with networkx's
-node_connectivity on the hub instances and the drum fixture.
+connectivity_at_least (a low-point pass, and for s = 3 a linear
+separation-pair search), Graph.subgraph (adjacency intersection) and
+block_kind (vertex and edge counts) are each compared with the
+straightforward construction in tests/oracles.py, and connectivity also
+with networkx's node_connectivity on the hub instances and the drum
+fixture.  The s = 3 search is also compared with the per-vertex
+low-point pass it replaced, on relabelled graphs from small classes to
+G42, over a thousand of which pass every cheap guard and still have a
+2-cut.
 plane_embed.is_three_connected (a face scan on the drawing) is compared
 with connectivity_at_least(g, 3) on small planar classes, random planar
 graphs, 2-sums with a 2-cut that pass every cheap guard, and the
@@ -40,7 +44,8 @@ from corpus import connected_graph_classes, connected_graph_extensions, nx_plana
     planar_classes, random_connected_planar
 from oracles import block_kind_by_subgraph, connectivity_by_deletion, is_safe, \
     recursive_dp_coloring, reference_dp_f_colorable, reference_f_choosable, reference_is_nice, \
-    reference_very_nice_subgraph, subgraph_by_edge_filter, vertex_face_incidences
+    reference_very_nice_subgraph, subgraph_by_edge_filter, three_connected_by_low_point, \
+    vertex_face_incidences
 from dpchroma import minor_truncated, plane_embed, planar_truncated
 from dpchroma.cli import generate_hub_instance
 from dpchroma.constructions import build_G42, chain_case, gadget_h_plane
@@ -121,6 +126,19 @@ def test_connectivity_matches_networkx_on_drum():
         assert connectivity_at_least(g, s) == connectivity_by_deletion(g, s)
 
 
+def two_sum(g1, g2, rng):
+    """g1 and g2 (dense ids) glued along a random edge of each, as the
+    glued graph with and without that edge; g2's other vertices follow
+    g1's."""
+    a, b = rng.choice(g1.edges())
+    a2, b2 = rng.choice(g2.edges())
+    label = {a2: a, b2: b}
+    label.update((v, g1.n + i) for i, v in enumerate(sorted(g2.vertices - {a2, b2})))
+    edges = set(g1.edges()) | {tuple(sorted((label[u], label[w]))) for u, w in g2.edges()}
+    vs = range(g1.n + g2.n - 2)
+    return Graph(vs, edges), Graph(vs, edges - {(a, b)})
+
+
 def two_sums(count, seed):
     """Seeded 2-sums of two 3-connected random planar graphs along an
     edge, each with and without that edge, drawn by networkx.  Every one
@@ -132,15 +150,72 @@ def two_sums(count, seed):
             pool.append(g)
     rng = random.Random(seed)
     for _ in range(count):
-        g1, g2 = rng.sample(pool, 2)
-        a, b = rng.choice(g1.edges())
-        a2, b2 = rng.choice(g2.edges())
-        label = {a2: a, b2: b}
-        label.update((v, g1.n + i) for i, v in enumerate(sorted(g2.vertices - {a2, b2})))
-        edges = set(g1.edges()) | {tuple(sorted((label[u], label[w]))) for u, w in g2.edges()}
-        for glued in (edges, edges - {(a, b)}):
-            g = Graph(range(g1.n + g2.n - 2), glued)
+        for g in two_sum(*rng.sample(pool, 2), rng):
             yield PlaneGraph(g, nx_planar_rotation(g))
+
+
+def relabelled(g, rng):
+    """g under random sparse ids, so the search's root and scan orders move."""
+    vs = sorted(g.vertices)
+    ids = rng.sample(range(10 * len(vs) + 10), len(vs))
+    label = dict(zip(vs, ids))
+    return Graph(ids, [(label[u], label[w]) for u, w in g.edges()])
+
+
+def three_connectivity_cases():
+    """Every connected class up to 7 vertices; seeded G(n, p) on 4-16
+    vertices; chains of one to three 2-sums of 3-connected G(n, p)
+    pieces (not planar as a rule), with and without each glued edge;
+    chains of such pieces glued at cut vertices, open and closed into a
+    ring by one edge; the hub instances with and without rim edge 01;
+    K_{3,t} and K_{2,t} plus an edge; and G42."""
+    rng = random.Random(14)
+    yield from corpus_graphs(7)
+
+    def gnp(n, p):
+        return Graph(range(n), [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+    for _ in range(600):
+        yield gnp(rng.randint(4, 16), rng.choice((0.2, 0.3, 0.5, 0.7)))
+    pool = [g for g in (gnp(rng.randint(4, 10), rng.choice((0.5, 0.7, 1.0))) for _ in range(300))
+            if three_connected_by_low_point(g)]
+    for _ in range(1000):
+        g = rng.choice(pool)
+        for _ in range(rng.randint(1, 3)):
+            g = two_sum(g, rng.choice(pool), rng)[rng.random() < 0.5]
+        yield g
+    for _ in range(60):
+        edges, n = [], 1
+        for g in rng.sample(pool, rng.randint(2, 4)):
+            # the piece's vertex 0 is the previous piece's last vertex
+            edges += [(u + n - 1, w + n - 1) for u, w in g.edges()]
+            n += g.n - 1
+        yield Graph(range(n), edges)
+        yield Graph(range(n), edges + [(1, n - 2)])
+    for hubs, rim in ((1, 24), (2, 24), (3, 30), (3, 60)):
+        g = generate_hub_instance(hubs, rim, 7)[0].g
+        yield g
+        yield Graph(g.vertices, [e for e in g.edges() if e != (0, 1)])
+    for t in range(1, 13):
+        yield Graph(range(3 + t), [(i, 3 + j) for i in range(3) for j in range(t)])
+        yield Graph(range(2 + t), [(0, 1)] + [(i, 2 + j) for i in range(2) for j in range(t)])
+    yield build_G42()[0]
+
+
+def test_three_connectivity_matches_low_point_pass():
+    rng = random.Random(3)
+    ran = guarded_no = 0
+    for g in three_connectivity_cases():
+        h = relabelled(g, rng)
+        want = three_connected_by_low_point(h)
+        assert connectivity_at_least(h, 3) == want, h.edges()
+        if h.n < 100:
+            assert connectivity_by_deletion(h, 3) == want, h.edges()
+        ran += 1
+        guarded_no += (not want and h.n >= 4 and min(map(len, h.adj.values())) >= 3
+                       and connectivity_at_least(h, 2))
+    assert ran > 8000
+    assert guarded_no >= 1000, guarded_no
 
 
 def plane_connectivity_cases():

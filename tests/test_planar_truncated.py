@@ -15,6 +15,7 @@ from dpchroma.core_graph import Graph, connectivity_at_least
 from dpchroma.dp_cover import Cover, degree_truncated_sizes, find_dp_coloring, is_coloring_valid
 from dpchroma.errors import (EmptyResidualList, GDPTreeTight, InternalInvariantBreach,
                              PreconditionViolated)
+from dpchroma.minor_truncated import color_minor_truncated, constants
 from dpchroma.plane_embed import FaceClasses, PlaneGraph, augment_visibility
 from dpchroma.planar_truncated import (NoMove, PipelineState, color_planar_truncated,
                                        finish, partition_threshold,
@@ -174,19 +175,33 @@ def test_preconditions():
         color_planar_truncated(pg, Cover(g, {v: g.degree(v) for v in g.vertices}, {}))
 
 
-def test_no_per_vertex_pass_on_drawings(monkeypatch):
+def count_low_point_passes(monkeypatch):
     calls = []
     pass_ = core_graph._biconnected_without
 
-    def counting(g, skip=None):
-        calls.append(skip)
-        return pass_(g, skip)
+    def counting(g):
+        calls.append(g.n)
+        return pass_(g)
 
     monkeypatch.setattr(core_graph, "_biconnected_without", counting)
+    return calls
+
+
+def test_no_per_vertex_pass_on_drawings(monkeypatch):
+    calls = count_low_point_passes(monkeypatch)
     pg, cover = generate_hub_instance(3, 240, 1)
     assert len(calls) <= 1
     calls.clear()
     color_planar_truncated(pg, cover)
+    assert len(calls) <= 1
+
+
+def test_no_per_vertex_pass_on_abstract_graphs(monkeypatch):
+    pg, cover = generate_hub_instance(3, 240, 1)
+    calls = count_low_point_passes(monkeypatch)
+    params = constants(3, 2).with_overrides(q=6, k=16, peel_bound=2, degeneracy_bound=1)
+    phi = color_minor_truncated(pg.g, cover, params)
+    assert is_coloring_valid(cover, phi)
     assert len(calls) <= 1
 
 
