@@ -7,9 +7,7 @@ import sys
 
 from .constructions import (build_G42, build_H, build_k2_k2, build_ks_minus1,
                             verify_counterexample)
-from .core_graph import Graph, parse_graph, write_graph
-# not called here; kept bound because perfbench/layers.py wraps it by name
-from .core_graph import connectivity_at_least
+from .core_graph import Graph, connectivity_at_least, parse_graph, write_graph
 from .dp_cover import (Cover, degree_truncated_sizes, find_dp_coloring, parse_cover,
                        parse_lists, write_cover, write_lists)
 from .errors import (A2Unattainable, BadRotation, DegreeBelowS, EmptyResidualList,
@@ -19,8 +17,7 @@ from .errors import (A2Unattainable, BadRotation, DegreeBelowS, EmptyResidualLis
                      ProtectorInfeasible)
 from .exact_oracle import solve_list
 from .minor_truncated import color_minor_truncated, constants
-from .plane_embed import (PlaneGraph, is_three_connected, parse_plane, very_nice_subgraph,
-                          write_plane)
+from .plane_embed import PlaneGraph, parse_plane, very_nice_subgraph, write_plane
 from .planar_truncated import color_planar_truncated
 
 MASK64 = (1 << 64) - 1
@@ -139,8 +136,8 @@ def generate_hub_instance(hubs, rim, seed):
     one outside), hubs=3 the fan wheel.  Returns (PlaneGraph, Cover)
     where the cover has sizes min(16, d) and seeded random matchings.
     The construction is checked, not trusted: planarity via the rotation
-    trace, 3-connectivity from the faces of that drawing with
-    is_three_connected, and the heavy-vertex count.
+    trace, the heavy-vertex count, and 3-connectivity with
+    connectivity_at_least.
     """
     if hubs not in (1, 2, 3):
         raise GenerationFailed("supported hub counts are 1, 2, 3 (got %r)" % (hubs,))
@@ -156,7 +153,7 @@ def generate_hub_instance(hubs, rim, seed):
     if len(heavy) != hubs:
         raise GenerationFailed("rim %d gives %d vertices of degree >= 16, wanted %d"
                                % (rim, len(heavy), hubs))
-    if not is_three_connected(pg):
+    if not connectivity_at_least(g, 3):
         raise GenerationFailed("generated graph is not 3-connected")
     rng = Xorshift64Star(seed)
     sizes = degree_truncated_sizes(g, 16)

@@ -521,9 +521,8 @@ def connectivity_at_least(g: Graph, s: int) -> bool:
     separation-pair search (_no_separation_pair), O(n + m) after one
     sort of the arcs.  s >= 4 deletes each vertex in turn and
     recurses down to s = 3, so it costs n linear tests.  This is the
-    check for abstract graphs (the minor pipeline, verify); a drawn
-    graph is checked for s = 3 by plane_embed.is_three_connected, a face
-    scan after one pass for s = 2.
+    one 3-connectivity check for drawn and abstract graphs alike (gen,
+    both pipelines, verify).
     """
     if s <= 0:
         return g.n > 0

@@ -13,14 +13,14 @@ Everything left at the end is safe and falls to the greedy finisher.
 from __future__ import annotations
 
 from .core_graph import (block_kind, blocks_and_cut_vertices, connected_components,
-                         degeneracy_order, is_complete_graph, is_connected)
-# not called here; kept bound because perfbench/layers.py wraps them by name
-from .core_graph import connectivity_at_least, is_gdp_tree
+                         connectivity_at_least, degeneracy_order, is_complete_graph,
+                         is_connected)
+# not called here; kept bound because perfbench/layers.py wraps it by name
+from .core_graph import is_gdp_tree
 from .dp_cover import color_vertex, degree_dp_color, is_coloring_valid, residual_cover
 from .errors import (A2Unattainable, EmptyResidualList, GDPTreeTight,
                      InternalInvariantBreach, PreconditionViolated, ProtectorInfeasible)
-from .plane_embed import FaceClasses, augment_visibility, component_planes, \
-    is_three_connected, very_nice_subgraph
+from .plane_embed import FaceClasses, augment_visibility, component_planes, very_nice_subgraph
 
 THRESHOLD = 16
 
@@ -289,10 +289,10 @@ def color_planar_truncated(pg, cover, trace=None):
     """Color a 3-connected non-complete plane graph under a cover with
     list sizes at least min(16, degree).  trace, when given, is a list
     that receives one line per R1/R2 step for replay checking.
-    3-connectivity is read off the drawing's faces by
-    is_three_connected, not by one low-point pass per vertex."""
+    3-connectivity is checked on the abstract graph by
+    connectivity_at_least, one linear separation-pair search."""
     v1, v2 = entry_gate(pg.g, cover)
-    if not is_three_connected(pg):
+    if not connectivity_at_least(pg.g, 3):
         raise PreconditionViolated("input graph is not 3-connected")
     if is_complete_graph(pg.g):
         raise PreconditionViolated("complete graphs are excluded")

@@ -9,12 +9,6 @@ in rot(v) after arriving from u.  Each face has one boundary walk (a
 single vertex has one face with an empty walk), and a rotation system is
 accepted only if |V| - |E| + |F| = 2, i.e. the embedding is planar.
 
-is_three_connected answers 3-connectivity for a drawn graph from its
-faces: one low-point pass for 2-connectivity, then one linear scan for
-two vertices sharing two faces that are not the faces of one edge.
-Drawn inputs (color-planar, gen) use it; abstract graphs use
-core_graph.connectivity_at_least, a linear separation-pair search.
-
 very_nice_subgraph copies the caller's drawing once into a private
 working drawing with stable face ids: each face keeps its id until a
 reduction merges it away, a merged face takes an id the reduction names,
@@ -176,64 +170,6 @@ def write_plane(pg: PlaneGraph) -> str:
         idxs = [eidx[(min(v, u), max(v, u))] for u in pg.rot[v]]
         lines.append("r %d %s" % (v, " ".join(str(i) for i in idxs)))
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# 3-connectivity from the faces
-
-
-def is_three_connected(pg: PlaneGraph) -> bool:
-    """Is the drawn graph 3-connected?  Same verdict as
-    connectivity_at_least(pg.g, 3), from one low-point pass, a sort of
-    the vertices and faces by degree, and an O(m) scan.
-
-    Guards first: n >= 4, minimum degree 3, 2-connected.  Then every face
-    is a cycle, and {a, b} is a 2-cut iff a and b lie on two common faces
-    that are not the two faces of an edge ab (a closed curve through a,
-    b and those two faces has a vertex on each side).  So G is
-    3-connected iff every 4-cycle a-f-b-f' of the vertex-face incidence
-    graph has ab in E with {f, f'} the faces of ab.  Three common
-    neighbours always mean a bad cycle: three common faces of a and b
-    make three pairs, at most one of them the faces of ab; three common
-    vertices of two faces would need an edge between each two of them
-    with exactly those two faces, and a vertex on two such edges has
-    degree 2.  The 4-cycles are scanned as Chiba and Nishizeki (SIAM J.
-    Comput. 1985) list them: nodes in decreasing degree order, each
-    looking two steps ahead through later nodes only, which is O(m) on
-    this planar incidence graph.  The scan stops at the first bad cycle.
-    """
-    # imported at call time, so a wrapper installed on core_graph sees the call
-    from .core_graph import connectivity_at_least
-
-    g = pg.g
-    if g.n < 4 or any(len(ns) < 3 for ns in g.adj.values()) or not connectivity_at_least(g, 2):
-        return False
-    ef = pg._edge_face
-    # incidence graph: vertex v is node v, face f is node ~f (negative)
-    nbrs = {v: [] for v in g.adj}
-    for fid, walk in enumerate(pg.faces):
-        nbrs[~fid] = [u for u, _ in walk]
-        for u, _ in walk:
-            nbrs[u].append(~fid)
-    rank = {x: r for r, x in enumerate(sorted(nbrs, key=lambda x: -len(nbrs[x])))}
-    for x, rx in rank.items():
-        mids = {}
-        for y in nbrs[x]:
-            if rank[y] < rx:
-                continue
-            for z in nbrs[y]:
-                if rank[z] <= rx:
-                    continue
-                seen = mids.setdefault(z, [])
-                seen.append(y)
-                if len(seen) == 3:
-                    return False
-                if len(seen) == 2:
-                    a, b, faces = (x, z, {~f for f in seen}) if x >= 0 else \
-                        (seen[0], seen[1], {~x, ~z})
-                    if b not in g.adj[a] or {ef[(a, b)], ef[(b, a)]} != faces:
-                        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

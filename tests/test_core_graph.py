@@ -101,6 +101,28 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_every_public_name_has_a_caller_in_the_package():
+    # a public top-level function or class that nothing else in the
+    # package uses (an import alone is not a use) gets a caller or goes
+    root = os.path.dirname(os.path.abspath(dpchroma.__file__))
+    top = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            top += [(name, node, {n.id if isinstance(n, ast.Name) else n.attr
+                                  for n in ast.walk(node)
+                                  if isinstance(n, (ast.Name, ast.Attribute))})
+                    for node in tree.body]
+    found = ["%s:%s" % (name, d.name) for name, d, _ in top
+             if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_")
+             and not any(d.name in used for _, other, used in top if other is not d)]
+    # ROADMAP item 5 gives these their caller: the Gallai-tree sweeps of
+    # a verify family run the two oracles against is_gallai_tree
+    assert found == ["core_graph.py:is_gallai_tree", "exact_oracle.py:is_degree_choosable",
+                     "exact_oracle.py:is_degree_dp_colorable"]
+
+
 def test_write_graph_needs_dense_ids():
     with pytest.raises(ValueError, match="dense ids"):
         write_graph(Graph([0, 2], [(0, 2)]))

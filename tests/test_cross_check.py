@@ -8,14 +8,13 @@ with networkx's node_connectivity on the hub instances and the drum
 fixture.  The s = 3 search is also compared with the per-vertex
 low-point pass it replaced, on relabelled graphs from small classes to
 G42, over a thousand of which pass every cheap guard and still have a
-2-cut.
-plane_embed.is_three_connected (a face scan on the drawing) is compared
-with connectivity_at_least(g, 3) on small planar classes, random planar
-graphs, 2-sums with a 2-cut that pass every cheap guard, and the
-drawn fixtures up to G42.  The exact cover search (one loop over
-bitmasks and buckets) is compared with the recursive search it
-replaced: same witnesses in the same order, same None verdicts, same
-budget trips.  The quantified
+2-cut.  Since gen and color-planar make the same call, the cases
+include the planar inputs too: random planar graphs, planar 2-sums
+that pass every cheap guard, and the drawn fixtures (the hubs, the
+drum and the gadget H).  The exact cover search (one loop over bitmasks
+and buckets) is compared with the recursive search it replaced: same
+witnesses in the same order, same None verdicts, same budget trips.
+The quantified
 oracles (surviving colorings kept as one bitmask per search node) are
 compared with the versions that re-searched the colorings at every
 leaf: same verdicts, same bad lists, same bad covers.  The
@@ -40,8 +39,8 @@ import re
 import networkx as nx
 import pytest
 
-from corpus import connected_graph_classes, connected_graph_extensions, nx_planar_rotation, \
-    planar_classes, random_connected_planar
+from corpus import connected_graph_classes, connected_graph_extensions, planar_classes, \
+    random_connected_planar
 from oracles import block_kind_by_subgraph, connectivity_by_deletion, is_safe, \
     recursive_dp_coloring, reference_dp_f_colorable, reference_f_choosable, reference_is_nice, \
     reference_very_nice_subgraph, subgraph_by_edge_filter, three_connected_by_low_point, \
@@ -53,7 +52,7 @@ from dpchroma.core_graph import Graph, block_kind, blocks_and_cut_vertices, conn
 from dpchroma.dp_cover import Cover, find_dp_coloring, induced_cover
 from dpchroma.errors import InstanceTooLarge
 from dpchroma.exact_oracle import is_dp_f_colorable, is_f_choosable
-from dpchroma.plane_embed import PlaneGraph, is_nice, is_three_connected, very_nice_subgraph
+from dpchroma.plane_embed import PlaneGraph, is_nice, very_nice_subgraph
 from test_golden import PROTECTION_RUNS
 from test_planar_truncated import drum_plane
 
@@ -141,8 +140,8 @@ def two_sum(g1, g2, rng):
 
 def two_sums(count, seed):
     """Seeded 2-sums of two 3-connected random planar graphs along an
-    edge, each with and without that edge, drawn by networkx.  Every one
-    is 2-connected with minimum degree 3 and has a 2-cut."""
+    edge, each with and without that edge.  Every one is planar,
+    2-connected with minimum degree 3, and has a 2-cut."""
     pool = []
     for k in range(40):
         g, _ = random_connected_planar(4 + k % 8, 3 * (4 + k % 8), k)
@@ -150,8 +149,7 @@ def two_sums(count, seed):
             pool.append(g)
     rng = random.Random(seed)
     for _ in range(count):
-        for g in two_sum(*rng.sample(pool, 2), rng):
-            yield PlaneGraph(g, nx_planar_rotation(g))
+        yield from two_sum(*rng.sample(pool, 2), rng)
 
 
 def relabelled(g, rng):
@@ -167,8 +165,10 @@ def three_connectivity_cases():
     vertices; chains of one to three 2-sums of 3-connected G(n, p)
     pieces (not planar as a rule), with and without each glued edge;
     chains of such pieces glued at cut vertices, open and closed into a
-    ring by one edge; the hub instances with and without rim edge 01;
-    K_{3,t} and K_{2,t} plus an edge; and G42."""
+    ring by one edge; seeded random planar graphs on 4-20 vertices;
+    planar 2-sums; the hub instances at rims 24-240 with and without rim
+    edge 01; the drum at quarters 15 and 30; the gadget H; K_{3,t} and
+    K_{2,t} plus an edge; and G42."""
     rng = random.Random(14)
     yield from corpus_graphs(7)
 
@@ -192,10 +192,18 @@ def three_connectivity_cases():
             n += g.n - 1
         yield Graph(range(n), edges)
         yield Graph(range(n), edges + [(1, n - 2)])
-    for hubs, rim in ((1, 24), (2, 24), (3, 30), (3, 60)):
+    for seed in range(300):
+        draw = random.Random(seed)
+        n = draw.randint(4, 20)
+        yield random_connected_planar(n, draw.randint(0, 2 * n - 6), seed)[0]
+    yield from two_sums(60, 42)
+    for hubs, rim in ((1, 24), (1, 60), (2, 24), (2, 60), (3, 30), (3, 60), (3, 240)):
         g = generate_hub_instance(hubs, rim, 7)[0].g
         yield g
         yield Graph(g.vertices, [e for e in g.edges() if e != (0, 1)])
+    yield drum_plane(quarter=15).g
+    yield drum_plane(quarter=30).g
+    yield gadget_h_plane().g
     for t in range(1, 13):
         yield Graph(range(3 + t), [(i, 3 + j) for i in range(3) for j in range(t)])
         yield Graph(range(2 + t), [(0, 1)] + [(i, 2 + j) for i in range(2) for j in range(t)])
@@ -216,41 +224,6 @@ def test_three_connectivity_matches_low_point_pass():
                        and connectivity_at_least(h, 2))
     assert ran > 8000
     assert guarded_no >= 1000, guarded_no
-
-
-def plane_connectivity_cases():
-    for n in range(1, 7):
-        for g, rot in planar_classes(n):
-            yield PlaneGraph(g, rot)
-    for seed in range(300):
-        rng = random.Random(seed)
-        n = rng.randint(4, 20)
-        yield PlaneGraph(*random_connected_planar(n, rng.randint(0, 2 * n - 6), seed))
-    yield from two_sums(60, 42)
-    for hubs, rim in ((1, 24), (1, 60), (2, 24), (2, 60), (3, 30), (3, 60), (3, 240)):
-        pg = generate_hub_instance(hubs, rim, 7)[0]
-        yield pg
-        # the same drawing less the rim edge 01
-        yield PlaneGraph(Graph(pg.g.vertices, [e for e in pg.g.edges() if e != (0, 1)]),
-                         {v: tuple(w for w in r if {v, w} != {0, 1}) for v, r in pg.rot.items()})
-    yield drum_plane(quarter=15)
-    yield drum_plane(quarter=30)
-    yield gadget_h_plane()
-    g = build_G42()[0]
-    yield PlaneGraph(g, nx_planar_rotation(g))
-
-
-def test_plane_three_connectivity_matches_low_point():
-    ran = guarded_no = 0
-    for pg in plane_connectivity_cases():
-        g = pg.g
-        want = connectivity_at_least(g, 3)
-        assert is_three_connected(pg) == want, (g.edges(), pg.rot)
-        ran += 1
-        guards = g.n >= 4 and min(map(len, g.adj.values())) >= 3 and connectivity_at_least(g, 2)
-        guarded_no += guards and not want
-    assert ran > 500
-    assert guarded_no >= 50, guarded_no
 
 
 def test_subgraph_matches_edge_filter():

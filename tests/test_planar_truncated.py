@@ -175,30 +175,35 @@ def test_preconditions():
         color_planar_truncated(pg, Cover(g, {v: g.degree(v) for v in g.vertices}, {}))
 
 
-def count_low_point_passes(monkeypatch):
+def count_calls(monkeypatch, name):
     calls = []
-    pass_ = core_graph._biconnected_without
+    real = getattr(core_graph, name)
 
     def counting(g):
         calls.append(g.n)
-        return pass_(g)
+        return real(g)
 
-    monkeypatch.setattr(core_graph, "_biconnected_without", counting)
+    monkeypatch.setattr(core_graph, name, counting)
     return calls
 
 
 def test_no_per_vertex_pass_on_drawings(monkeypatch):
-    calls = count_low_point_passes(monkeypatch)
+    # the drawn inputs take the one 3-connectivity path: one search each
+    calls = count_calls(monkeypatch, "_biconnected_without")
+    searches = count_calls(monkeypatch, "_no_separation_pair")
     pg, cover = generate_hub_instance(3, 240, 1)
     assert len(calls) <= 1
+    assert searches == [243]
     calls.clear()
+    searches.clear()
     color_planar_truncated(pg, cover)
     assert len(calls) <= 1
+    assert searches == [243]
 
 
 def test_no_per_vertex_pass_on_abstract_graphs(monkeypatch):
     pg, cover = generate_hub_instance(3, 240, 1)
-    calls = count_low_point_passes(monkeypatch)
+    calls = count_calls(monkeypatch, "_biconnected_without")
     params = constants(3, 2).with_overrides(q=6, k=16, peel_bound=2, degeneracy_bound=1)
     phi = color_minor_truncated(pg.g, cover, params)
     assert is_coloring_valid(cover, phi)
