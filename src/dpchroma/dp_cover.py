@@ -9,6 +9,8 @@ colors sharing a token are matched (induced_cover).
 
 from __future__ import annotations
 
+import itertools
+
 from .core_graph import Graph, block_kind, blocks_and_cut_vertices, is_connected, is_gdp_tree
 from .errors import (GDPTreeTight, InstanceTooLarge, InternalInvariantBreach, MalformedInput,
                      NotConnected, PreconditionViolated)
@@ -72,29 +74,46 @@ def find_dp_coloring(cover: Cover, budget=None):
     Most-constrained vertex first (fewest colors left, ties to the
     smallest vertex), colors in ascending order, with forward checking:
     an attempt stops as soon as it leaves an uncolored neighbor no
-    color.  Good enough to refute the engineered gadgets in
-    milliseconds.  The search is one loop over an explicit stack, so
-    its depth has no limit but the vertex count.  budget caps the
-    number of color attempts; exceeding it raises InstanceTooLarge
-    instead of risking an open-ended search.  The witness lists the
-    vertices in the order they were colored.
+    color.  On top of that, conflict-directed backjumping (FC-CBJ,
+    Prosser 1993): each struck color remembers the stack level that
+    struck it.  A vertex that runs out of colors blames the levels that
+    struck its own missing colors and, for each dead attempt, those
+    that struck the other colors of the neighbor the attempt emptied.
+    The search jumps straight back to the highest level blamed, which
+    inherits the rest of the blame, and returns None when no level is
+    to blame.  Whatever the levels jumped over try, they cannot lead to
+    a coloring, so the jump skips only subtrees without one: the
+    witness, and its order, are those of plain forward checking, found
+    in at most as many color attempts.  The search is one loop over an
+    explicit stack, so its depth has no limit but the vertex count.
+    budget still caps the number of color attempts (a jump makes none);
+    exceeding it raises InstanceTooLarge instead of risking an
+    open-ended search.  The witness lists the vertices in the order
+    they were colored.
     """
     order = sorted(cover.g.vertices)
     index = {v: x for x, v in enumerate(order)}
     # vertices by index; avail[x] is a bitmask of x's colors left (0
-    # while x is colored, so no strike reaches it), and strikes[x][i]
-    # the (neighbor, bit) pairs that color i of x rules out
-    avail = [(1 << cover.sizes[v]) - 1 for v in order]
-    strikes = [[[] for _ in range(cover.sizes[v])] for v in order]
+    # while x is colored, so no strike reaches it).  Color j of x has
+    # slot base[x] + j: strikes[slot] lists the (neighbor, bit, slot)
+    # triples that the color rules out, and by[slot] is the stack level
+    # that struck it (stale while it is not struck)
+    sizes = [cover.sizes[v] for v in order]
+    avail = [(1 << s) - 1 for s in sizes]
+    base = list(itertools.accumulate(sizes, initial=0))
+    by = [0] * base[-1]
+    strikes = [[] for _ in by]
     for (v, u), match in cover._m.items():
-        row, y = strikes[index[v]], index[u]
+        at, y = base[index[v]], index[u]
         for i, j in match.items():
-            row[i].append((y, 1 << j))
+            strikes[at + i].append((y, 1 << j, base[y] + j))
     # buckets[c]: the uncolored vertices with c colors left
-    buckets = [set() for _ in range(max(cover.sizes.values(), default=0) + 1)]
+    buckets = [set() for _ in range(max(sizes, default=0) + 1)]
     for x, mask in enumerate(avail):
         buckets[mask.bit_count()].add(x)
-    stack = []  # (vertex, color, colors still to try, struck pairs, full mask)
+    # (vertex, color, colors still to try, struck triples, full mask,
+    # levels blamed so far)
+    stack = []
     nodes = 0
     x = None
     while True:
@@ -103,11 +122,13 @@ def find_dp_coloring(cover: Cover, budget=None):
                 if bucket:
                     break
             else:
-                return {order[y]: (order[y], i) for y, i, _, _, _ in stack}
+                return {order[y]: (order[y], i) for y, i, _, _, _, _ in stack}
             x = min(bucket)
             bucket.remove(x)
             rest = full = avail[x]
             avail[x] = 0
+            level = len(stack)
+            conf = 0
         if rest:
             low = rest & -rest
             rest ^= low
@@ -117,31 +138,60 @@ def find_dp_coloring(cover: Cover, budget=None):
                 raise InstanceTooLarge(
                     "search passed %d nodes; raise --budget to keep going" % budget)
             struck = []
-            for y, bit in strikes[x][i]:
+            for strike in strikes[base[x] + i]:
+                y, bit, slot = strike
                 if avail[y] & bit:
                     c = avail[y].bit_count()
                     buckets[c].remove(y)
                     buckets[c - 1].add(y)
                     avail[y] ^= bit
-                    struck.append((y, bit))
+                    by[slot] = level
+                    struck.append(strike)
                     if c == 1:
                         break
             else:
-                stack.append((x, i, rest, struck, full))
+                stack.append((x, i, rest, struck, full, conf))
                 x = None
                 continue
+            # a dead attempt: y lost its last color to x
+            _undo(struck, avail, buckets)
         else:
             avail[x] = full
             buckets[full.bit_count()].add(x)
-            if not stack:
-                return None
-            x, _, rest, struck, full = stack.pop()
-        # undo a dead attempt, or the attempt just backtracked out of
-        for y, bit in struck:
-            c = avail[y].bit_count()
-            buckets[c].remove(y)
-            buckets[c + 1].add(y)
-            avail[y] |= bit
+            y = x
+        # blame the levels that struck y's missing colors, unless every
+        # level below x is blamed already
+        missing = (1 << sizes[y]) - 1 & ~avail[y] if conf != (1 << level) - 1 else 0
+        at = base[y] - 1
+        while missing:
+            low = missing & -missing
+            missing ^= low
+            conf |= 1 << by[at + low.bit_length()]
+        if y != x:
+            continue
+        # x is out of colors: jump back to the highest level blamed,
+        # undoing every level above it, and hand it the rest of the blame
+        if not conf:
+            return None
+        level = conf.bit_length() - 1  # where x resumes
+        while True:
+            y, _, rest, struck, full, blamed = stack.pop()
+            _undo(struck, avail, buckets)
+            if len(stack) == level:
+                break
+            avail[y] = full
+            buckets[full.bit_count()].add(y)
+        x = y
+        conf = blamed | conf ^ (1 << level)
+
+
+def _undo(struck, avail, buckets):
+    """Give back the colors that one attempt struck."""
+    for y, bit, _ in struck:
+        c = avail[y].bit_count()
+        buckets[c].remove(y)
+        buckets[c + 1].add(y)
+        avail[y] |= bit
 
 
 def is_coloring_valid(cover: Cover, coloring) -> bool:

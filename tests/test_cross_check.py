@@ -12,14 +12,18 @@ G42, over a thousand of which pass every cheap guard and still have a
 include the planar inputs too: random planar graphs, planar 2-sums
 that pass every cheap guard, and the drawn fixtures (the hubs, the
 drum and the gadget H).  The exact cover search (one loop over bitmasks
-and buckets) is compared with the recursive search it replaced: same
-witnesses in the same order, same None verdicts, same budget trips.
-The quantified
-oracles (surviving colorings kept as one bitmask per search node) are
-compared with the versions that re-searched the colorings at every
-leaf: same verdicts, same bad lists, same bad covers.  The
-pipelines' component safety (comp_safe_now, read off the running
-availability sets) is compared with oracles.is_safe, which recounts
+and buckets, with conflict-directed backjumping) is compared with the
+recursive forward-checking search it replaced: same witnesses in the
+same order and same None verdicts.  On small random covers under small
+budgets the two also trip alike.  On the G42 chain cases, relabelled
+K_{2,k^2} and denser list assignments, where the search jumps back
+several levels, every color attempt is counted: the search never makes
+more than the reference, so no budget the reference meets trips it.
+The quantified oracles (surviving colorings kept as one bitmask per
+search node) are compared with the versions that re-searched the
+colorings at every leaf: same verdicts, same bad lists, same bad
+covers.  The pipelines' component safety (comp_safe_now, read off the
+running availability sets) is compared with oracles.is_safe, which recounts
 the colors left from the cover, after every R1/R2 step of the
 protection runs pinned in tests/test_golden.py.  very_nice_subgraph
 (one working drawing edited in place) is compared with the
@@ -47,7 +51,7 @@ from oracles import block_kind_by_subgraph, connectivity_by_deletion, is_safe, \
     vertex_face_incidences
 from dpchroma import minor_truncated, plane_embed, planar_truncated
 from dpchroma.cli import generate_hub_instance
-from dpchroma.constructions import build_G42, chain_case, gadget_h_plane
+from dpchroma.constructions import build_G42, build_k2_k2, chain_case, gadget_h_plane
 from dpchroma.core_graph import Graph, block_kind, blocks_and_cut_vertices, connectivity_at_least
 from dpchroma.dp_cover import Cover, find_dp_coloring, induced_cover
 from dpchroma.errors import InstanceTooLarge
@@ -291,6 +295,72 @@ def test_search_matches_recursive_reference():
     for i in range(42):
         cover = induced_cover(*chain_case(i))[0]
         assert find_dp_coloring(cover) is None and recursive_dp_coloring(cover) is None
+
+
+class CountingBudget(int):
+    """A budget no search reaches that keeps the highest node count it
+    was compared with.  Both searches test `nodes > budget`, which
+    Python hands to this subclass's __lt__ first."""
+
+    def __new__(cls):
+        self = super().__new__(cls, 1 << 62)
+        self.nodes = 0
+        return self
+
+    def __lt__(self, nodes):
+        self.nodes = max(self.nodes, nodes)
+        return False
+
+
+def counted_outcome(search, cover):
+    """(witness items in order, or None; color attempts made)."""
+    budget = CountingBudget()
+    col = search(cover, budget)
+    return (None if col is None else list(col.items())), budget.nodes
+
+
+def relabelled_lists(g, lists, rng):
+    """g and its lists under random sparse ids."""
+    vs = sorted(g.vertices)
+    label = dict(zip(vs, rng.sample(range(10 * len(vs) + 10), len(vs))))
+    return (Graph(label.values(), [(label[u], label[w]) for u, w in g.edges()]),
+            {label[v]: ts for v, ts in lists.items()})
+
+
+def backjumping_cases():
+    """The 42 chain cases; K_{2,k^2} for k <= 5, each under three
+    seeded relabellings; and seeded list assignments on 12-16 vertices
+    with lists of 2-3 tokens out of 3-5, dense enough that the search
+    hits dead ends several levels below their cause."""
+    for i in range(42):
+        yield induced_cover(*chain_case(i))[0]
+    rng = random.Random(16)
+    for k in range(1, 6):
+        for _ in range(3):
+            yield induced_cover(*relabelled_lists(*build_k2_k2(k), rng))[0]
+    for _ in range(2000):
+        n = rng.randint(12, 16)
+        p = rng.choice((0.2, 0.3, 0.4))
+        g = Graph(range(n), [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        tokens = range(rng.randint(3, 5))
+        yield induced_cover(g, {v: rng.sample(tokens, rng.randint(2, 3)) for v in g.vertices})[0]
+
+
+def test_backjumping_keeps_forward_checking_witnesses_in_fewer_nodes():
+    """The search against the recursive forward-checking search: same
+    verdict, same witness in the same order, and never more color
+    attempts, so no budget the reference meets trips the search."""
+    seen = set()
+    fewer = 0
+    for cover in backjumping_cases():
+        want, want_nodes = counted_outcome(recursive_dp_coloring, cover)
+        got, got_nodes = counted_outcome(find_dp_coloring, cover)
+        assert got == want and got_nodes <= want_nodes, \
+            (cover.sizes, [(e, cover.edge_pairs(*e)) for e in cover.g.edges()])
+        seen.add(want is None)
+        fewer += got_nodes < want_nodes
+    assert seen == {True, False}
+    assert fewer >= 100, fewer
 
 
 def oracle_outcome(oracle, g, f):

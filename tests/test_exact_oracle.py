@@ -10,6 +10,7 @@ from corpus import connected_graph_classes
 from oracles import raw_choosable, raw_dp_colorable, raw_has_coloring
 
 import dpchroma
+from dpchroma.constructions import build_k2_k2, chain_case
 from dpchroma.core_graph import Graph, is_gallai_tree, is_gdp_tree
 from dpchroma.dp_cover import Cover, degree_dp_color, induced_cover
 from dpchroma.errors import InstanceTooLarge
@@ -257,6 +258,15 @@ def test_solve_budget_trips():
         solve_list(g, lists, budget=50)
     # same instance with no cap gets the honest verdict
     assert solve_list(g, lists, budget=None) is None
+
+
+def test_backjumping_refutes_the_counterexamples_within_small_budgets():
+    """Plain forward checking spends 19,715 color attempts on every
+    chain case and about a million on K_{2,36}; jumping back to the
+    vertices to blame needs at most 599 and 5,292."""
+    for i in range(42):
+        assert solve_list(*chain_case(i), budget=1_000) is None
+    assert solve_list(*build_k2_k2(6), budget=10_000) is None
 
 
 def test_degree_dp_color_preconditions():
