@@ -10,11 +10,7 @@ from .constructions import (build_G42, build_H, build_k2_k2, build_ks_minus1,
 from .core_graph import Graph, connectivity_at_least, parse_graph, write_graph
 from .dp_cover import (Cover, degree_truncated_sizes, find_dp_coloring, parse_cover,
                        parse_lists, write_cover, write_lists)
-from .errors import (A2Unattainable, BadRotation, DegreeBelowS, EmptyResidualList,
-                     GDPTreeTight, GenerationFailed, InstanceTooLarge,
-                     InternalInvariantBreach, ListTooSmall, MalformedInput, NotConnected,
-                     NotDegenerate, PeelBoundExceeded, PreconditionViolated,
-                     ProtectorInfeasible)
+from .errors import BadRotation, Diagnostic, GenerationFailed, InputError
 from .exact_oracle import solve_list
 from .minor_truncated import color_minor_truncated, constants
 from .plane_embed import PlaneGraph, parse_plane, very_nice_subgraph, write_plane
@@ -187,11 +183,6 @@ def run_report(rows):
 # ---------------------------------------------------------------------------
 # command front end
 
-_INPUT_ERRORS = (MalformedInput, BadRotation, NotConnected, PreconditionViolated,
-                 InstanceTooLarge, ListTooSmall, GenerationFailed, ValueError, OSError)
-_DIAGNOSTICS = (GDPTreeTight, EmptyResidualList, ProtectorInfeasible, PeelBoundExceeded,
-                DegreeBelowS, NotDegenerate, InternalInvariantBreach, A2Unattainable)
-
 
 def _read(path):
     with open(path) as fh:
@@ -238,9 +229,7 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1 (got %d)" % args.jobs)
-    rows = verify_counterexample(args.family, k=args.k, s=args.s, jobs=args.jobs)
+    rows = verify_counterexample(args.family, k=args.k, s=args.s)
     sys.stdout.write(run_report(rows))
     return 0 if all(r[1] for r in rows) else 10
 
@@ -333,7 +322,6 @@ def _build_parser():
     v.add_argument("--family", required=True, choices=["H", "G42", "k2k2", "ks"])
     v.add_argument("--k", type=int)
     v.add_argument("--s", type=int)
-    v.add_argument("--jobs", type=int, default=1)
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("solve", help="exact coloring of a graph from lists or a cover")
@@ -377,10 +365,10 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (InputError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except _DIAGNOSTICS as exc:
+    except Diagnostic as exc:
         print("diagnostic: %s" % exc, file=sys.stderr)
         return 3
 

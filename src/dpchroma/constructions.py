@@ -16,9 +16,7 @@ min(degree, 7) everywhere, and is not colorable from its lists.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 
 from .core_graph import Graph, connectivity_at_least, is_connected
 from .dp_cover import induced_cover
@@ -372,11 +370,11 @@ def _case_refuted(i):
     return find_list_coloring(g, lists) is None
 
 
-def verify_chain(jobs=1):
+def verify_chain():
     """Full chain verification; list of (name, ok) rows.
 
-    The 42 case refutations run on min(jobs, CPU count) worker
-    processes, serially when that is 1.
+    Checks the list sizes, that each copy induces the gadget, and
+    3-connectivity, then refutes the 42 chain cases one after another.
     """
     g, lists = chain_graph()
     rows = []
@@ -398,24 +396,20 @@ def verify_chain(jobs=1):
             break
     rows.append(("copies-induce-gadget", ok))
     rows.append(("three-connected", connectivity_at_least(g, 3)))
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_case_refuted, range(42)))
-    else:
-        results = [_case_refuted(i) for i in range(42)]
-    for i, res in enumerate(results):
-        a, b = chain_token_pairs()[i]
-        rows.append(("case-%s%s" % (a, b), res))
+    for i, (a, b) in enumerate(chain_token_pairs()):
+        rows.append(("case-%s%s" % (a, b), _case_refuted(i)))
     return rows
 
 
+# jobs must be 1; kept because perfbench/workloads.py passes it (ROADMAP item 2)
 def verify_counterexample(name, k=None, s=None, jobs=1):
     """Builder + checks for one family; returns (check, ok) rows."""
+    if jobs != 1:
+        raise ValueError("jobs must be 1 (got %r)" % (jobs,))
     if name == "H":
         return verify_gadget()
     if name == "G42":
-        return verify_chain(jobs=jobs)
+        return verify_chain()
     if name == "k2k2":
         if k is None or k < 1:
             raise ValueError("k2k2 needs k >= 1")

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from dpchroma import cli
+from dpchroma import cli, errors
 from dpchroma.cli import Xorshift64Star, main, run_report
+from dpchroma.constructions import verify_counterexample
 from dpchroma.core_graph import Graph, write_graph
 from dpchroma.dp_cover import write_cover
 from dpchroma.plane_embed import write_plane
@@ -197,10 +198,13 @@ def test_solve_on_a_10000_vertex_path_exits_0(tmp_path, capsys):
     assert out == ["v %d %s" % (v, "ab"[v % 2]) for v in range(n)]
 
 
-def test_verify_jobs_below_one_exits_2(capsys):
-    for jobs in ("0", "-3"):
-        assert main(["verify", "--family", "k2k2", "--k", "2", "--jobs", jobs]) == 2
-        assert capsys.readouterr().err == "error: --jobs must be at least 1 (got %s)\n" % jobs
+def test_verify_jobs_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "k2k2", "--k", "2", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        verify_counterexample("G42", jobs=2)
 
 
 def test_k2k2_past_the_big_side_cap_exits_2(capsys):
@@ -233,6 +237,45 @@ def test_diagnostics_exit_3(tmp_path, capsys):
                "--override", "q=7,k=10,peel=0,degen=1"])
     assert rc == 3
     assert "diagnostic:" in capsys.readouterr().err
+
+
+# exit code per error class; ReconstructionFailed is not reachable from CLI input
+EXIT_CODES = {
+    "MalformedInput": 2, "BadRotation": 2, "NotConnected": 2, "PreconditionViolated": 2,
+    "InstanceTooLarge": 2, "ListTooSmall": 2, "GenerationFailed": 2,
+    "GDPTreeTight": 3, "EmptyResidualList": 3, "ProtectorInfeasible": 3,
+    "PeelBoundExceeded": 3, "DegreeBelowS": 3, "NotDegenerate": 3,
+    "InternalInvariantBreach": 3, "A2Unattainable": 3, "ReconstructionFailed": 3,
+}
+
+
+def test_exception_base_class_picks_the_exit_code(monkeypatch, capsys):
+    bases = (errors.InputError, errors.Diagnostic)
+    concrete = {name: cls for name, cls in vars(errors).items()
+                if isinstance(cls, type) and issubclass(cls, errors.DPChromaError)
+                and cls not in bases + (errors.DPChromaError,)}
+    assert set(concrete) == set(EXIT_CODES)
+    for name, cls in sorted(concrete.items()):
+        assert [issubclass(cls, b) for b in bases].count(True) == 1, name
+        exc = cls(3) if cls is errors.NotDegenerate else cls("boom")
+
+        def raise_it(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_solve", raise_it)
+        assert main(["solve", "--graph", "g", "--lists", "l"]) == EXIT_CODES[name], name
+        err = capsys.readouterr().err
+        assert err.startswith("error:" if EXIT_CODES[name] == 2 else "diagnostic:"), name
+
+
+def test_cli_import_loads_no_process_machinery():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, dpchroma.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
 
 
 def test_usage_error_raises_systemexit():

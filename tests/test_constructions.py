@@ -1,9 +1,7 @@
 import itertools
-import os
 
 import pytest
 
-from dpchroma import constructions
 from dpchroma.constructions import (
     build_G42,
     build_H,
@@ -168,34 +166,6 @@ def test_verify_counterexample_dispatch():
     assert (g.n, g.m) == (1094, 3276)
 
 
-def test_verify_chain_in_parallel_matches_serial():
-    serial = verify_counterexample("G42")
-    assert len(serial) == 45 and all(ok for _, ok in serial)
-    assert verify_counterexample("G42", jobs=2) == serial  # two worker processes
-
-
-def test_verify_chain_caps_workers_at_cpu_count(monkeypatch):
-    pools = []
-
-    class InlinePool:
-        """Records the pool size and maps in this process: starts no worker."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(constructions, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    rows = verify_counterexample("G42", jobs=1000)
-    assert pools == [3] and len(rows) == 45 and all(ok for _, ok in rows)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    verify_counterexample("G42", jobs=2)
-    assert pools == [3]  # an unknown CPU count runs the cases serially
+def test_verify_g42_gives_45_ok_rows():
+    rows = verify_counterexample("G42")
+    assert len(rows) == 45 and all(ok for _, ok in rows)
