@@ -233,4 +233,5 @@ def color_minor_truncated(g, c, params, trace=None):
         step_r2(state)
     while step_r1(state) is not NoMove:
         pass
+    state.check_invariants()
     return finish(state)

@@ -12,6 +12,8 @@ Everything left at the end is safe and falls to the greedy finisher.
 
 from __future__ import annotations
 
+import heapq
+
 from .core_graph import (block_kind, blocks_and_cut_vertices, connected_components,
                          connectivity_at_least, degeneracy_order, is_complete_graph,
                          is_connected)
@@ -51,10 +53,22 @@ class PipelineState:
     drawing of augment_visibility lives only in one FaceClasses, whose
     G[V2] and pieces plan_order and H read.  It raises A2Unattainable
     when a face class of that drawing holds two components of G[V1].
+
+    res[v] counts v's uncolored neighbors.  The uncolored part of a
+    component not in safe is a GDP-tree whose vertices are all tight,
+    and the state keeps its block-cut record: blocks_of maps each of its
+    vertices to the blocks (vertex sets) that hold it, so the cut
+    vertices are those in two or more.  refresh_safety builds the record
+    from scratch at set-up; from then on assign edits it in place, since
+    (R1) only deletes a non-cut vertex and any coloring changes lists and
+    residual degrees only at the colored vertex's neighbors.  candidates
+    is a lazy min-heap of the vertices that may be free for (R1), and
+    order[turn] the next vertex for (R2) unless it is colored.
     """
 
     __slots__ = ("g", "cover", "v1", "v2", "order", "comps", "comp_of",
-                 "owed", "phi", "avail", "safe", "protectors", "trace")
+                 "owed", "phi", "avail", "safe", "protectors", "trace",
+                 "res", "blocks_of", "candidates", "turn")
 
     cost_cap = 5
     protector_cap = 2
@@ -92,70 +106,194 @@ class PipelineState:
         self.safe = set()
         self.protectors = {}
         self.trace = trace
+        self.res = {v: len(ns) for v, ns in g.adj.items()}
+        self.blocks_of = None
+        self.candidates = []
+        self.turn = 0
 
     def no_cheap_neighbor(self, v, qi):
         """H may name a component that v cannot protect cheaply; it is
         left to later steps."""
 
-    def res_degree(self, v):
-        return sum(1 for w in self.g.adj[v] if w not in self.phi)
-
     def assign(self, v, i):
+        """Color v with i and update what that can change: the residual
+        degrees of v's neighbors, the record of v's component if v is in
+        an unsafe one, and the components holding an uncolored neighbor.
+        Such a component turns safe once that neighbor has more colors
+        than uncolored neighbors; otherwise the neighbor is a candidate
+        for (R1) again."""
         if v in self.phi or i not in self.avail[v]:
             raise InternalInvariantBreach("color %r is not available at %r" % (i, v))
         color_vertex(self.cover, self.avail, self.phi, v, i)
+        qi = self.comp_of.get(v)
+        if qi is not None and qi not in self.safe:
+            self._unlink(v, qi)
+        for w in self.g.adj[v]:
+            self.res[w] -= 1
+            qw = self.comp_of.get(w)
+            if qw is None or qw in self.safe or w in self.phi:
+                continue
+            if len(self.avail[w]) > self.res[w]:
+                self.safe.add(qw)
+            else:
+                heapq.heappush(self.candidates, w)
 
-    def tight_cuts(self, qi):
-        """None when component qi is safe now, else the cut vertices of its
-        uncolored part, which (C1) keeps connected: one block search each."""
-        rest = [v for v in self.comps[qi] if v not in self.phi]
-        if not rest or any(len(self.avail[v]) > self.res_degree(v) for v in rest):
+    def _unlink(self, v, qi):
+        """Take the colored v out of the record of component qi.
+
+        v must lie in one block B and have no uncolored neighbor in qi
+        outside B; then deleting v keeps the uncolored part connected
+        (C1) and a GDP-tree, and only B changes: K2 goes, and its other
+        end may stop being a cut vertex; K_k becomes K_{k-1}; a cycle
+        becomes a path of K2 blocks, whose inner vertices become cut
+        vertices.
+        """
+        adj = self.g.adj
+        blks = self.blocks_of[v]
+        if len(blks) != 1 or any(self.comp_of.get(w) == qi and w not in self.phi
+                                 and w not in blks[0] for w in adj[v]):
+            raise InternalInvariantBreach(
+                "(C1) uncolored part of component %d fell apart" % self.comps[qi][0])
+        blk = blks[0]
+        cycle = len(blk) > 3 and sum(1 for w in adj[v] if w in blk) == 2
+        blk.discard(v)
+        if not blk:
+            self.safe.add(qi)  # nothing left to color
+        elif cycle:
+            for x in blk:
+                self.blocks_of[x] = [b for b in self.blocks_of[x] if b is not blk]
+            for x in blk:
+                for y in adj[x]:
+                    if y in blk and x < y:
+                        edge = {x, y}
+                        self.blocks_of[x].append(edge)
+                        self.blocks_of[y].append(edge)
+        elif len(blk) == 1:
+            (w,) = blk
+            if len(self.blocks_of[w]) > 1:
+                self.blocks_of[w] = [b for b in self.blocks_of[w] if b is not blk]
+
+    def rest(self, qi):
+        """The uncolored vertices of component qi, smallest first."""
+        return [v for v in self.comps[qi] if v not in self.phi]
+
+    def tight_blocks(self, rest, sub=None):
+        """None when the component with uncolored part rest is safe now,
+        else the blocks of rest, from one block search on sub (G[rest],
+        built here unless given)."""
+        if not rest or any(len(self.avail[v]) > self.res[v] for v in rest):
             return None
-        sub = self.g.subgraph(rest)
-        blocks, cuts = blocks_and_cut_vertices(sub)
-        return cuts if all(block_kind(sub, blk) for blk in blocks) else None
+        if sub is None:
+            sub = self.g.subgraph(rest)
+        blocks, _ = blocks_and_cut_vertices(sub)
+        return blocks if all(block_kind(sub, blk) for blk in blocks) else None
 
     def comp_safe_now(self, qi):
-        return self.tight_cuts(qi) is None
+        return self.tight_blocks(self.rest(qi)) is None
+
+    def rebuilt(self, qi):
+        """tight_blocks of component qi from scratch, once (C1) holds on
+        the one subgraph that builds."""
+        rest = self.rest(qi)
+        if not rest:
+            return None
+        sub = self.g.subgraph(rest)
+        if not is_connected(sub):
+            raise InternalInvariantBreach(
+                "(C1) uncolored part of component %d fell apart" % self.comps[qi][0])
+        return self.tight_blocks(rest, sub)
 
     def refresh_safety(self):
-        """{qi: tight_cuts(qi)} over the unsafe components; the safe set only ever grows."""
-        out = {}
+        """Rebuild the record from scratch: {qi: cut vertices} over the
+        unsafe components, one subgraph and at most one block search
+        each; the safe set only ever grows."""
+        self.blocks_of = {}
         for qi in range(len(self.comps)):
             if qi in self.safe:
                 continue
-            cuts = self.tight_cuts(qi)
-            if cuts is None:
+            blocks = self.rebuilt(qi)
+            if blocks is None:
                 self.safe.add(qi)
-            else:
-                out[qi] = cuts
+                continue
+            for blk in blocks:
+                blk = set(blk)
+                for v in blk:
+                    self.blocks_of.setdefault(v, []).append(blk)
+        out = self.cut_vertices()
+        # a sorted list is a heap
+        self.candidates = sorted(v for qi in out for v in self.rest(qi))
         return out
+
+    def cut_vertices(self):
+        """{qi: cut vertices} over the unsafe components, read off the record."""
+        return {qi: {v for v in self.rest(qi) if len(self.blocks_of[v]) > 1}
+                for qi in range(len(self.comps)) if qi not in self.safe}
+
+    def next_free(self):
+        """The smallest free vertex (see step_r1) of an unsafe component,
+        or None.  Vertices that are not free leave the heap; one turns
+        free only when a neighbor is colored (its last uncolored V2
+        neighbor, or the other end of its K2 block), and assign pushes
+        it again then."""
+        heap = self.candidates
+        while heap:
+            v = heap[0]
+            if (v not in self.phi and self.comp_of[v] not in self.safe
+                    and len(self.blocks_of[v]) == 1
+                    and not any(w in self.v2 and w not in self.phi for w in self.g.adj[v])):
+                return v
+            heapq.heappop(heap)
+        return None
 
     def log(self, line):
         if self.trace is not None:
             self.trace.append(line)
 
-    def check_invariants(self):
-        for comp in self.comps:
-            rest = [v for v in comp if v not in self.phi]
-            if rest and not is_connected(self.g.subgraph(rest)):
+    def check_invariants(self, v=None):
+        """(C1)-(C3) and (D1).
+
+        After v is colored, only what that can have changed: (C2) at v's
+        uncolored neighbors, (C3) on the safe components holding one of
+        them, and (D1) at v.  (C1) on v's own component was checked as v
+        left the record, and no other component lost a vertex.  Without
+        v, everything from scratch: every residual degree is recounted,
+        every component's uncolored part is rebuilt, and refresh_safety
+        rebuilds the record, whose cut vertices must match the kept ones.
+        """
+        if v is None:
+            kept = None if self.blocks_of is None else self.cut_vertices()
+            for u in sorted(self.g.vertices):
+                res = sum(1 for w in self.g.adj[u] if w not in self.phi)
+                if self.res[u] != res:
+                    raise InternalInvariantBreach(
+                        "residual degree of %r kept as %d, recounted %d" % (u, self.res[u], res))
+        near = sorted(u for u in (self.g.vertices if v is None else self.g.adj[v])
+                      if u in self.comp_of and u not in self.phi)
+        for u in near:
+            if len(self.avail[u]) < self.res[u]:
                 raise InternalInvariantBreach(
-                    "(C1) uncolored part of component %d fell apart" % comp[0])
-        for v in sorted(self.v1):
-            if v not in self.phi and len(self.avail[v]) < self.res_degree(v):
-                raise InternalInvariantBreach(
-                    "(C2) list shorter than residual degree at %r" % (v,))
-        for qi in sorted(self.safe):
-            if not self.comp_safe_now(qi):
-                raise InternalInvariantBreach(
-                    "(C3) safety revoked on component %d" % self.comps[qi][0])
+                    "(C2) list shorter than residual degree at %r" % (u,))
+        if v is None:
+            for qi in sorted(self.safe):
+                if self.rebuilt(qi) is not None:
+                    raise InternalInvariantBreach(
+                        "(C3) safety revoked on component %d" % self.comps[qi][0])
+            fresh = self.refresh_safety()
+            if kept is not None and fresh != kept:
+                raise InternalInvariantBreach("the block-cut record does not match a rebuild")
+        else:
+            for qi in sorted({self.comp_of[u] for u in near} & self.safe):
+                if not self.comp_safe_now(qi):
+                    raise InternalInvariantBreach(
+                        "(C3) safety revoked on component %d" % self.comps[qi][0])
         counts = {}
-        for v in self.protectors.values():
-            counts[v] = counts.get(v, 0) + 1
-        for v in sorted(counts):
-            if counts[v] > self.protector_cap:
+        for u in self.protectors.values():
+            if v is None or u == v:
+                counts[u] = counts.get(u, 0) + 1
+        for u in sorted(counts):
+            if counts[u] > self.protector_cap:
                 raise InternalInvariantBreach(
-                    "(D1) %r protects %d components" % (v, counts[v]))
+                    "(D1) %r protects %d components" % (u, counts[u]))
 
 
 def step_r1(state):
@@ -164,16 +302,7 @@ def step_r1(state):
     Free means: not a cut vertex of the component's uncolored part and
     no uncolored V2 neighbor.  Returns NoMove when nothing qualifies.
     """
-    best = None
-    for qi, cuts in state.refresh_safety().items():
-        for v in state.comps[qi]:
-            if v in state.phi or v in cuts:
-                continue
-            if any(w in state.v2 and w not in state.phi for w in state.g.adj[v]):
-                continue
-            if best is None or v < best:
-                best = v
-            break
+    best = state.next_free()
     if best is None:
         return NoMove
     if not state.avail[best]:
@@ -181,7 +310,7 @@ def step_r1(state):
     i = min(state.avail[best])
     state.assign(best, i)
     state.log("R1 %d %d.%d" % (best, best, i))
-    state.check_invariants()
+    state.check_invariants(best)
     return state
 
 
@@ -194,9 +323,12 @@ def step_r2(state):
     the matched partners of u's remaining list, so u ends up with more
     colors than uncolored neighbors.
     """
-    v = next((w for w in state.order if w not in state.phi), None)
-    if v is None:
+    order = state.order
+    while state.turn < len(order) and order[state.turn] in state.phi:
+        state.turn += 1
+    if state.turn == len(order):
         raise InternalInvariantBreach("step_r2 needs an uncolored high-degree vertex")
+    v = order[state.turn]
     if len(state.avail[v]) < state.turn_colors:
         raise InternalInvariantBreach(
             "(C4) %r reached its turn with %d colors" % (v, len(state.avail[v])))
@@ -206,13 +338,11 @@ def step_r2(state):
             "(D2) part of %d components cannot be protected with q=%d"
             % (len(owed), state.turn_colors))
     gathered = []
-    for qi in state.refresh_safety():
-        if qi not in owed:
-            continue
+    for qi in sorted(owed - state.safe):
         cands = []
         for u in state.g.adj[v]:
             if state.comp_of.get(u) == qi and u not in state.phi:
-                rd = state.res_degree(u)
+                rd = state.res[u]
                 if rd <= state.cost_cap:
                     cands.append((rd, u))
         if not cands:
@@ -247,7 +377,7 @@ def step_r2(state):
     if gathered:
         line += " protects " + " ".join(str(state.comps[qi][0]) for qi, _ in gathered)
     state.log(line)
-    state.check_invariants()
+    state.check_invariants(v)
     return state
 
 
@@ -303,4 +433,5 @@ def color_planar_truncated(pg, cover, trace=None):
         if state.v2 <= set(state.phi):
             break
         step_r2(state)
+    state.check_invariants()
     return finish(state)

@@ -25,7 +25,11 @@ colorings at every leaf: same verdicts, same bad lists, same bad
 covers.  The pipelines' component safety (comp_safe_now, read off the
 running availability sets) is compared with oracles.is_safe, which recounts
 the colors left from the cover, after every R1/R2 step of the
-protection runs pinned in tests/test_golden.py.  very_nice_subgraph
+protection runs pinned in tests/test_golden.py.  The block-cut record
+that the steps edit in place is compared with a rebuild after every
+step of those runs, of the planar drum march at quarter 60 and of the
+minor pipeline on the same drums at quarters 15, 30 and 60: same safe
+set, same cut vertices per unsafe component, same next (R1) pick.  very_nice_subgraph
 (one working drawing edited in place) is compared with the
 construction that rebuilt a PlaneGraph at every reduction: same H,
 with every reduction firing and the face test for deleting an
@@ -57,7 +61,8 @@ from dpchroma.dp_cover import Cover, find_dp_coloring, induced_cover
 from dpchroma.errors import InstanceTooLarge
 from dpchroma.exact_oracle import is_dp_f_colorable, is_f_choosable
 from dpchroma.plane_embed import PlaneGraph, is_nice, very_nice_subgraph
-from test_golden import PROTECTION_RUNS
+from test_golden import PROTECTION_RUNS, _minor, _planar_drum
+from test_minor_truncated import drum_minor_instance
 from test_planar_truncated import drum_plane
 
 
@@ -420,6 +425,57 @@ def test_safety_matches_recount_after_every_step(monkeypatch, name):
     trace = []
     PROTECTION_RUNS[name]()(trace)
     assert steps.count("step_r2") == sum(ln.startswith("R2") for ln in trace)
+
+
+# PROTECTION_RUNS, the planar drum march at quarter 60, and the minor
+# pipeline on the drum with the march's perm at quarters 15, 30 and 60
+RECORD_RUNS = dict(PROTECTION_RUNS, **{"planar-drum-q60": lambda: _planar_drum(60)})
+RECORD_RUNS.update(("minor-drum-perm-q%d" % q, lambda q=q: _minor(
+    lambda: drum_minor_instance(q, (0, 3, 1, 2)))) for q in (15, 30, 60))
+
+
+def rebuilt_record(state):
+    """The safe set, each unsafe component's cut vertices and the next
+    (R1) pick, from scratch: oracles.is_safe recounts the colors left
+    from the cover, and each unsafe component's uncolored part is
+    rebuilt by edge filtering and searched for blocks."""
+    safe, cuts = set(), {}
+    for qi, comp in enumerate(state.comps):
+        if is_safe(state.g, state.cover, comp, state.phi):
+            safe.add(qi)
+        else:
+            rest = [v for v in comp if v not in state.phi]
+            cuts[qi] = blocks_and_cut_vertices(subgraph_by_edge_filter(state.g, rest))[1]
+    free = [v for qi, cut in cuts.items() for v in state.comps[qi]
+            if v not in state.phi and v not in cut
+            and all(w not in state.v2 or w in state.phi for w in state.g.adj[v])]
+    return safe, cuts, min(free, default=None)
+
+
+def kept_record(state):
+    """The same three, as the run state keeps them."""
+    return set(state.safe), state.cut_vertices(), state.next_free()
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_RUNS))
+def test_record_matches_rebuild_after_every_step(monkeypatch, name):
+    steps = []
+
+    def checked(step):
+        def run(state):
+            out = step(state)
+            steps.append(step.__name__)
+            assert kept_record(state) == rebuilt_record(state), (step.__name__, len(steps))
+            return out
+        return run
+
+    for module in (planar_truncated, minor_truncated):
+        for attr in ("step_r1", "step_r2"):
+            monkeypatch.setattr(module, attr, checked(getattr(module, attr)))
+    trace = []
+    RECORD_RUNS[name]()(trace)
+    assert steps.count("step_r2") == sum(ln.startswith("R2") for ln in trace)
+    assert name.startswith("minor-double") or any(ln.startswith("R1") for ln in trace)
 
 
 def very_nice_cases():

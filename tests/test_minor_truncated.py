@@ -171,20 +171,13 @@ def test_color_minor_double_protection():
     assert runs[0][0] == ("R2 11 11.0", "R2 10 10.4 protects 0 5")
 
 
-def drum_minor_instance():
+def drum_minor_instance(quarter=15, perm=(0, 1, 2, 3)):
     """The drum fixture under identity matchings (none between hubs)."""
-    from test_planar_truncated import drum_plane
+    from test_planar_truncated import drum_identity_cover, drum_plane
 
-    pg = drum_plane()
-    g = pg.g
-    sizes = {v: min(16, g.degree(v)) for v in g.vertices}
-    matchings = {}
-    for u, w in g.edges():
-        if u in (8, 9, 10, 11) and w in (8, 9, 10, 11):
-            continue
-        matchings[(u, w)] = [(t, t) for t in range(min(sizes[u], sizes[w]))]
-    cov = Cover(g, sizes, matchings)
-    return g, cov, desk_params(2, 2, q=7, k=16, peel_bound=2, degeneracy_bound=2)
+    g = drum_plane(quarter, perm).g
+    return g, drum_identity_cover(g), desk_params(2, 2, q=7, k=16, peel_bound=2,
+                                                  degeneracy_bound=2)
 
 
 def test_color_minor_part_cost_check():

@@ -8,8 +8,9 @@ import pytest
 
 from corpus import nx_planar_rotation
 from oracles import is_safe
+from test_minor_truncated import drum_minor_instance
 import dpchroma
-from dpchroma import core_graph, planar_truncated, plane_embed
+from dpchroma import core_graph, minor_truncated, planar_truncated, plane_embed
 from dpchroma.cli import Xorshift64Star, generate_hub_instance, random_tight_matchings
 from dpchroma.core_graph import Graph, connectivity_at_least
 from dpchroma.dp_cover import Cover, degree_truncated_sizes, find_dp_coloring, is_coloring_valid
@@ -86,6 +87,16 @@ def drum_forcing_cover(pg):
         else:
             pairs = [(t, t) for t in range(small)]
         matchings[(u, w)] = pairs
+    return Cover(g, sizes, matchings)
+
+
+def drum_identity_cover(g):
+    """Identity matchings on every edge of the drum except the hub ring."""
+    sizes = degree_truncated_sizes(g, 16)
+    matchings = {}
+    for u, w in g.edges():
+        if u not in (8, 9, 10, 11) or w not in (8, 9, 10, 11):
+            matchings[(u, w)] = [(t, t) for t in range(min(sizes[u], sizes[w]))]
     return Cover(g, sizes, matchings)
 
 
@@ -260,25 +271,114 @@ def test_drum_r1_march():
     assert "R2 9 9.0 protects 12" in trace
 
 
+@pytest.mark.parametrize("pipeline", ["planar", "minor"])
 @pytest.mark.parametrize("quarter", [30, 60])
-def test_r1_march_one_block_search_per_step(monkeypatch, quarter):
-    """Each R1/R2 step finds the blocks of an unsafe component's
-    uncolored part once, for both the safety verdict and R1's cut
-    vertices; a second search per step would double the count."""
-    calls = []
-    blocks = core_graph.blocks_and_cut_vertices
+def test_no_block_search_per_step(monkeypatch, quarter, pipeline):
+    """The steps edit the block-cut record in place: each component's
+    uncolored part is built and searched for blocks once at set-up and
+    once in the closing full check, however long the (R1) march.
+    Counted: block searches through planar_truncated's binding, and the
+    subgraphs that planar_truncated's own code builds."""
+    pg = drum_plane(quarter, perm=(0, 3, 1, 2))
+    v1, _ = partition_threshold(pg.g)
+    comps = len(core_graph.connected_components(pg.g.subgraph(v1)))
+    searches = []
+    blocks = planar_truncated.blocks_and_cut_vertices
 
     def counted(g):
-        calls.append(g.n)
+        searches.append(g.n)
         return blocks(g)
 
-    for owner in (core_graph, planar_truncated):
-        monkeypatch.setattr(owner, "blocks_and_cut_vertices", counted)
-    pg = drum_plane(quarter, perm=(0, 3, 1, 2))
+    kept = []
+    subgraph = Graph.subgraph
+
+    def counting(self, keep):
+        sub = subgraph(self, keep)
+        if sys._getframe(1).f_globals["__name__"] == planar_truncated.__name__:
+            kept.append(sub.vertices)
+        return sub
+
+    monkeypatch.setattr(planar_truncated, "blocks_and_cut_vertices", counted)
+    monkeypatch.setattr(Graph, "subgraph", counting)
     trace = []
-    color_planar_truncated(pg, drum_forcing_cover(pg), trace=trace)
-    assert len(trace) == quarter + 3
-    assert len(calls) <= len(trace) + 8, (len(calls), len(trace))
+    if pipeline == "planar":
+        color_planar_truncated(pg, drum_forcing_cover(pg), trace=trace)
+    else:
+        color_minor_truncated(*drum_minor_instance(quarter, (0, 3, 1, 2)), trace=trace)
+    assert sum(ln.startswith("R1") for ln in trace) >= quarter - 1
+    assert kept.count(v1) == 1  # G[V1], split into its components at set-up
+    assert len(kept) - 1 <= 2 * comps, kept
+    assert len(searches) <= 2 * comps, searches
+
+
+def drop_cut_vertex(state, qi):
+    # list a cut vertex that nothing else keeps from (R1) in one block only
+    x = min(v for v in state.rest(qi) if len(state.blocks_of[v]) > 1
+            and all(w not in state.v2 or w in state.phi for w in state.g.adj[v]))
+    state.blocks_of[x] = state.blocks_of[x][:1]
+
+
+def desync_residual_degree(state, qi):
+    state.res[state.rest(qi)[-1]] += 1
+
+
+# name -> (corrupt(state, qi), the check that must catch it)
+CORRUPTIONS = {
+    "drop-cut-vertex": (drop_cut_vertex, "(C1)"),
+    "tight-marked-safe": (lambda state, qi: state.safe.add(qi), "(C3)"),
+    "residual-degree-desync": (desync_residual_degree, "(C2)"),
+}
+
+
+def run_corrupted(name, after=3):
+    """The minor pipeline's drum run (quarter 15, perm (0, 3, 1, 2)),
+    with CORRUPTIONS[name] applied to the marched component right after
+    the given (R1) step.  On the planar drum under drum_forcing_cover,
+    a tight component marked safe early is left with a vertex of list
+    surplus by the next (R2) step, so no check could ever see that one."""
+    corrupt = CORRUPTIONS[name][0]
+    g, cover, params = drum_minor_instance(15, (0, 3, 1, 2))
+    trace = []
+    real = minor_truncated.step_r1
+
+    def step(state):
+        out = real(state)
+        if out is not NoMove and sum(ln.startswith("R1") for ln in trace) == after:
+            corrupt(state, state.comp_of[int(trace[-1].split()[1])])
+        return out
+
+    minor_truncated.step_r1 = step
+    try:
+        return color_minor_truncated(g, cover, params, trace=trace)
+    finally:
+        minor_truncated.step_r1 = real
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupted_record_is_caught(name):
+    with pytest.raises(InternalInvariantBreach) as caught:
+        run_corrupted(name)
+    assert str(caught.value).startswith(CORRUPTIONS[name][1])
+
+
+def test_corrupted_record_is_caught_under_optimize():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.abspath(dpchroma.__file__))
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "from dpchroma.errors import InternalInvariantBreach\n"
+        "from test_planar_truncated import run_corrupted\n"
+        "try:\n"
+        "    run_corrupted('tight-marked-safe')\n"
+        "except InternalInvariantBreach as exc:\n"
+        "    print(sys.flags.optimize, exc)\n" % tests)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(src) + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "1 (C3) safety revoked on component 12\n"), \
+        out.stderr
 
 
 def test_set_up_builds_the_face_classes_once(monkeypatch):
