@@ -21,6 +21,32 @@ _coloring_masks gives the colorings where a vertex takes a color.
   the left-out edge admit a bad matching iff they form a partial
   matching.
 
+Both prune with one greedy lemma, the local step that opens the
+characterization proofs of degree-choosability (Erdos-Rubin-Taylor 1979:
+not a Gallai tree) and degree-DP-colorability (Bernshteyn-Kostochka-Pron
+2017: not a GDP tree).
+
+Lemma.  Let G be connected with f(x) >= deg(x) for every x, let u be a
+vertex that is not a cut vertex, and let uv be an edge.  If L(u) is not
+a subset of L(v) (lists), or the cover's matching on uv leaves some
+color c of u unmatched (covers), then G is colorable.
+Proof.  Give u a color of L(u) - L(v) (lists), or c (covers).  Then
+color G - u greedily in order of decreasing distance to v.  G - u is
+connected, and every vertex keeps at least its degree in G - u in
+colors; v keeps one spare, since it lost a neighbor and no color.  So
+each vertex before v has an uncolored neighbor nearer to v when it is
+colored, and v has its spare.
+
+So on a connected input with f >= deg everywhere:
+
+* both oracles answer (True, None) at once when a non-cut vertex u has
+  a neighbor v with f(v) < f(u): sizes alone break L(u) <= L(v), and
+  every matching leaves a color of u unmatched;
+* the list enumeration keeps only branches with L(u) <= L(v) for every
+  edge uv between enumerated vertices whose end u is not a cut vertex.
+  A pruned subtree holds no bad leaf and the surviving branches keep
+  their order, so the first bad list assignment found is unchanged.
+
 Both return a certificate when the answer is negative (a bad list
 assignment / a bad cover), and the certificate is re-verified by the
 plain solver before being returned; a certificate that the solver
@@ -33,7 +59,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 
-from .core_graph import Graph, bfs_parents, connected_components
+from .core_graph import Graph, bfs_parents, blocks_and_cut_vertices, connected_components
 from .dp_cover import Cover, find_dp_coloring, induced_cover
 from .errors import InstanceTooLarge, InternalInvariantBreach
 
@@ -59,6 +85,18 @@ def find_list_coloring(g: Graph, lists):
     """Proper coloring from explicit token lists, or None: solve_list
     with no node cap."""
     return solve_list(g, lists, budget=None)
+
+
+def _surplus_cuts(g: Graph, f):
+    """(colorable, cuts) for connected g by the lemma above: cuts is the
+    cut-vertex set when f >= deg everywhere (else None, and no pruning
+    applies), and colorable is True when some non-cut vertex has a
+    neighbor with a smaller f."""
+    if any(f[v] < g.degree(v) for v in g.vertices):
+        return False, None
+    cuts = blocks_and_cut_vertices(g)[1]
+    colorable = any(f[v] < f[u] for u in g.vertices if u not in cuts for v in g.adj[u])
+    return colorable, cuts
 
 
 def _refuted(cover: Cover):
@@ -145,6 +183,9 @@ def is_f_choosable(g: Graph, f):
         return True, None
     if g.n == 1:
         return True, None
+    colorable, cuts = _surplus_cuts(g, f)
+    if colorable:
+        return True, None
 
     vs = sorted(g.vertices)
     w = max(vs, key=lambda v: (f[v], -v))
@@ -158,6 +199,17 @@ def is_f_choosable(g: Graph, f):
     fw = f[w]
     nw = sorted(pos[u] for u in g.adj[w])
     earlier = [[pos[u] for u in g.adj[v] if u in pos and pos[u] < p] for p, v in enumerate(rest)]
+    # the lemma's pruning: a non-cut p draws only from tokens that all its
+    # earlier neighbors hold (inner[p], None when p may draw anything) and
+    # from fresh ones only with no earlier neighbor; tokens held by an
+    # earlier non-cut neighbor all go to p (whole[p])
+    inner = [None] * k
+    whole = [0] * k
+    if cuts is not None:
+        for p, v in enumerate(rest):
+            if v not in cuts:
+                inner[p] = sum(1 << q for q in earlier[p])
+            whole[p] = sum(1 << q for q in earlier[p] if rest[q] not in cuts)
     # colorings of G - w, vertex p taking entry i of its list
     every, at = _coloring_masks(fp)
     stride = [1] * k
@@ -214,8 +266,13 @@ def is_f_choosable(g: Graph, f):
                     hit |= at[p][j] & near[c]
             return surv & ~hit
 
+        need = inner[p]
+        full = whole[p]
+
         def pick(ti, r):
             if r == 0 or ti == ne:
+                if r and need or any(ids and mask & full for mask, ids in entries[ti:ne]):
+                    return False
                 if r:
                     base = counter[0]
                     fresh = list(range(base, base + r))
@@ -231,7 +288,15 @@ def is_f_choosable(g: Graph, f):
                 vlist[p] = []
                 return stop
             mask, ids = entries[ti]
-            for take in range(min(len(ids), r), -1, -1):
+            top = min(len(ids), r)
+            low = 0
+            if need is not None and mask & need != need:
+                top = 0
+            if mask & full:
+                if len(ids) > top:
+                    return False
+                low = top
+            for take in range(top, low - 1, -1):
                 if take:
                     moved = ids[:take]
                     del ids[:take]
@@ -297,6 +362,8 @@ def is_dp_f_colorable(g: Graph, f):
             if not ok:
                 matchings = {(u, w): cert.edge_pairs(u, w) for u, w in cert.g.edges()}
                 return False, _refuted(Cover(g, f, matchings))
+        return True, None
+    if _surplus_cuts(g, f)[0]:
         return True, None
 
     vs = sorted(g.vertices)

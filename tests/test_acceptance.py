@@ -91,7 +91,7 @@ def test_acceptance_4_characterizations():
             if is_gdp_tree(g) != (not is_degree_dp_colorable(g)[0]):
                 mismatch.append(("dp", n, g.edges()))
     dt = time.perf_counter() - t0
-    ok = not mismatch and n_ch == 143 and n_dp == 31 and dt < 1800.0
+    ok = not mismatch and n_ch == 143 and n_dp == 31 and dt < 30.0
     _verdict(4, "degree-colorability-characterizations", ok,
              "%d choosable + %d dp classes, %d mismatches, %.0fs"
              % (n_ch, n_dp, len(mismatch), dt))

@@ -10,6 +10,7 @@ from corpus import connected_graph_classes
 from oracles import raw_choosable, raw_dp_colorable, raw_has_coloring
 
 import dpchroma
+from dpchroma import exact_oracle
 from dpchroma.constructions import build_k2_k2, chain_case
 from dpchroma.core_graph import Graph, is_gallai_tree, is_gdp_tree
 from dpchroma.dp_cover import Cover, degree_dp_color, induced_cover
@@ -31,6 +32,11 @@ def cycle(n):
 
 def complete(n):
     return Graph(range(n), list(itertools.combinations(range(n), 2)))
+
+
+def wheel7():
+    """The 8-vertex wheel: hub 0 on the rim cycle 1, ..., 7."""
+    return Graph(range(8), [(0, i) for i in range(1, 8)] + [(i, i % 7 + 1) for i in range(1, 8)])
 
 
 def degrees(g):
@@ -209,11 +215,45 @@ def test_oracles_at_eight_vertices():
     ok, cover = is_degree_dp_colorable(c8)
     assert not ok and find_dp_coloring(cover) is None
     assert is_degree_choosable(c8) == (True, None)
-    wheel = Graph(range(8), [(0, i) for i in range(1, 8)] + [(i, i % 7 + 1) for i in range(1, 8)])
+    # the 7-wheel is not a Gallai tree: the surplus shortcut fires at the hub
+    wheel = wheel7()
+    assert is_degree_choosable(wheel) == (True, None)
+    assert is_degree_dp_colorable(wheel) == (True, None)
+    # K_{4,4} is regular and 2-connected, so nothing prunes it up front
+    k44 = Graph(range(8), [(a, b) for a in range(4) for b in range(4, 8)])
     with pytest.raises(InstanceTooLarge):
-        is_degree_choosable(wheel)
+        is_degree_choosable(k44)
     with pytest.raises(InstanceTooLarge):
-        is_degree_dp_colorable(wheel)
+        is_degree_dp_colorable(k44)
+
+
+def test_surplus_guards_are_sound(monkeypatch):
+    # the bowtie's center is a cut vertex with degree 4 beside degree-2
+    # neighbors: the shortcut must not fire there
+    bowtie = Graph(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    ok, cert = is_degree_choosable(bowtie)
+    assert not ok and not raw_has_coloring(bowtie, cert)
+    assert {v: len(cert[v]) for v in bowtie.vertices} == degrees(bowtie)
+    ok, cover = is_degree_dp_colorable(bowtie)
+    assert not ok and find_dp_coloring(cover) is None
+    assert cover.sizes == degrees(bowtie)
+    # f < deg at vertex 0: the lemma does not apply, although vertex 1 is
+    # non-cut with a smaller neighbor
+    k4 = complete(4)
+    f = {0: 2, 1: 3, 2: 3, 3: 3}
+    ok, cover = is_dp_f_colorable(k4, f)
+    assert not ok and find_dp_coloring(cover) is None
+    ok, cert = is_f_choosable(k4, f)
+    assert not ok and not raw_has_coloring(k4, cert)
+
+    def no_count(*args):
+        raise AssertionError("_profile_count called")
+
+    # the wheel is answered before the list-assignment count
+    monkeypatch.setattr(exact_oracle, "_profile_count", no_count)
+    wheel = wheel7()
+    assert is_degree_choosable(wheel) == (True, None)
+    assert is_degree_dp_colorable(wheel) == (True, None)
 
 
 def test_determinism_of_certificates():

@@ -31,7 +31,9 @@ chord-augmented hub instances above and the drum fixture at quarters
 15 and 30.  ORACLE_GOLDEN pins the verdict and certificate of both
 quantified oracles (`is_degree_choosable`, `is_degree_dp_colorable`) on
 every connected class on at most 5 vertices: the bad lists, or the
-cover's sizes and the matching on every edge.
+cover's sizes and the matching on every edge.  ORACLE_GOLDEN_6 pins the
+same past n = 5: choosability on all 112 classes with n = 6, and
+DP-colorability on the 38 of them with at most 7 edges.
 """
 
 import hashlib
@@ -157,6 +159,7 @@ def test_protection_digests(name):
 H_GOLDEN = "292cea8048da13119d2a2a6e5cdbef2cd14f0a58f6347726ab80aa3003c79706"
 PIECES_GOLDEN = "bd419ac19db83b22b6cdb71431e52bb66f20b55a8492ad896fb2edc247c10e47"
 ORACLE_GOLDEN = "d6835479251098155e7503f25cd25b7fcc1d7af08000e4d46e01f3d2c249526b"
+ORACLE_GOLDEN_6 = "fdd8b3ba39a15d67dba3f74e57579cad3bbf2a7b7e0b2b7fcc0dd3a9340be1c4"
 
 
 def _digest(lines):
@@ -196,16 +199,32 @@ def test_component_planes_digest():
     assert _digest(lines) == PIECES_GOLDEN
 
 
+def _oracle_lines(n, ci, g, dp):
+    """Verdict and certificate lines of class ci on n vertices: the
+    choosability oracle's, then the DP oracle's when dp is set."""
+    ok, lists = is_degree_choosable(g)
+    cert = None if ok else sorted((v, list(lst)) for v, lst in lists.items())
+    lines = ["ch %d %d %s %r" % (n, ci, ok, cert)]
+    if dp:
+        ok, cover = is_degree_dp_colorable(g)
+        cert = None if ok else (sorted(cover.sizes.items()),
+                                [(e, cover.edge_pairs(*e)) for e in g.edges()])
+        lines.append("dp %d %d %s %r" % (n, ci, ok, cert))
+    return lines
+
+
 def test_oracle_certificates_digest():
     lines = []
     for n in range(1, 6):
         for ci, g in enumerate(connected_graph_classes(n)):
-            ok, lists = is_degree_choosable(g)
-            cert = None if ok else sorted((v, list(lst)) for v, lst in lists.items())
-            lines.append("ch %d %d %s %r" % (n, ci, ok, cert))
-            ok, cover = is_degree_dp_colorable(g)
-            cert = None if ok else (sorted(cover.sizes.items()),
-                                    [(e, cover.edge_pairs(*e)) for e in g.edges()])
-            lines.append("dp %d %d %s %r" % (n, ci, ok, cert))
+            lines += _oracle_lines(n, ci, g, True)
     assert len(lines) == 2 * (1 + 1 + 2 + 6 + 21)
     assert _digest(lines) == ORACLE_GOLDEN
+
+
+def test_oracle_certificates_digest_at_six_vertices():
+    lines = []
+    for ci, g in enumerate(connected_graph_classes(6)):
+        lines += _oracle_lines(6, ci, g, g.m <= 7)
+    assert len(lines) == 112 + 38
+    assert _digest(lines) == ORACLE_GOLDEN_6
