@@ -14,7 +14,7 @@ from .errors import BadRotation, Diagnostic, GenerationFailed, InputError
 from .exact_oracle import solve_list
 from .minor_truncated import color_minor_truncated, constants
 from .plane_embed import PlaneGraph, parse_plane, very_nice_subgraph, write_plane
-from .planar_truncated import color_planar_truncated
+from .planar_truncated import THRESHOLD, color_planar_truncated, partition_threshold
 
 MASK64 = (1 << 64) - 1
 
@@ -126,11 +126,11 @@ def random_tight_matchings(g, sizes, rng):
 
 
 def generate_hub_instance(hubs, rim, seed):
-    """Deterministic plane instance with exactly `hubs` vertices of degree >= 16.
+    """Deterministic plane instance with exactly `hubs` vertices of degree >= THRESHOLD.
 
     hubs=1 is a wheel, hubs=2 a double wheel (one hub inside the rim,
     one outside), hubs=3 the fan wheel.  Returns (PlaneGraph, Cover)
-    where the cover has sizes min(16, d) and seeded random matchings.
+    where the cover has sizes min(THRESHOLD, d) and seeded random matchings.
     The construction is checked, not trusted: planarity via the rotation
     trace, the heavy-vertex count, and 3-connectivity with
     connectivity_at_least.
@@ -145,14 +145,14 @@ def generate_hub_instance(hubs, rim, seed):
         pg = PlaneGraph(g, rot)
     except BadRotation as exc:
         raise GenerationFailed("generated rotation is not planar: %s" % exc)
-    heavy = sorted(v for v in g.vertices if g.degree(v) >= 16)
-    if len(heavy) != hubs:
-        raise GenerationFailed("rim %d gives %d vertices of degree >= 16, wanted %d"
-                               % (rim, len(heavy), hubs))
+    heavy = len(partition_threshold(g)[1])
+    if heavy != hubs:
+        raise GenerationFailed("rim %d gives %d vertices of degree >= %d, wanted %d"
+                               % (rim, heavy, THRESHOLD, hubs))
     if not connectivity_at_least(g, 3):
         raise GenerationFailed("generated graph is not 3-connected")
     rng = Xorshift64Star(seed)
-    sizes = degree_truncated_sizes(g, 16)
+    sizes = degree_truncated_sizes(g, THRESHOLD)
     cover = Cover(g, sizes, random_tight_matchings(g, sizes, rng))
     return pg, cover
 
@@ -279,9 +279,10 @@ def _parse_overrides(text):
         if not item:
             continue
         name, _, value = item.partition("=")
-        if name not in keys or not value:
-            raise ValueError("bad override %r (use q=,k=,peel=,degen=)" % item)
-        out[keys[name]] = int(value)
+        try:
+            out[keys[name]] = int(value)
+        except (KeyError, ValueError):
+            raise ValueError("bad override %r (use q=,k=,peel=,degen=)" % item) from None
     return out
 
 

@@ -141,14 +141,17 @@ def is_connected(g: Graph) -> bool:
     return g.n > 0 and len(connected_components(g)) == 1
 
 
-def bfs_parents(g: Graph, source):
-    """BFS tree as {vertex: parent}; source maps to None.
+def bfs_parents(g: Graph, *sources):
+    """BFS tree as {vertex: parent}, and the queue in visiting order.
 
-    Neighbors are scanned in sorted order, so the tree is canonical.
-    Only the component of source is reached.
+    The queue starts with the sorted sources, which map to None, and
+    neighbors are scanned in sorted order, so the tree is canonical.
+    Read backwards, the queue puts every vertex outside sources before
+    its parent, which is strictly closer to sources.  Only the
+    components of sources are reached.
     """
-    parent = {source: None}
-    queue = [source]
+    parent = dict.fromkeys(sources)
+    queue = sorted(parent)
     head = 0
     while head < len(queue):
         v = queue[head]

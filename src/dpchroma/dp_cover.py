@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 
-from .core_graph import Graph, block_kind, blocks_and_cut_vertices, is_connected, is_gdp_tree
+from .core_graph import (Graph, bfs_parents, block_kind, blocks_and_cut_vertices, is_connected,
+                         is_gdp_tree)
 from .errors import (GDPTreeTight, InstanceTooLarge, InternalInvariantBreach, MalformedInput,
                      NotConnected, PreconditionViolated)
 
@@ -405,28 +406,6 @@ def _greedy_color(cover, avail, coloring, order):
         color_vertex(cover, avail, coloring, v, min(avail[v]))
 
 
-def _reverse_bfs_from(g, sources):
-    """Vertices outside sources, farthest from sources first.
-
-    Ties broken by the canonical BFS order, so for every emitted vertex
-    some neighbor strictly closer to sources comes later.
-    """
-    seen = set(sources)
-    queue = sorted(sources)
-    head = 0
-    order = []
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for w in sorted(g.adj[v]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                queue.append(w)
-    order.reverse()
-    return order
-
-
 def _color_awkward_block(cover, avail, coloring, block):
     """Color a 2-connected block that is neither complete nor a cycle.
 
@@ -444,15 +423,15 @@ def _color_awkward_block(cover, avail, coloring, block):
                 v1, v2 = nbrs[a], nbrs[b]
                 if sub.has_edge(v1, v2):
                     continue
-                if not is_connected(sub.subgraph(set(block) - {v1, v2})):
+                rest = sub.subgraph(set(block) - {v1, v2})
+                if not is_connected(rest):
                     continue
                 pick = _pair_sparing_u(cover, avail, u, v1, v2)
                 if pick is None:
                     continue
                 color_vertex(cover, avail, coloring, v1, pick[0])
                 color_vertex(cover, avail, coloring, v2, pick[1])
-                rest = _reverse_bfs_from(sub.subgraph(set(block) - {v1, v2}), [u])
-                _greedy_color(cover, avail, coloring, rest + [u])
+                _greedy_color(cover, avail, coloring, bfs_parents(rest, u)[1][::-1])
                 return
     res, kept = residual_cover(cover, coloring)
     col = find_dp_coloring(res)
@@ -492,14 +471,12 @@ def degree_dp_color(g: Graph, cover: Cover):
     coloring = {}
     surplus = sorted(v for v in g.vertices if cover.sizes[v] > g.degree(v))
     if surplus:
-        s = surplus[0]
-        order = _reverse_bfs_from(g, [s]) + [s]
-        _greedy_color(cover, avail, coloring, order)
+        _greedy_color(cover, avail, coloring, bfs_parents(g, surplus[0])[1][::-1])
     elif is_gdp_tree(g):
         raise GDPTreeTight("tight cover on a GDP-tree")
     else:
         block = min(blk for blk in blocks_and_cut_vertices(g)[0] if block_kind(g, blk) is None)
-        _greedy_color(cover, avail, coloring, _reverse_bfs_from(g, block))
+        _greedy_color(cover, avail, coloring, bfs_parents(g, *block)[1][len(block):][::-1])
         _color_awkward_block(cover, avail, coloring, block)
     if not is_coloring_valid(cover, coloring):
         raise InternalInvariantBreach("degree_dp_color produced an invalid coloring")

@@ -30,11 +30,11 @@ from .errors import (DegreeBelowS, InstanceTooLarge, InternalInvariantBreach, Li
 from .planar_truncated import NoMove, PipelineState, entry_gate, finish, step_r1, step_r2
 
 
-def _require_positive(**values):
-    """ValueError naming the first of values that is below 1."""
+def _require_at_least(low, **values):
+    """ValueError naming the first of values that is below low."""
     for name, value in values.items():
-        if value < 1:
-            raise ValueError("%s must be at least 1 (got %r)" % (name, value))
+        if value < low:
+            raise ValueError("%s must be at least %d (got %r)" % (name, low, value))
 
 
 class ClassParams:
@@ -43,7 +43,8 @@ class ClassParams:
     __slots__ = ("s", "t", "q", "k", "peel_bound", "degeneracy_bound", "overridden")
 
     def __init__(self, s, t, q, k, peel_bound, degeneracy_bound, overridden):
-        _require_positive(s=s, t=t, q=q, k=k)
+        _require_at_least(1, s=s, t=t, q=q, k=k)
+        _require_at_least(0, peel_bound=peel_bound, degeneracy_bound=degeneracy_bound)
         self.s = s
         self.t = t
         self.q = q
@@ -69,7 +70,7 @@ class ClassParams:
 
 def constants(s, t):
     """Exact constants for the class; plain ints, arbitrary precision."""
-    _require_positive(s=s, t=t)
+    _require_at_least(1, s=s, t=t)
     peel = 4 ** (s + 1) * math.factorial(s) * s * t
     q = peel * (s + t - 1) + 1
     k = 2 ** (s + 2) * t * q
@@ -100,16 +101,12 @@ def select_sublists(g, v2_order, c, q):
     return chosen
 
 
-def contract_components(g, v1, s=None):
-    """Bipartite contraction: each component of G[V1] becomes one node,
-    named by its smallest vertex, adjacent to the V2 vertices it touches.
-    With s given, every component node must see at least s V2 vertices."""
-    v1 = frozenset(v1)
-    v2 = g.vertices - v1
-    node_of = {}
-    for comp in connected_components(g.subgraph(v1)):
-        for v in comp:
-            node_of[v] = comp[0]
+def contract_components(g, comps, v2, s):
+    """Bipartite contraction of the split comps of G[V1]: each component
+    becomes one node, named by its smallest vertex, adjacent to the V2
+    vertices it touches.  Every component node must see at least s V2
+    vertices."""
+    node_of = {v: comp[0] for comp in comps for v in comp}
     edges = set()
     for u in sorted(v2):
         for w in g.adj[u]:
@@ -117,12 +114,11 @@ def contract_components(g, v1, s=None):
                 n = node_of[w]
                 edges.add((min(u, n), max(u, n)))
     gp = Graph(set(node_of.values()) | v2, sorted(edges))
-    if s is not None:
-        for n in sorted(set(node_of.values())):
-            if gp.degree(n) < s:
-                raise DegreeBelowS(
-                    "component %r sees %d high-degree vertices, needs %d"
-                    % (n, gp.degree(n), s))
+    for n in sorted(set(node_of.values())):
+        if gp.degree(n) < s:
+            raise DegreeBelowS(
+                "component %r sees %d high-degree vertices, needs %d"
+                % (n, gp.degree(n), s))
     return gp, node_of
 
 
@@ -178,8 +174,8 @@ class MinorState(PipelineState):
 
     __slots__ = ("cost_cap", "protector_cap", "turn_colors")
 
-    def __init__(self, g, cover, v1, v2, plan, sublists, params, trace=None):
-        self._start(g, cover, v1, v2, plan.order, trace)
+    def __init__(self, g, cover, comps, v2, plan, sublists, params, trace=None):
+        self._start(g, cover, comps, v2, plan.order, trace)
         for v in self.v2:
             self.avail[v] = set(sublists[v])
         # a component node is named by the component's smallest vertex
@@ -216,17 +212,18 @@ def color_minor_truncated(g, c, params, trace=None):
         # truncation never bites and the degree-DP argument is the
         # whole pipeline
         return degree_dp_color(g, c)
+    comps = connected_components(g.subgraph(v1))
     if v2:
         order_w = degeneracy_order(g.subgraph(v2), params.degeneracy_bound)
         sublists = select_sublists(g, order_w, c, params.q)
-        gp, _ = contract_components(g, v1, s=params.s)
+        gp, _ = contract_components(g, comps, v2, params.s)
         plan = peel_sequence(gp, v2, params.peel_bound)
     else:
         # everything is low degree; one non-GDP-tree component, so the
         # finisher alone suffices
         sublists = {}
         plan = PeelPlan([], [])
-    state = MinorState(g, c, v1, v2, plan, sublists, params, trace=trace)
+    state = MinorState(g, c, comps, v2, plan, sublists, params, trace=trace)
     for _ in plan.order:
         while step_r1(state) is not NoMove:
             pass

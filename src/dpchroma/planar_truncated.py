@@ -66,7 +66,7 @@ class PipelineState:
     order[turn] the next vertex for (R2) unless it is colored.
     """
 
-    __slots__ = ("g", "cover", "v1", "v2", "order", "comps", "comp_of",
+    __slots__ = ("g", "cover", "v2", "order", "comps", "comp_of",
                  "owed", "phi", "avail", "safe", "protectors", "trace",
                  "res", "blocks_of", "candidates", "turn")
 
@@ -77,7 +77,8 @@ class PipelineState:
     def __init__(self, pg, cover, v1, v2, trace=None):
         v2 = frozenset(v2)
         fc = FaceClasses(augment_visibility(pg, v2), v2)
-        self._start(pg.g, cover, v1, v2, plan_order(fc), trace)
+        comps = connected_components(pg.g.subgraph(v1))
+        self._start(pg.g, cover, comps, v2, plan_order(fc), trace)
         holder = {}
         for qi, comp in enumerate(self.comps):
             first = holder.setdefault(fc.class_holding(comp), qi)
@@ -92,14 +93,14 @@ class PipelineState:
                     self.owed[v].add(holder[cmap[f]])
         self.check_invariants()
 
-    def _start(self, g, cover, v1, v2, order, trace):
-        """Fill the fields both pipelines share, before any step."""
-        self.v1 = frozenset(v1)
+    def _start(self, g, cover, comps, v2, order, trace):
+        """Fill the fields both pipelines share, before any step; comps
+        is the split of G[V1] into sorted components."""
         self.v2 = frozenset(v2)
         self.g = g
         self.cover = cover
         self.order = tuple(order)
-        self.comps = tuple(tuple(c) for c in connected_components(g.subgraph(self.v1)))
+        self.comps = tuple(tuple(c) for c in comps)
         self.comp_of = {v: qi for qi, comp in enumerate(self.comps) for v in comp}
         self.phi = {}
         self.avail = {v: set(range(cover.sizes[v])) for v in g.vertices}

@@ -21,6 +21,9 @@ the violations and the H that plane_embed produces.
 three_connected_by_low_point is core_graph's 3-connectivity test as it
 was before the separation-pair search: one low-point pass per deleted
 vertex, O(n (n + m)); it pins the linear test's verdicts.
+_reverse_bfs_from is the degree-DP finisher's own breadth-first search
+as it was before the finisher read core_graph.bfs_parents' queue
+backwards; it pins the orders, on which the finisher's witnesses depend.
 """
 
 import itertools
@@ -76,6 +79,28 @@ def three_connected_by_low_point(g):
     if g.n <= 3 or any(len(ns) < 3 for ns in g.adj.values()):
         return False
     return all(connectivity_at_least(g.without_vertex(v), 2) for v in g.vertices)
+
+
+def _reverse_bfs_from(g, sources):
+    """Vertices outside sources, farthest from sources first.
+
+    Ties broken by the canonical BFS order, so for every emitted vertex
+    some neighbor strictly closer to sources comes later.
+    """
+    seen = set(sources)
+    queue = sorted(sources)
+    head = 0
+    order = []
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for w in sorted(g.adj[v]):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+                queue.append(w)
+    order.reverse()
+    return order
 
 
 def vertex_face_incidences(pg):

@@ -14,8 +14,8 @@ from corpus import (connected_graph_classes, nx_planar_rotation,
 from dpchroma.cli import (Xorshift64Star, generate_hub_instance,
                           random_tight_matchings)
 from dpchroma.constructions import verify_counterexample
-from dpchroma.core_graph import (Graph, degeneracy_order, is_gallai_tree,
-                                 is_gdp_tree)
+from dpchroma.core_graph import (Graph, connected_components, degeneracy_order,
+                                 is_gallai_tree, is_gdp_tree)
 from dpchroma.dp_cover import (Cover, degree_truncated_sizes,
                                is_coloring_valid, write_cover)
 from dpchroma.exact_oracle import is_degree_choosable, is_degree_dp_colorable
@@ -205,7 +205,7 @@ def _minor_bullets(g, cov, params, tag):
         if u in sub and w in sub:
             if any(cov.partner(u, i, w) in sub[w] for i in sub[u]):
                 bad.append((tag, "matched pair across sublists", (u, w)))
-    gp, node_of = contract_components(g, v1, s=params.s)
+    gp, node_of = contract_components(g, connected_components(g.subgraph(v1)), v2, params.s)
     plan = peel_sequence(gp, set(v2), params.peel_bound)
     nodes = sorted(set(node_of.values()))
     placed = sorted(n for part in plan.parts for n in part)

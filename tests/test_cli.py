@@ -179,6 +179,21 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: input graph is not 3-connected\n"
 
 
+def test_bad_override_values_exit_2(tmp_path, capsys):
+    pg, cover = cli.generate_hub_instance(2, 24, 1)
+    (tmp_path / "g").write_text(write_graph(pg.g))
+    (tmp_path / "c").write_text(write_cover(cover))
+    base = ["color-minor", "--graph", str(tmp_path / "g"), "--cover", str(tmp_path / "c"),
+            "--s", "2", "--t", "2", "--override"]
+    for override, first in (("degen=-1", "error: degeneracy_bound must be at least 0 (got -1)"),
+                            ("peel=-1", "error: peel_bound must be at least 0 (got -1)"),
+                            ("q=x", "error: bad override 'q=x' (use q=,k=,peel=,degen=)")):
+        assert main(base + [override]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == first
+        assert "Traceback" not in err
+
+
 def test_solve_budget_below_one_exits_2(tmp_path, capsys):
     (tmp_path / "g").write_text("v 2\ne 0 1\n")
     (tmp_path / "l").write_text("A 0 x\nA 1 x\n")

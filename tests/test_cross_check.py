@@ -35,7 +35,11 @@ construction that rebuilt a PlaneGraph at every reduction: same H,
 with every reduction firing and the face test for deleting an
 interior vertex checked against 2-connectivity each time it runs.
 is_nice (one pass over h) is compared with the checker that rescanned
-h per face: same violations in the same order.  The corpus of
+h per face: same violations in the same order.  The degree-DP
+finisher's orders (bfs_parents' queue read backwards) are compared with
+the finisher's former breadth-first search, from every source set of
+one to three vertices on small classes and from seeded sources on
+random planar graphs: same orders.  The corpus of
 connected graph classes is checked against the OEIS counts up to 7
 vertices.
 """
@@ -49,14 +53,15 @@ import pytest
 
 from corpus import connected_graph_classes, connected_graph_extensions, planar_classes, \
     random_connected_planar
-from oracles import block_kind_by_subgraph, connectivity_by_deletion, is_safe, \
+from oracles import _reverse_bfs_from, block_kind_by_subgraph, connectivity_by_deletion, is_safe, \
     recursive_dp_coloring, reference_dp_f_colorable, reference_f_choosable, reference_is_nice, \
     reference_very_nice_subgraph, subgraph_by_edge_filter, three_connected_by_low_point, \
     vertex_face_incidences
 from dpchroma import minor_truncated, plane_embed, planar_truncated
 from dpchroma.cli import generate_hub_instance
 from dpchroma.constructions import build_G42, build_k2_k2, chain_case, gadget_h_plane
-from dpchroma.core_graph import Graph, block_kind, blocks_and_cut_vertices, connectivity_at_least
+from dpchroma.core_graph import (Graph, bfs_parents, block_kind, blocks_and_cut_vertices,
+                                 connectivity_at_least)
 from dpchroma.dp_cover import Cover, find_dp_coloring, induced_cover
 from dpchroma.errors import InstanceTooLarge
 from dpchroma.exact_oracle import is_dp_f_colorable, is_f_choosable
@@ -245,6 +250,28 @@ def test_subgraph_matches_edge_filter():
                 want = subgraph_by_edge_filter(g, keep)
                 assert got.vertices == want.vertices and got.adj == want.adj
                 assert got.edges() == want.edges()
+
+
+def test_reversed_bfs_queue_matches_reference():
+    def same_orders(g, sources):
+        queue = bfs_parents(g, *sources)[1]
+        assert queue[len(sources):][::-1] == _reverse_bfs_from(g, sources)
+        if len(sources) == 1:
+            assert queue[::-1] == _reverse_bfs_from(g, sources) + list(sources)
+
+    for n in range(1, 7):
+        for g in connected_graph_classes(n):
+            for r in (1, 2, 3):
+                for sources in itertools.combinations(range(n), r):
+                    same_orders(g, sources)
+    rng = random.Random(29)
+    for seed in range(200):
+        n = 4 + seed % 17
+        g, _ = random_connected_planar(n, n, seed)
+        for v in range(n):
+            same_orders(g, (v,))
+        for r in (2, 3):
+            same_orders(g, tuple(rng.sample(range(n), r)))
 
 
 def test_block_kind_matches_subgraph_reference():

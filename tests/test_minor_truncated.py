@@ -3,14 +3,14 @@ import math
 import pytest
 
 from dpchroma.cli import Xorshift64Star, generate_hub_instance, random_tight_matchings
-from dpchroma.core_graph import Graph, degeneracy_order, is_gdp_tree
+from dpchroma.core_graph import Graph, connected_components, degeneracy_order, is_gdp_tree
 from dpchroma.dp_cover import Cover, is_coloring_valid
 from dpchroma.errors import (DegreeBelowS, InstanceTooLarge, InternalInvariantBreach,
                              ListTooSmall, PeelBoundExceeded, PreconditionViolated)
 from dpchroma.minor_truncated import (MinorState, color_minor_truncated, constants,
                                       contract_components, peel_sequence,
                                       select_sublists)
-from dpchroma.planar_truncated import step_r2
+from dpchroma.planar_truncated import color_planar_truncated, partition_threshold, step_r2
 
 
 def desk_params(s, t, **kw):
@@ -92,19 +92,24 @@ def test_select_sublists_property():
                     assert cov.partner(w, j, u) not in sub[u]
 
 
+def contract(g, v1, s):
+    """contract_components on the split of G[v1]."""
+    return contract_components(g, connected_components(g.subgraph(v1)), g.vertices - v1, s)
+
+
 def test_contract_components():
     pg, _ = generate_hub_instance(3, 34, 1)
     g = pg.g
     v1 = frozenset(range(34))
-    gp, node_of = contract_components(g, v1, s=3)
+    gp, node_of = contract(g, v1, 3)
     assert set(node_of.values()) == {0} and gp.degree(0) == 3
     assert sorted(gp.adj[0]) == [34, 35, 36]
     g2 = Graph(range(2), [(0, 1)])
-    gp2, node_of2 = contract_components(g2, frozenset())
+    gp2, node_of2 = contract(g2, frozenset(), 3)
     assert node_of2 == {} and gp2.edges() == []
     wheel, _ = generate_hub_instance(1, 20, 1)
     with pytest.raises(DegreeBelowS):
-        contract_components(wheel.g, frozenset(range(20)), s=2)
+        contract(wheel.g, frozenset(range(20)), 2)
 
 
 def test_contract_degrees_match_neighborhood_unions():
@@ -112,7 +117,7 @@ def test_contract_degrees_match_neighborhood_unions():
         pg, _ = generate_hub_instance(hubs, rim, 5)
         g = pg.g
         v1 = frozenset(range(rim))
-        gp, node_of = contract_components(g, v1, s=2)
+        gp, node_of = contract(g, v1, 2)
         for node in set(node_of.values()):
             comp = [v for v, n in node_of.items() if n == node]
             seen = {w for v in comp for w in g.adj[v] if w not in v1}
@@ -194,8 +199,9 @@ def test_minor_state_requires_cheap_neighbor():
     g, cov, params = double_protection_instance()
     v1, v2 = frozenset(range(10)), frozenset({10, 11})
     sublists = select_sublists(g, [11, 10], cov, params.q)
-    plan = peel_sequence(contract_components(g, v1, s=2)[0], v2, params.peel_bound)
-    st = MinorState(g, cov, v1, v2, plan, sublists, params)
+    comps = connected_components(g.subgraph(v1))
+    plan = peel_sequence(contract_components(g, comps, v2, 2)[0], v2, params.peel_bound)
+    st = MinorState(g, cov, comps, v2, plan, sublists, params)
     assert (st.owed, st.cost_cap, st.protector_cap, st.turn_colors) == (
         {11: set(), 10: {0, 1}}, 3, 2, 7)
     step_r2(st)
@@ -276,3 +282,30 @@ def test_true_constants_refuse_high_degree_work():
     cov = Cover(star, sizes, {})
     with pytest.raises(InstanceTooLarge):
         color_minor_truncated(star, cov, constants(2, 2))
+
+
+def v1_splits(monkeypatch, run, g, v1):
+    """How many Graph.subgraph calls keep exactly v1 during run()."""
+    calls = []
+    subgraph = Graph.subgraph
+
+    def counted(self, keep):
+        keep = frozenset(keep)
+        if self is g and keep == v1:
+            calls.append(keep)
+        return subgraph(self, keep)
+
+    monkeypatch.setattr(Graph, "subgraph", counted)
+    run()
+    return len(calls)
+
+
+def test_one_split_of_v1_per_run(monkeypatch):
+    from test_planar_truncated import drum_plane
+
+    g, cov, params = drum_minor_instance(quarter=60)
+    pg = drum_plane(60)
+    v1 = partition_threshold(g, params.k)[0]
+    assert v1 == partition_threshold(pg.g)[0] and len(v1) == 248
+    assert v1_splits(monkeypatch, lambda: color_minor_truncated(g, cov, params), g, v1) == 1
+    assert v1_splits(monkeypatch, lambda: color_planar_truncated(pg, cov), pg.g, v1) == 1
