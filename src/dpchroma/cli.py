@@ -1,4 +1,4 @@
-"""Command-line front end, instance generation, and report plumbing."""
+"""Command-line front end and report plumbing."""
 
 from __future__ import annotations
 
@@ -7,155 +7,17 @@ import sys
 
 from .constructions import (build_G42, build_H, build_k2_k2, build_ks_minus1,
                             verify_counterexample)
-from .core_graph import Graph, connectivity_at_least, parse_graph, write_graph
-from .dp_cover import (Cover, degree_truncated_sizes, find_dp_coloring, parse_cover,
-                       parse_lists, write_cover, write_lists)
-from .errors import BadRotation, Diagnostic, GenerationFailed, InputError
+from .core_graph import parse_graph, write_graph
+# not called here; kept bound because perfbench/layers.py wraps it by name
+from .core_graph import connectivity_at_least
+from .dp_cover import find_dp_coloring, parse_cover, parse_lists, write_cover, write_lists
+from .errors import Diagnostic, InputError
 from .exact_oracle import solve_list
+from .generators import (drum_forcing_cover, drum_identity_cover, drum_plane,
+                         generate_hub_instance)
 from .minor_truncated import color_minor_truncated, constants
-from .plane_embed import PlaneGraph, parse_plane, very_nice_subgraph, write_plane
-from .planar_truncated import THRESHOLD, color_planar_truncated, partition_threshold
-
-MASK64 = (1 << 64) - 1
-
-
-class Xorshift64Star:
-    """xorshift64* with the 0x2545F4914F6CDD1D multiplier.
-
-    Pinned by hand because generated covers must stay byte-identical
-    across reruns and reimplementations in other languages; swapping in
-    random.Random would silently break every recorded trace.
-    """
-
-    __slots__ = ("x",)
-
-    def __init__(self, seed):
-        self.x = seed & MASK64
-        if self.x == 0:
-            self.x = 0x9E3779B97F4A7C15
-
-    def next64(self):
-        x = self.x
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & MASK64
-        x ^= x >> 27
-        self.x = x
-        return (x * 0x2545F4914F6CDD1D) & MASK64
-
-    def randrange(self, n):
-        """Uniform draw from range(n) by rejection, no modulo bias."""
-        if n <= 0:
-            raise ValueError("randrange needs a positive bound, got %r" % (n,))
-        span = (MASK64 + 1) - (MASK64 + 1) % n
-        while True:
-            r = self.next64()
-            if r < span:
-                return r % n
-
-    def shuffle(self, seq):
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]
-        return seq
-
-
-# ---------------------------------------------------------------------------
-# hub instances: 3-connected planar graphs with a few high-degree vertices
-
-
-def _wheel(rim):
-    hub = rim
-    rot = {i: ((i + 1) % rim, hub, (i - 1) % rim) for i in range(rim)}
-    rot[hub] = tuple(range(rim))
-    edges = [(i, (i + 1) % rim) for i in range(rim)]
-    edges += [(i, hub) for i in range(rim)]
-    return Graph(range(rim + 1), edges), rot
-
-
-def _double_wheel(rim):
-    hin, hout = rim, rim + 1
-    rot = {i: ((i + 1) % rim, hin, (i - 1) % rim, hout) for i in range(rim)}
-    rot[hin] = tuple(range(rim))
-    rot[hout] = tuple(range(rim - 1, -1, -1))
-    edges = [(i, (i + 1) % rim) for i in range(rim)]
-    edges += [(i, hin) for i in range(rim)]
-    edges += [(i, hout) for i in range(rim)]
-    return Graph(range(rim + 2), edges), rot
-
-
-def _fan_wheel(rim):
-    """Two fans inside the rim over complementary arcs, full wheel outside.
-
-    The fan hubs share the two arc ends, so the region between them is a
-    quadrilateral face; they are visible but not adjacent, which is what
-    makes this shape exercise chord insertion downstream.
-    """
-    mid = rim // 2
-    ha, hb, hout = rim, rim + 1, rim + 2
-    rot = {}
-    for i in range(rim):
-        if i == 0:
-            rot[i] = (1, ha, hb, rim - 1, hout)
-        elif i == mid:
-            rot[i] = (mid + 1, hb, ha, mid - 1, hout)
-        elif i < mid:
-            rot[i] = (i + 1, ha, i - 1, hout)
-        else:
-            rot[i] = ((i + 1) % rim, hb, i - 1, hout)
-    rot[ha] = tuple(range(mid + 1))
-    rot[hb] = tuple(range(mid, rim)) + (0,)
-    rot[hout] = tuple(range(rim - 1, -1, -1))
-    edges = [(i, (i + 1) % rim) for i in range(rim)]
-    edges += [(i, ha) for i in range(mid + 1)]
-    edges += [(i, hb) for i in range(mid, rim)]
-    edges += [(0, hb)]
-    edges += [(i, hout) for i in range(rim)]
-    return Graph(range(rim + 3), edges), rot
-
-
-def random_tight_matchings(g, sizes, rng):
-    """One random maximal matching per edge, full on the smaller side."""
-    matchings = {}
-    for u, w in g.edges():
-        pu = rng.shuffle(list(range(sizes[u])))
-        pw = rng.shuffle(list(range(sizes[w])))
-        pairs = sorted(zip(pu, pw))
-        if pairs:
-            matchings[(u, w)] = pairs
-    return matchings
-
-
-def generate_hub_instance(hubs, rim, seed):
-    """Deterministic plane instance with exactly `hubs` vertices of degree >= THRESHOLD.
-
-    hubs=1 is a wheel, hubs=2 a double wheel (one hub inside the rim,
-    one outside), hubs=3 the fan wheel.  Returns (PlaneGraph, Cover)
-    where the cover has sizes min(THRESHOLD, d) and seeded random matchings.
-    The construction is checked, not trusted: planarity via the rotation
-    trace, the heavy-vertex count, and 3-connectivity with
-    connectivity_at_least.
-    """
-    if hubs not in (1, 2, 3):
-        raise GenerationFailed("supported hub counts are 1, 2, 3 (got %r)" % (hubs,))
-    if rim < (4 if hubs == 3 else 3):
-        raise GenerationFailed("rim %d is too short for %d hubs" % (rim, hubs))
-    build = {1: _wheel, 2: _double_wheel, 3: _fan_wheel}[hubs]
-    g, rot = build(rim)
-    try:
-        pg = PlaneGraph(g, rot)
-    except BadRotation as exc:
-        raise GenerationFailed("generated rotation is not planar: %s" % exc)
-    heavy = len(partition_threshold(g)[1])
-    if heavy != hubs:
-        raise GenerationFailed("rim %d gives %d vertices of degree >= %d, wanted %d"
-                               % (rim, heavy, THRESHOLD, hubs))
-    if not connectivity_at_least(g, 3):
-        raise GenerationFailed("generated graph is not 3-connected")
-    rng = Xorshift64Star(seed)
-    sizes = degree_truncated_sizes(g, THRESHOLD)
-    cover = Cover(g, sizes, random_tight_matchings(g, sizes, rng))
-    return pg, cover
-
+from .plane_embed import parse_plane, very_nice_subgraph, write_plane
+from .planar_truncated import color_planar_truncated
 
 # ---------------------------------------------------------------------------
 # reports
@@ -212,6 +74,13 @@ def cmd_build(args):
         _write(args.out + ".graph", write_graph(gadget.g))
         _write(args.out + ".lists", write_lists(gadget.lists))
         _write(args.out + ".plane", write_plane(gadget.plane))
+        return 0
+    if args.family == "drum":
+        pg = drum_plane(480, perm=(0, 3, 1, 2))
+        _write(args.out + ".plane", write_plane(pg))
+        _write(args.out + ".graph", write_graph(pg.g))
+        _write(args.out + ".forcing.cover", write_cover(drum_forcing_cover(pg)))
+        _write(args.out + ".identity.cover", write_cover(drum_identity_cover(pg.g)))
         return 0
     if args.family == "G42":
         g, lists = build_G42()
@@ -280,9 +149,12 @@ def _parse_overrides(text):
             continue
         name, _, value = item.partition("=")
         try:
-            out[keys[name]] = int(value)
+            key, number = keys[name], int(value)
         except (KeyError, ValueError):
             raise ValueError("bad override %r (use q=,k=,peel=,degen=)" % item) from None
+        if key in out:
+            raise ValueError("bad override %r (%s= is given twice)" % (item, name))
+        out[key] = number
     return out
 
 
@@ -313,7 +185,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="write a named family to files")
-    b.add_argument("--family", required=True, choices=["H", "G42", "k2k2", "ks"])
+    b.add_argument("--family", required=True, choices=["H", "G42", "k2k2", "ks", "drum"])
     b.add_argument("--k", type=int)
     b.add_argument("--s", type=int)
     b.add_argument("--out", required=True, help="output path prefix")

@@ -401,7 +401,7 @@ def verify_chain():
     return rows
 
 
-# jobs must be 1; kept because perfbench/workloads.py passes it (ROADMAP item 2)
+# jobs must be 1; kept because perfbench/workloads.py passes it (ROADMAP item 6)
 def verify_counterexample(name, k=None, s=None, jobs=1):
     """Builder + checks for one family; returns (check, ok) rows."""
     if jobs != 1:

@@ -11,14 +11,14 @@ import networkx as nx
 
 from corpus import (connected_graph_classes, nx_planar_rotation,
                     planar_classes, random_connected_planar)
-from dpchroma.cli import (Xorshift64Star, generate_hub_instance,
-                          random_tight_matchings)
 from dpchroma.constructions import verify_counterexample
 from dpchroma.core_graph import (Graph, connected_components, degeneracy_order,
                                  is_gallai_tree, is_gdp_tree)
 from dpchroma.dp_cover import (Cover, degree_truncated_sizes,
                                is_coloring_valid, write_cover)
 from dpchroma.exact_oracle import is_degree_choosable, is_degree_dp_colorable
+from dpchroma.generators import (Xorshift64Star, generate_hub_instance,
+                                 random_tight_matchings)
 from dpchroma.minor_truncated import (color_minor_truncated, constants,
                                       contract_components, peel_sequence,
                                       select_sublists)

@@ -12,8 +12,8 @@ import os
 import pytest
 
 from dpchroma import minor_truncated, planar_truncated
+from dpchroma.generators import drum_forcing_cover, drum_plane
 from test_minor_truncated import double_protection_instance
-from test_planar_truncated import drum_forcing_cover, drum_plane
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 

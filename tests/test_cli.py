@@ -5,10 +5,11 @@ import sys
 import pytest
 
 from dpchroma import cli, errors
-from dpchroma.cli import Xorshift64Star, main, run_report
+from dpchroma.cli import main, run_report
 from dpchroma.constructions import verify_counterexample
 from dpchroma.core_graph import Graph, write_graph
 from dpchroma.dp_cover import write_cover
+from dpchroma.generators import Xorshift64Star, generate_hub_instance
 from dpchroma.plane_embed import write_plane
 
 
@@ -180,14 +181,15 @@ def test_input_errors_exit_2(tmp_path, capsys):
 
 
 def test_bad_override_values_exit_2(tmp_path, capsys):
-    pg, cover = cli.generate_hub_instance(2, 24, 1)
+    pg, cover = generate_hub_instance(2, 24, 1)
     (tmp_path / "g").write_text(write_graph(pg.g))
     (tmp_path / "c").write_text(write_cover(cover))
     base = ["color-minor", "--graph", str(tmp_path / "g"), "--cover", str(tmp_path / "c"),
             "--s", "2", "--t", "2", "--override"]
     for override, first in (("degen=-1", "error: degeneracy_bound must be at least 0 (got -1)"),
                             ("peel=-1", "error: peel_bound must be at least 0 (got -1)"),
-                            ("q=x", "error: bad override 'q=x' (use q=,k=,peel=,degen=)")):
+                            ("q=x", "error: bad override 'q=x' (use q=,k=,peel=,degen=)"),
+                            ("q=7,q=8,k=16", "error: bad override 'q=8' (q= is given twice)")):
         assert main(base + [override]) == 2
         err = capsys.readouterr().err
         assert err.splitlines()[0] == first

@@ -117,7 +117,7 @@ def test_every_public_name_has_a_caller_in_the_package():
     found = ["%s:%s" % (name, d.name) for name, d, _ in top
              if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_")
              and not any(d.name in used for _, other, used in top if other is not d)]
-    # ROADMAP item 5 gives these their caller: the Gallai-tree sweeps of
+    # ROADMAP item 9 gives these their caller: the Gallai-tree sweeps of
     # a verify family run the two oracles against is_gallai_tree
     assert found == ["core_graph.py:is_gallai_tree", "exact_oracle.py:is_degree_choosable",
                      "exact_oracle.py:is_degree_dp_colorable"]

@@ -58,17 +58,16 @@ from oracles import _reverse_bfs_from, block_kind_by_subgraph, connectivity_by_d
     reference_very_nice_subgraph, subgraph_by_edge_filter, three_connected_by_low_point, \
     vertex_face_incidences
 from dpchroma import minor_truncated, plane_embed, planar_truncated
-from dpchroma.cli import generate_hub_instance
 from dpchroma.constructions import build_G42, build_k2_k2, chain_case, gadget_h_plane
 from dpchroma.core_graph import (Graph, bfs_parents, block_kind, blocks_and_cut_vertices,
                                  connectivity_at_least)
 from dpchroma.dp_cover import Cover, find_dp_coloring, induced_cover
 from dpchroma.errors import InstanceTooLarge
 from dpchroma.exact_oracle import is_dp_f_colorable, is_f_choosable
+from dpchroma.generators import drum_plane, generate_hub_instance
 from dpchroma.plane_embed import PlaneGraph, is_nice, very_nice_subgraph
 from test_golden import PROTECTION_RUNS, _minor, _planar_drum
 from test_minor_truncated import drum_minor_instance
-from test_planar_truncated import drum_plane
 
 
 def corpus_graphs(max_n):

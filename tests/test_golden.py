@@ -9,6 +9,10 @@ the test runs `gen`, `color-planar`, `color-minor` and `nice` through
 - planar, minor: the trace file followed by the printed witness;
 - nice: the printed covering subgraph.
 
+GEN_SWEEP_GOLDEN pins the `gen` files over hubs 1-3, rims 32, 240 and
+1000, and seeds 1 and 7; DRUM_FILES_GOLDEN pins the four files that
+`build --family drum` writes.
+
 `color-minor` reads the graph records of the .plane file (its `r` lines
 dropped) and runs with s = hubs, t = 2 and the override
 q=6,k=16,peel=2,degen=1.
@@ -41,14 +45,14 @@ import hashlib
 import pytest
 
 from corpus import connected_graph_classes, planar_classes, random_connected_planar
-from dpchroma.cli import generate_hub_instance, main
+from dpchroma.cli import main
 from dpchroma.exact_oracle import is_degree_choosable, is_degree_dp_colorable
+from dpchroma.generators import drum_forcing_cover, drum_plane, generate_hub_instance
 from dpchroma.minor_truncated import color_minor_truncated
 from dpchroma.planar_truncated import color_planar_truncated, partition_threshold
 from dpchroma.plane_embed import (FaceClasses, PlaneGraph, augment_visibility,
                                   component_planes, very_nice_subgraph)
 from test_minor_truncated import double_protection_instance, drum_minor_instance
-from test_planar_truncated import drum_forcing_cover, drum_plane
 
 SEED = 7
 
@@ -117,6 +121,44 @@ def test_golden_digests(tmp_path, capsys, hubs, rim):
     out = golden_outputs(tmp_path, capsys, hubs, rim)
     got = {k: hashlib.sha256(text.encode()).hexdigest() for k, text in out.items()}
     assert got == GOLDEN[(hubs, rim)]
+
+
+# `gen` over hubs 1-3, rims 32/240/1000 and seeds 1 and 7, looped in that
+# order: each run's .plane bytes, then its .cover bytes, all concatenated
+GEN_SWEEP_GOLDEN = "dd5763ef80dfb4e9f4599c1b12e7e7523517407605515d88dfd17c3398a800e4"
+
+# the four files of `build --family drum` (quarter 480, perm (0, 3, 1, 2))
+DRUM_FILES_GOLDEN = {
+    ".plane": "7f83bef58d9dceb19a7fbbd9a828e21f313122d2a4684f4fb6e7a2faad3670cf",
+    ".graph": "3274ef0223dca512cfbdde0867bbfafdca1f0585357a8892a8b8a9b74b3776a9",
+    ".forcing.cover": "1f52956ae6b92e39247e3c3b7a2dafe4d4ffca19b5da5cb4cd87a8405464386e",
+    ".identity.cover": "b85ed0fc348b1b5c532adaeae883cd17dfa49652b8908acb9c3a8f34b8086bf1",
+}
+
+
+def _file_digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_gen_sweep_digest(tmp_path, capsys):
+    pre = str(tmp_path / "g")
+    h = hashlib.sha256()
+    for hubs in (1, 2, 3):
+        for rim in (32, 240, 1000):
+            for seed in (1, 7):
+                _run(capsys, ["gen", "--hubs", str(hubs), "--rim", str(rim),
+                              "--seed", str(seed), "--out", pre])
+                for ext in (".plane", ".cover"):
+                    with open(pre + ext, "rb") as fh:
+                        h.update(fh.read())
+    assert h.hexdigest() == GEN_SWEEP_GOLDEN
+
+
+def test_build_drum_digests(tmp_path, capsys):
+    pre = str(tmp_path / "drum")
+    _run(capsys, ["build", "--family", "drum", "--out", pre])
+    assert {ext: _file_digest(pre + ext) for ext in DRUM_FILES_GOLDEN} == DRUM_FILES_GOLDEN
 
 
 def _planar_drum(quarter):

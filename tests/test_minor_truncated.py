@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from dpchroma.cli import Xorshift64Star, generate_hub_instance, random_tight_matchings
 from dpchroma.core_graph import Graph, connected_components, degeneracy_order, is_gdp_tree
 from dpchroma.dp_cover import Cover, is_coloring_valid
 from dpchroma.errors import (DegreeBelowS, InstanceTooLarge, InternalInvariantBreach,
                              ListTooSmall, PeelBoundExceeded, PreconditionViolated)
+from dpchroma.generators import (Xorshift64Star, drum_identity_cover, drum_plane,
+                                 generate_hub_instance, random_tight_matchings)
 from dpchroma.minor_truncated import (MinorState, color_minor_truncated, constants,
                                       contract_components, peel_sequence,
                                       select_sublists)
@@ -178,8 +179,6 @@ def test_color_minor_double_protection():
 
 def drum_minor_instance(quarter=15, perm=(0, 1, 2, 3)):
     """The drum fixture under identity matchings (none between hubs)."""
-    from test_planar_truncated import drum_identity_cover, drum_plane
-
     g = drum_plane(quarter, perm).g
     return g, drum_identity_cover(g), desk_params(2, 2, q=7, k=16, peel_bound=2,
                                                   degeneracy_bound=2)
@@ -301,8 +300,6 @@ def v1_splits(monkeypatch, run, g, v1):
 
 
 def test_one_split_of_v1_per_run(monkeypatch):
-    from test_planar_truncated import drum_plane
-
     g, cov, params = drum_minor_instance(quarter=60)
     pg = drum_plane(60)
     v1 = partition_threshold(g, params.k)[0]

@@ -11,11 +11,12 @@ from oracles import is_safe
 from test_minor_truncated import drum_minor_instance
 import dpchroma
 from dpchroma import core_graph, minor_truncated, planar_truncated, plane_embed
-from dpchroma.cli import Xorshift64Star, generate_hub_instance, random_tight_matchings
 from dpchroma.core_graph import Graph, connectivity_at_least
 from dpchroma.dp_cover import Cover, degree_truncated_sizes, find_dp_coloring, is_coloring_valid
 from dpchroma.errors import (EmptyResidualList, GDPTreeTight, InternalInvariantBreach,
                              PreconditionViolated)
+from dpchroma.generators import (Xorshift64Star, drum_forcing_cover, drum_plane,
+                                 generate_hub_instance, random_tight_matchings)
 from dpchroma.minor_truncated import color_minor_truncated, constants
 from dpchroma.plane_embed import FaceClasses, PlaneGraph, augment_visibility
 from dpchroma.planar_truncated import (NoMove, PipelineState, color_planar_truncated,
@@ -36,68 +37,6 @@ def nx_plane(name):
 def tight_cover(g, seed):
     sizes = degree_truncated_sizes(g, 16)
     return Cover(g, sizes, random_tight_matchings(g, sizes, Xorshift64Star(seed)))
-
-
-def drum_plane(quarter=15, perm=(0, 1, 2, 3)):
-    """Inner 8-cycle, ring of four hubs, outer cycle in four fanned
-    quarters with shared ends.  perm places hub ids around the ring."""
-    k = 8
-    hub = lambda j: 8 + perm[j % 4]
-    n_o = 4 * quarter
-    out = lambda i: 12 + (i % n_o)
-    edges = []
-    rot = {}
-    for i in range(k):
-        edges.append((i, (i + 1) % k))
-        edges.append((i, hub(i // 2)))
-        rot[i] = ((i + 1) % k, (i - 1) % k, hub(i // 2))
-    for j in range(4):
-        edges.append((hub(j), hub(j + 1)))
-    for i in range(n_o):
-        edges.append((out(i), out(i + 1)))
-        edges.append((out(i), hub(i // quarter)))
-        if i % quarter == 0:
-            edges.append((out(i), hub(i // quarter - 1)))
-            rot[out(i)] = (out(i + 1), hub(i // quarter), hub(i // quarter - 1), out(i - 1))
-        else:
-            rot[out(i)] = (out(i + 1), hub(i // quarter), out(i - 1))
-    for j in range(4):
-        rot[hub(j)] = (hub(j + 1), 2 * j + 1, 2 * j, hub(j - 1)) + tuple(
-            out(i) for i in range(quarter * j, quarter * (j + 1) + 1))
-    g = Graph(range(12 + n_o), edges)
-    return PlaneGraph(g, rot)
-
-
-def drum_forcing_cover(pg):
-    """Identity matchings, except hub 11: its first free color (3, after
-    the protection of the inner cycle forbids 0..2) is matched into
-    every list of its own outer quarter.  Coloring 11 then leaves that
-    whole quarter tight, so the outer cycle stays unsafe and (R1) has
-    to march along the freed arc."""
-    g = pg.g
-    sizes = degree_truncated_sizes(g, 16)
-    matchings = {}
-    for u, w in g.edges():
-        if u in (8, 9, 10, 11) and w in (8, 9, 10, 11):
-            continue
-        small = min(sizes[u], sizes[w])
-        if 11 in (u, w) and u + w - 11 >= 12:
-            pairs = [(3 + t, t) for t in range(small)] if u == 11 else \
-                [(t, 3 + t) for t in range(small)]
-        else:
-            pairs = [(t, t) for t in range(small)]
-        matchings[(u, w)] = pairs
-    return Cover(g, sizes, matchings)
-
-
-def drum_identity_cover(g):
-    """Identity matchings on every edge of the drum except the hub ring."""
-    sizes = degree_truncated_sizes(g, 16)
-    matchings = {}
-    for u, w in g.edges():
-        if u not in (8, 9, 10, 11) or w not in (8, 9, 10, 11):
-            matchings[(u, w)] = [(t, t) for t in range(min(sizes[u], sizes[w]))]
-    return Cover(g, sizes, matchings)
 
 
 def test_partition_threshold():
@@ -436,8 +375,8 @@ def test_step_r2_checks_turn_colors_under_optimize():
     src = os.path.dirname(os.path.dirname(os.path.abspath(dpchroma.__file__)))
     script = (
         "import sys\n"
-        "from dpchroma.cli import generate_hub_instance\n"
         "from dpchroma.errors import InternalInvariantBreach\n"
+        "from dpchroma.generators import generate_hub_instance\n"
         "from dpchroma.planar_truncated import PipelineState, partition_threshold, step_r2\n"
         "pg, cover = generate_hub_instance(1, 20, 1)\n"
         "st = PipelineState(pg, cover, *partition_threshold(pg.g))\n"

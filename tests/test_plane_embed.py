@@ -2,12 +2,12 @@ import pytest
 
 from corpus import planar_classes
 from oracles import vertex_face_incidences
-from dpchroma.cli import generate_hub_instance
 from dpchroma.constructions import gadget_h_plane
 from dpchroma.core_graph import Graph
 from dpchroma.dp_cover import Cover
 from dpchroma.errors import (A2Unattainable, BadRotation, InternalInvariantBreach, MalformedInput,
                              NotConnected)
+from dpchroma.generators import generate_hub_instance, wheel
 from dpchroma.plane_embed import (FaceClasses, PlaneGraph, augment_visibility,
                                   component_planes, parse_plane, write_plane)
 from dpchroma.planar_truncated import PipelineState, partition_threshold
@@ -130,16 +130,6 @@ def test_plane_parse_errors():
         parse_plane("v 3\nr 0\nr 1\nr 2\ne 0 1\ne 0 2\ne 1 x\n")
 
 
-def wheel_plane(nrim):
-    hub = nrim
-    es = [(i, (i + 1) % nrim) for i in range(nrim)] + [(i, hub) for i in range(nrim)]
-    g = Graph(list(range(nrim)) + [hub], [(min(a, b), max(a, b)) for a, b in es])
-    rot = {hub: tuple(range(nrim))}
-    for i in range(nrim):
-        rot[i] = ((i + 1) % nrim, hub, (i - 1) % nrim)
-    return PlaneGraph(g, rot)
-
-
 def double_fan_plane():
     # C20 with two inner fan hubs over complementary arcs; the hubs share
     # one quadrilateral face and are not adjacent
@@ -181,7 +171,7 @@ def test_vertex_face_incidences():
 
 
 def test_augment_identity_cases():
-    pg = wheel_plane(5)
+    pg = PlaneGraph(*wheel(5))
     assert augment_visibility(pg, set()).g.m == pg.g.m
     assert augment_visibility(pg, {5}).g.m == pg.g.m
 
@@ -204,7 +194,7 @@ def test_augment_double_fan_makes_hubs_adjacent():
 
 
 def test_face_classes_wheel_rim():
-    pg = wheel_plane(5)
+    pg = PlaneGraph(*wheel(5))
     fc = FaceClasses(pg, set(range(5)))
     assert len(fc.classes()) == 2
     assert fc.outer_class == fc.class_of(pg.outer)
@@ -266,6 +256,6 @@ def test_a2_unattainable_reports_shared_face():
 
 
 def test_class_holding_rejects_straddling_set():
-    pg = wheel_plane(5)
+    pg = PlaneGraph(*wheel(5))
     with pytest.raises(InternalInvariantBreach):
         FaceClasses(pg, set(range(5))).class_holding([5, 0])

@@ -10,9 +10,9 @@ from oracles import vertex_face_incidences
 
 import dpchroma
 from dpchroma import core_graph, plane_embed
-from dpchroma.cli import generate_hub_instance
 from dpchroma.core_graph import Graph, blocks_and_cut_vertices
 from dpchroma.errors import NotConnected, PreconditionViolated
+from dpchroma.generators import generate_hub_instance
 from dpchroma.plane_embed import PlaneGraph, is_nice, very_nice_subgraph
 
 
@@ -115,7 +115,7 @@ def test_no_python_recursion_on_long_rims():
     src = os.path.dirname(os.path.dirname(os.path.abspath(dpchroma.__file__)))
     script = (
         "import sys\n"
-        "from dpchroma.cli import generate_hub_instance\n"
+        "from dpchroma.generators import generate_hub_instance\n"
         "from dpchroma.plane_embed import very_nice_subgraph\n"
         "pg, _ = generate_hub_instance(3, 240, 1)\n"
         "sys.setrecursionlimit(200)\n"
