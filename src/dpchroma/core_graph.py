@@ -296,89 +296,21 @@ def degeneracy_order(g: Graph, d: int, groups=None):
     return order
 
 
-def _biconnected_without(g: Graph) -> bool:
-    """Is g 2-connected?
+def _palm_tree(g: Graph):
+    """DFS 1 of the Hopcroft-Tarjan path search (see _no_separation_pair),
+    or None at the first cut vertex or if g is not connected.
 
-    One iterative low-point pass over g's own adjacency: no graph is
-    built, nothing is sorted, and the pass stops at the first
-    articulation point.
-    """
-    if g.n <= 2:
-        return False
-    adj = g.adj
-    root = next(iter(adj))
-    disc = {root: 0}
-    low = {root: 0}
-    root_children = 0
-    stack = [(root, None, iter(adj[root]))]
-    while stack:
-        v, parent, it = stack[-1]
-        for w in it:
-            if w == parent:
-                continue
-            if w not in disc:
-                disc[w] = low[w] = len(disc)
-                stack.append((w, v, iter(adj[w])))
-                break
-            if disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            if not stack:
-                continue
-            p = stack[-1][0]
-            if low[v] < disc[p]:
-                if low[v] < low[p]:
-                    low[p] = low[v]
-            elif p != root:
-                return False
-            else:
-                root_children += 1
-                if root_children > 1:
-                    return False
-    return len(disc) == g.n
-
-
-_EOS = (0, -1, 0)   # end-of-segment marker on the triple stack; its a matches no vertex
-
-
-def _no_separation_pair(g: Graph) -> bool:
-    """Does the 2-connected simple graph g, with minimum degree 3, have
-    no separation pair?
-
-    The path search of Hopcroft and Tarjan (SIAM J. Comput. 1973) as
-    corrected by Gutwenger and Mutzel (GD 2000), stopped at the first
-    separation pair: since nothing has been split off before it, the
-    graph is still g, every degree is at least 3, and the edge stack,
-    the splitting and the multiple-edge cases are never needed.  Three
-    iterative passes, O(n + m) after one sort of the arcs:
-
-    - DFS 1 numbers the vertices 1..n from a root, splits the arcs into
-      tree arcs v -> w and fronds v ~> w (w a proper ancestor), and
-      computes father, lowpt1, lowpt2 and ND (descendant count).
-    - Each adjacency list is sorted by phi: 3 lowpt1(w), plus 2 if
-      lowpt2(w) >= v, for a tree arc; 3 w + 1 for a frond.
-    - DFS 2 walks the sorted lists, gives v the new number m - ND(v) + 1
-      (m starts at n and drops by one on each return from a child),
-      marks the arcs that start a path (the first arc, and each arc
-      after a frond), and sets high(w) to the source of the first frond
-      into w.
-    - The path search keeps triples (h, a, b) of type-2 candidates on a
-      stack, with an end-of-segment marker per path, and answers False
-      at the first type-2 triple with a = v and father(b) != a, or at
-      the first tree arc v -> w with lowpt2(w) >= v > lowpt1(w) where
-      father(v) is not the root or v has a second child (type 1).
-
-    The arcs live in one sorted list of ints and the DFS stacks hold
-    ints, so a search tens of thousands of vertices deep allocates few
-    objects for the garbage collector to trace.
+    Returns father, lowpt1, lowpt2, ND, the out-degrees and the unsorted
+    arc keys, all by DFS number.  p is a cut vertex iff some child v has
+    lowpt1(v) >= p, except at the root, which needs a second child: its
+    first child's subtree then holds fewer than n - 1 vertices.
     """
     adj = g.adj
     n = g.n
     N = n + 1
     K = 3 * N * N
     root = next(iter(adj))
-    # DFS 1 over g's adjacency; vertices are their DFS numbers from here on
+    # vertices are their DFS numbers from here on
     num = {root: 1}
     father = [0, 0]
     low1 = [0, 1]
@@ -416,6 +348,8 @@ def _no_separation_pair(g: Graph) -> bool:
             if not p:
                 continue
             l1, l2 = low1[v], low2[v]
+            if l1 >= p and (p != 1 or nd[v] < n - 1):
+                return None
             keys.append(p * K + (3 * l1 + 2 * (l2 >= p)) * N + v)
             out[p] += 1
             if l1 < low1[p]:
@@ -427,6 +361,52 @@ def _no_separation_pair(g: Graph) -> bool:
             elif l1 < low2[p]:
                 low2[p] = l1
             nd[p] += nd[v]
+    if len(father) <= n:
+        return None
+    return father, low1, low2, nd, out, keys
+
+
+_EOS = (0, -1, 0)   # end-of-segment marker on the triple stack; its a matches no vertex
+
+
+def _no_separation_pair(g: Graph) -> bool:
+    """Is the simple graph g, with minimum degree 3, 2-connected with no
+    separation pair?
+
+    One search: the path search of Hopcroft and Tarjan (SIAM J. Comput.
+    1973) as corrected by Gutwenger and Mutzel (GD 2000), stopped at the
+    first cut vertex or separation pair: since nothing has been split
+    off before it, the graph is still g, every degree is at least 3, and
+    the edge stack, the splitting and the multiple-edge cases are never
+    needed.  Three iterative passes, O(n + m) after one sort of the arcs:
+
+    - DFS 1 (_palm_tree) numbers the vertices 1..n from a root, splits
+      the arcs into tree arcs v -> w and fronds v ~> w (w a proper
+      ancestor), computes father, lowpt1, lowpt2 and ND (descendant
+      count), and answers False at the first cut vertex.
+    - Each adjacency list is sorted by phi: 3 lowpt1(w), plus 2 if
+      lowpt2(w) >= v, for a tree arc; 3 w + 1 for a frond.
+    - DFS 2 walks the sorted lists, gives v the new number m - ND(v) + 1
+      (m starts at n and drops by one on each return from a child),
+      marks the arcs that start a path (the first arc, and each arc
+      after a frond), and sets high(w) to the source of the first frond
+      into w.
+    - The path search keeps triples (h, a, b) of type-2 candidates on a
+      stack, with an end-of-segment marker per path, and answers False
+      at the first type-2 triple with a = v and father(b) != a, or at
+      the first tree arc v -> w with lowpt2(w) >= v > lowpt1(w) where
+      father(v) is not the root or v has a second child (type 1).
+
+    The arcs live in one sorted list of ints and the DFS stacks hold
+    ints, so a search tens of thousands of vertices deep allocates few
+    objects for the garbage collector to trace.
+    """
+    palm = _palm_tree(g)
+    if palm is None:
+        return False
+    father, low1, low2, nd, out, keys = palm
+    n = g.n
+    N = n + 1
     keys.sort()
     first = [0] * (N + 1)           # the arcs of v are keys[first[v]:first[v + 1]]
     for v in range(1, N):
@@ -518,14 +498,14 @@ def connectivity_at_least(g: Graph, s: int) -> bool:
     """Is g s-connected: more than s vertices, and no set of fewer than
     s vertices whose deletion disconnects it?
 
-    s = 2 is one low-point pass.  For s >= 3 a vertex of degree below s
-    refutes at once: deleting its neighbours cuts it off from the rest.
-    s = 3 is then one low-point pass for 2-connectivity and one linear
-    separation-pair search (_no_separation_pair), O(n + m) after one
-    sort of the arcs.  s >= 4 deletes each vertex in turn and
-    recurses down to s = 3, so it costs n linear tests.  This is the
-    one 3-connectivity check for drawn and abstract graphs alike (gen,
-    both pipelines, verify).
+    s = 2 is one depth-first search.  For s >= 3 a vertex of degree
+    below s refutes at once: deleting its neighbours cuts it off from
+    the rest.  s = 3 is then one search too, the linear separation-pair
+    search (_no_separation_pair), whose first pass is that depth-first
+    search.  s >= 4 deletes each vertex in turn and recurses down to
+    s = 3, so it costs n linear tests.  This is the one 3-connectivity
+    check for drawn and abstract graphs alike (gen, both pipelines,
+    verify).
     """
     if s <= 0:
         return g.n > 0
@@ -534,11 +514,11 @@ def connectivity_at_least(g: Graph, s: int) -> bool:
     if s == 1:
         return is_connected(g)
     if s == 2:
-        return _biconnected_without(g)
+        return _palm_tree(g) is not None
     if any(len(ns) < s for ns in g.adj.values()):
         return False
     if s == 3:
-        return _biconnected_without(g) and _no_separation_pair(g)
+        return _no_separation_pair(g)
     for v in sorted(g.vertices):
         if not connectivity_at_least(g.without_vertex(v), s - 1):
             return False

@@ -197,7 +197,7 @@ def drum_forcing_cover(pg):
     whole quarter tight, so the outer cycle stays unsafe and (R1) has
     to march along the freed arc."""
     g = pg.g
-    sizes = degree_truncated_sizes(g, 16)
+    sizes = degree_truncated_sizes(g, THRESHOLD)
     matchings = {}
     for u, w in g.edges():
         if u in (8, 9, 10, 11) and w in (8, 9, 10, 11):
@@ -214,7 +214,7 @@ def drum_forcing_cover(pg):
 
 def drum_identity_cover(g):
     """Identity matchings on every edge of the drum except the hub ring."""
-    sizes = degree_truncated_sizes(g, 16)
+    sizes = degree_truncated_sizes(g, THRESHOLD)
     matchings = {}
     for u, w in g.edges():
         if u not in (8, 9, 10, 11) or w not in (8, 9, 10, 11):

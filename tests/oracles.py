@@ -18,9 +18,9 @@ reference_very_nice_subgraph (a fresh PlaneGraph, block decomposition
 and face-id map at every reduction) are the covering-subgraph checker
 and construction as they were before the one working drawing; they pin
 the violations and the H that plane_embed produces.
-three_connected_by_low_point is core_graph's 3-connectivity test as it
-was before the separation-pair search: one low-point pass per deleted
-vertex, O(n (n + m)); it pins the linear test's verdicts.
+three_connected_by_low_point is 3-connectivity as minimum degree 3 and
+one block search per deleted vertex, O(n (n + m)), which shares no code
+with core_graph's one-search test; it pins that test's verdicts.
 _reverse_bfs_from is the degree-DP finisher's own breadth-first search
 as it was before the finisher read core_graph.bfs_parents' queue
 backwards; it pins the orders, on which the finisher's witnesses depend.
@@ -75,10 +75,11 @@ def connectivity_by_deletion(g, s):
 
 def three_connected_by_low_point(g):
     """3-connectivity as minimum degree 3 and a 2-connected g - v for
-    every vertex v, each checked by one low-point pass."""
+    every vertex v, each checked by one block search
+    (connectivity_by_deletion at s = 2)."""
     if g.n <= 3 or any(len(ns) < 3 for ns in g.adj.values()):
         return False
-    return all(connectivity_at_least(g.without_vertex(v), 2) for v in g.vertices)
+    return all(connectivity_by_deletion(g.without_vertex(v), 2) for v in g.vertices)
 
 
 def _reverse_bfs_from(g, sources):

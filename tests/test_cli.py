@@ -139,6 +139,9 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["build", "--family", "ks", "--k", "2",
                  "--out", str(tmp_path / "x")]) == 2
+    capsys.readouterr()
+    assert main(["build", "--family", "k2k2", "--out", str(tmp_path / "x")]) == 2
+    assert "error: k2k2 needs --k" in capsys.readouterr().err
     assert main(["gen", "--hubs", "3", "--rim", "20", "--seed", "1",
                  "--out", str(tmp_path / "x")]) == 2
     assert main(["gen", "--hubs", "5", "--rim", "40", "--seed", "1",

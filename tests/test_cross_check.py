@@ -1,14 +1,14 @@
 """The fast graph paths against slow references and networkx.
 
-connectivity_at_least (a low-point pass, and for s = 3 a linear
-separation-pair search), Graph.subgraph (adjacency intersection) and
-block_kind (vertex and edge counts) are each compared with the
-straightforward construction in tests/oracles.py, and connectivity also
-with networkx's node_connectivity on the hub instances and the drum
-fixture.  The s = 3 search is also compared with the per-vertex
-low-point pass it replaced, on relabelled graphs from small classes to
-G42, over a thousand of which pass every cheap guard and still have a
-2-cut.  Since gen and color-planar make the same call, the cases
+connectivity_at_least (one search: a depth-first search, and for s = 3
+the linear separation-pair search that starts from it), Graph.subgraph
+(adjacency intersection) and block_kind (vertex and edge counts) are
+each compared with the straightforward construction in
+tests/oracles.py, and connectivity also with networkx's
+node_connectivity on the hub instances and the drum fixture.  The s = 3
+search is also compared with one block search per deleted vertex, on
+relabelled graphs from small classes to G42, over a thousand of which
+pass every cheap guard and still have a 2-cut.  Since gen and color-planar make the same call, the cases
 include the planar inputs too: random planar graphs, planar 2-sums
 that pass every cheap guard, and the drawn fixtures (the hubs, the
 drum and the gadget H).  The exact cover search (one loop over bitmasks

@@ -12,7 +12,7 @@ from oracles import raw_choosable, raw_dp_colorable, raw_has_coloring
 import dpchroma
 from dpchroma import exact_oracle
 from dpchroma.constructions import build_k2_k2, chain_case
-from dpchroma.core_graph import Graph, is_gallai_tree, is_gdp_tree
+from dpchroma.core_graph import Graph
 from dpchroma.dp_cover import Cover, degree_dp_color, induced_cover
 from dpchroma.errors import InstanceTooLarge
 from dpchroma.exact_oracle import (

@@ -11,7 +11,8 @@ the test runs `gen`, `color-planar`, `color-minor` and `nice` through
 
 GEN_SWEEP_GOLDEN pins the `gen` files over hubs 1-3, rims 32, 240 and
 1000, and seeds 1 and 7; DRUM_FILES_GOLDEN pins the four files that
-`build --family drum` writes.
+`build --family drum` writes, and BUILD_FILES_GOLDEN the two files of
+`build --family G42` and of `build --family ks --s 3 --k 3`.
 
 `color-minor` reads the graph records of the .plane file (its `r` lines
 dropped) and runs with s = hubs, t = 2 and the override
@@ -159,6 +160,22 @@ def test_build_drum_digests(tmp_path, capsys):
     pre = str(tmp_path / "drum")
     _run(capsys, ["build", "--family", "drum", "--out", pre])
     assert {ext: _file_digest(pre + ext) for ext in DRUM_FILES_GOLDEN} == DRUM_FILES_GOLDEN
+
+
+# the G42 pair concatenated is perfbench/digests.json's files.G42
+BUILD_FILES_GOLDEN = {
+    ("G42", ".graph"): "96a6e3f598048e2a07b100f4b9ebea14d7e51e1c9114fc4d45fe9299825266fd",
+    ("G42", ".lists"): "d5003495e1fa8dbef9c438be22f2808d9b132fa33a84339e3afaf339f4363b5b",
+    ("ks", ".graph"): "be158c0f9387075730087e32c2d7636eddeabc65814684529219050222042c84",
+    ("ks", ".lists"): "7bf7c8041053c10ec8356b38558938059b331f03d5f7032fdd1756e5fd8bc508",
+}
+
+
+def test_build_family_digests(tmp_path, capsys):
+    _run(capsys, ["build", "--family", "G42", "--out", str(tmp_path / "G42")])
+    _run(capsys, ["build", "--family", "ks", "--s", "3", "--k", "3", "--out", str(tmp_path / "ks")])
+    got = {(pre, ext): _file_digest(str(tmp_path / pre) + ext) for pre, ext in BUILD_FILES_GOLDEN}
+    assert got == BUILD_FILES_GOLDEN
 
 
 def _planar_drum(quarter):

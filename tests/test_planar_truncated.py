@@ -139,25 +139,27 @@ def count_calls(monkeypatch, name):
 
 def test_no_per_vertex_pass_on_drawings(monkeypatch):
     # the drawn inputs take the one 3-connectivity path: one search each
-    calls = count_calls(monkeypatch, "_biconnected_without")
+    calls = count_calls(monkeypatch, "_palm_tree")
     searches = count_calls(monkeypatch, "_no_separation_pair")
     pg, cover = generate_hub_instance(3, 240, 1)
-    assert len(calls) <= 1
+    assert calls == [243]
     assert searches == [243]
     calls.clear()
     searches.clear()
     color_planar_truncated(pg, cover)
-    assert len(calls) <= 1
+    assert calls == [243]
     assert searches == [243]
 
 
 def test_no_per_vertex_pass_on_abstract_graphs(monkeypatch):
     pg, cover = generate_hub_instance(3, 240, 1)
-    calls = count_calls(monkeypatch, "_biconnected_without")
+    calls = count_calls(monkeypatch, "_palm_tree")
+    searches = count_calls(monkeypatch, "_no_separation_pair")
     params = constants(3, 2).with_overrides(q=6, k=16, peel_bound=2, degeneracy_bound=1)
     phi = color_minor_truncated(pg.g, cover, params)
     assert is_coloring_valid(cover, phi)
-    assert len(calls) <= 1
+    assert calls == [243]
+    assert searches == [243]
 
 
 def test_hub_instances_color():
