@@ -420,7 +420,7 @@ def color_planar_truncated(pg, cover, trace=None):
     """Color a 3-connected non-complete plane graph under a cover with
     list sizes at least min(16, degree).  trace, when given, is a list
     that receives one line per R1/R2 step for replay checking.
-    3-connectivity is checked on the abstract graph by
+    3-connectivity, which augment_visibility needs, is checked by
     connectivity_at_least, one linear separation-pair search."""
     v1, v2 = entry_gate(pg.g, cover)
     if not connectivity_at_least(pg.g, 3):

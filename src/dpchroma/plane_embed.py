@@ -17,13 +17,15 @@ removal, leaf-block split) edits only the faces it merges and puts them
 back from its undo record when the smaller instance's H returns.  H is
 therefore built in the caller's face ids with no per-level re-trace or
 face-id map.  A step costs the face edges it reads plus the heap work
-that picks it, and an ear step scans every inner face: near-linear on
-the hub instances, where each interior step reads a dozen face edges
-and the ear phase is about one step.  The
-block decomposition runs only where 2-connectivity is not known (at the
-top and on a leaf block's remainder); whether deleting an interior
-vertex keeps 2-connectivity is read off the merged face, which must
-visit no vertex twice.
+that picks it, and an ear step reads every inner face once: near-linear
+on the hub instances, where each interior step reads a dozen face edges
+and the ear phase is about one step.  The block decomposition runs only
+where 2-connectivity is not known (at the top and on a leaf block's
+remainder); whether deleting an interior vertex keeps 2-connectivity is
+read off the merged face, which must visit no vertex twice.
+
+augment_visibility draws the chords of each face of a 3-connected
+drawing on that face's vertex cycle alone, and builds one PlaneGraph.
 """
 
 from __future__ import annotations
@@ -482,21 +484,21 @@ def _vns_reduce(wd, inst):
 
 
 def _ear_in(wd, inst, fid):
-    """(e1, e2, internals) of face fid's first ear, read from its
-    smallest directed edge, or None: every vertex but the boundary
-    neighbors e1 and e2 has degree 2, and v_star is not among them."""
+    """(smallest directed edge, ear) of face fid; the ear, read from that
+    edge, is (e1, e2, internals) with every vertex but the boundary
+    neighbors e1 and e2 of degree 2 and v_star not among them, or None."""
     walk = wd.walk(fid)
     i = walk.index(min(walk))
     cyc = list(dict.fromkeys(a for a, _ in walk[i:] + walk[:i]))
     k = len(cyc)
     high = [v for v in cyc if len(wd.succ[v]) >= 3]
     if len(high) > 2 or k < 3:
-        return None
-    for i in range(k):
-        e1, e2 = cyc[i], cyc[(i + 1) % k]
+        return walk[i], None
+    for j in range(k):
+        e1, e2 = cyc[j], cyc[(j + 1) % k]
         if all(v in (e1, e2) for v in high) and (inst.v_star in (e1, e2) or inst.v_star not in cyc):
-            return e1, e2, [v for v in cyc if v not in (e1, e2)]
-    return None
+            return walk[i], (e1, e2, [v for v in cyc if v not in (e1, e2)])
+    return walk[i], None
 
 
 def _vns_ear(wd, inst):
@@ -504,12 +506,11 @@ def _vns_ear(wd, inst):
     ear, recurse, then cover the ear on its two faces.  The first face
     in order of smallest directed edge that holds an ear is peeled."""
     outer = inst.outer
-    ears = [(min(wd.walk(fid)), fid) for fid in wd.rep
-            if fid != outer and _ear_in(wd, inst, fid)]
+    ears = [(first, fid, ear) for fid in wd.rep if fid != outer
+            for first, ear in [_ear_in(wd, inst, fid)] if ear]
     if not ears:
         raise InternalInvariantBreach("no removable ear face")
-    fid = min(ears)[1]
-    e1, e2, internals = _ear_in(wd, inst, fid)
+    _, fid, (e1, e2, internals) = min(ears)
     rec = wd.cut(internals, outer, (e1, e2))
     h = yield inst
     wd.uncut(rec)
@@ -797,35 +798,34 @@ def component_planes(fc: FaceClasses):
     return out
 
 
-def _insert_chord(pg, fid, a, b):
-    """New PlaneGraph with the chord a-b drawn inside face fid, after
-    the edge on which the face walk arrives at each end."""
-    g = pg.g
-    rot2 = {v: list(pg.rot[v]) for v in g.vertices}
-    for v, w in ((a, b), (b, a)):
-        x = next(de[0] for de in pg.face_walk(fid) if de[1] == v)
-        rot2[v].insert(rot2[v].index(x) + 1, w)
-    pg2 = PlaneGraph(Graph(g.vertices, list(g.edges()) + [(min(a, b), max(a, b))]), rot2)
-    pg2.outer = pg2.face_of_directed_edge(*min(pg.face_walk(pg.outer)))
-    return pg2
-
-
 def augment_visibility(pg: PlaneGraph, v2) -> PlaneGraph:
-    """Add chords until v2-vertices that share a face are all adjacent.
+    """Join every two v2-vertices that share a face of a 3-connected pg.
 
-    Faces are scanned by id and the lexicographically smallest
-    nonadjacent v2-pair on a boundary gets the chord; the scan restarts
-    after every insertion, so the output embedding is deterministic.
-    The chords carry no color constraint; the planar set-up checks that
-    each face of the drawn subgraph holds at most one component.
+    Its faces are cycles, their vertices adjacent only along them, so
+    each face is read as its vertex cycle: while it holds a nonadjacent
+    v2-pair, the smallest pair gets a chord after the vertex before each
+    end, and the two faces it leaves are treated alike.  One PlaneGraph
+    is built, or none (pg comes back).  Its outer face holds pg's
+    smallest outer edge, which leaves the smallest outer vertex, so no
+    chord cuts it off.  The chords carry no color constraint.
     """
     v2 = frozenset(v2)
-    cur = pg
-    for _ in range(3 * pg.g.n + 8):
-        pick = next(((fid, a, b) for fid in range(cur.face_count())
-                     for a, b in combinations(sorted(set(cur.face_vertices(fid)) & v2), 2)
-                     if not cur.g.has_edge(a, b)), None)
-        if pick is None:
-            return cur
-        cur = _insert_chord(cur, *pick)
-    raise InternalInvariantBreach("chord insertion did not reach a fixpoint")
+    rot, chords = {}, []
+    todo = [[u for u, _ in walk] for walk in pg.faces]
+    while todo:
+        cyc = todo.pop()
+        pos = {v: i for i, v in enumerate(cyc) if v in v2}
+        pick = next(((a, b) for a, b in combinations(sorted(pos), 2)
+                     if abs(pos[a] - pos[b]) not in (1, len(cyc) - 1)), None)
+        if pick:
+            for v, w in (pick, pick[::-1]):
+                r = rot.setdefault(v, list(pg.rot[v]))
+                r.insert(r.index(cyc[pos[v] - 1]) + 1, w)
+            chords.append(pick)
+            i, j = sorted(pos[v] for v in pick)
+            todo += [cyc[i:j + 1], cyc[j:] + cyc[:i + 1]]
+    if not chords:
+        return pg
+    aug = PlaneGraph(Graph(pg.g.vertices, pg.g.edges() + chords), {**pg.rot, **rot})
+    aug.outer = aug.face_of_directed_edge(*min(pg.faces[pg.outer]))
+    return aug

@@ -18,6 +18,10 @@ reference_very_nice_subgraph (a fresh PlaneGraph, block decomposition
 and face-id map at every reduction) are the covering-subgraph checker
 and construction as they were before the one working drawing; they pin
 the violations and the H that plane_embed produces.
+reference_augment_visibility (with _insert_chord) is the chord
+insertion as it was before the one pass over the faces: one chord per
+turn, a fresh PlaneGraph after each, and a rescan of every face from id
+0; it pins the chorded drawing that augment_visibility produces.
 three_connected_by_low_point is 3-connectivity as minimum degree 3 and
 one block search per deleted vertex, O(n (n + m)), which shares no code
 with core_graph's one-search test; it pins that test's verdicts.
@@ -850,3 +854,41 @@ def _vns_leaf_block(pg, v_star, blocks, cuts):
             raise InternalInvariantBreach("cut vertex %r is uncovered on both sides" % (r,))
         hb = set(hb) - {(r, pgb.outer)}
     return _lift(h2, fmap_2) | _lift(hb, fmap_b)
+
+
+# ---------------------------------------------------------------------------
+# visibility chords as added before the one pass over the faces
+
+
+def _insert_chord(pg, fid, a, b):
+    """New PlaneGraph with the chord a-b drawn inside face fid, after
+    the edge on which the face walk arrives at each end."""
+    g = pg.g
+    rot2 = {v: list(pg.rot[v]) for v in g.vertices}
+    for v, w in ((a, b), (b, a)):
+        x = next(de[0] for de in pg.face_walk(fid) if de[1] == v)
+        rot2[v].insert(rot2[v].index(x) + 1, w)
+    pg2 = PlaneGraph(Graph(g.vertices, list(g.edges()) + [(min(a, b), max(a, b))]), rot2)
+    pg2.outer = pg2.face_of_directed_edge(*min(pg.face_walk(pg.outer)))
+    return pg2
+
+
+def reference_augment_visibility(pg: PlaneGraph, v2) -> PlaneGraph:
+    """Add chords until v2-vertices that share a face are all adjacent.
+
+    Faces are scanned by id and the lexicographically smallest
+    nonadjacent v2-pair on a boundary gets the chord; the scan restarts
+    after every insertion, so the output embedding is deterministic.
+    The chords carry no color constraint; the planar set-up checks that
+    each face of the drawn subgraph holds at most one component.
+    """
+    v2 = frozenset(v2)
+    cur = pg
+    for _ in range(3 * pg.g.n + 8):
+        pick = next(((fid, a, b) for fid in range(cur.face_count())
+                     for a, b in itertools.combinations(sorted(set(cur.face_vertices(fid)) & v2), 2)
+                     if not cur.g.has_edge(a, b)), None)
+        if pick is None:
+            return cur
+        cur = _insert_chord(cur, *pick)
+    raise InternalInvariantBreach("chord insertion did not reach a fixpoint")

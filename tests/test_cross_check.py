@@ -35,7 +35,13 @@ construction that rebuilt a PlaneGraph at every reduction: same H,
 with every reduction firing and the face test for deleting an
 interior vertex checked against 2-connectivity each time it runs.
 is_nice (one pass over h) is compared with the checker that rescanned
-h per face: same violations in the same order.  The degree-DP
+h per face: same violations in the same order.  augment_visibility (one
+pass over the faces, one PlaneGraph built) is compared with the loop
+that rebuilt the drawing after every chord: same rotation, faces and
+outer face on 3-connected drawings under many outer faces and seeded
+V2 sets, and pg itself back exactly when no chord is added.  On a ring
+of 60 hubs it builds one PlaneGraph for its 57 chords, and color-planar
+gives the same witness and trace with either.  The degree-DP
 finisher's orders (bfs_parents' queue read backwards) are compared with
 the finisher's former breadth-first search, from every source set of
 one to three vertices on small classes and from seeded sources on
@@ -54,18 +60,20 @@ import pytest
 from corpus import connected_graph_classes, connected_graph_extensions, planar_classes, \
     random_connected_planar
 from oracles import _reverse_bfs_from, block_kind_by_subgraph, connectivity_by_deletion, is_safe, \
-    recursive_dp_coloring, reference_dp_f_colorable, reference_f_choosable, reference_is_nice, \
-    reference_very_nice_subgraph, subgraph_by_edge_filter, three_connected_by_low_point, \
-    vertex_face_incidences
+    recursive_dp_coloring, reference_augment_visibility, reference_dp_f_colorable, \
+    reference_f_choosable, reference_is_nice, reference_very_nice_subgraph, subgraph_by_edge_filter, \
+    three_connected_by_low_point, vertex_face_incidences
 from dpchroma import minor_truncated, plane_embed, planar_truncated
 from dpchroma.constructions import build_G42, build_k2_k2, chain_case, gadget_h_plane
 from dpchroma.core_graph import (Graph, bfs_parents, block_kind, blocks_and_cut_vertices,
                                  connectivity_at_least)
-from dpchroma.dp_cover import Cover, find_dp_coloring, induced_cover
+from dpchroma.dp_cover import Cover, degree_truncated_sizes, find_dp_coloring, induced_cover
 from dpchroma.errors import InstanceTooLarge
 from dpchroma.exact_oracle import is_dp_f_colorable, is_f_choosable
-from dpchroma.generators import drum_plane, generate_hub_instance
-from dpchroma.plane_embed import PlaneGraph, is_nice, very_nice_subgraph
+from dpchroma.generators import (Xorshift64Star, drum_plane, generate_hub_instance,
+                                 random_tight_matchings)
+from dpchroma.planar_truncated import THRESHOLD, color_planar_truncated, partition_threshold
+from dpchroma.plane_embed import PlaneGraph, augment_visibility, is_nice, very_nice_subgraph
 from test_golden import PROTECTION_RUNS, _minor, _planar_drum
 from test_minor_truncated import drum_minor_instance
 
@@ -553,6 +561,108 @@ def test_very_nice_subgraph_matches_reference(monkeypatch):
     assert ran > 1000
     assert min(fired.values()) > 0, fired
     assert set(face_tests) == {True, False}
+
+
+def augment_cases(rng):
+    """(3-connected drawing, outer face ids): the planar classes on 4-6
+    vertices, seeded random planar graphs that pass
+    connectivity_at_least(g, 3), hubs 1-3 and the gadget H under every
+    outer face; the drum at quarters 15 and 30 under face 0 and five
+    seeded other faces, since the reference rebuilds the drum once per
+    chord and every face at three densities would take a minute."""
+    for n in range(4, 7):
+        for g, rot in planar_classes(n):
+            if connectivity_at_least(g, 3):
+                yield PlaneGraph(g, rot), None
+    for seed in range(60):
+        draw = random.Random(seed)
+        g, rot = random_connected_planar(draw.randint(8, 16), draw.randint(12, 30), seed)
+        if connectivity_at_least(g, 3):
+            yield PlaneGraph(g, rot), None
+    for hubs, rim in ((1, 20), (2, 24), (3, 31)):
+        yield generate_hub_instance(hubs, rim, 1)[0], None
+    yield gadget_h_plane(), None
+    for quarter in (15, 30):
+        pg = drum_plane(quarter)
+        yield pg, [0] + rng.sample(range(1, pg.face_count()), 5)
+
+
+def test_augment_visibility_matches_reference():
+    rng = random.Random(23)
+    ran = kept = 0
+    for pg, outers in augment_cases(rng):
+        for outer in outers or range(pg.face_count()):
+            pg.outer = outer
+            for density in (0.3, 0.6, 0.9):
+                v2 = {v for v in sorted(pg.g.vertices) if rng.random() < density}
+                want = reference_augment_visibility(pg, v2)
+                got = augment_visibility(pg, v2)
+                assert (got is pg) == (want is pg)
+                assert (got.rot, got.faces, got.outer) == (want.rot, want.faces, want.outer), \
+                    (pg.g.edges(), pg.rot, outer, sorted(v2))
+                ran += 1
+                kept += want is pg
+    assert ran > 3000
+    assert 0 < kept < ran
+
+
+def ring_of_hubs(hubs, fan=17):
+    """hubs hubs on a cycle that bounds one hubs-gon face, each fanned to
+    fan vertices of the outer rim cycle, neighbouring fans sharing their
+    end vertex: 3-connected, with the hubs as V2 (rim vertices first,
+    hubs last), and the hubs-gon needs hubs - 3 chords."""
+    q = fan - 1
+    n_o = q * hubs
+    hub = lambda j: n_o + j % hubs
+    out = lambda i: i % n_o
+    edges, rot = [], {}
+    for j in range(hubs):
+        edges.append((hub(j), hub(j + 1)))
+        rot[hub(j)] = (hub(j + 1), hub(j - 1)) + tuple(out(i) for i in range(q * j, q * j + fan))
+    for i in range(n_o):
+        edges += [(out(i), out(i + 1)), (out(i), hub(i // q))]
+        if i % q == 0:
+            edges.append((out(i), hub(i // q - 1)))
+            rot[out(i)] = (out(i + 1), hub(i // q), hub(i // q - 1), out(i - 1))
+        else:
+            rot[out(i)] = (out(i + 1), hub(i // q), out(i - 1))
+    return PlaneGraph(Graph(range(n_o + hubs), edges), rot)
+
+
+def test_augment_visibility_chords_the_ring_in_one_build(monkeypatch):
+    hubs = 60
+    pg = ring_of_hubs(hubs)
+    v2 = partition_threshold(pg.g)[1]
+    assert v2 == frozenset(range(pg.g.n - hubs, pg.g.n)) and connectivity_at_least(pg.g, 3)
+    want = reference_augment_visibility(pg, v2)
+    builds = []
+    build = PlaneGraph.__init__
+
+    def counted(self, g, rot):
+        builds.append(g.m)
+        build(self, g, rot)
+
+    monkeypatch.setattr(PlaneGraph, "__init__", counted)
+    aug = augment_visibility(pg, v2)
+    monkeypatch.undo()
+    assert builds == [pg.g.m + hubs - 3]
+    for fid in range(aug.face_count()):
+        on = [v for v in aug.face_vertices(fid) if v in v2]
+        assert all(aug.g.has_edge(a, b) for a, b in itertools.combinations(on, 2)), fid
+    assert (aug.rot, aug.faces, aug.outer) == (want.rot, want.faces, want.outer)
+
+
+def test_color_planar_on_the_ring_matches_reference_chords(monkeypatch):
+    pg = ring_of_hubs(60)
+    sizes = degree_truncated_sizes(pg.g, THRESHOLD)
+    runs = []
+    for chords in (augment_visibility, reference_augment_visibility):
+        monkeypatch.setattr(planar_truncated, "augment_visibility", chords)
+        cover = Cover(pg.g, sizes, random_tight_matchings(pg.g, sizes, Xorshift64Star(5)))
+        trace = []
+        runs.append((color_planar_truncated(pg, cover, trace), trace))
+    assert runs[0] == runs[1]
+    assert any(ln.startswith("R2") for ln in runs[0][1])
 
 
 def test_is_nice_matches_reference():
