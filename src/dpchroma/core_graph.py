@@ -393,9 +393,10 @@ def _no_separation_pair(g: Graph) -> bool:
       into w.
     - The path search keeps triples (h, a, b) of type-2 candidates on a
       stack, with an end-of-segment marker per path, and answers False
-      at the first type-2 triple with a = v and father(b) != a, or at
-      the first tree arc v -> w with lowpt2(w) >= v > lowpt1(w) where
-      father(v) is not the root or v has a second child (type 1).
+      at the first type-2 triple with a = v (father(b) != a always
+      holds there, see below), or at the first tree arc v -> w with
+      lowpt2(w) >= v > lowpt1(w) where father(v) is not the root or v
+      has a second child (type 1).
 
     The arcs live in one sorted list of ints and the DFS stacks hold
     ints, so a search tens of thousands of vertices deep allocates few
@@ -441,9 +442,6 @@ def _no_separation_pair(g: Graph) -> bool:
     # the path search: walks the old numbers, compares the new ones
     lowpt1 = [new[x] for x in low1]
     lowpt2 = [new[x] for x in low2]
-    dad = [0] * N                   # by new number
-    for x in range(2, N):
-        dad[new[x]] = new[father[x]]
     ts = [_EOS]
     nxt = first[:]
     stack = [1]
@@ -477,11 +475,15 @@ def _no_separation_pair(g: Graph) -> bool:
             break
         y, x = x, stack[-1]
         v = new[x]
-        if v != 1:
-            while ts[-1][1] == v:
-                if dad[ts[-1][2]] != v:
-                    return False
-                ts.pop()
+        # a type-2 pair {v, b}.  b is never a child c of v, which
+        # Hopcroft-Tarjan would pop: a triple's b is the tail of the arc
+        # that starts a path, with a the frond's head or the lowpt1 of
+        # the tree arc's head, or the b of a popped triple, whose a was
+        # larger.  A frond c ~> v would be a second edge cv, and a tree
+        # arc c -> w with lowpt1(w) = v has lowpt2(w) >= c, a type-1
+        # pair {v, c} caught on the return to c.
+        if v != 1 and ts[-1][1] == v:
+            return False
         # a child of the root has no fronds, so its arcs are its children
         if lowpt2[y] >= v > lowpt1[y] and (father[x] != 1 or out[x] > 1):
             return False

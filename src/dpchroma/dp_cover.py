@@ -72,33 +72,44 @@ class Cover:
 def find_dp_coloring(cover: Cover, budget=None):
     """Coloring of a cover, or None.
 
-    Most-constrained vertex first (fewest colors left, ties to the
-    smallest vertex), colors in ascending order, with forward checking:
-    an attempt stops as soon as it leaves an uncolored neighbor no
-    color.  On top of that, conflict-directed backjumping (FC-CBJ,
-    Prosser 1993): each struck color remembers the stack level that
-    struck it.  A vertex that runs out of colors blames the levels that
-    struck its own missing colors and, for each dead attempt, those
-    that struck the other colors of the neighbor the attempt emptied.
-    The search jumps straight back to the highest level blamed, which
-    inherits the rest of the blame, and returns None when no level is
-    to blame.  Whatever the levels jumped over try, they cannot lead to
-    a coloring, so the jump skips only subtrees without one: the
-    witness, and its order, are those of plain forward checking, found
-    in at most as many color attempts.  The search is one loop over an
-    explicit stack, so its depth has no limit but the vertex count.
-    budget still caps the number of color attempts (a jump makes none);
-    exceeding it raises InstanceTooLarge instead of risking an
-    open-ended search.  The witness lists the vertices in the order
-    they were colored.
+    The next vertex is the uncolored one with the fewest colors left
+    per degree in cover.g (dom/deg, Bessiere and Regin 1996), ties to
+    the smallest vertex; a vertex of degree 0 comes after every other.
+    Its colors are tried in ascending order, with forward checking: an
+    attempt stops as soon as it leaves an uncolored neighbor no color.
+    On top of that, conflict-directed backjumping (FC-CBJ, Prosser
+    1993): each struck color remembers the stack level that struck it.
+    A vertex that runs out of colors blames the levels that struck its
+    own missing colors and, for each dead attempt, those that struck
+    the other colors of the neighbor the attempt emptied.  The search
+    jumps straight back to the highest level blamed, which inherits the
+    rest of the blame, and returns None when no level is to blame.  The
+    pick reads only the colors left and the static degrees, so plain
+    forward checking with the same pick walks the same tree, and
+    whatever it would try at the levels jumped over cannot lead to a
+    coloring: the jump skips only subtrees without one.  So the witness,
+    and its order, are those of forward checking with the dom/deg pick,
+    found in at most as many color attempts.  The search is one loop
+    over an explicit stack, so its depth has no limit but the vertex
+    count.  budget still caps the number of color attempts (a jump makes
+    none); exceeding it raises InstanceTooLarge instead of risking an
+    open-ended search.  A vertex with an empty list answers None before
+    any attempt.  The witness lists the vertices in the order they were
+    colored.
     """
-    order = sorted(cover.g.vertices)
+    adj = cover.g.adj
+    # vertices by index, highest degree first and ties in vertex order,
+    # so the first index in a bucket below has the bucket's best ratio
+    order = sorted(adj)
+    order.sort(key=lambda v: len(adj[v]), reverse=True)
     index = {v: x for x, v in enumerate(order)}
-    # vertices by index; avail[x] is a bitmask of x's colors left (0
-    # while x is colored, so no strike reaches it).  Color j of x has
-    # slot base[x] + j: strikes[slot] lists the (neighbor, bit, slot)
-    # triples that the color rules out, and by[slot] is the stack level
-    # that struck it (stale while it is not struck)
+    deg = [len(adj[v]) for v in order]
+    top = deg[0] if deg else 0
+    # avail[x] is a bitmask of x's colors left (0 while x is colored, so
+    # no strike reaches it).  Color j of x has slot base[x] + j:
+    # strikes[slot] lists the (neighbor, bit, slot) triples that the
+    # color rules out, and by[slot] is the stack level that struck it
+    # (stale while it is not struck)
     sizes = [cover.sizes[v] for v in order]
     avail = [(1 << s) - 1 for s in sizes]
     base = list(itertools.accumulate(sizes, initial=0))
@@ -110,8 +121,10 @@ def find_dp_coloring(cover: Cover, budget=None):
             strikes[at + i].append((y, 1 << j, base[y] + j))
     # buckets[c]: the uncolored vertices with c colors left
     buckets = [set() for _ in range(max(sizes, default=0) + 1)]
-    for x, mask in enumerate(avail):
-        buckets[mask.bit_count()].add(x)
+    for x, s in enumerate(sizes):
+        buckets[s].add(x)
+    if buckets[0]:
+        return None
     # (vertex, color, colors still to try, struck triples, full mask,
     # levels blamed so far)
     stack = []
@@ -125,6 +138,21 @@ def find_dp_coloring(cover: Cover, budget=None):
             else:
                 return {order[y]: (order[y], i) for y, i, _, _, _, _ in stack}
             x = min(bucket)
+            dx = deg[x]
+            if dx < top or not dx:
+                # a later bucket's first index wins if its c / d is less
+                # (c * dx < cx * d), or equal with a smaller vertex (as
+                # when both degrees are 0); none from c on can once
+                # c / top is more than cx / dx
+                cx = avail[x].bit_count()
+                for c in range(cx + 1, len(buckets)):
+                    if c * dx > cx * top:
+                        break
+                    if buckets[c]:
+                        y = min(buckets[c])
+                        d = deg[y]
+                        if c * dx < cx * d or c * dx == cx * d and order[y] < order[x]:
+                            x, cx, dx, bucket = y, c, d, buckets[c]
             bucket.remove(x)
             rest = full = avail[x]
             avail[x] = 0
@@ -270,21 +298,36 @@ def induced_cover(g: Graph, lists):
     if extra:
         raise ValueError("list for vertex %r, which is not in the graph" % (min(extra),))
     tokens = {}
+    pos = {}
     for v in sorted(g.vertices):
         if v not in lists:
             raise ValueError("no list for vertex %r" % (v,))
         ts = list(lists[v])
         if len(set(ts)) != len(ts):
             raise ValueError("duplicate token in list of %r" % (v,))
-        tokens[v] = sorted(ts, key=token_sort_key)
-    sizes = {v: len(tokens[v]) for v in g.vertices}
-    matchings = {}
+        # token_sort_key's order; only a list that mixes strings with
+        # other tokens, which do not compare, needs the key
+        try:
+            ts.sort()
+        except TypeError:
+            ts.sort(key=token_sort_key)
+        tokens[v] = ts
+        pos[v] = {t: j for j, t in enumerate(ts)}
+    # the matchings as Cover stores them, each edge both ways; tokens
+    # are distinct within a list, so they are matchings by construction
+    # and Cover's checks are skipped, as Graph.subgraph skips Graph's
+    m = {}
     for u, w in g.edges():
-        pos_w = {t: j for j, t in enumerate(tokens[w])}
-        pairs = [(i, pos_w[t]) for i, t in enumerate(tokens[u]) if t in pos_w]
-        if pairs:
-            matchings[(u, w)] = pairs
-    return Cover(g, sizes, matchings), tokens
+        pos_w = pos[w]
+        fwd = {i: pos_w[t] for i, t in enumerate(tokens[u]) if t in pos_w}
+        if fwd:
+            m[(u, w)] = fwd
+            m[(w, u)] = {j: i for i, j in fwd.items()}
+    cover = Cover.__new__(Cover)
+    cover.g = g
+    cover.sizes = {v: len(tokens[v]) for v in g.vertices}
+    cover._m = m
+    return cover, tokens
 
 
 def parse_lists(text: str):
@@ -305,16 +348,22 @@ def parse_lists(text: str):
             raise MalformedInput("bad vertex %r" % parts[1], ln)
         if v in lists:
             raise MalformedInput("second A line for vertex %d" % v, ln)
-        toks = []
-        for t in parts[2:]:
-            try:
-                toks.append(int(t))
-            except ValueError:
-                toks.append(t)
+        toks = [_token(t) for t in parts[2:]]
         if len(set(toks)) != len(toks):
             raise MalformedInput("duplicate token for vertex %d" % v, ln)
         lists[v] = toks
     return lists
+
+
+def _token(t):
+    """t as an int when it parses as one.  int() needs a sign or a
+    decimal digit first, so a word is kept without raising ValueError."""
+    if t[0] in "+-" or t[0].isdecimal():
+        try:
+            return int(t)
+        except ValueError:
+            pass
+    return t
 
 
 def write_lists(lists) -> str:

@@ -5,9 +5,10 @@ no pruning, no sharing with the package under test beyond the Graph
 container (and, for connectivity_by_deletion, the block decomposition;
 for is_safe, the GDP-tree test).
 Only usable for tiny instances.  The exception is
-recursive_dp_coloring, the package's exact cover search written as a
-recursion over dicts and sets: the reference that pins the iterative
-search's witnesses, verdicts and budget trips.  Likewise
+recursive_dp_coloring, the package's exact cover search (the same
+dom/deg pick, forward checking, no backjumping) written as a recursion
+over dicts and sets: the reference that pins the iterative search's
+witnesses, verdicts and budget trips.  Likewise
 reference_f_choosable and reference_dp_f_colorable are the package's
 quantified oracles as they were before the surviving colorings became
 one bitmask per search node: they re-search the colorings at every leaf
@@ -31,6 +32,7 @@ backwards; it pins the orders, on which the finisher's witnesses depend.
 """
 
 import itertools
+import math
 
 from dpchroma.core_graph import (Graph, bfs_parents, blocks_and_cut_vertices, connected_components,
                                  connectivity_at_least, is_complete_graph, is_connected, is_gdp_tree)
@@ -191,11 +193,14 @@ def raw_dp_colorable(g, f, maximal_only=True):
 def recursive_dp_coloring(cover, budget=None):
     """Coloring of a cover, or None.
 
-    Most-constrained vertex first with forward checking; good enough to
-    refute the engineered gadgets in milliseconds.  budget caps the
-    number of color attempts; exceeding it raises InstanceTooLarge
-    instead of risking an open-ended search.  So does a search deeper
-    than Python's recursion limit.
+    The package's pick with forward checking and no backjumping: the
+    next vertex has the fewest colors left per degree, ties to the
+    smallest vertex.  The ratio is exact: colors left times the lcm of
+    the degrees, over the degree (0 for a vertex with no colors left,
+    infinite for one of degree 0 with colors).  budget caps the number
+    of color attempts; exceeding it raises InstanceTooLarge instead of
+    risking an open-ended search.  So does a search deeper than
+    Python's recursion limit.
     """
     g = cover.g
     # per vertex: (neighbor, own color -> matched color at the neighbor)
@@ -204,11 +209,16 @@ def recursive_dp_coloring(cover, budget=None):
     coloring = {}
     nodes = [0]
 
+    scale = math.lcm(*(d for d in map(g.degree, g.vertices) if d))
+
+    def dom_deg(c, d):
+        return c * scale // d if d else math.inf if c else 0
+
     def step():
         pending = [v for v in avail if v not in coloring]
         if not pending:
             return True
-        v = min(pending, key=lambda u: (len(avail[u]), u))
+        v = min(pending, key=lambda u: (dom_deg(len(avail[u]), g.degree(u)), u))
         for i in sorted(avail[v]):
             nodes[0] += 1
             if budget is not None and nodes[0] > budget:

@@ -215,7 +215,8 @@ def test_solve_on_a_10000_vertex_path_exits_0(tmp_path, capsys):
     (tmp_path / "l").write_text("".join("A %d a b\n" % v for v in range(n)))
     assert main(["solve", "--graph", str(tmp_path / "g"), "--lists", str(tmp_path / "l")]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out == ["v %d %s" % (v, "ab"[v % 2]) for v in range(n)]
+    # the pick starts at vertex 1, the smallest of degree 2
+    assert out == ["v %d %s" % (v, "ba"[v % 2]) for v in range(n)]
 
 
 def test_verify_jobs_is_a_usage_error(capsys):

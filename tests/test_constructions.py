@@ -148,6 +148,21 @@ def test_build_ks_minus1_instances():
         build_ks_minus1(8, 4)
 
 
+def test_whole_G42_is_not_list_colorable():
+    # the whole graph under its own lists, resting on no chain_case reduction
+    assert find_list_coloring(*build_G42()) is None
+
+
+@pytest.mark.parametrize("build, args", [(build_k2_k2, (64,)), (build_ks_minus1, (4, 16))])
+def test_tightness_families_at_scale(build, args):
+    """K_{2,64^2} and K_{3,16^3}, each with a 4,096-vertex big side:
+    degree-truncated lists of size min(k, d(v)), and no coloring."""
+    g, lists = build(*args)
+    k = args[-1]
+    assert all(len(lists[v]) == min(g.degree(v), k) for v in g.vertices)
+    assert find_list_coloring(g, lists) is None
+
+
 def test_build_H_validates_and_rejects():
     gh = build_H()
     assert gh.g.n == 28 and gh.plane.face_count() == 51

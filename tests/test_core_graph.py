@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from oracles import is_cycle_graph
+from oracles import connectivity_by_deletion, is_cycle_graph
 import dpchroma
 from dpchroma.core_graph import (
     Graph,
@@ -282,6 +282,18 @@ def test_three_connectivity_of_deep_prisms():
     two = Graph(g.vertices | set(label.values()), edges)
     assert connectivity_at_least(two, 2) and min(map(two.degree, two.vertices)) == 3
     assert not connectivity_at_least(two, 3)
+
+
+def test_separation_pair_found_by_the_type_2_test():
+    """2-connected with minimum degree 3, and 2-cuts {27, 53} and
+    {43, 53}.  The path search finds them at a type-2 triple, not at a
+    type-1 tree arc, and agrees with deletion."""
+    g = Graph((5, 15, 21, 27, 43, 53, 77),
+              [(5, 43), (5, 53), (5, 77), (15, 21), (15, 27), (15, 53), (21, 27), (21, 53),
+               (27, 43), (43, 77), (53, 77)])
+    assert connectivity_at_least(g, 2) and min(map(g.degree, g.vertices)) == 3
+    assert not connectivity_at_least(g, 3)
+    assert not connectivity_by_deletion(g, 3)
 
 
 def test_connectivity_levels():

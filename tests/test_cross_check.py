@@ -50,6 +50,7 @@ connected graph classes is checked against the OEIS counts up to 7
 vertices.
 """
 
+import functools
 import itertools
 import random
 import re
@@ -333,7 +334,7 @@ def test_search_matches_recursive_reference():
     assert seen == {"witness", "none", "trip"}
     for i in range(42):
         cover = induced_cover(*chain_case(i))[0]
-        assert find_dp_coloring(cover) is None and recursive_dp_coloring(cover) is None
+        assert find_dp_coloring(cover) is None and chain_reference(i)[0] is None
 
 
 class CountingBudget(int):
@@ -358,6 +359,14 @@ def counted_outcome(search, cover):
     return (None if col is None else list(col.items())), budget.nodes
 
 
+@functools.cache
+def chain_reference(i):
+    """counted_outcome of the recursive reference on chain case i.  It
+    takes 68,459 color attempts per case, so the two tests that
+    read it share one run."""
+    return counted_outcome(recursive_dp_coloring, induced_cover(*chain_case(i))[0])
+
+
 def relabelled_lists(g, lists, rng):
     """g and its lists under random sparse ids."""
     vs = sorted(g.vertices)
@@ -366,23 +375,42 @@ def relabelled_lists(g, lists, rng):
             {label[v]: ts for v, ts in lists.items()})
 
 
+def with_reference(cover):
+    return cover, counted_outcome(recursive_dp_coloring, cover)
+
+
 def backjumping_cases():
-    """The 42 chain cases; K_{2,k^2} for k <= 5, each under three
-    seeded relabellings; and seeded list assignments on 12-16 vertices
-    with lists of 2-3 tokens out of 3-5, dense enough that the search
-    hits dead ends several levels below their cause."""
+    """(cover, counted_outcome of the recursive reference) on the 42
+    chain cases; K_{2,k^2} for k <= 5, each under three seeded
+    relabellings; seeded list assignments on 12-16 vertices with lists
+    of 2-3 tokens out of 3-5, dense enough that the search hits dead
+    ends several levels below their cause; and the same on two random
+    pieces of 7-9 vertices with their labels interleaved, so that the
+    pick alternates between the pieces and a dead end in one piece
+    jumps over the levels of the other."""
     for i in range(42):
-        yield induced_cover(*chain_case(i))[0]
+        yield induced_cover(*chain_case(i))[0], chain_reference(i)
     rng = random.Random(16)
     for k in range(1, 6):
         for _ in range(3):
-            yield induced_cover(*relabelled_lists(*build_k2_k2(k), rng))[0]
+            yield with_reference(induced_cover(*relabelled_lists(*build_k2_k2(k), rng))[0])
     for _ in range(2000):
         n = rng.randint(12, 16)
         p = rng.choice((0.2, 0.3, 0.4))
         g = Graph(range(n), [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
         tokens = range(rng.randint(3, 5))
-        yield induced_cover(g, {v: rng.sample(tokens, rng.randint(2, 3)) for v in g.vertices})[0]
+        yield with_reference(induced_cover(g, {v: rng.sample(tokens, rng.randint(2, 3))
+                                               for v in g.vertices})[0])
+    for _ in range(1000):
+        n1, n2 = rng.randint(7, 9), rng.randint(7, 9)
+        label = rng.sample(range(n1 + n2), n1 + n2)
+        p = rng.choice((0.4, 0.5))
+        edges = [(label[a], label[b]) for piece in (range(n1), range(n1, n1 + n2))
+                 for a, b in itertools.combinations(piece, 2) if rng.random() < p]
+        tokens = range(rng.randint(3, 5))
+        yield with_reference(induced_cover(Graph(range(n1 + n2), edges),
+                                           {v: rng.sample(tokens, rng.randint(2, 3))
+                                            for v in label})[0])
 
 
 def test_backjumping_keeps_forward_checking_witnesses_in_fewer_nodes():
@@ -391,8 +419,7 @@ def test_backjumping_keeps_forward_checking_witnesses_in_fewer_nodes():
     attempts, so no budget the reference meets trips the search."""
     seen = set()
     fewer = 0
-    for cover in backjumping_cases():
-        want, want_nodes = counted_outcome(recursive_dp_coloring, cover)
+    for cover, (want, want_nodes) in backjumping_cases():
         got, got_nodes = counted_outcome(find_dp_coloring, cover)
         assert got == want and got_nodes <= want_nodes, \
             (cover.sizes, [(e, cover.edge_pairs(*e)) for e in cover.g.edges()])
