@@ -51,13 +51,15 @@ Both return a certificate when the answer is negative (a bad list
 assignment / a bad cover), and the certificate is re-verified by the
 plain solver before being returned; a certificate that the solver
 colors raises InternalInvariantBreach.  Instances past the budget guards
-raise InstanceTooLarge.
+raise InstanceTooLarge: more than 8 vertices, more than 30,000,000
+covers, or a list enumeration past DEFAULT_SOLVE_BUDGET nodes (one per
+partial list assignment visited; the cap solve_list puts on
+find_dp_coloring).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 
 from .core_graph import Graph, bfs_parents, blocks_and_cut_vertices, connected_components
 from .dp_cover import Cover, find_dp_coloring, induced_cover
@@ -127,39 +129,6 @@ def _coloring_masks(sizes):
 # choosability
 
 
-def _profile_count(sizes, cap, limit):
-    """Number of list assignments up to color renaming, or None once the
-    state table passes cap or a prefix count passes limit.
-
-    Subsets are visited in increasing order, so after t = 2^p - 1 the
-    state with the first p sizes spent and the rest untouched counts the
-    assignments of the first p vertices.  Each one extends to a distinct
-    full assignment (the later vertices take fresh colors), so the full
-    count is at least every prefix count, and the last prefix is the
-    full count itself.
-    """
-    n = len(sizes)
-    cur = {tuple(sizes): 1}
-    for t in range(1, 1 << n):
-        mem = [i for i in range(n) if t >> i & 1]
-        nxt = defaultdict(int)
-        for state, ways in cur.items():
-            top = min(state[i] for i in mem)
-            for m in range(top + 1):
-                ns = list(state)
-                for i in mem:
-                    ns[i] = state[i] - m
-                nxt[tuple(ns)] += ways
-        cur = nxt
-        if len(cur) > cap:
-            return None
-        if t & (t + 1) == 0:
-            p = t.bit_length()
-            if cur.get((0,) * p + tuple(sizes[p:]), 0) > limit:
-                return None
-    return cur.get((0,) * n, 0)
-
-
 def is_f_choosable(g: Graph, f):
     """Decide f-choosability.  Returns (True, None) or (False, bad_lists)."""
     f = {v: int(f[v]) for v in g.vertices}
@@ -191,9 +160,6 @@ def is_f_choosable(g: Graph, f):
     w = max(vs, key=lambda v: (f[v], -v))
     rest = sorted((v for v in vs if v != w), key=lambda v: (-f[v], v))
     k = len(rest)
-    if k >= 6:
-        if _profile_count([f[v] for v in rest], 300000, 20_000_000) is None:
-            raise InstanceTooLarge("too many list assignments to enumerate")
     pos = {v: p for p, v in enumerate(rest)}
     fp = [f[v] for v in rest]
     fw = f[w]
@@ -219,6 +185,7 @@ def is_f_choosable(g: Graph, f):
     vlist = [[] for _ in range(k)]
     entries = []            # [mask, ids]; ids sorted, masks pairwise distinct
     counter = [0]
+    nodes = [0]
     found = [None]
 
     def leaf_has_bad_list(surv):
@@ -248,6 +215,9 @@ def is_f_choosable(g: Graph, f):
         return True
 
     def at_vertex(p, surv):
+        nodes[0] += 1
+        if nodes[0] > DEFAULT_SOLVE_BUDGET:
+            raise InstanceTooLarge("too many list assignments to enumerate")
         if p == k:
             return leaf_has_bad_list(surv)
         # near[c]: the colorings where an earlier neighbor of p takes c

@@ -82,9 +82,6 @@ class PlaneGraph:
         self.outer = 0
         self._edge_face = ef
 
-    def face_walk(self, fid):
-        return self.faces[fid]
-
     def face_vertices(self, fid):
         """Distinct vertices on the face boundary, in order of first visit."""
         return list(dict.fromkeys(u for u, _ in self.faces[fid])) or list(self.g.vertices)

@@ -14,6 +14,9 @@ quantified oracles as they were before the surviving colorings became
 one bitmask per search node: they re-search the colorings at every leaf
 (by recursion over G - w, and once per color pair across the left-out
 edge), and pin the bitmask oracles' verdicts and certificates.
+reference_f_choosable keeps the guard the package oracle had before it
+counted its own search nodes: _profile_count, the number of list
+assignments up to color renaming.
 reference_is_nice (one scan of h per face) and
 reference_very_nice_subgraph (a fresh PlaneGraph, block decomposition
 and face-id map at every reduction) are the covering-subgraph checker
@@ -33,12 +36,13 @@ backwards; it pins the orders, on which the finisher's witnesses depend.
 
 import itertools
 import math
+from collections import defaultdict
 
 from dpchroma.core_graph import (Graph, bfs_parents, blocks_and_cut_vertices, connected_components,
                                  connectivity_at_least, is_complete_graph, is_connected, is_gdp_tree)
 from dpchroma.dp_cover import Cover, induced_cover
 from dpchroma.errors import InstanceTooLarge, InternalInvariantBreach, PreconditionViolated
-from dpchroma.exact_oracle import _maximal_matchings, _profile_count, _refuted, _tree_forms
+from dpchroma.exact_oracle import _maximal_matchings, _refuted, _tree_forms
 from dpchroma.plane_embed import PlaneGraph
 
 
@@ -247,6 +251,39 @@ def recursive_dp_coloring(cover, budget=None):
     except RecursionError:
         raise InstanceTooLarge("search on %d vertices passed the recursion limit" % g.n)
     return {v: (v, i) for v, i in coloring.items()} if found else None
+
+
+def _profile_count(sizes, cap, limit):
+    """Number of list assignments up to color renaming, or None once the
+    state table passes cap or a prefix count passes limit.
+
+    Subsets are visited in increasing order, so after t = 2^p - 1 the
+    state with the first p sizes spent and the rest untouched counts the
+    assignments of the first p vertices.  Each one extends to a distinct
+    full assignment (the later vertices take fresh colors), so the full
+    count is at least every prefix count, and the last prefix is the
+    full count itself.
+    """
+    n = len(sizes)
+    cur = {tuple(sizes): 1}
+    for t in range(1, 1 << n):
+        mem = [i for i in range(n) if t >> i & 1]
+        nxt = defaultdict(int)
+        for state, ways in cur.items():
+            top = min(state[i] for i in mem)
+            for m in range(top + 1):
+                ns = list(state)
+                for i in mem:
+                    ns[i] = state[i] - m
+                nxt[tuple(ns)] += ways
+        cur = nxt
+        if len(cur) > cap:
+            return None
+        if t & (t + 1) == 0:
+            p = t.bit_length()
+            if cur.get((0,) * p + tuple(sizes[p:]), 0) > limit:
+                return None
+    return cur.get((0,) * n, 0)
 
 
 def reference_f_choosable(g: Graph, f):
@@ -684,7 +721,7 @@ def _vns_ear(pg, v_star):
         raise InternalInvariantBreach("no removable ear face")
     fid, e1, e2, internals = pick
     dead = set(internals)
-    surv = next(de for de in pg.face_walk(pg.outer) if de[0] not in dead and de[1] not in dead)
+    surv = next(de for de in pg.faces[pg.outer] if de[0] not in dead and de[1] not in dead)
     pg2 = pg.restrict(g.vertices - dead)
     pg2.outer = pg2.face_of_directed_edge(*surv)
     h2 = yield pg2, v_star
@@ -709,7 +746,7 @@ def _vns_suppress(pg, v_star, v, x, y):
     rot2 = {w: pg.rot[w] for w in keep}
     for a, b in ((x, y), (y, x)):
         rot2[a] = tuple(b if z == v else z for z in pg.rot[a])
-    surv = next(de for de in pg.face_walk(pg.outer) if v not in de)
+    surv = next(de for de in pg.faces[pg.outer] if v not in de)
     pg2 = PlaneGraph(g2, rot2)
     pg2.outer = pg2.face_of_directed_edge(*surv)
 
@@ -748,7 +785,7 @@ def _vns_interior(pg, v_star):
         raise InternalInvariantBreach("faces around interior vertex repeat")
     paths = []
     for t in range(k):
-        wk = list(pg.face_walk(theta[t]))
+        wk = list(pg.faces[theta[t]])
         i = wk.index((nbrs[t], u))
         rotated = wk[i + 1:] + wk[: i + 1]
         pvs = [de[0] for de in rotated[1:]]
@@ -759,10 +796,10 @@ def _vns_interior(pg, v_star):
         paths.append(pvs)
 
     pg2 = pg.restrict(g.vertices - {u})
-    pg2.outer = pg2.face_of_directed_edge(*pg.face_walk(pg.outer)[0])
-    link_de = next(de for de in pg.face_walk(theta[0]) if u not in de)
+    pg2.outer = pg2.face_of_directed_edge(*pg.faces[pg.outer][0])
+    link_de = next(de for de in pg.faces[theta[0]] if u not in de)
     theta_u = pg2.face_of_directed_edge(*link_de)
-    link_walk = pg2.face_walk(theta_u)
+    link_walk = pg2.faces[theta_u]
     link_vs = pg2.face_vertices(theta_u)
     if len(link_walk) != len(link_vs):
         raise InternalInvariantBreach("merged face around deleted vertex is not a cycle")
@@ -837,14 +874,14 @@ def _vns_leaf_block(pg, v_star, blocks, cuts):
         raise InternalInvariantBreach("no splittable leaf block")
     blk, r, pgb, star_idx = chosen
     pgb.outer = star_idx
-    mixed = pg.face_of_directed_edge(*pgb.face_walk(pgb.outer)[0])
+    mixed = pg.face_of_directed_edge(*pgb.faces[pgb.outer][0])
 
     dead = set(blk) - {r}
     pg2 = pg.restrict(g.vertices - dead)
     theta_b = 0
     if pg2.g.m:
         def alive(fid):
-            return [de for de in pg.face_walk(fid) if de[0] not in dead and de[1] not in dead]
+            return [de for de in pg.faces[fid] if de[0] not in dead and de[1] not in dead]
 
         mixed_surv = alive(mixed)
         if not mixed_surv:
@@ -876,10 +913,10 @@ def _insert_chord(pg, fid, a, b):
     g = pg.g
     rot2 = {v: list(pg.rot[v]) for v in g.vertices}
     for v, w in ((a, b), (b, a)):
-        x = next(de[0] for de in pg.face_walk(fid) if de[1] == v)
+        x = next(de[0] for de in pg.faces[fid] if de[1] == v)
         rot2[v].insert(rot2[v].index(x) + 1, w)
     pg2 = PlaneGraph(Graph(g.vertices, list(g.edges()) + [(min(a, b), max(a, b))]), rot2)
-    pg2.outer = pg2.face_of_directed_edge(*min(pg.face_walk(pg.outer)))
+    pg2.outer = pg2.face_of_directed_edge(*min(pg.faces[pg.outer]))
     return pg2
 
 

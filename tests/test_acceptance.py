@@ -80,7 +80,7 @@ def test_acceptance_4_characterizations():
     t0 = time.perf_counter()
     mismatch = []
     n_ch = n_dp = 0
-    for n in range(1, 7):
+    for n in range(1, 8):
         for g in connected_graph_classes(n):
             n_ch += 1
             if is_gallai_tree(g) != (not is_degree_choosable(g)[0]):
@@ -91,7 +91,7 @@ def test_acceptance_4_characterizations():
             if is_gdp_tree(g) != (not is_degree_dp_colorable(g)[0]):
                 mismatch.append(("dp", n, g.edges()))
     dt = time.perf_counter() - t0
-    ok = not mismatch and n_ch == 143 and n_dp == 31 and dt < 30.0
+    ok = not mismatch and n_ch == 996 and n_dp == 31 and dt < 30.0
     _verdict(4, "degree-colorability-characterizations", ok,
              "%d choosable + %d dp classes, %d mismatches, %.0fs"
              % (n_ch, n_dp, len(mismatch), dt))

@@ -1,4 +1,5 @@
 import ast
+import collections
 import itertools
 import os
 import subprocess
@@ -102,21 +103,32 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_every_public_name_has_a_caller_in_the_package():
-    # a public top-level function or class that nothing else in the
-    # package uses (an import alone is not a use) gets a caller or goes
+    # a public top-level function or class, or a public method of a
+    # package class, that nothing else in the package reads (an import
+    # alone is not a use) gets a caller or goes
     root = os.path.dirname(os.path.abspath(dpchroma.__file__))
-    top = []
+
+    def reads(node):
+        return collections.Counter(n.id if isinstance(n, ast.Name) else n.attr
+                                   for n in ast.walk(node)
+                                   if isinstance(n, (ast.Name, ast.Attribute))
+                                   and isinstance(n.ctx, ast.Load))
+
+    total = collections.Counter()
+    defs = []
     for name in sorted(os.listdir(root)):
         if name.endswith(".py"):
             with open(os.path.join(root, name)) as fh:
                 tree = ast.parse(fh.read(), name)
-            top += [(name, node, {n.id if isinstance(n, ast.Name) else n.attr
-                                  for n in ast.walk(node)
-                                  if isinstance(n, (ast.Name, ast.Attribute))})
-                    for node in tree.body]
-    found = ["%s:%s" % (name, d.name) for name, d, _ in top
-             if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_")
-             and not any(d.name in used for _, other, used in top if other is not d)]
+            total += reads(tree)
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defs.append(("%s:%s" % (name, node.name), node))
+                if isinstance(node, ast.ClassDef):
+                    defs += [("%s:%s.%s" % (name, node.name, m.name), m) for m in node.body
+                             if isinstance(m, ast.FunctionDef)]
+    found = [label for label, d in defs
+             if not d.name.startswith("_") and total[d.name] == reads(d)[d.name]]
     # ROADMAP item 9 gives these their caller: the Gallai-tree sweeps of
     # a verify family run the two oracles against is_gallai_tree
     assert found == ["core_graph.py:is_gallai_tree", "exact_oracle.py:is_degree_choosable",

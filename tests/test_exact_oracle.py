@@ -189,21 +189,26 @@ def test_disconnected_inputs():
     assert is_dp_f_colorable(g, f2)[0] is True
 
 
-def test_size_guards():
+def test_size_guards(monkeypatch):
     g = complete(9)
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(InstanceTooLarge, match="at most 8 vertices"):
         is_f_choosable(g, degrees(g))
     with pytest.raises(InstanceTooLarge):
         is_dp_f_colorable(g, degrees(g))
-    # the list-assignment count is bounded from its prefixes, so K7 and K8
-    # are refused within seconds
+    # the pruned search refutes K7 and K8 on its first branch
     for n in (7, 8):
-        with pytest.raises(InstanceTooLarge):
-            is_degree_choosable(complete(n))
-    # six vertices besides the largest list: C7 passes the guard
+        kn = complete(n)
+        ok, cert = is_degree_choosable(kn)
+        assert not ok and find_list_coloring(kn, cert) is None
+        assert {v: len(cert[v]) for v in kn.vertices} == degrees(kn)
     c7 = cycle(7)
     ok, cert = is_degree_choosable(c7)
     assert not ok and find_list_coloring(c7, cert) is None
+    # the node cap: K_{4,4} needs 92 search nodes
+    k44 = Graph(range(8), [(a, b) for a in range(4) for b in range(4, 8)])
+    monkeypatch.setattr(exact_oracle, "DEFAULT_SOLVE_BUDGET", 50)
+    with pytest.raises(InstanceTooLarge, match="too many list assignments to enumerate"):
+        is_degree_choosable(k44)
 
 
 def test_oracles_at_eight_vertices():
@@ -219,10 +224,10 @@ def test_oracles_at_eight_vertices():
     wheel = wheel7()
     assert is_degree_choosable(wheel) == (True, None)
     assert is_degree_dp_colorable(wheel) == (True, None)
-    # K_{4,4} is regular and 2-connected, so nothing prunes it up front
+    # K_{4,4} is regular and 2-connected, so nothing prunes it up front:
+    # the pruned list search answers it, the cover count refuses it
     k44 = Graph(range(8), [(a, b) for a in range(4) for b in range(4, 8)])
-    with pytest.raises(InstanceTooLarge):
-        is_degree_choosable(k44)
+    assert is_degree_choosable(k44) == (True, None)
     with pytest.raises(InstanceTooLarge):
         is_degree_dp_colorable(k44)
 
@@ -246,11 +251,11 @@ def test_surplus_guards_are_sound(monkeypatch):
     ok, cert = is_f_choosable(k4, f)
     assert not ok and not raw_has_coloring(k4, cert)
 
-    def no_count(*args):
-        raise AssertionError("_profile_count called")
+    def no_masks(*args):
+        raise AssertionError("_coloring_masks called")
 
-    # the wheel is answered before the list-assignment count
-    monkeypatch.setattr(exact_oracle, "_profile_count", no_count)
+    # the wheel is answered before either search builds its masks
+    monkeypatch.setattr(exact_oracle, "_coloring_masks", no_masks)
     wheel = wheel7()
     assert is_degree_choosable(wheel) == (True, None)
     assert is_degree_dp_colorable(wheel) == (True, None)

@@ -22,10 +22,10 @@ def square_with_chord():
 def test_face_tracing_counts():
     pg = square_with_chord()
     assert pg.face_count() == 3
-    walks = sorted(len(pg.face_walk(f)) for f in range(3))
+    walks = sorted(len(pg.faces[f]) for f in range(3))
     assert walks == [3, 3, 4]
     # every directed edge is on exactly one face
-    des = [de for f in range(3) for de in pg.face_walk(f)]
+    des = [de for f in range(3) for de in pg.faces[f]]
     assert len(des) == 2 * pg.g.m and len(set(des)) == len(des)
 
 
@@ -35,9 +35,9 @@ def test_face_vertices_and_keys():
         vs = pg.face_vertices(fid)
         assert len(vs) == len(set(vs))
         # a face is keyed by its directed edges
-        assert all(pg.face_of_directed_edge(*de) == fid for de in pg.face_walk(fid))
-    assert len({frozenset(pg.face_walk(f)) for f in range(3)}) == 3
-    tri = [fid for fid in range(3) if len(pg.face_walk(fid)) == 3]
+        assert all(pg.face_of_directed_edge(*de) == fid for de in pg.faces[fid])
+    assert len({frozenset(pg.faces[f]) for f in range(3)}) == 3
+    tri = [fid for fid in range(3) if len(pg.faces[fid]) == 3]
     assert sorted(sorted(pg.face_vertices(f)) for f in tri) == [[0, 1, 2], [0, 2, 3]]
 
 
@@ -94,7 +94,7 @@ def test_isolated_vertices_are_rejected():
         PlaneGraph(Graph([], []), {})
     lone = PlaneGraph(Graph([7], []), {7: ()})
     assert lone.face_count() == 1   # n - m + f = 2
-    assert lone.face_walk(0) == ()
+    assert lone.faces[0] == ()
     assert lone.face_vertices(0) == [7]
 
 
@@ -155,10 +155,10 @@ def double_fan_plane():
 def test_face_walks_cover_every_directed_edge():
     pg = square_with_chord()
     assert pg.face_count() == 3
-    walks = [de for fid in range(3) for de in pg.face_walk(fid)]
+    walks = [de for fid in range(3) for de in pg.faces[fid]]
     assert len(walks) == len(set(walks)) == 2 * pg.g.m
     for fid in range(3):
-        assert set(pg.face_vertices(fid)) == {u for u, _ in pg.face_walk(fid)}
+        assert set(pg.face_vertices(fid)) == {u for u, _ in pg.faces[fid]}
 
 
 def test_vertex_face_incidences():

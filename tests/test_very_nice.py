@@ -168,7 +168,7 @@ def test_undo_restores_the_working_drawing():
         before = state(wd)
         for v in sorted(pg.g.vertices):
             for dead in ({v}, {v} | set(sorted(pg.g.adj[v])[:1])):
-                left = [de for f in pg.faces_at(v) for de in pg.face_walk(f)
+                left = [de for f in pg.faces_at(v) for de in pg.faces[f]
                         if not dead & set(de)]
                 if left:
                     wd.uncut(wd.cut(dead, wd.fresh, left[0]))
