@@ -10,6 +10,7 @@ colors sharing a token are matched (induced_cover).
 from __future__ import annotations
 
 import itertools
+import math
 
 from .core_graph import (Graph, bfs_parents, block_kind, blocks_and_cut_vertices, is_connected,
                          is_gdp_tree)
@@ -75,6 +76,11 @@ def find_dp_coloring(cover: Cover, budget=None):
     The next vertex is the uncolored one with the fewest colors left
     per degree in cover.g (dom/deg, Bessiere and Regin 1996), ties to
     the smallest vertex; a vertex of degree 0 comes after every other.
+    The uncolored vertices sit in one row of buckets per distinct
+    degree, bucket c of a row holding those with c colors left, so a
+    strike moves a vertex between two buckets of its own row.  Rows
+    share one bucket per ratio c / d, read in ascending ratio, so the
+    pick is the smallest vertex of the first non-empty bucket.
     Its colors are tried in ascending order, with forward checking: an
     attempt stops as soon as it leaves an uncolored neighbor no color.
     On top of that, conflict-directed backjumping (FC-CBJ, Prosser
@@ -98,34 +104,51 @@ def find_dp_coloring(cover: Cover, budget=None):
     colored.
     """
     adj = cover.g.adj
-    # vertices by index, highest degree first and ties in vertex order,
-    # so the first index in a bucket below has the bucket's best ratio
+    # vertices by index in vertex order, so the least index in a bucket
+    # is its smallest vertex
     order = sorted(adj)
-    order.sort(key=lambda v: len(adj[v]), reverse=True)
     index = {v: x for x, v in enumerate(order)}
     deg = [len(adj[v]) for v in order]
-    top = deg[0] if deg else 0
+    sizes = [cover.sizes[v] for v in order]
+    if 0 in sizes:
+        return None
+    # rows[d][c]: the uncolored vertices of degree d with c colors left
+    # (c = 0 only inside a dead attempt).  Equal ratios c / d share one
+    # bucket, keyed c * scale // d on ints, so buckets, in ascending key,
+    # has the pick's vertices in its first non-empty bucket
+    classes = set(deg)
+    # the lcm is 0 when some vertex has degree 0: then take it over the rest
+    scale = math.lcm(*classes) or math.lcm(*classes - {0})
+    counts = range(max(sizes, default=0) + 1)
+    ratio = {}
+    rows = {}
+    for d in classes:
+        if d:
+            rows[d] = [ratio.setdefault(c * scale // d, set()) for c in counts]
+        else:
+            # degree 0 comes last: its vertices share the bucket keyed inf
+            last = ratio.setdefault(math.inf, set())
+            rows[d] = [ratio.setdefault(0, set())] + [last] * (len(counts) - 1)
+    ratio.pop(0, None)  # empty whenever the pick reads the buckets
+    buckets = list(map(ratio.get, sorted(ratio)))
+    row = list(map(rows.get, deg))
+    for x, s in enumerate(sizes):
+        row[x][s].add(x)
     # avail[x] is a bitmask of x's colors left (0 while x is colored, so
     # no strike reaches it).  Color j of x has slot base[x] + j:
-    # strikes[slot] lists the (neighbor, bit, slot) triples that the
-    # color rules out, and by[slot] is the stack level that struck it
-    # (stale while it is not struck)
-    sizes = [cover.sizes[v] for v in order]
+    # strikes[slot] lists the (neighbor, bit, slot, neighbor's row)
+    # tuples that the color rules out, and by[slot] is the stack level
+    # that struck it (stale while it is not struck)
     avail = [(1 << s) - 1 for s in sizes]
     base = list(itertools.accumulate(sizes, initial=0))
     by = [0] * base[-1]
     strikes = [[] for _ in by]
     for (v, u), match in cover._m.items():
         at, y = base[index[v]], index[u]
+        cells, b = row[y], base[y]
         for i, j in match.items():
-            strikes[at + i].append((y, 1 << j, base[y] + j))
-    # buckets[c]: the uncolored vertices with c colors left
-    buckets = [set() for _ in range(max(sizes, default=0) + 1)]
-    for x, s in enumerate(sizes):
-        buckets[s].add(x)
-    if buckets[0]:
-        return None
-    # (vertex, color, colors still to try, struck triples, full mask,
+            strikes[at + i].append((y, 1 << j, b + j, cells))
+    # (vertex, color, colors still to try, struck tuples, full mask,
     # levels blamed so far)
     stack = []
     nodes = 0
@@ -138,21 +161,6 @@ def find_dp_coloring(cover: Cover, budget=None):
             else:
                 return {order[y]: (order[y], i) for y, i, _, _, _, _ in stack}
             x = min(bucket)
-            dx = deg[x]
-            if dx < top or not dx:
-                # a later bucket's first index wins if its c / d is less
-                # (c * dx < cx * d), or equal with a smaller vertex (as
-                # when both degrees are 0); none from c on can once
-                # c / top is more than cx / dx
-                cx = avail[x].bit_count()
-                for c in range(cx + 1, len(buckets)):
-                    if c * dx > cx * top:
-                        break
-                    if buckets[c]:
-                        y = min(buckets[c])
-                        d = deg[y]
-                        if c * dx < cx * d or c * dx == cx * d and order[y] < order[x]:
-                            x, cx, dx, bucket = y, c, d, buckets[c]
             bucket.remove(x)
             rest = full = avail[x]
             avail[x] = 0
@@ -168,12 +176,13 @@ def find_dp_coloring(cover: Cover, budget=None):
                     "search passed %d nodes; raise --budget to keep going" % budget)
             struck = []
             for strike in strikes[base[x] + i]:
-                y, bit, slot = strike
-                if avail[y] & bit:
-                    c = avail[y].bit_count()
-                    buckets[c].remove(y)
-                    buckets[c - 1].add(y)
-                    avail[y] ^= bit
+                y, bit, slot, cells = strike
+                a = avail[y]
+                if a & bit:
+                    c = a.bit_count()
+                    cells[c].remove(y)
+                    cells[c - 1].add(y)
+                    avail[y] = a ^ bit
                     by[slot] = level
                     struck.append(strike)
                     if c == 1:
@@ -183,10 +192,10 @@ def find_dp_coloring(cover: Cover, budget=None):
                 x = None
                 continue
             # a dead attempt: y lost its last color to x
-            _undo(struck, avail, buckets)
+            _undo(struck, avail)
         else:
             avail[x] = full
-            buckets[full.bit_count()].add(x)
+            row[x][full.bit_count()].add(x)
             y = x
         # blame the levels that struck y's missing colors, unless every
         # level below x is blamed already
@@ -205,22 +214,23 @@ def find_dp_coloring(cover: Cover, budget=None):
         level = conf.bit_length() - 1  # where x resumes
         while True:
             y, _, rest, struck, full, blamed = stack.pop()
-            _undo(struck, avail, buckets)
+            _undo(struck, avail)
             if len(stack) == level:
                 break
             avail[y] = full
-            buckets[full.bit_count()].add(y)
+            row[y][full.bit_count()].add(y)
         x = y
         conf = blamed | conf ^ (1 << level)
 
 
-def _undo(struck, avail, buckets):
+def _undo(struck, avail):
     """Give back the colors that one attempt struck."""
-    for y, bit, _ in struck:
-        c = avail[y].bit_count()
-        buckets[c].remove(y)
-        buckets[c + 1].add(y)
-        avail[y] |= bit
+    for y, bit, _, cells in struck:
+        a = avail[y]
+        c = a.bit_count()
+        cells[c].remove(y)
+        cells[c + 1].add(y)
+        avail[y] = a | bit
 
 
 def is_coloring_valid(cover: Cover, coloring) -> bool:

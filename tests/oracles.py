@@ -22,6 +22,12 @@ reference_very_nice_subgraph (a fresh PlaneGraph, block decomposition
 and face-id map at every reduction) are the covering-subgraph checker
 and construction as they were before the one working drawing; they pin
 the violations and the H that plane_embed produces.
+reference_find_dp_coloring (with _undo) is the exact cover search as
+it was before the pick kept one row of buckets per degree: one bucket
+per number of colors left, the vertices indexed by descending degree,
+and a scan of the later buckets for a better ratio, which ran on to the
+largest degree even once its vertices were colored; it pins the
+search's witnesses, their order and its color attempts.
 reference_augment_visibility (with _insert_chord) is the chord
 insertion as it was before the one pass over the faces: one chord per
 turn, a fresh PlaneGraph after each, and a rescan of every face from id
@@ -251,6 +257,160 @@ def recursive_dp_coloring(cover, budget=None):
     except RecursionError:
         raise InstanceTooLarge("search on %d vertices passed the recursion limit" % g.n)
     return {v: (v, i) for v, i in coloring.items()} if found else None
+
+
+def reference_find_dp_coloring(cover: Cover, budget=None):
+    """Coloring of a cover, or None.
+
+    The next vertex is the uncolored one with the fewest colors left
+    per degree in cover.g (dom/deg, Bessiere and Regin 1996), ties to
+    the smallest vertex; a vertex of degree 0 comes after every other.
+    Its colors are tried in ascending order, with forward checking: an
+    attempt stops as soon as it leaves an uncolored neighbor no color.
+    On top of that, conflict-directed backjumping (FC-CBJ, Prosser
+    1993): each struck color remembers the stack level that struck it.
+    A vertex that runs out of colors blames the levels that struck its
+    own missing colors and, for each dead attempt, those that struck
+    the other colors of the neighbor the attempt emptied.  The search
+    jumps straight back to the highest level blamed, which inherits the
+    rest of the blame, and returns None when no level is to blame.  The
+    pick reads only the colors left and the static degrees, so plain
+    forward checking with the same pick walks the same tree, and
+    whatever it would try at the levels jumped over cannot lead to a
+    coloring: the jump skips only subtrees without one.  So the witness,
+    and its order, are those of forward checking with the dom/deg pick,
+    found in at most as many color attempts.  The search is one loop
+    over an explicit stack, so its depth has no limit but the vertex
+    count.  budget still caps the number of color attempts (a jump makes
+    none); exceeding it raises InstanceTooLarge instead of risking an
+    open-ended search.  A vertex with an empty list answers None before
+    any attempt.  The witness lists the vertices in the order they were
+    colored.
+    """
+    adj = cover.g.adj
+    # vertices by index, highest degree first and ties in vertex order,
+    # so the first index in a bucket below has the bucket's best ratio
+    order = sorted(adj)
+    order.sort(key=lambda v: len(adj[v]), reverse=True)
+    index = {v: x for x, v in enumerate(order)}
+    deg = [len(adj[v]) for v in order]
+    top = deg[0] if deg else 0
+    # avail[x] is a bitmask of x's colors left (0 while x is colored, so
+    # no strike reaches it).  Color j of x has slot base[x] + j:
+    # strikes[slot] lists the (neighbor, bit, slot) triples that the
+    # color rules out, and by[slot] is the stack level that struck it
+    # (stale while it is not struck)
+    sizes = [cover.sizes[v] for v in order]
+    avail = [(1 << s) - 1 for s in sizes]
+    base = list(itertools.accumulate(sizes, initial=0))
+    by = [0] * base[-1]
+    strikes = [[] for _ in by]
+    for (v, u), match in cover._m.items():
+        at, y = base[index[v]], index[u]
+        for i, j in match.items():
+            strikes[at + i].append((y, 1 << j, base[y] + j))
+    # buckets[c]: the uncolored vertices with c colors left
+    buckets = [set() for _ in range(max(sizes, default=0) + 1)]
+    for x, s in enumerate(sizes):
+        buckets[s].add(x)
+    if buckets[0]:
+        return None
+    # (vertex, color, colors still to try, struck triples, full mask,
+    # levels blamed so far)
+    stack = []
+    nodes = 0
+    x = None
+    while True:
+        if x is None:
+            for bucket in buckets:
+                if bucket:
+                    break
+            else:
+                return {order[y]: (order[y], i) for y, i, _, _, _, _ in stack}
+            x = min(bucket)
+            dx = deg[x]
+            if dx < top or not dx:
+                # a later bucket's first index wins if its c / d is less
+                # (c * dx < cx * d), or equal with a smaller vertex (as
+                # when both degrees are 0); none from c on can once
+                # c / top is more than cx / dx
+                cx = avail[x].bit_count()
+                for c in range(cx + 1, len(buckets)):
+                    if c * dx > cx * top:
+                        break
+                    if buckets[c]:
+                        y = min(buckets[c])
+                        d = deg[y]
+                        if c * dx < cx * d or c * dx == cx * d and order[y] < order[x]:
+                            x, cx, dx, bucket = y, c, d, buckets[c]
+            bucket.remove(x)
+            rest = full = avail[x]
+            avail[x] = 0
+            level = len(stack)
+            conf = 0
+        if rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise InstanceTooLarge(
+                    "search passed %d nodes; raise --budget to keep going" % budget)
+            struck = []
+            for strike in strikes[base[x] + i]:
+                y, bit, slot = strike
+                if avail[y] & bit:
+                    c = avail[y].bit_count()
+                    buckets[c].remove(y)
+                    buckets[c - 1].add(y)
+                    avail[y] ^= bit
+                    by[slot] = level
+                    struck.append(strike)
+                    if c == 1:
+                        break
+            else:
+                stack.append((x, i, rest, struck, full, conf))
+                x = None
+                continue
+            # a dead attempt: y lost its last color to x
+            _undo(struck, avail, buckets)
+        else:
+            avail[x] = full
+            buckets[full.bit_count()].add(x)
+            y = x
+        # blame the levels that struck y's missing colors, unless every
+        # level below x is blamed already
+        missing = (1 << sizes[y]) - 1 & ~avail[y] if conf != (1 << level) - 1 else 0
+        at = base[y] - 1
+        while missing:
+            low = missing & -missing
+            missing ^= low
+            conf |= 1 << by[at + low.bit_length()]
+        if y != x:
+            continue
+        # x is out of colors: jump back to the highest level blamed,
+        # undoing every level above it, and hand it the rest of the blame
+        if not conf:
+            return None
+        level = conf.bit_length() - 1  # where x resumes
+        while True:
+            y, _, rest, struck, full, blamed = stack.pop()
+            _undo(struck, avail, buckets)
+            if len(stack) == level:
+                break
+            avail[y] = full
+            buckets[full.bit_count()].add(y)
+        x = y
+        conf = blamed | conf ^ (1 << level)
+
+
+def _undo(struck, avail, buckets):
+    """Give back the colors that one attempt struck."""
+    for y, bit, _ in struck:
+        c = avail[y].bit_count()
+        buckets[c].remove(y)
+        buckets[c + 1].add(y)
+        avail[y] |= bit
 
 
 def _profile_count(sizes, cap, limit):

@@ -19,6 +19,11 @@ budgets the two also trip alike.  On the G42 chain cases, relabelled
 K_{2,k^2} and denser list assignments, where the search jumps back
 several levels, every color attempt is counted: the search never makes
 more than the reference, so no budget the reference meets trips it.
+The search is also compared with the one it replaced, whose pick
+scanned buckets by colors left alone, on random covers with empty
+lists and isolated vertices, on covers whose picks tie across degree
+classes, on the chain cases and on K_{2,36}: same witnesses in the
+same order, and the same number of color attempts, to the one.
 The quantified oracles (surviving colorings kept as one bitmask per
 search node) are compared with the versions that re-searched the
 colorings at every leaf: same verdicts, same bad lists, same bad
@@ -54,6 +59,7 @@ import functools
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -62,8 +68,9 @@ from corpus import connected_graph_classes, connected_graph_extensions, planar_c
     random_connected_planar
 from oracles import _reverse_bfs_from, block_kind_by_subgraph, connectivity_by_deletion, is_safe, \
     recursive_dp_coloring, reference_augment_visibility, reference_dp_f_colorable, \
-    reference_f_choosable, reference_is_nice, reference_very_nice_subgraph, subgraph_by_edge_filter, \
-    three_connected_by_low_point, vertex_face_incidences
+    reference_f_choosable, reference_find_dp_coloring, reference_is_nice, \
+    reference_very_nice_subgraph, subgraph_by_edge_filter, three_connected_by_low_point, \
+    vertex_face_incidences
 from dpchroma import minor_truncated, plane_embed, planar_truncated
 from dpchroma.constructions import build_G42, build_k2_k2, chain_case, gadget_h_plane
 from dpchroma.core_graph import (Graph, bfs_parents, block_kind, blocks_and_cut_vertices,
@@ -427,6 +434,66 @@ def test_backjumping_keeps_forward_checking_witnesses_in_fewer_nodes():
         fewer += got_nodes < want_nodes
     assert seen == {True, False}
     assert fewer >= 100, fewer
+
+
+def tied_class_covers(count, seed):
+    """Seeded covers whose picks tie across degree classes.  Each list
+    holds as many colors as its vertex has neighbors, or half as many
+    rounded up, so ratios such as 1 / 2 and 2 / 4 meet; a vertex of
+    degree 0 gets 0-2 colors.  The ids go by descending degree, so the
+    smallest vertex of a tie sits in its highest degree class."""
+    rng = random.Random(seed)
+    for g in random_graphs(count, seed):
+        vs = sorted(g.vertices, key=lambda v: (-g.degree(v), rng.random()))
+        label = dict(zip(vs, range(len(vs))))
+        h = Graph(range(len(vs)), [(label[u], label[w]) for u, w in g.edges()])
+        sizes = {v: rng.choice((h.degree(v), (h.degree(v) + 1) // 2)) if h.degree(v)
+                 else rng.randrange(3) for v in h.vertices}
+        matchings = {}
+        for u, w in h.edges():
+            cols = rng.sample(range(sizes[w]), min(sizes[u], sizes[w]))
+            matchings[(u, w)] = [(i, j) for i, j in enumerate(cols) if rng.random() < 0.8]
+        yield Cover(h, sizes, matchings)
+
+
+def first_pick_ties_classes(cover):
+    """Whether the least ratio colors left / degree at the start is
+    shared by vertices of two degree classes."""
+    g = cover.g
+    least = min((Fraction(cover.sizes[v], g.degree(v)) for v in g.vertices if g.degree(v)),
+                default=None)
+    return len({g.degree(v) for v in g.vertices
+                if g.degree(v) and Fraction(cover.sizes[v], g.degree(v)) == least}) > 1
+
+
+def test_search_matches_reference_search():
+    """The search against the one it replaced, which picked from buckets
+    by colors left alone and then scanned the later buckets for a better
+    ratio: same verdict, same witness in the same order, and the same
+    number of color attempts n, checked as the budget the search answers
+    under while n - 1 trips it."""
+    covers = [*random_covers(300, 43), *tied_class_covers(300, 44),
+              *(induced_cover(*chain_case(i))[0] for i in range(42)),
+              induced_cover(*build_k2_k2(6))[0]]
+    seen = set()
+    ties = 0
+    for cover in covers:
+        want, attempts = counted_outcome(reference_find_dp_coloring, cover)
+        assert search_outcome(find_dp_coloring, cover, attempts) == \
+            (("none",) if want is None else ("witness", want)), \
+            (cover.sizes, [(e, cover.edge_pairs(*e)) for e in cover.g.edges()])
+        if attempts:
+            with pytest.raises(InstanceTooLarge):
+                find_dp_coloring(cover, attempts - 1)
+        degrees = {cover.g.degree(v) for v in cover.g.vertices}
+        if 0 in degrees and len(degrees) > 1:
+            seen.add("degree 0")
+        if 0 in cover.sizes.values():
+            seen.add("empty list")
+        ties += first_pick_ties_classes(cover)
+        seen.add(want is None)
+    assert seen == {"degree 0", "empty list", True, False}
+    assert ties >= 50, ties
 
 
 def oracle_outcome(oracle, g, f):

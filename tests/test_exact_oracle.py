@@ -11,7 +11,7 @@ from oracles import raw_choosable, raw_dp_colorable, raw_has_coloring
 
 import dpchroma
 from dpchroma import exact_oracle
-from dpchroma.constructions import build_k2_k2, chain_case
+from dpchroma.constructions import build_G42, build_k2_k2, chain_case
 from dpchroma.core_graph import Graph
 from dpchroma.dp_cover import Cover, degree_dp_color, induced_cover
 from dpchroma.errors import InstanceTooLarge
@@ -309,10 +309,15 @@ def test_backjumping_refutes_the_counterexamples_within_small_budgets():
     """Forward checking alone spends 68,459 color attempts on every
     chain case under the dom/deg pick (19,715 when it picked the fewest
     colors left first, with about a million on K_{2,36}); jumping back
-    to the vertices to blame needs 254 on each, and 42 on K_{2,36}."""
-    for i in range(42):
-        assert solve_list(*chain_case(i), budget=254) is None
-    assert solve_list(*build_k2_k2(6), budget=42) is None
+    to the vertices to blame needs exactly 254 on each, 42 on K_{2,36}
+    and 60,401 on the whole G42: each answers under that budget and
+    trips one below it."""
+    instances = [(chain_case(i), 254) for i in range(42)]
+    instances += [(build_k2_k2(6), 42), (build_G42(), 60_401)]
+    for (g, lists), attempts in instances:
+        assert solve_list(g, lists, budget=attempts) is None
+        with pytest.raises(InstanceTooLarge):
+            solve_list(g, lists, budget=attempts - 1)
 
 
 def test_degree_dp_color_preconditions():
