@@ -466,13 +466,15 @@ def _greedy_color(cover, avail, coloring, order):
 
 
 def _color_awkward_block(cover, avail, coloring, block):
-    """Color a 2-connected block that is neither complete nor a cycle.
+    """Color a 2-connected block that is neither complete nor a cycle,
+    once every vertex next to it is colored.
 
     Looks for an induced path v1-u-v2 whose ends can be colored so that
     together they forbid at most one color at u and whose removal keeps
     the block connected; then greedy toward u finishes.  Falls back to
-    the exact search on the block's residual cover (the cover theory
-    says a coloring exists).
+    the exact search on the block alone: the residual cover of the
+    block and its colored neighbors (the cover theory says a coloring
+    exists).
     """
     sub = cover.g.subgraph(block)
     for u in sorted(block):
@@ -492,7 +494,9 @@ def _color_awkward_block(cover, avail, coloring, block):
                 color_vertex(cover, avail, coloring, v2, pick[1])
                 _greedy_color(cover, avail, coloring, bfs_parents(rest, u)[1][::-1])
                 return
-    res, kept = residual_cover(cover, coloring)
+    near = set(block).union(*(cover.g.adj[v] for v in block))
+    res, kept = residual_cover(cover.subcover(near),
+                               {v: coloring[v] for v in near if v in coloring})
     col = find_dp_coloring(res)
     if col is None:
         raise InternalInvariantBreach("block believed colorable was not")
@@ -513,22 +517,24 @@ def _pair_sparing_u(cover, avail, u, v1, v2):
     return None
 
 
-def degree_dp_color(g: Graph, cover: Cover):
-    """Color a connected graph whose cover has sizes >= degrees.
+def degree_dp_extend(cover, avail, coloring, vertices):
+    """Color vertices from the colors avail[v] each has left, adding
+    them to coloring.
 
-    Greedy away from a surplus vertex when one exists.  With all sizes
-    tight this is possible iff the graph is not a GDP-tree (every block
-    complete or a cycle); on a GDP-tree we refuse with GDPTreeTight since
-    no strategy can promise a coloring there.
+    vertices span a connected part G' of cover.g whose other neighbors
+    are all colored, and each list must hold at least deg_G'(v) colors
+    (else PreconditionViolated).  Greedy away from a surplus vertex when
+    one exists.  With every list tight this is possible iff G' is not a
+    GDP-tree (every block complete or a cycle); on a GDP-tree we refuse
+    with GDPTreeTight since no strategy can promise a coloring there.
+    Otherwise the rest goes greedily toward the smallest awkward block,
+    which is colored last.  Every color strikes its partners from avail.
     """
-    if not is_connected(g):
-        raise NotConnected("degree_dp_color needs a connected graph")
+    g = cover.g.subgraph(vertices)
     for v in g.vertices:
-        if cover.sizes[v] < g.degree(v):
+        if len(avail[v]) < g.degree(v):
             raise PreconditionViolated("size below degree at %r" % (v,))
-    avail = {v: set(range(cover.sizes[v])) for v in g.vertices}
-    coloring = {}
-    surplus = sorted(v for v in g.vertices if cover.sizes[v] > g.degree(v))
+    surplus = sorted(v for v in g.vertices if len(avail[v]) > g.degree(v))
     if surplus:
         _greedy_color(cover, avail, coloring, bfs_parents(g, surplus[0])[1][::-1])
     elif is_gdp_tree(g):
@@ -537,6 +543,17 @@ def degree_dp_color(g: Graph, cover: Cover):
         block = min(blk for blk in blocks_and_cut_vertices(g)[0] if block_kind(g, blk) is None)
         _greedy_color(cover, avail, coloring, bfs_parents(g, *block)[1][len(block):][::-1])
         _color_awkward_block(cover, avail, coloring, block)
+
+
+def degree_dp_color(g: Graph, cover: Cover):
+    """Color a connected graph whose cover has sizes >= degrees:
+    degree_dp_extend from the full lists, with nothing colored yet, and
+    the coloring checked on the whole cover."""
+    if not is_connected(g):
+        raise NotConnected("degree_dp_color needs a connected graph")
+    coloring = {}
+    degree_dp_extend(cover, {v: set(range(cover.sizes[v])) for v in g.vertices}, coloring,
+                     g.vertices)
     if not is_coloring_valid(cover, coloring):
         raise InternalInvariantBreach("degree_dp_color produced an invalid coloring")
     return coloring

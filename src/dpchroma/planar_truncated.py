@@ -7,7 +7,8 @@ G[V2] assigns each V2 vertex at most two faces to look after, and two
 rules consume the graph: (R1) colors a free vertex of a non-safe
 low-degree component, (R2) colors the next V2 vertex, picking its color
 so that the components it looks after keep a vertex with list surplus.
-Everything left at the end is safe and falls to the greedy finisher.
+Everything left at the end is safe, and finish colors it with the
+degree-DP finisher, on the input cover and the lists the run kept.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from .core_graph import (block_kind, blocks_and_cut_vertices, connected_componen
                          is_connected)
 # not called here; kept bound because perfbench/layers.py wraps it by name
 from .core_graph import is_gdp_tree
-from .dp_cover import color_vertex, degree_dp_color, is_coloring_valid, residual_cover
+from .dp_cover import color_vertex, degree_dp_extend, is_coloring_valid
+# not called here; kept bound because perfbench/layers.py wraps them by name
+from .dp_cover import degree_dp_color, residual_cover
 from .errors import (A2Unattainable, EmptyResidualList, GDPTreeTight,
                      InternalInvariantBreach, PreconditionViolated, ProtectorInfeasible)
 from .plane_embed import FaceClasses, augment_visibility, component_planes, very_nice_subgraph
@@ -383,23 +386,47 @@ def step_r2(state):
 
 
 def finish(state):
-    """Greedy-color every uncolored component and validate the total."""
-    if not state.v2 <= set(state.phi):
-        raise InternalInvariantBreach("finish needs every V2 vertex colored")
-    res, kept = residual_cover(state.cover, state.phi)
-    for v in res.g.vertices:
-        if kept[v] != sorted(state.avail[v]):
-            raise InternalInvariantBreach("availability drifted at %r" % (v,))
+    """Color the uncolored rest on the run's own lists and validate the total.
+
+    Each uncolored vertex's colors left are recounted from phi and must
+    be the ones in state.avail.  With V2 colored, the rest splits into
+    the uncolored parts of the V1 components, which (R1) and (R2) left
+    safe; degree_dp_extend colors each, in the order of their smallest
+    vertices, straight on the input cover.  It picks the colors that
+    degree_dp_color picks on the residual cover, which numbers each
+    list's live colors in ascending order.
+    """
+    cover = state.cover
+    adj = cover.g.adj
     phi = dict(state.phi)
-    for comp in connected_components(res.g):
-        sub = res.subcover(comp)
+    if not state.v2 <= phi.keys():
+        raise InternalInvariantBreach("finish needs every V2 vertex colored")
+    avail = {}
+    for v in sorted(adj.keys() - phi.keys()):
+        live = set(range(cover.sizes[v]))
+        for w in adj[v]:
+            if w in phi:
+                live.discard(cover.partner(w, phi[w][1], v))
+        if live != state.avail[v]:
+            raise InternalInvariantBreach("availability drifted at %r" % (v,))
+        avail[v] = live
+    seen = set()
+    for first in avail:
+        if first in seen:
+            continue
+        # the component of first in the rest: comp grows as it is read
+        comp = [first]
+        seen.add(first)
+        for v in comp:
+            for w in adj[v]:
+                if w in avail and w not in seen:
+                    seen.add(w)
+                    comp.append(w)
         try:
-            col = degree_dp_color(sub.g, sub)
+            degree_dp_extend(cover, avail, phi, comp)
         except GDPTreeTight:
-            raise GDPTreeTight("component %d was never made safe" % comp[0])
-        for v, (_, i) in col.items():
-            phi[v] = (v, kept[v][i])
-    if not is_coloring_valid(state.cover, phi):
+            raise GDPTreeTight("component %d was never made safe" % first)
+    if not is_coloring_valid(cover, phi):
         raise InternalInvariantBreach("the finished coloring is not valid")
     return phi
 
@@ -407,7 +434,7 @@ def finish(state):
 def entry_gate(g, cover, k=THRESHOLD):
     """partition_threshold(g, k), once the cover is known to lie on g
     with at least min(k, degree) colors in every list."""
-    if cover.g.vertices != g.vertices or cover.g.edges() != g.edges():
+    if cover.g is not g and cover.g.adj != g.adj:
         raise ValueError("graph does not match the cover's graph")
     for v in sorted(g.vertices):
         if cover.sizes[v] < min(k, g.degree(v)):

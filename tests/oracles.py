@@ -38,6 +38,11 @@ with core_graph's one-search test; it pins that test's verdicts.
 _reverse_bfs_from is the degree-DP finisher's own breadth-first search
 as it was before the finisher read core_graph.bfs_parents' queue
 backwards; it pins the orders, on which the finisher's witnesses depend.
+reference_finish is the pipelines' finish as it was before it colored
+on the run's live lists: a renumbered residual cover of the whole
+uncolored rest, one sub-cover per component, each colored by
+degree_dp_color and mapped back through the renumbering; it pins the
+colorings finish returns, dict order included.
 """
 
 import itertools
@@ -46,8 +51,10 @@ from collections import defaultdict
 
 from dpchroma.core_graph import (Graph, bfs_parents, blocks_and_cut_vertices, connected_components,
                                  connectivity_at_least, is_complete_graph, is_connected, is_gdp_tree)
-from dpchroma.dp_cover import Cover, induced_cover
-from dpchroma.errors import InstanceTooLarge, InternalInvariantBreach, PreconditionViolated
+from dpchroma.dp_cover import (Cover, degree_dp_color, induced_cover, is_coloring_valid,
+                               residual_cover)
+from dpchroma.errors import (GDPTreeTight, InstanceTooLarge, InternalInvariantBreach,
+                             PreconditionViolated)
 from dpchroma.exact_oracle import _maximal_matchings, _refuted, _tree_forms
 from dpchroma.plane_embed import PlaneGraph
 
@@ -1099,3 +1106,25 @@ def reference_augment_visibility(pg: PlaneGraph, v2) -> PlaneGraph:
             return cur
         cur = _insert_chord(cur, *pick)
     raise InternalInvariantBreach("chord insertion did not reach a fixpoint")
+
+
+def reference_finish(state):
+    """Greedy-color every uncolored component and validate the total."""
+    if not state.v2 <= set(state.phi):
+        raise InternalInvariantBreach("finish needs every V2 vertex colored")
+    res, kept = residual_cover(state.cover, state.phi)
+    for v in res.g.vertices:
+        if kept[v] != sorted(state.avail[v]):
+            raise InternalInvariantBreach("availability drifted at %r" % (v,))
+    phi = dict(state.phi)
+    for comp in connected_components(res.g):
+        sub = res.subcover(comp)
+        try:
+            col = degree_dp_color(sub.g, sub)
+        except GDPTreeTight:
+            raise GDPTreeTight("component %d was never made safe" % comp[0])
+        for v, (_, i) in col.items():
+            phi[v] = (v, kept[v][i])
+    if not is_coloring_valid(state.cover, phi):
+        raise InternalInvariantBreach("the finished coloring is not valid")
+    return phi

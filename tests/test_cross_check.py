@@ -50,11 +50,19 @@ gives the same witness and trace with either.  The degree-DP
 finisher's orders (bfs_parents' queue read backwards) are compared with
 the finisher's former breadth-first search, from every source set of
 one to three vertices on small classes and from seeded sources on
-random planar graphs: same orders.  The corpus of
+random planar graphs: same orders.  finish, which colors on the run's
+live lists, is compared with the finisher that built a residual cover
+of the uncolored rest and a sub-cover per component: the same coloring,
+in the same dict order, from deep copies of the closing states of the
+drum marches at quarters 15, 30 and 60 under both pipelines, of hubs
+1-3 at rims 20-120 over three seeds, of the ring of 25 hubs and of the
+V2-empty polyhedra, whose tight components take the awkward-block
+path.  The corpus of
 connected graph classes is checked against the OEIS counts up to 7
 vertices.
 """
 
+import copy
 import functools
 import itertools
 import random
@@ -68,22 +76,24 @@ from corpus import connected_graph_classes, connected_graph_extensions, planar_c
     random_connected_planar
 from oracles import _reverse_bfs_from, block_kind_by_subgraph, connectivity_by_deletion, is_safe, \
     recursive_dp_coloring, reference_augment_visibility, reference_dp_f_colorable, \
-    reference_f_choosable, reference_find_dp_coloring, reference_is_nice, \
+    reference_f_choosable, reference_find_dp_coloring, reference_finish, reference_is_nice, \
     reference_very_nice_subgraph, subgraph_by_edge_filter, three_connected_by_low_point, \
     vertex_face_incidences
-from dpchroma import minor_truncated, plane_embed, planar_truncated
+from dpchroma import dp_cover, minor_truncated, plane_embed, planar_truncated
 from dpchroma.constructions import build_G42, build_k2_k2, chain_case, gadget_h_plane
 from dpchroma.core_graph import (Graph, bfs_parents, block_kind, blocks_and_cut_vertices,
                                  connectivity_at_least)
 from dpchroma.dp_cover import Cover, degree_truncated_sizes, find_dp_coloring, induced_cover
 from dpchroma.errors import InstanceTooLarge
 from dpchroma.exact_oracle import is_dp_f_colorable, is_f_choosable
-from dpchroma.generators import (Xorshift64Star, drum_plane, generate_hub_instance,
-                                 random_tight_matchings)
+from dpchroma.generators import (Xorshift64Star, drum_forcing_cover, drum_plane,
+                                 generate_hub_instance, random_tight_matchings)
+from dpchroma.minor_truncated import color_minor_truncated
 from dpchroma.planar_truncated import THRESHOLD, color_planar_truncated, partition_threshold
 from dpchroma.plane_embed import PlaneGraph, augment_visibility, is_nice, very_nice_subgraph
 from test_golden import PROTECTION_RUNS, _minor, _planar_drum
-from test_minor_truncated import drum_minor_instance
+from test_minor_truncated import desk_params, drum_minor_instance
+from test_planar_truncated import nx_plane, tight_cover
 
 
 def corpus_graphs(max_n):
@@ -757,6 +767,80 @@ def test_color_planar_on_the_ring_matches_reference_chords(monkeypatch):
         runs.append((color_planar_truncated(pg, cover, trace), trace))
     assert runs[0] == runs[1]
     assert any(ln.startswith("R2") for ln in runs[0][1])
+
+
+def _planar_run(pg, cover):
+    return lambda: color_planar_truncated(pg, cover)
+
+
+def _hub_runs():
+    runs = []
+    for hubs in (1, 2, 3):
+        for rim in ((20, 30, 60, 120) if hubs < 3 else (30, 60, 120)):
+            for seed in (1, 2, 3):
+                pg, cover = generate_hub_instance(hubs, rim, seed)
+                runs.append(_planar_run(pg, cover))
+                if hubs > 1:
+                    params = desk_params(hubs, 2, q=6, k=16, peel_bound=2, degeneracy_bound=1)
+                    runs.append(lambda g=pg.g, c=cover, p=params: color_minor_truncated(g, c, p))
+    return runs
+
+
+def _ring_runs():
+    pg = ring_of_hubs(25)
+    sizes = degree_truncated_sizes(pg.g, THRESHOLD)
+    cover = Cover(pg.g, sizes, random_tight_matchings(pg.g, sizes, Xorshift64Star(5)))
+    return [_planar_run(pg, cover)]
+
+
+def _polyhedra_runs():
+    return [_planar_run(pg, tight_cover(pg.g, seed))
+            for pg in map(nx_plane, ("icosahedron", "dodecahedron")) for seed in (1, 2, 3, 4, 5)]
+
+
+# name -> () -> runs, each a pipeline call that reaches finish
+FINISH_RUNS = {
+    "drum": lambda: [_planar_run(pg, drum_forcing_cover(pg))
+                     for pg in (drum_plane(q, perm=(0, 3, 1, 2)) for q in (15, 30, 60))]
+    + [lambda q=q: color_minor_truncated(*drum_minor_instance(q, (0, 3, 1, 2)))
+       for q in (15, 30, 60)],
+    "hubs": _hub_runs,
+    "ring": _ring_runs,
+    "polyhedra": _polyhedra_runs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINISH_RUNS))
+def test_finish_matches_reference(monkeypatch, name):
+    """finish, on the run's live lists, against the finisher that built
+    a residual cover and a sub-cover per component: the same coloring,
+    in the same dict order, from a deep copy of each closing state."""
+    finished = []
+    real = planar_truncated.finish
+
+    def compared(state):
+        want = reference_finish(copy.deepcopy(state))
+        got = real(copy.deepcopy(state))
+        assert list(got.items()) == list(want.items())
+        finished.append(len(got) - len(state.phi))
+        return got
+
+    awkward = []
+    block = dp_cover._color_awkward_block
+
+    def counted(cover, avail, coloring, blk):
+        awkward.append(len(blk))
+        block(cover, avail, coloring, blk)
+
+    for module in (planar_truncated, minor_truncated):
+        monkeypatch.setattr(module, "finish", compared)
+    monkeypatch.setattr(dp_cover, "_color_awkward_block", counted)
+    runs = FINISH_RUNS[name]()
+    for run in runs:
+        run()
+    assert len(finished) == len(runs)
+    assert all(finished)
+    assert bool(awkward) == (name == "polyhedra"), awkward
 
 
 def test_is_nice_matches_reference():

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import os
 import subprocess
@@ -7,10 +8,10 @@ from types import SimpleNamespace
 import pytest
 
 from corpus import nx_planar_rotation
-from oracles import is_safe
+from oracles import is_safe, reference_finish
 from test_minor_truncated import drum_minor_instance
 import dpchroma
-from dpchroma import core_graph, minor_truncated, planar_truncated, plane_embed
+from dpchroma import core_graph, dp_cover, minor_truncated, planar_truncated, plane_embed
 from dpchroma.core_graph import Graph, connectivity_at_least
 from dpchroma.dp_cover import Cover, degree_truncated_sizes, find_dp_coloring, is_coloring_valid
 from dpchroma.errors import (EmptyResidualList, GDPTreeTight, InternalInvariantBreach,
@@ -431,6 +432,161 @@ def test_finish_rejects_desafed_state():
                             avail={v: set(range(cover.sizes[v])) for v in range(3)})
     with pytest.raises(GDPTreeTight):
         finish(state)
+
+
+def drift_one_list(state):
+    # the smallest uncolored vertex loses its smallest live color
+    v = min(state.g.vertices - state.phi.keys())
+    state.avail[v].discard(min(state.avail[v]))
+
+
+def clashing_greedy(greedy):
+    """_greedy_color, except that the last vertex of the order, whose
+    neighbors in the order are all colored by then, takes its smallest
+    struck color."""
+    def run(cover, avail, coloring, order):
+        greedy(cover, avail, coloring, order[:-1])
+        v = order[-1]
+        dp_cover.color_vertex(cover, avail, coloring, v,
+                              min(set(range(cover.sizes[v])) - avail[v]))
+    return run
+
+
+# name -> (what it breaks, the check that must catch it)
+FINISH_BREAKS = {
+    "drifted-list": ("finish", drift_one_list, "availability drifted at "),
+    "clashing-pick": ("_greedy_color", clashing_greedy, "the finished coloring is not valid"),
+}
+
+
+def run_broken_finish(name):
+    """color-planar on the drum march at quarter 15 with
+    FINISH_BREAKS[name]: one live list of the closing state corrupted
+    before finish, or the finisher's greedy given a clashing pick."""
+    attr, brk, _ = FINISH_BREAKS[name]
+    pg = drum_plane(15, perm=(0, 3, 1, 2))
+    cover = drum_forcing_cover(pg)
+    if attr == "finish":
+        real, owner = planar_truncated.finish, planar_truncated
+
+        def broken(state):
+            brk(state)
+            return real(state)
+    else:
+        real, owner = getattr(dp_cover, attr), dp_cover
+        broken = brk(real)
+    setattr(owner, attr, broken)
+    try:
+        return color_planar_truncated(pg, cover)
+    finally:
+        setattr(owner, attr, real)
+
+
+@pytest.mark.parametrize("name", sorted(FINISH_BREAKS))
+def test_broken_finish_is_caught(name):
+    with pytest.raises(InternalInvariantBreach) as caught:
+        run_broken_finish(name)
+    assert str(caught.value).startswith(FINISH_BREAKS[name][2])
+
+
+def test_broken_finish_is_caught_under_optimize():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.abspath(dpchroma.__file__))
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "from dpchroma.errors import InternalInvariantBreach\n"
+        "from test_planar_truncated import FINISH_BREAKS, run_broken_finish\n"
+        "for name in sorted(FINISH_BREAKS):\n"
+        "    try:\n"
+        "        run_broken_finish(name)\n"
+        "    except InternalInvariantBreach as exc:\n"
+        "        print(sys.flags.optimize, exc)\n" % tests)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(src) + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (
+        0, "1 the finished coloring is not valid\n1 availability drifted at 0\n"), out.stderr
+
+
+def two_component_close():
+    """A closing state whose uncolored rest has two components: the
+    K_{2,3} with three leaves on each of its two hubs 0 and 1, tight,
+    whose matchings leave no induced path z-a-z' that spares a color at
+    a, so its block needs the exact search; and the path 12-13-14 with
+    a list surplus at 12.  V2 is the colored vertex 11, next to the
+    leaf 5 and to 12."""
+    edges = [(a, z) for a in (0, 1) for z in (2, 3, 4)]
+    edges += [(0, x) for x in (5, 6, 7)] + [(1, x) for x in (8, 9, 10)]
+    edges += [(5, 11), (11, 12), (12, 13), (13, 14)]
+    g = Graph(range(15), edges)
+    matchings = {(a, 2 + k): [(2 * k, 0), (2 * k + 1, 1)] for a in (0, 1) for k in range(3)}
+    matchings.update({(5, 11): [(0, 0)], (11, 12): [(0, 0)]})
+    sizes = {v: g.degree(v) for v in g.vertices}
+    sizes[12] += 1
+    cover = Cover(g, sizes, matchings)
+    avail = {v: set(range(sizes[v])) for v in g.vertices}
+    avail[5].discard(0)
+    avail[12].discard(0)
+    return SimpleNamespace(v2=frozenset({11}), phi={11: (11, 0)}, cover=cover, avail=avail)
+
+
+def test_finish_searches_the_awkward_block_alone(monkeypatch):
+    state = two_component_close()
+    want = reference_finish(copy.deepcopy(state))
+    calls = []
+    search = dp_cover.find_dp_coloring
+
+    def counting(res, budget=None):
+        calls.append(sorted(res.g.vertices))
+        return search(res, budget)
+
+    monkeypatch.setattr(dp_cover, "find_dp_coloring", counting)
+    phi = finish(state)
+    assert calls == [[0, 1, 2, 3, 4]]
+    assert list(phi.items()) == list(want.items())
+    assert is_coloring_valid(state.cover, phi) and state.phi == {11: (11, 0)}
+
+
+@pytest.mark.parametrize("pipeline", ["planar", "minor"])
+def test_finish_and_gate_build_no_cover(monkeypatch, pipeline):
+    """finish colors on the run's own lists and entry_gate compares
+    adjacency, so on the drum march neither builds a Cover or lists the
+    edges of a graph."""
+    inside = []
+    entered = []
+    made = []
+
+    def within(fn):
+        def run(*args):
+            inside.append(fn.__name__)
+            entered.append(fn.__name__)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return run
+
+    def counting(real, what):
+        def run(*args, **kw):
+            if inside:
+                made.append((inside[-1], what))
+            return real(*args, **kw)
+        return run
+
+    for module in (planar_truncated, minor_truncated):
+        for name in ("finish", "entry_gate"):
+            monkeypatch.setattr(module, name, within(getattr(module, name)))
+    monkeypatch.setattr(Cover, "__init__", counting(Cover.__init__, "Cover"))
+    monkeypatch.setattr(Graph, "edges", counting(Graph.edges, "edges"))
+    if pipeline == "planar":
+        pg = drum_plane(60, perm=(0, 3, 1, 2))
+        color_planar_truncated(pg, drum_forcing_cover(pg))
+    else:
+        color_minor_truncated(*drum_minor_instance(60, (0, 3, 1, 2)))
+    assert entered == ["entry_gate", "finish"]
+    assert made == []
 
 
 def test_replay_keeps_c1_c2():
