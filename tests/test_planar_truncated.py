@@ -434,10 +434,14 @@ def test_finish_rejects_desafed_state():
         finish(state)
 
 
-def drift_one_list(state):
-    # the smallest uncolored vertex loses its smallest live color
-    v = min(state.g.vertices - state.phi.keys())
-    state.avail[v].discard(min(state.avail[v]))
+def drifting_finish(finish):
+    """finish, once the smallest uncolored vertex has lost its smallest
+    live color from the state's lists."""
+    def run(state):
+        v = min(state.g.vertices - state.phi.keys())
+        state.avail[v].discard(min(state.avail[v]))
+        return finish(state)
+    return run
 
 
 def clashing_greedy(greedy):
@@ -452,10 +456,12 @@ def clashing_greedy(greedy):
     return run
 
 
-# name -> (what it breaks, the check that must catch it)
+# name -> (owner, attribute, its broken version from the real one, the
+# check that must catch it)
 FINISH_BREAKS = {
-    "drifted-list": ("finish", drift_one_list, "availability drifted at "),
-    "clashing-pick": ("_greedy_color", clashing_greedy, "the finished coloring is not valid"),
+    "drifted-list": (planar_truncated, "finish", drifting_finish, "availability drifted at "),
+    "clashing-pick": (dp_cover, "_greedy_color", clashing_greedy,
+                      "the finished coloring is not valid"),
 }
 
 
@@ -463,19 +469,11 @@ def run_broken_finish(name):
     """color-planar on the drum march at quarter 15 with
     FINISH_BREAKS[name]: one live list of the closing state corrupted
     before finish, or the finisher's greedy given a clashing pick."""
-    attr, brk, _ = FINISH_BREAKS[name]
+    owner, attr, brk, _ = FINISH_BREAKS[name]
     pg = drum_plane(15, perm=(0, 3, 1, 2))
     cover = drum_forcing_cover(pg)
-    if attr == "finish":
-        real, owner = planar_truncated.finish, planar_truncated
-
-        def broken(state):
-            brk(state)
-            return real(state)
-    else:
-        real, owner = getattr(dp_cover, attr), dp_cover
-        broken = brk(real)
-    setattr(owner, attr, broken)
+    real = getattr(owner, attr)
+    setattr(owner, attr, brk(real))
     try:
         return color_planar_truncated(pg, cover)
     finally:
@@ -486,7 +484,7 @@ def run_broken_finish(name):
 def test_broken_finish_is_caught(name):
     with pytest.raises(InternalInvariantBreach) as caught:
         run_broken_finish(name)
-    assert str(caught.value).startswith(FINISH_BREAKS[name][2])
+    assert str(caught.value).startswith(FINISH_BREAKS[name][3])
 
 
 def test_broken_finish_is_caught_under_optimize():
