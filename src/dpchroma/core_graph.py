@@ -62,28 +62,26 @@ class Graph:
         return "Graph(n=%d, m=%d)" % (self.n, self.m)
 
 
-def parse_graph(text: str) -> Graph:
-    """Read the plain `v`/`e` format; `c` lines are comments."""
+def parse_graph(text: str, rotation_lines=None) -> Graph:
+    """Read the plain `v`/`e` format; `c` lines are comments.
+
+    One pass: each e line is checked once (range, self-loop, duplicate)
+    where it is read and goes straight into the adjacency sets, so the
+    Graph skips the constructor's second round of checks, as subgraph
+    does.  Given a list rotation_lines, an `r` line is not an unknown
+    record: it is appended there as (line number, words), for
+    parse_plane to read once the graph is built.
+    """
     count = None
-    edges = []
-    seen = set()
+    # a vertex's set is made by the first e line that names it, so a
+    # file with a huge v count and a bad line fails before any allocation
+    adj = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "v":
-            if count is not None:
-                raise MalformedInput("second v line", ln)
-            if len(parts) != 2:
-                raise MalformedInput("v line needs one count", ln)
-            try:
-                count = int(parts[1])
-            except ValueError:
-                raise MalformedInput("bad vertex count %r" % parts[1], ln)
-            if count < 0:
-                raise MalformedInput("negative vertex count", ln)
-        elif parts[0] == "e":
+        word = parts[0]
+        if word == "e":
             if count is None:
                 raise MalformedInput("e line before v line", ln)
             if len(parts) != 3:
@@ -96,16 +94,41 @@ def parse_graph(text: str) -> Graph:
                 raise MalformedInput("endpoint out of range", ln)
             if u == w:
                 raise MalformedInput("self-loop", ln)
-            key = (min(u, w), max(u, w))
-            if key in seen:
-                raise MalformedInput("duplicate edge %d %d" % key, ln)
-            seen.add(key)
-            edges.append(key)
+            ns = adj.get(u)
+            if ns is None:
+                adj[u] = {w}
+            elif w in ns:
+                raise MalformedInput("duplicate edge %d %d" % (min(u, w), max(u, w)), ln)
+            else:
+                ns.add(w)
+            ns = adj.get(w)
+            if ns is None:
+                adj[w] = {u}
+            else:
+                ns.add(u)
+        elif word[0] == "c":
+            continue
+        elif word == "v":
+            if count is not None:
+                raise MalformedInput("second v line", ln)
+            if len(parts) != 2:
+                raise MalformedInput("v line needs one count", ln)
+            try:
+                count = int(parts[1])
+            except ValueError:
+                raise MalformedInput("bad vertex count %r" % parts[1], ln)
+            if count < 0:
+                raise MalformedInput("negative vertex count", ln)
+        elif word == "r" and rotation_lines is not None:
+            rotation_lines.append((ln, parts))
         else:
-            raise MalformedInput("unknown record %r" % parts[0], ln)
+            raise MalformedInput("unknown record %r" % word, ln)
     if count is None:
         raise MalformedInput("missing v line")
-    return Graph(range(count), edges)
+    g = Graph.__new__(Graph)
+    g.vertices = vertices = frozenset(range(count))
+    g.adj = {v: frozenset(adj.get(v, ())) for v in vertices}
+    return g
 
 
 def write_graph(g: Graph) -> str:

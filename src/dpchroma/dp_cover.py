@@ -340,14 +340,32 @@ def induced_cover(g: Graph, lists):
     return cover, tokens
 
 
+class _Parsed(dict):
+    """Token -> value, computed by read once per distinct token.
+
+    A cover or list file names its few colors and each vertex on many
+    lines, and a lookup costs a fraction of int(); read's ValueError
+    reaches the caller as it would from a direct call."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read):
+        super().__init__()
+        self.read = read
+
+    def __missing__(self, token):
+        value = self[token] = self.read(token)
+        return value
+
+
 def parse_lists(text: str):
     """`A <v> <tok>...` lines; tokens become ints when they parse as ints."""
     lists = {}
+    token = _Parsed(_token)
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "c":
             continue
-        parts = line.split()
         if parts[0] != "A":
             raise MalformedInput("unknown record %r" % parts[0], ln)
         if len(parts) < 2:
@@ -358,7 +376,7 @@ def parse_lists(text: str):
             raise MalformedInput("bad vertex %r" % parts[1], ln)
         if v in lists:
             raise MalformedInput("second A line for vertex %d" % v, ln)
-        toks = [_token(t) for t in parts[2:]]
+        toks = [token[t] for t in parts[2:]]
         if len(set(toks)) != len(toks):
             raise MalformedInput("duplicate token for vertex %d" % v, ln)
         lists[v] = toks
@@ -384,55 +402,91 @@ def write_lists(lists) -> str:
 
 
 def parse_cover(text: str, g: Graph) -> Cover:
-    """`L <v> <n>` size lines and `M <u> <i> <w> <j>` matched pairs."""
+    """`L <v> <n>` size lines and `M <u> <i> <w> <j>` matched pairs.
+
+    One pass fills the matchings both ways as Cover stores them, so the
+    Cover skips its constructor's second round of checks, as
+    induced_cover does.  An edge is checked to be one on the first M
+    line that names it, a repeated color on the line that repeats it.
+    The colors are checked against the sizes once per edge at the end,
+    since L lines may come last; each edge's pairs are then put in
+    ascending color order at its smaller end, which is the order a
+    written cover already has.
+    """
+    vertices = g.vertices
+    adj = g.adj
     sizes = {}
-    matchings = {}
-    back = {}
+    m = {}
+    number = _Parsed(int)
+    last_u = last_w = None
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "L":
+        word = parts[0]
+        if word == "M":
+            if len(parts) != 5:
+                raise MalformedInput("M line needs u i w j", ln)
+            try:
+                u, i, w, j = (number[parts[1]], number[parts[2]], number[parts[3]],
+                              number[parts[4]])
+            except ValueError:
+                raise MalformedInput("bad M line", ln)
+            if u != last_u or w != last_w:
+                # a new edge, or one named before: a written cover
+                # names each edge on consecutive lines
+                last_u, last_w = u, w
+                fwd = m.get((u, w))
+                if fwd is None:
+                    if w not in adj.get(u, ()):
+                        raise MalformedInput("M line on non-edge %d %d" % (u, w), ln)
+                    # the smaller end's key first, as Cover stores an edge
+                    if u < w:
+                        fwd = m[(u, w)] = {}
+                        bwd = m[(w, u)] = {}
+                    else:
+                        bwd = m[(w, u)] = {}
+                        fwd = m[(u, w)] = {}
+                else:
+                    bwd = m[(w, u)]
+            if i in fwd or j in bwd:
+                raise MalformedInput("repeated color in matching on %d %d"
+                                     % (min(u, w), max(u, w)), ln)
+            fwd[i] = j
+            bwd[j] = i
+        elif word[0] == "c":
+            continue
+        elif word == "L":
             if len(parts) != 3:
                 raise MalformedInput("L line needs vertex and size", ln)
             try:
-                v, nsz = int(parts[1]), int(parts[2])
+                v, nsz = number[parts[1]], number[parts[2]]
             except ValueError:
                 raise MalformedInput("bad L line", ln)
-            if v not in g.vertices:
+            if v not in vertices:
                 raise MalformedInput("unknown vertex %d" % v, ln)
             if v in sizes:
                 raise MalformedInput("second L line for vertex %d" % v, ln)
             if nsz < 0:
                 raise MalformedInput("negative size", ln)
             sizes[v] = nsz
-        elif parts[0] == "M":
-            if len(parts) != 5:
-                raise MalformedInput("M line needs u i w j", ln)
-            try:
-                u, i, w, j = (int(p) for p in parts[1:])
-            except ValueError:
-                raise MalformedInput("bad M line", ln)
-            if not g.has_edge(u, w):
-                raise MalformedInput("M line on non-edge %d %d" % (u, w), ln)
-            if u > w:
-                u, w, i, j = w, u, j, i
-            fwd = matchings.setdefault((u, w), {})
-            bwd = back.setdefault((u, w), set())
-            if i in fwd or j in bwd:
-                raise MalformedInput("repeated color in matching on %d %d" % (u, w), ln)
-            fwd[i] = j
-            bwd.add(j)
         else:
-            raise MalformedInput("unknown record %r" % parts[0], ln)
-    missing = sorted(set(g.vertices) - set(sizes))
-    if missing:
-        raise MalformedInput("no L line for vertex %d" % missing[0])
-    try:
-        return Cover(g, sizes, {e: sorted(d.items()) for e, d in matchings.items()})
-    except ValueError as exc:
-        raise MalformedInput(str(exc))
+            raise MalformedInput("unknown record %r" % word, ln)
+    if len(sizes) != len(vertices):
+        raise MalformedInput("no L line for vertex %d" % min(vertices - sizes.keys()))
+    pairs = iter(m.items())
+    for ((u, w), fwd), (_, bwd) in zip(pairs, pairs):
+        order = sorted(fwd)
+        if order[0] < 0 or order[-1] >= sizes[u] or min(bwd) < 0 or max(bwd) >= sizes[w]:
+            raise MalformedInput("matched color out of range on (%r, %r)" % (u, w))
+        if len(order) > 1 and order != list(fwd):
+            m[(u, w)] = {i: fwd[i] for i in order}
+            m[(w, u)] = {fwd[i]: i for i in order}
+    cover = Cover.__new__(Cover)
+    cover.g = g
+    cover.sizes = sizes
+    cover._m = m
+    return cover
 
 
 def write_cover(cover: Cover) -> str:

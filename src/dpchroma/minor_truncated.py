@@ -54,6 +54,16 @@ class ClassParams:
         self.overridden = overridden
 
     def with_overrides(self, q=None, k=None, peel_bound=None, degeneracy_bound=None):
+        """These constants with the given ones swapped in, marked overridden.
+
+        The theorem's regime needs q >= peel_bound * (s + t - 1) + 1,
+        which constants() meets with equality; overrides are not held to
+        it.  A run with q below that bound is outside the regime: nothing
+        guarantees it colors, and it may end in a diagnostic (exit 3),
+        such as a (D2) protection that q colors cannot make.  The CI hub
+        smoke (s=3, t=2, q=6, peel=2: 6 < 9) runs outside the regime and
+        still colors; the drum smoke (s=t=2, q=7 = 2*3 + 1) is inside it.
+        """
         return ClassParams(
             self.s, self.t,
             self.q if q is None else q,

@@ -53,29 +53,36 @@ class PlaneGraph:
         if set(rot) != g.vertices:
             raise BadRotation("rotation must cover exactly the vertex set")
         self.g = g
-        self.rot = {v: tuple(rot[v]) for v in g.vertices}
-        for v in g.vertices:
-            if sorted(self.rot[v]) != sorted(g.adj[v]):
-                raise BadRotation("rotation at %r is not a permutation of neighbors" % (v,))
+        self.rot = rot = {v: tuple(rot[v]) for v in g.vertices}
+        adj = g.adj
+        # r is a permutation of v's neighbors when it has their number,
+        # names only neighbors and adds as many keys to nxt as it is long
         nxt = {}
-        for v in g.vertices:
-            r = self.rot[v]
-            for i, u in enumerate(r):
-                nxt[(u, v)] = (v, r[(i + 1) % len(r)])
+        for v, r in rot.items():
+            ns = adj[v]
+            before = len(nxt)
+            for u, x in zip(r, r[1:] + r[:1]):
+                nxt[(u, v)] = (v, x)
+            if len(r) != len(ns) or len(nxt) - before != len(r) or not ns.issuperset(r):
+                raise BadRotation("rotation at %r is not a permutation of neighbors" % (v,))
         faces = []
         ef = {}
-        for e in sorted(nxt):
-            if e in ef:
-                continue
-            walk = []
-            cur = e
-            while cur not in ef:
-                ef[cur] = len(faces)
-                walk.append(cur)
-                cur = nxt[cur]
-            if cur != e:
-                raise BadRotation("face trace did not close")
-            faces.append(tuple(walk))
+        # directed edges in sorted order: by tail, then by head
+        for u in sorted(adj):
+            for v in sorted(adj[u]):
+                e = (u, v)
+                if e in ef:
+                    continue
+                fid = len(faces)
+                walk = []
+                cur = e
+                while cur not in ef:
+                    ef[cur] = fid
+                    walk.append(cur)
+                    cur = nxt[cur]
+                if cur != e:
+                    raise BadRotation("face trace did not close")
+                faces.append(tuple(walk))
         self.faces = faces or [()]
         if g.n - g.m + len(self.faces) != 2:
             raise BadRotation("rotation system is not planar (Euler check failed)")
@@ -111,18 +118,15 @@ def parse_plane(text: str) -> PlaneGraph:
 
     Edge indices refer to the lexicographically sorted edge list.  The
     graph must be connected, and every vertex with neighbors needs an r
-    line.  The outer face is face id 0.
+    line.  The outer face is face id 0.  One pass of parse_graph reads
+    the graph records and sets the r lines aside, split once, so every
+    graph-record error comes before any r-line error and both carry the
+    file's line numbers.
     """
-    graph_lines = []
     rot_lines = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.split()[:1] == ["r"]:
-            rot_lines.append((ln, line.split()))
-            raw = ""  # a blank placeholder keeps parse_graph on the file's line numbers
-        graph_lines.append(raw)
-    g = parse_graph("\n".join(graph_lines))
+    g = parse_graph(text, rot_lines)
     edges = g.edges()
+    count = len(edges)
     rot = {}
     for ln, parts in rot_lines:
         if len(parts) < 2:
@@ -141,7 +145,7 @@ def parse_plane(text: str) -> PlaneGraph:
                 ei = int(p)
             except ValueError:
                 raise MalformedInput("bad edge index %r" % p, ln)
-            if not (0 <= ei < len(edges)):
+            if not (0 <= ei < count):
                 raise MalformedInput("edge index out of range", ln)
             a, b = edges[ei]
             if v == a:

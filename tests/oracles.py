@@ -43,6 +43,14 @@ on the run's live lists: a renumbered residual cover of the whole
 uncolored rest, one sub-cover per component, each colored by
 degree_dp_color and mapped back through the renumbering; it pins the
 colorings finish returns, dict order included.
+reference_parse_graph, reference_parse_cover, reference_parse_lists and
+reference_parse_plane (with _reference_token and reference_plane_graph)
+are the file parsers as they were before each made one pass: every
+record checked by the parser and again by the Graph or Cover
+constructor, the plane file's graph lines joined and parsed a second
+time, and faces traced from the sorted list of all directed edges.  They
+pin the objects the parsers build, key orders included, and every error
+message.
 """
 
 import itertools
@@ -53,8 +61,8 @@ from dpchroma.core_graph import (Graph, bfs_parents, blocks_and_cut_vertices, co
                                  connectivity_at_least, is_complete_graph, is_connected, is_gdp_tree)
 from dpchroma.dp_cover import (Cover, degree_dp_color, induced_cover, is_coloring_valid,
                                residual_cover)
-from dpchroma.errors import (GDPTreeTight, InstanceTooLarge, InternalInvariantBreach,
-                             PreconditionViolated)
+from dpchroma.errors import (BadRotation, GDPTreeTight, InstanceTooLarge, InternalInvariantBreach,
+                             MalformedInput, NotConnected, PreconditionViolated)
 from dpchroma.exact_oracle import _maximal_matchings, _refuted, _tree_forms
 from dpchroma.plane_embed import PlaneGraph
 
@@ -1128,3 +1136,231 @@ def reference_finish(state):
     if not is_coloring_valid(state.cover, phi):
         raise InternalInvariantBreach("the finished coloring is not valid")
     return phi
+
+
+def reference_parse_graph(text: str) -> Graph:
+    """Read the plain `v`/`e` format; `c` lines are comments."""
+    count = None
+    edges = []
+    seen = set()
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "v":
+            if count is not None:
+                raise MalformedInput("second v line", ln)
+            if len(parts) != 2:
+                raise MalformedInput("v line needs one count", ln)
+            try:
+                count = int(parts[1])
+            except ValueError:
+                raise MalformedInput("bad vertex count %r" % parts[1], ln)
+            if count < 0:
+                raise MalformedInput("negative vertex count", ln)
+        elif parts[0] == "e":
+            if count is None:
+                raise MalformedInput("e line before v line", ln)
+            if len(parts) != 3:
+                raise MalformedInput("e line needs two endpoints", ln)
+            try:
+                u, w = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise MalformedInput("bad endpoint on e line", ln)
+            if not (0 <= u < count and 0 <= w < count):
+                raise MalformedInput("endpoint out of range", ln)
+            if u == w:
+                raise MalformedInput("self-loop", ln)
+            key = (min(u, w), max(u, w))
+            if key in seen:
+                raise MalformedInput("duplicate edge %d %d" % key, ln)
+            seen.add(key)
+            edges.append(key)
+        else:
+            raise MalformedInput("unknown record %r" % parts[0], ln)
+    if count is None:
+        raise MalformedInput("missing v line")
+    return Graph(range(count), edges)
+
+
+def reference_parse_cover(text: str, g: Graph) -> Cover:
+    """`L <v> <n>` size lines and `M <u> <i> <w> <j>` matched pairs."""
+    sizes = {}
+    matchings = {}
+    back = {}
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "L":
+            if len(parts) != 3:
+                raise MalformedInput("L line needs vertex and size", ln)
+            try:
+                v, nsz = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise MalformedInput("bad L line", ln)
+            if v not in g.vertices:
+                raise MalformedInput("unknown vertex %d" % v, ln)
+            if v in sizes:
+                raise MalformedInput("second L line for vertex %d" % v, ln)
+            if nsz < 0:
+                raise MalformedInput("negative size", ln)
+            sizes[v] = nsz
+        elif parts[0] == "M":
+            if len(parts) != 5:
+                raise MalformedInput("M line needs u i w j", ln)
+            try:
+                u, i, w, j = (int(p) for p in parts[1:])
+            except ValueError:
+                raise MalformedInput("bad M line", ln)
+            if not g.has_edge(u, w):
+                raise MalformedInput("M line on non-edge %d %d" % (u, w), ln)
+            if u > w:
+                u, w, i, j = w, u, j, i
+            fwd = matchings.setdefault((u, w), {})
+            bwd = back.setdefault((u, w), set())
+            if i in fwd or j in bwd:
+                raise MalformedInput("repeated color in matching on %d %d" % (u, w), ln)
+            fwd[i] = j
+            bwd.add(j)
+        else:
+            raise MalformedInput("unknown record %r" % parts[0], ln)
+    missing = sorted(set(g.vertices) - set(sizes))
+    if missing:
+        raise MalformedInput("no L line for vertex %d" % missing[0])
+    try:
+        return Cover(g, sizes, {e: sorted(d.items()) for e, d in matchings.items()})
+    except ValueError as exc:
+        raise MalformedInput(str(exc))
+
+
+def reference_parse_lists(text: str):
+    """`A <v> <tok>...` lines; tokens become ints when they parse as ints."""
+    lists = {}
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] != "A":
+            raise MalformedInput("unknown record %r" % parts[0], ln)
+        if len(parts) < 2:
+            raise MalformedInput("A line needs a vertex", ln)
+        try:
+            v = int(parts[1])
+        except ValueError:
+            raise MalformedInput("bad vertex %r" % parts[1], ln)
+        if v in lists:
+            raise MalformedInput("second A line for vertex %d" % v, ln)
+        toks = [_reference_token(t) for t in parts[2:]]
+        if len(set(toks)) != len(toks):
+            raise MalformedInput("duplicate token for vertex %d" % v, ln)
+        lists[v] = toks
+    return lists
+
+
+def _reference_token(t):
+    """t as an int when it parses as one.  int() needs a sign or a
+    decimal digit first, so a word is kept without raising ValueError."""
+    if t[0] in "+-" or t[0].isdecimal():
+        try:
+            return int(t)
+        except ValueError:
+            pass
+    return t
+
+
+def reference_parse_plane(text: str) -> PlaneGraph:
+    """Graph records plus `r <v> <edge-index>...` rotation lines.
+
+    Edge indices refer to the lexicographically sorted edge list.  The
+    graph must be connected, and every vertex with neighbors needs an r
+    line.  The outer face is face id 0.
+    """
+    graph_lines = []
+    rot_lines = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.split()[:1] == ["r"]:
+            rot_lines.append((ln, line.split()))
+            raw = ""  # a blank placeholder keeps parse_graph on the file's line numbers
+        graph_lines.append(raw)
+    g = reference_parse_graph("\n".join(graph_lines))
+    edges = g.edges()
+    rot = {}
+    for ln, parts in rot_lines:
+        if len(parts) < 2:
+            raise MalformedInput("r line needs a vertex", ln)
+        try:
+            v = int(parts[1])
+        except ValueError:
+            raise MalformedInput("bad vertex %r" % parts[1], ln)
+        if v not in g.vertices:
+            raise MalformedInput("unknown vertex %d" % v, ln)
+        if v in rot:
+            raise MalformedInput("second r line for vertex %d" % v, ln)
+        nbrs = []
+        for p in parts[2:]:
+            try:
+                ei = int(p)
+            except ValueError:
+                raise MalformedInput("bad edge index %r" % p, ln)
+            if not (0 <= ei < len(edges)):
+                raise MalformedInput("edge index out of range", ln)
+            a, b = edges[ei]
+            if v == a:
+                nbrs.append(b)
+            elif v == b:
+                nbrs.append(a)
+            else:
+                raise MalformedInput("edge %d not incident to vertex %d" % (ei, v), ln)
+        rot[v] = nbrs
+    for v in sorted(g.vertices):
+        if v not in rot:
+            if g.adj[v]:
+                raise MalformedInput("missing r line for vertex %d" % v)
+            rot[v] = ()
+    return reference_plane_graph(g, rot)
+
+
+def reference_plane_graph(g: Graph, rot) -> PlaneGraph:
+    """PlaneGraph(g, rot) as it was traced before: rotations checked by
+    sorting both lists, faces started from the sorted list of all
+    directed edges."""
+    if not is_connected(g):
+        raise NotConnected("a plane graph must be connected and non-empty")
+    if set(rot) != g.vertices:
+        raise BadRotation("rotation must cover exactly the vertex set")
+    pg = PlaneGraph.__new__(PlaneGraph)
+    pg.g = g
+    pg.rot = {v: tuple(rot[v]) for v in g.vertices}
+    for v in g.vertices:
+        if sorted(pg.rot[v]) != sorted(g.adj[v]):
+            raise BadRotation("rotation at %r is not a permutation of neighbors" % (v,))
+    nxt = {}
+    for v in g.vertices:
+        r = pg.rot[v]
+        for i, u in enumerate(r):
+            nxt[(u, v)] = (v, r[(i + 1) % len(r)])
+    faces = []
+    ef = {}
+    for e in sorted(nxt):
+        if e in ef:
+            continue
+        walk = []
+        cur = e
+        while cur not in ef:
+            ef[cur] = len(faces)
+            walk.append(cur)
+            cur = nxt[cur]
+        if cur != e:
+            raise BadRotation("face trace did not close")
+        faces.append(tuple(walk))
+    pg.faces = faces or [()]
+    if g.n - g.m + len(pg.faces) != 2:
+        raise BadRotation("rotation system is not planar (Euler check failed)")
+    pg.outer = 0
+    pg._edge_face = ef
+    return pg
