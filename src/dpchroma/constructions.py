@@ -20,7 +20,7 @@ from collections import namedtuple
 
 from .core_graph import Graph, connectivity_at_least, is_connected
 from .dp_cover import induced_cover
-from .errors import InstanceTooLarge, ReconstructionFailed
+from .errors import InputError, InstanceTooLarge, ReconstructionFailed
 from .exact_oracle import find_dp_coloring, find_list_coloring
 from .plane_embed import PlaneGraph
 
@@ -41,45 +41,38 @@ _XFAN = (_U1, _U2, _U3, _V1, _V2, _V3, _W2, 11, 15, 19, 23)
 _YFAN = (_U1, _U2, _U3, _V1, _V2, _V3, _W4, 13, 17, 21, 25)
 
 
-def _interior_edges():
+def _gadget_copy(base, a, b):
+    """One gadget interior on ids base..base+25, keyed to the x-color a
+    and the y-color b: its edges, fans to x = 0 and y = 1 included, and
+    its lists."""
     es = [(_U1, _U2), (_U2, _U3), (_V1, _V2), (_V2, _V3), (_U1, _V1)]
-    for lo, hi, a, b in [(10, 11, _U1, _U2), (12, 13, _U1, _U2),
+    for lo, hi, p, q in [(10, 11, _U1, _U2), (12, 13, _U1, _U2),
                          (14, 15, _U2, _U3), (16, 17, _U2, _U3),
                          (18, 19, _V1, _V2), (20, 21, _V1, _V2),
                          (22, 23, _V2, _V3), (24, 25, _V2, _V3)]:
-        es += [(lo, hi), (lo, a), (hi, a), (lo, b), (hi, b)]
+        es += [(lo, hi), (lo, p), (hi, p), (lo, q), (hi, q)]
     for lo, hi in [(_W1, _W2), (_W3, _W4)]:
         es += [(lo, hi), (lo, _U1), (lo, _V1), (hi, _U1), (hi, _V1)]
-    return es
-
-
-def _interior_lists(a, b):
-    """Interior lists with the x-color a and y-color b substituted in."""
-    big = [a, b, 1, 2, 3, 4, 5]
-    lists = {l: list(big) for l in range(6)}
+    edges = [(u + base, w + base) for u, w in es]
+    edges += [(0, base + l) for l in _XFAN] + [(1, base + l) for l in _YFAN]
+    lists = {l: [a, b, 1, 2, 3, 4, 5] for l in range(6)}
     lists[_W1] = [1, 2, 3]
     lists[_W2] = [a, 1, 2, 3]
     lists[_W3] = [3, 4, 5]
     lists[_W4] = [b, 3, 4, 5]
-    for k, (base, extra) in enumerate([([1, 2, 3], a), ([1, 2, 4], b),
-                                       ([1, 2, 5], a), ([3, 4, 5], b)]):
-        lists[10 + 2 * k] = list(base)
-        lists[11 + 2 * k] = [extra] + list(base)
-        lists[18 + 2 * k] = list(base)
-        lists[19 + 2 * k] = [extra] + list(base)
-    return lists
+    for k, (low, extra) in enumerate([([1, 2, 3], a), ([1, 2, 4], b),
+                                      ([1, 2, 5], a), ([3, 4, 5], b)]):
+        lists[10 + 2 * k] = list(low)
+        lists[11 + 2 * k] = [extra] + low
+        lists[18 + 2 * k] = list(low)
+        lists[19 + 2 * k] = [extra] + low
+    return edges, {base + l: ts for l, ts in lists.items()}
 
 
-def gadget_h(a="a", b="b"):
+def gadget_h():
     """The gadget as (Graph, lists).  x = 0 and y = 1, interior 2..27."""
-    edges = [(a_ + 2, b_ + 2) for a_, b_ in _interior_edges()]
-    edges += [(0, l + 2) for l in _XFAN]
-    edges += [(1, l + 2) for l in _YFAN]
-    g = Graph(range(28), edges)
-    lists = {0: [a], 1: [b]}
-    for l, ts in _interior_lists(a, b).items():
-        lists[l + 2] = ts
-    return g, lists
+    edges, lists = _gadget_copy(2, "a", "b")
+    return Graph(range(28), edges), {0: ["a"], 1: ["b"], **lists}
 
 
 def gadget_h_names():
@@ -140,6 +133,7 @@ def gadget_h_plane() -> PlaneGraph:
 # bipartite list counterexamples
 
 BIG_SIDE_CAP = 4096  # most big-side vertices k2k2 and ks will build
+SMALL_SIDE_CAP = 12  # most small-side vertices ks will build; k >= 2 stops there anyway
 
 
 def build_k2_k2(k):
@@ -152,7 +146,8 @@ def build_k2_k2(k):
     if k < 1:
         raise ValueError("need k >= 1")
     if k * k > BIG_SIDE_CAP:
-        raise InstanceTooLarge("big side would have %d vertices (cap %d)" % (k * k, BIG_SIDE_CAP))
+        raise InstanceTooLarge("big side would have k^2 vertices with k=%d (cap %d)"
+                               % (k, BIG_SIDE_CAP))
     a = ["a%d" % i for i in range(1, k + 1)]
     b = ["b%d" % j for j in range(1, k + 1)]
     edges = []
@@ -174,9 +169,13 @@ def build_ks_minus1(s, k):
     """
     if s < 2 or k < 1:
         raise ValueError("need s >= 2 and k >= 1")
+    if s - 1 > SMALL_SIDE_CAP:
+        raise InstanceTooLarge("small side would have s-1 vertices with s=%d (cap %d)"
+                               % (s, SMALL_SIDE_CAP))
     nbig = k ** (s - 1)
     if nbig > BIG_SIDE_CAP:
-        raise InstanceTooLarge("big side would have %d vertices (cap %d)" % (nbig, BIG_SIDE_CAP))
+        raise InstanceTooLarge("big side would have k^(s-1) vertices with s=%d, k=%d (cap %d)"
+                               % (s, k, BIG_SIDE_CAP))
     small = list(range(s - 1))
     lists = {i: ["%d.%d" % (c, i + 1) for c in range(1, k + 1)] for i in small}
     edges = []
@@ -190,37 +189,17 @@ def build_ks_minus1(s, k):
 GadgetH = namedtuple("GadgetH", ["g", "lists", "plane", "names"])
 
 
-def _gadget_sizes_ok(g, lists):
-    """One color at vertices 0 and 1, min(degree, 7) distinct ones elsewhere."""
-    return (len(lists[0]) == 1 and len(lists[1]) == 1
-            and all(len(lists[v]) == min(g.degree(v), 7) for v in range(2, 28))
-            and all(len(set(lists[v])) == len(lists[v]) for v in g.vertices))
-
-
-def build_H(a="a", b="b") -> GadgetH:
+def build_H() -> GadgetH:
     """The 28-vertex gadget with its drawing, validated before return.
 
-    The edge set is a pinned reconstruction; the validation (sizes,
-    drawing, 3-connectivity, refutability) is what certifies it.
+    The edge set is a pinned reconstruction; the rows of verify_gadget
+    are what certify it, and ReconstructionFailed names those that fail.
     """
-    if a == b or a in set(range(1, 6)) or b in set(range(1, 6)):
-        raise ReconstructionFailed("gadget tokens must be distinct and not 1..5")
-    g, lists = gadget_h(a, b)
-    bad = []
-    if not _gadget_sizes_ok(g, lists):
-        bad.append("list sizes do not match min(degree, 7)")
-    try:
-        pg = gadget_h_plane()
-    except Exception:
-        pg = None
-        bad.append("rotation system does not embed")
-    if not connectivity_at_least(g, 3):
-        bad.append("not 3-connected")
-    if find_list_coloring(g, lists) is not None:
-        bad.append("instance is colorable")
+    bad = [name for name, ok in verify_gadget() if not ok]
     if bad:
-        raise ReconstructionFailed("; ".join(bad))
-    return GadgetH(g, lists, pg, gadget_h_names())
+        raise ReconstructionFailed("gadget fails " + ", ".join(bad))
+    g, lists = gadget_h()
+    return GadgetH(g, lists, gadget_h_plane(), gadget_h_names())
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +257,16 @@ def _enumerate_claim(g, lists, prop):
 def verify_gadget():
     """Run every gadget check; list of (name, ok) rows."""
     g, lists = gadget_h()
-    rows = [("list-sizes", _gadget_sizes_ok(g, lists))]
+    # one color at x and y, min(degree, 7) distinct ones elsewhere
+    rows = [("list-sizes", len(lists[0]) == 1 and len(lists[1]) == 1
+             and all(len(lists[v]) == min(g.degree(v), 7) for v in range(2, 28))
+             and all(len(set(lists[v])) == len(lists[v]) for v in g.vertices))]
     try:
         pg = gadget_h_plane()
         rows.append(("planar-embedding", pg.face_count() == 51
                      and sorted(pg.face_vertices(pg.outer)) == [0, 1, 4, 7]))
-    except (ValueError, ReconstructionFailed):
+    except (InputError, ReconstructionFailed):
+        # PlaneGraph raises BadRotation or NotConnected on a broken drawing
         rows.append(("planar-embedding", False))
     rows.append(("three-connected", connectivity_at_least(g, 3)))
 
@@ -325,16 +308,12 @@ def chain_graph():
     edges = [(0, 1)]
     lists = {0: list("abcdefg"), 1: list("abcdefg")}
     for i, (a, b) in enumerate(pairs):
-        base = _copy_base(i)
-        edges += [(a_ + base, b_ + base) for a_, b_ in _interior_edges()]
-        edges += [(0, base + l) for l in _XFAN]
-        edges += [(1, base + l) for l in _YFAN]
-        for l, ts in _interior_lists(a, b).items():
-            lists[base + l] = ts
+        copy_edges, copy_lists = _gadget_copy(_copy_base(i), a, b)
+        edges += copy_edges
+        lists.update(copy_lists)
     for i in range(len(pairs) - 1):
         edges.append((_copy_base(i) + _V3, _copy_base(i + 1) + _U3))
-    g = Graph(range(2 + _LOCALS * len(pairs)), edges)
-    return g, lists
+    return Graph(range(2 + _LOCALS * len(pairs)), edges), lists
 
 
 def chain_case(i):
@@ -346,18 +325,13 @@ def chain_case(i):
     """
     a, b = chain_token_pairs()[i]
     base = _copy_base(i)
-    g = Graph(range(base, base + _LOCALS),
-              [(a_ + base, b_ + base) for a_, b_ in _interior_edges()])
-    lists = {}
-    src = _interior_lists(a, b)
-    for l in range(_LOCALS):
-        ts = list(src[l])
-        if l in _XFAN:
-            ts.remove(a)
-        if l in _YFAN:
-            ts.remove(b)
-        lists[base + l] = ts
-    return g, lists
+    edges, lists = _gadget_copy(base, a, b)
+    for l in _XFAN:
+        lists[base + l].remove(a)
+    for l in _YFAN:
+        lists[base + l].remove(b)
+    # the fan edges are the ones at x = 0 and y = 1
+    return Graph(range(base, base + _LOCALS), [e for e in edges if e[0] > 1]), lists
 
 
 def build_G42():

@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .core_graph import (Graph, bfs_parents, block_kind, blocks_and_cut_vertices, is_connected,
-                         is_gdp_tree)
+from .core_graph import Graph, bfs_parents, block_kind, blocks_and_cut_vertices, is_connected
+# not called here; kept bound because perfbench/layers.py wraps it by name
+from .core_graph import is_gdp_tree
 from .errors import (GDPTreeTight, InstanceTooLarge, InternalInvariantBreach, MalformedInput,
                      NotConnected, PreconditionViolated)
 
@@ -579,8 +580,9 @@ def degree_dp_extend(cover, avail, coloring, vertices):
     are all colored, and each list must hold at least deg_G'(v) colors
     (else PreconditionViolated).  Greedy away from a surplus vertex when
     one exists.  With every list tight this is possible iff G' is not a
-    GDP-tree (every block complete or a cycle); on a GDP-tree we refuse
-    with GDPTreeTight since no strategy can promise a coloring there.
+    GDP-tree (every block complete or a cycle); on a GDP-tree, which
+    has no awkward block (neither complete nor a cycle), we refuse with
+    GDPTreeTight since no strategy can promise a coloring there.
     Otherwise the rest goes greedily toward the smallest awkward block,
     which is colored last.  Every color strikes its partners from avail.
     """
@@ -591,12 +593,13 @@ def degree_dp_extend(cover, avail, coloring, vertices):
     surplus = sorted(v for v in g.vertices if len(avail[v]) > g.degree(v))
     if surplus:
         _greedy_color(cover, avail, coloring, bfs_parents(g, surplus[0])[1][::-1])
-    elif is_gdp_tree(g):
+        return
+    awkward = [blk for blk in blocks_and_cut_vertices(g)[0] if block_kind(g, blk) is None]
+    if not awkward:
         raise GDPTreeTight("tight cover on a GDP-tree")
-    else:
-        block = min(blk for blk in blocks_and_cut_vertices(g)[0] if block_kind(g, blk) is None)
-        _greedy_color(cover, avail, coloring, bfs_parents(g, *block)[1][len(block):][::-1])
-        _color_awkward_block(cover, avail, coloring, block)
+    block = min(awkward)
+    _greedy_color(cover, avail, coloring, bfs_parents(g, *block)[1][len(block):][::-1])
+    _color_awkward_block(cover, avail, coloring, block)
 
 
 def degree_dp_color(g: Graph, cover: Cover):

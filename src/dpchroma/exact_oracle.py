@@ -60,6 +60,7 @@ find_dp_coloring).
 from __future__ import annotations
 
 import itertools
+import math
 
 from .core_graph import Graph, bfs_parents, blocks_and_cut_vertices, connected_components
 from .dp_cover import Cover, find_dp_coloring, induced_cover
@@ -346,7 +347,8 @@ def is_dp_f_colorable(g: Graph, f):
     free = [e for e in g.edges() if e not in tree]
     e_star = None
     if free:
-        e_star = max(free, key=lambda e: (len(_maximal_matchings(f[e[0]], f[e[1]])), e))
+        # the edge with the most maximal matchings, perm(max, min) of them
+        e_star = max(free, key=lambda e: (math.perm(*sorted((f[e[0]], f[e[1]]))[::-1]), e))
         for u, w in free:
             if (u, w) != e_star:
                 slots.append((u, w, _maximal_matchings(f[u], f[w])))

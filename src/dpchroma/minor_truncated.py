@@ -27,7 +27,7 @@ from .core_graph import (Graph, connected_components, connectivity_at_least,
 from .dp_cover import degree_dp_color
 from .errors import (DegreeBelowS, InstanceTooLarge, InternalInvariantBreach, ListTooSmall,
                      PeelBoundExceeded, PreconditionViolated)
-from .planar_truncated import NoMove, PipelineState, entry_gate, finish, step_r1, step_r2
+from .planar_truncated import PipelineState, entry_gate, finish, step_r1, step_r2
 
 
 def _require_at_least(low, **values):
@@ -63,6 +63,10 @@ class ClassParams:
         such as a (D2) protection that q colors cannot make.  The CI hub
         smoke (s=3, t=2, q=6, peel=2: 6 < 9) runs outside the regime and
         still colors; the drum smoke (s=t=2, q=7 = 2*3 + 1) is inside it.
+        One below, at q=6, the drum run ends in exit 3 with "(D2) part
+        of 2 components cannot be protected with q=6", as
+        tests/test_cli.py::test_color_minor_drum_below_the_regime_exits_3
+        pins.
         """
         return ClassParams(
             self.s, self.t,
@@ -71,11 +75,6 @@ class ClassParams:
             self.peel_bound if peel_bound is None else peel_bound,
             self.degeneracy_bound if degeneracy_bound is None else degeneracy_bound,
             True)
-
-    def __repr__(self):
-        return "ClassParams(s=%d, t=%d, q=%d, k=%d, peel=%d, degen=%d%s)" % (
-            self.s, self.t, self.q, self.k, self.peel_bound,
-            self.degeneracy_bound, ", overridden" if self.overridden else "")
 
 
 def constants(s, t):
@@ -132,25 +131,13 @@ def contract_components(g, comps, v2, s):
     return gp, node_of
 
 
-class PeelPlan:
-    """Coloring order u_1..u_p of V2 with the component nodes each one
-    is responsible for.  parts[i] lists the nodes whose last V2 neighbor
-    in the order is order[i]."""
-
-    __slots__ = ("order", "parts")
-
-    def __init__(self, order, parts):
-        if len(order) != len(parts):
-            raise InternalInvariantBreach("peel plan has %d vertices but %d parts"
-                                          % (len(order), len(parts)))
-        self.order = tuple(order)
-        self.parts = tuple(tuple(p) for p in parts)
-
-
 def peel_sequence(gp, b, bound):
     """Repeatedly delete the min-degree vertex of the b side together
-    with its current neighborhood on the other side; the coloring order
-    is the reverse of the deletion order."""
+    with its current neighborhood on the other side.  Returns (order,
+    parts): the coloring order u_1..u_p of the b side, the reverse of
+    the deletion order, and for each u_i the tuple of the other side's
+    nodes deleted with it, whose last b-side neighbor in the order is
+    u_i and which u_i is responsible for."""
     adj = {v: set(gp.adj[v]) for v in gp.vertices}
     b_left = set(b)
     a_left = set(gp.vertices) - b_left
@@ -172,24 +159,25 @@ def peel_sequence(gp, b, bound):
     if a_left:
         raise InternalInvariantBreach("component nodes %r survived the peel" % (sorted(a_left),))
     rev.reverse()
-    return PeelPlan([u for u, _ in rev], [r for _, r in rev])
+    return tuple(u for u, _ in rev), tuple(tuple(r) for _, r in rev)
 
 
 class MinorState(PipelineState):
     """Run state for the minor pipeline: the planar state with the
-    sublists as V2 availability, the peel plan's parts as what each V2
-    vertex owes, and the caps q colors at a vertex's turn (C4), the peel
-    bound on protections per vertex (D1) and s+t-1 colors per
-    protection (D2)."""
+    sublists as V2 availability, the parts of peel_sequence's (order,
+    parts) plan as what each V2 vertex owes, and the caps q colors at a
+    vertex's turn (C4), the peel bound on protections per vertex (D1)
+    and s+t-1 colors per protection (D2)."""
 
     __slots__ = ("cost_cap", "protector_cap", "turn_colors")
 
     def __init__(self, g, cover, comps, v2, plan, sublists, params, trace=None):
-        self._start(g, cover, comps, v2, plan.order, trace)
+        order, parts = plan
+        self._start(g, cover, comps, v2, order, trace)
         for v in self.v2:
             self.avail[v] = set(sublists[v])
         # a component node is named by the component's smallest vertex
-        self.owed = {u: {self.comp_of[n] for n in part} for u, part in zip(plan.order, plan.parts)}
+        self.owed = {u: {self.comp_of[n] for n in part} for u, part in zip(order, parts)}
         self.cost_cap = params.s + params.t - 1
         self.protector_cap = max(params.peel_bound, 1)
         self.turn_colors = params.q
@@ -227,18 +215,17 @@ def color_minor_truncated(g, c, params, trace=None):
         order_w = degeneracy_order(g.subgraph(v2), params.degeneracy_bound)
         sublists = select_sublists(g, order_w, c, params.q)
         gp, _ = contract_components(g, comps, v2, params.s)
-        plan = peel_sequence(gp, v2, params.peel_bound)
+        order, parts = peel_sequence(gp, v2, params.peel_bound)
     else:
         # everything is low degree; one non-GDP-tree component, so the
         # finisher alone suffices
-        sublists = {}
-        plan = PeelPlan([], [])
-    state = MinorState(g, c, comps, v2, plan, sublists, params, trace=trace)
-    for _ in plan.order:
-        while step_r1(state) is not NoMove:
+        sublists, order, parts = {}, (), ()
+    state = MinorState(g, c, comps, v2, (order, parts), sublists, params, trace=trace)
+    for _ in order:
+        while step_r1(state):
             pass
         step_r2(state)
-    while step_r1(state) is not NoMove:
+    while step_r1(state):
         pass
     state.check_invariants()
     return finish(state)

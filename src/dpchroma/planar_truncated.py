@@ -29,8 +29,6 @@ from .plane_embed import FaceClasses, augment_visibility, component_planes, very
 
 THRESHOLD = 16
 
-NoMove = object()
-
 
 def partition_threshold(g, k=THRESHOLD):
     """(V1, V2) split by degree in the original, unaugmented graph."""
@@ -304,18 +302,18 @@ def step_r1(state):
     """Color the smallest free vertex of a non-safe component.
 
     Free means: not a cut vertex of the component's uncolored part and
-    no uncolored V2 neighbor.  Returns NoMove when nothing qualifies.
+    no uncolored V2 neighbor.  Returns whether a vertex was colored.
     """
     best = state.next_free()
     if best is None:
-        return NoMove
+        return False
     if not state.avail[best]:
         raise EmptyResidualList("no color left at %r during (R1)" % (best,))
     i = min(state.avail[best])
     state.assign(best, i)
     state.log("R1 %d %d.%d" % (best, best, i))
     state.check_invariants(best)
-    return state
+    return True
 
 
 def step_r2(state):
@@ -382,7 +380,6 @@ def step_r2(state):
         line += " protects " + " ".join(str(state.comps[qi][0]) for qi, _ in gathered)
     state.log(line)
     state.check_invariants(v)
-    return state
 
 
 def finish(state):
@@ -437,9 +434,10 @@ def entry_gate(g, cover, k=THRESHOLD):
     if cover.g is not g and cover.g.adj != g.adj:
         raise ValueError("graph does not match the cover's graph")
     for v in sorted(g.vertices):
-        if cover.sizes[v] < min(k, g.degree(v)):
+        need = min(k, g.degree(v))
+        if cover.sizes[v] < need:
             raise PreconditionViolated(
-                "list at %r is smaller than min(%d, degree)" % (v, k))
+                "list at %r has %d colors, needs min(k, degree) = %d" % (v, cover.sizes[v], need))
     return partition_threshold(g, k)
 
 
@@ -456,7 +454,7 @@ def color_planar_truncated(pg, cover, trace=None):
         raise PreconditionViolated("complete graphs are excluded")
     state = PipelineState(pg, cover, v1, v2, trace=trace)
     while True:
-        while step_r1(state) is not NoMove:
+        while step_r1(state):
             pass
         if state.v2 <= set(state.phi):
             break

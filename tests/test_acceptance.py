@@ -206,18 +206,17 @@ def _minor_bullets(g, cov, params, tag):
             if any(cov.partner(u, i, w) in sub[w] for i in sub[u]):
                 bad.append((tag, "matched pair across sublists", (u, w)))
     gp, node_of = contract_components(g, connected_components(g.subgraph(v1)), v2, params.s)
-    plan = peel_sequence(gp, set(v2), params.peel_bound)
+    order, parts = peel_sequence(gp, set(v2), params.peel_bound)
     nodes = sorted(set(node_of.values()))
-    placed = sorted(n for part in plan.parts for n in part)
-    if placed != nodes or sorted(plan.order) != sorted(v2):
+    placed = sorted(n for part in parts for n in part)
+    if placed != nodes or sorted(order) != sorted(v2):
         bad.append((tag, "peel plan is not a partition"))
     cost_cap = params.s + params.t - 1
-    for i, part in enumerate(plan.parts):
+    for i, part in enumerate(parts):
         if part and not cost_cap * len(part) < params.q:
             bad.append((tag, "per-step budget", i))
         for node in part:
-            if any(plan.order[j] in gp.adj[node]
-                   for j in range(i + 1, len(plan.order))):
+            if any(order[j] in gp.adj[node] for j in range(i + 1, len(order))):
                 bad.append((tag, "node outlives its protector", node))
     phi = color_minor_truncated(g, cov, params)
     if not is_coloring_valid(cov, phi):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dpchroma import cli, errors
+from dpchroma import cli, constructions, errors
 from dpchroma.cli import main, run_report
 from dpchroma.constructions import verify_counterexample
 from dpchroma.core_graph import Graph, write_graph
@@ -230,7 +230,55 @@ def test_verify_jobs_is_a_usage_error(capsys):
 
 def test_k2k2_past_the_big_side_cap_exits_2(capsys):
     assert main(["verify", "--family", "k2k2", "--k", "65"]) == 2
-    assert "big side would have 4225 vertices (cap 4096)" in capsys.readouterr().err
+    assert "big side would have k^2 vertices with k=65 (cap 4096)" in capsys.readouterr().err
+
+
+BIG_K = 10 ** 2999  # 3000 digits: k^2 would pass the 4300-digit limit of str(int)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["verify", "--family", "ks", "--s", "100000", "--k", "3"],
+     "small side would have s-1 vertices with s=100000 (cap 12)"),
+    (["verify", "--family", "ks", "--s", "1000000", "--k", "1"],
+     "small side would have s-1 vertices with s=1000000 (cap 12)"),
+    (["verify", "--family", "ks", "--s", "13", "--k", "3"],
+     "big side would have k^(s-1) vertices with s=13, k=3 (cap 4096)"),
+    (["build", "--family", "k2k2", "--k", str(BIG_K)],
+     "big side would have k^2 vertices with k=%d (cap 4096)" % BIG_K),
+], ids=["ks-s100000", "ks-k1", "ks-big-side", "k2k2-3000-digits"])
+def test_huge_family_parameters_end_in_the_refusal(tmp_path, capsys, argv, err):
+    if argv[0] == "build":
+        argv = argv + ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % err
+    assert not list(tmp_path.iterdir())
+
+
+def test_entry_gate_names_the_size_it_needs(tmp_path, capsys):
+    # k of constants(1500, 2) has far more than 4300 digits
+    (tmp_path / "g").write_text("v 2\ne 0 1\n")
+    (tmp_path / "c").write_text("L 0 0\nL 1 1\n")
+    assert main(["color-minor", "--graph", str(tmp_path / "g"), "--cover", str(tmp_path / "c"),
+                 "--s", "1500", "--t", "2"]) == 2
+    assert capsys.readouterr().err == "error: list at 0 has 0 colors, needs min(k, degree) = 1\n"
+
+
+def test_color_minor_drum_below_the_regime_exits_3(tmp_path, capsys):
+    # q=6 is one below the regime bound peel * (s + t - 1) + 1 = 7
+    pre = str(tmp_path / "drum")
+    assert main(["build", "--family", "drum", "--out", pre]) == 0
+    capsys.readouterr()
+    assert main(["color-minor", "--graph", pre + ".graph", "--cover", pre + ".identity.cover",
+                 "--s", "2", "--t", "2", "--override", "q=6,k=16,peel=2,degen=2"]) == 3
+    assert capsys.readouterr().err == (
+        "diagnostic: (D2) part of 2 components cannot be protected with q=6\n")
+
+
+def test_verify_h_with_a_broken_drawing_exits_10(monkeypatch, capsys):
+    monkeypatch.setitem(constructions._H_ROT, 8, (5, 2, 9))
+    assert main(["verify", "--family", "H"]) == 10
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL planar-embedding" in out and out[-1] == "FAIL (1 of 8 checks)"
 
 
 def test_module_entry_point(tmp_path):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from dpchroma import constructions
 from dpchroma.constructions import (
     build_G42,
     build_H,
@@ -146,6 +147,12 @@ def test_build_ks_minus1_instances():
     assert find_list_coloring(g2, lists2) is None
     with pytest.raises(InstanceTooLarge):
         build_ks_minus1(8, 4)
+    # refused at once: s = 10^7 used to form 3^(10^7 - 1) before the
+    # big-side test, and k = 1 keeps the big side at one vertex
+    for s, k in ((10 ** 7, 3), (10 ** 6, 1), (14, 1)):
+        with pytest.raises(InstanceTooLarge, match="small side would have s-1 vertices"):
+            build_ks_minus1(s, k)
+    assert build_ks_minus1(13, 1)[0].n == 13  # the largest small side, 12 vertices
 
 
 def test_whole_G42_is_not_list_colorable():
@@ -163,14 +170,20 @@ def test_tightness_families_at_scale(build, args):
     assert find_list_coloring(g, lists) is None
 
 
-def test_build_H_validates_and_rejects():
+def test_build_H_validates_and_rejects(monkeypatch):
     gh = build_H()
     assert gh.g.n == 28 and gh.plane.face_count() == 51
     assert gh.names[0] == "x" and gh.names[3] == "u2"
-    with pytest.raises(ReconstructionFailed):
-        build_H("a", "a")
-    with pytest.raises(ReconstructionFailed):
-        build_H(2, "b")
+    with monkeypatch.context() as m:
+        # w1's rotation reversed: a permutation of its neighbors, but not planar
+        m.setitem(constructions._H_ROT, 8, (5, 2, 9))
+        assert [row for row in verify_gadget() if not row[1]] == [("planar-embedding", False)]
+        with pytest.raises(ReconstructionFailed, match="^gadget fails planar-embedding$"):
+            build_H()
+    rows = [("list-sizes", False), ("three-connected", True), ("no-list-coloring", False)]
+    monkeypatch.setattr(constructions, "verify_gadget", lambda: rows)
+    with pytest.raises(ReconstructionFailed, match="^gadget fails list-sizes, no-list-coloring$"):
+        build_H()
 
 
 def test_verify_counterexample_dispatch():

@@ -127,12 +127,9 @@ def test_contract_degrees_match_neighborhood_unions():
 
 def test_peel_sequence():
     star = Graph([1, 2, 5], [(1, 5), (2, 5)])
-    plan = peel_sequence(star, {5}, 5)
-    assert plan.order == (5,) and plan.parts == ((1, 2),)
+    assert peel_sequence(star, {5}, 5) == ((5,), ((1, 2),))
     k23 = Graph(range(5), [(a, b) for a in (0, 1) for b in (2, 3, 4)])
-    plan = peel_sequence(k23, {2, 3, 4}, 2)
-    assert plan.order == (4, 3, 2)
-    assert plan.parts == ((), (), (0, 1))
+    assert peel_sequence(k23, {2, 3, 4}, 2) == ((4, 3, 2), ((), (), (0, 1)))
     with pytest.raises(PeelBoundExceeded):
         peel_sequence(k23, {2, 3, 4}, 1)
     with pytest.raises(PeelBoundExceeded):
@@ -153,16 +150,15 @@ def test_peel_plan_invariants():
         gp = Graph(a + b, edges)
         if any(not gp.adj[x] for x in a):
             continue  # stranded component node, peel cannot place it
-        plan = peel_sequence(gp, b, na)
-        assert len(plan.order) == len(plan.parts) == nb
-        placed = [n for part in plan.parts for n in part]
+        order, parts = peel_sequence(gp, b, na)
+        assert len(order) == len(parts) == nb
+        placed = [n for part in parts for n in part]
         assert sorted(placed) == a  # partition of the component side
-        for i, part in enumerate(plan.parts):
+        for i, part in enumerate(parts):
             assert len(part) <= na
             for n in part:
                 # order[i] is the last vertex of the order seeing n
-                assert all(plan.order[j] not in gp.adj[n]
-                           for j in range(i + 1, len(plan.order)))
+                assert all(order[j] not in gp.adj[n] for j in range(i + 1, len(order)))
 
 
 def test_color_minor_double_protection():

@@ -20,7 +20,7 @@ from dpchroma.generators import (Xorshift64Star, drum_forcing_cover, drum_plane,
                                  generate_hub_instance, random_tight_matchings)
 from dpchroma.minor_truncated import color_minor_truncated, constants
 from dpchroma.plane_embed import FaceClasses, PlaneGraph, augment_visibility
-from dpchroma.planar_truncated import (NoMove, PipelineState, color_planar_truncated,
+from dpchroma.planar_truncated import (PipelineState, color_planar_truncated,
                                        finish, partition_threshold,
                                        plan_order, step_r1, step_r2)
 
@@ -289,7 +289,7 @@ def run_corrupted(name, after=3):
 
     def step(state):
         out = real(state)
-        if out is not NoMove and sum(ln.startswith("R1") for ln in trace) == after:
+        if out and sum(ln.startswith("R1") for ln in trace) == after:
             corrupt(state, state.comp_of[int(trace[-1].split()[1])])
         return out
 
@@ -364,10 +364,10 @@ def test_step_functions_direct():
     cover = drum_forcing_cover(pg)
     v1, v2 = partition_threshold(pg.g)
     st = PipelineState(pg, cover, v1, v2)
-    assert step_r1(st) is NoMove  # every low vertex still sees an uncolored hub
+    assert step_r1(st) is False  # every low vertex still sees an uncolored hub
     step_r2(st)
     assert st.phi[11] == (11, 3)
-    assert step_r1(st) is st and st.phi[28] == (28, 1)
+    assert step_r1(st) is True and st.phi[28] == (28, 1)
     st.avail[29].clear()
     with pytest.raises(EmptyResidualList):
         step_r1(st)
@@ -421,7 +421,7 @@ def test_step_r1_nomove_when_all_safe():
     cover = tight_cover(pg.g, 3)
     v1, v2 = partition_threshold(pg.g)
     st = PipelineState(pg, cover, v1, v2)
-    assert step_r1(st) is NoMove
+    assert step_r1(st) is False
     assert st.safe == {0}
 
 
