@@ -11,7 +11,7 @@ from .core_graph import parse_graph, write_graph
 # not called here; kept bound because perfbench/layers.py wraps it by name
 from .core_graph import connectivity_at_least
 from .dp_cover import find_dp_coloring, parse_cover, parse_lists, write_cover, write_lists
-from .errors import Diagnostic, InputError
+from .errors import Diagnostic, InputError, PreconditionViolated
 from .exact_oracle import solve_list
 from .generators import (drum_forcing_cover, drum_identity_cover, drum_plane,
                          generate_hub_instance)
@@ -24,15 +24,9 @@ from .planar_truncated import color_planar_truncated
 
 
 def run_report(rows):
-    """(name, ok[, detail]) rows -> one line per check plus a verdict line."""
-    lines = []
-    bad = 0
-    for row in rows:
-        name, okv = row[0], row[1]
-        detail = row[2] if len(row) > 2 else ""
-        if not okv:
-            bad += 1
-        lines.append(("%s %s %s" % ("ok" if okv else "FAIL", name, detail)).rstrip())
+    """(name, ok) rows -> one line per check plus a verdict line."""
+    lines = ["%s %s" % ("ok" if okv else "FAIL", name) for name, okv in rows]
+    bad = sum(1 for _, okv in rows if not okv)
     if not lines:
         lines.append("PASS (0 checks)")
     elif bad:
@@ -161,6 +155,10 @@ def _parse_overrides(text):
 def cmd_color_minor(args):
     g = parse_graph(_read(args.graph))
     cover = parse_cover(_read(args.cover), g)
+    if args.s > 1 and args.s >= g.n:
+        # never s-connected; refused before constants(s, t), whose numbers
+        # grow past desk time with s
+        raise PreconditionViolated("input graph is not %d-connected" % args.s)
     params = constants(args.s, args.t)
     if args.override:
         params = params.with_overrides(**_parse_overrides(args.override))

@@ -65,6 +65,14 @@ class PipelineState:
     residual degrees only at the colored vertex's neighbors.  candidates
     is a lazy min-heap of the vertices that may be free for (R1), and
     order[turn] the next vertex for (R2) unless it is colored.
+
+    No component's uncolored part, and so no block, is ever empty before
+    finish: (R2) colors only V2, and (R1) never colors the last
+    uncolored vertex w of a component.  By then w has no uncolored
+    neighbor in its component and, being free, none in V2, so its
+    residual degree is 0; the component is unsafe only if w has no
+    color left, and step_r1 raises EmptyResidualList before assign
+    runs.  An empty part would fail rebuilt's (C1) check.
     """
 
     __slots__ = ("g", "cover", "v2", "order", "comps", "comp_of",
@@ -159,9 +167,7 @@ class PipelineState:
         blk = blks[0]
         cycle = len(blk) > 3 and sum(1 for w in adj[v] if w in blk) == 2
         blk.discard(v)
-        if not blk:
-            self.safe.add(qi)  # nothing left to color
-        elif cycle:
+        if cycle:
             for x in blk:
                 self.blocks_of[x] = [b for b in self.blocks_of[x] if b is not blk]
             for x in blk:
@@ -183,7 +189,7 @@ class PipelineState:
         """None when the component with uncolored part rest is safe now,
         else the blocks of rest, from one block search on sub (G[rest],
         built here unless given)."""
-        if not rest or any(len(self.avail[v]) > self.res[v] for v in rest):
+        if any(len(self.avail[v]) > self.res[v] for v in rest):
             return None
         if sub is None:
             sub = self.g.subgraph(rest)
@@ -197,8 +203,6 @@ class PipelineState:
         """tight_blocks of component qi from scratch, once (C1) holds on
         the one subgraph that builds."""
         rest = self.rest(qi)
-        if not rest:
-            return None
         sub = self.g.subgraph(rest)
         if not is_connected(sub):
             raise InternalInvariantBreach(
@@ -453,11 +457,11 @@ def color_planar_truncated(pg, cover, trace=None):
     if is_complete_graph(pg.g):
         raise PreconditionViolated("complete graphs are excluded")
     state = PipelineState(pg, cover, v1, v2, trace=trace)
-    while True:
+    for _ in state.order:
         while step_r1(state):
             pass
-        if state.v2 <= set(state.phi):
-            break
         step_r2(state)
+    while step_r1(state):
+        pass
     state.check_invariants()
     return finish(state)

@@ -24,6 +24,16 @@ where 2-connectivity is not known (at the top and on a leaf block's
 remainder); whether deleting an interior vertex keeps 2-connectivity is
 read off the merged face, which must visit no vertex twice.
 
+Every inner face of the H so built misses exactly two of its vertices,
+by induction over the reductions: the base case (at most two vertices)
+has only the outer face; an ear face misses exactly its two ends;
+suppression adds the vertex to both faces it joins, so their misses do
+not change; a leaf-block glue keeps the rest side's two misses on the
+mixed face, which the block side covers whole as its outer face; and
+interior deletion turns the two misses of the merged face into two on
+each face it restores (_vns_interior).  So the interior repair has two
+cases, and any other count is a breach.
+
 augment_visibility draws the chords of each face of a 3-connected
 drawing on that face's vertex cycle alone, and builds one PlaneGraph.
 """
@@ -274,10 +284,9 @@ class _Drawing:
         self.fresh = len(pg.faces)
 
     def around(self, v):
-        """v's neighbors in rotation order, from its head."""
+        """v's neighbors in rotation order, from its head; v is an
+        interior or a cut vertex, so it has some."""
         first = self.head[v]
-        if first is None:
-            return []
         out = [first]
         nxt = self.succ[v]
         w = nxt[first]
@@ -429,9 +438,9 @@ class _Instance:
         self.interior = [v for v in vs if v not in on_outer]
 
     def touched(self, wd, vs):
-        """Queue the survivors among vs that now have degree 2."""
+        """Queue those of vs, all survivors, that now have degree 2."""
         for v in vs:
-            if len(wd.succ.get(v, ())) == 2:
+            if len(wd.succ[v]) == 2:
                 heapq.heappush(self.deg2, v)
 
 
@@ -560,7 +569,17 @@ def _merges_to_cycle(wd, u):
 def _vns_interior(wd, inst):
     """Delete an interior vertex u; its faces merge into one face of
     G - u, and the recursion's coverage of that face is redistributed
-    over the restored faces around u."""
+    over the restored faces around u.
+
+    Face theta[t] runs from u along paths[t], from the next neighbor of
+    u to nbrs[t].  The merged face is a cycle, so each link vertex w
+    lies in paths[t][1:] for one t, where[w], and is put back on that
+    face; then each theta[t] misses u and its path's first vertex.  By
+    induction the child's H misses exactly two link vertices z1, z2 on
+    the merged face.  On two faces, u covers those two; on one face
+    theta[j], u covers it and theta[j + 1], and the start s of path j,
+    which ends path j + 1, moves from theta[j + 1] to theta[j].  Either
+    way every theta[t] misses exactly two vertices and u has degree 2."""
     heap = inst.interior
     failed = []
     u = None
@@ -603,38 +622,25 @@ def _vns_interior(wd, inst):
     h = yield inst
     wd.uncut(rec)
     zs = sorted(w for w in link_vs if (w, theta_u) not in h)
+    if len(zs) != 2:
+        raise InternalInvariantBreach("merged face %d misses %d link vertices, not two"
+                                      % (theta_u, len(zs)))
     h.difference_update((w, theta_u) for w in link_vs)
-    base, where = {}, {}
-    for t in range(k):
-        for w in paths[t][1:]:
-            base[w] = (w, theta[t])
-            where.setdefault(w, t)
-    add = set()
-    drop = set()
-    if len(zs) == 0:
-        add = {(u, theta[0]), (u, theta[1 % k])}
-    elif len(zs) == 1:
-        i = where[zs[0]]
-        j = next(t for t in range(k) if t != i)
+    where = {w: t for t in range(k) for w in paths[t][1:]}
+    z1, z2 = zs
+    i, j = where[z1], where[z2]
+    if i != j:
         add = {(u, theta[i]), (u, theta[j])}
-        drop = {base[zs[0]]}
+        drop = {z1, z2}
     else:
-        if len(zs) != 2:
-            raise InternalInvariantBreach("more than two uncovered link vertices")
-        z1, z2 = zs
-        i, j = where[z1], where[z2]
-        if i != j:
-            add = {(u, theta[i]), (u, theta[j])}
-            drop = {base[z1], base[z2]}
-        else:
-            s = paths[j][0]
-            jn = (j + 1) % k
-            if base[s] != (s, theta[jn]):
-                raise InternalInvariantBreach("path start %r is not covered on face %d"
-                                              % (s, theta[jn]))
-            add = {(u, theta[j]), (u, theta[jn]), (s, theta[j])}
-            drop = {base[z1], base[z2], base[s]}
-    h |= set(base.values()) - drop
+        s = paths[j][0]
+        jn = (j + 1) % k
+        if where[s] != jn:
+            raise InternalInvariantBreach("path start %r is not covered on face %d"
+                                          % (s, theta[jn]))
+        add = {(u, theta[j]), (u, theta[jn]), (s, theta[j])}
+        drop = {z1, z2, s}
+    h.update((w, theta[t]) for w, t in where.items() if w not in drop)
     h |= add
     return h
 

@@ -140,6 +140,12 @@ def vertex_face_incidences(pg):
     return {(v, fid) for fid in range(pg.face_count()) for v in pg.face_vertices(fid)}
 
 
+def inner_face_misses(pg, h):
+    """{inner face id: how many of its vertices h leaves uncovered on it}."""
+    return {fid: sum(1 for v in pg.face_vertices(fid) if (v, fid) not in h)
+            for fid in range(pg.face_count()) if fid != pg.outer}
+
+
 def is_safe(g, cover, q, phi):
     """A component q is safe when its uncolored rest is not a GDP-tree or
     some uncolored vertex has more colors left than uncolored neighbors;

@@ -38,7 +38,9 @@ set, same cut vertices per unsafe component, same next (R1) pick.  very_nice_sub
 (one working drawing edited in place) is compared with the
 construction that rebuilt a PlaneGraph at every reduction: same H,
 with every reduction firing and the face test for deleting an
-interior vertex checked against 2-connectivity each time it runs.
+interior vertex checked against 2-connectivity each time it runs; every
+inner face misses exactly two of its vertices, and the leaf-block pick
+passes over a block whose rest lies in two of its faces.
 is_nice (one pass over h) is compared with the checker that rescanned
 h per face: same violations in the same order.  augment_visibility (one
 pass over the faces, one PlaneGraph built) is compared with the loop
@@ -74,11 +76,11 @@ import pytest
 
 from corpus import connected_graph_classes, connected_graph_extensions, planar_classes, \
     random_connected_planar
-from oracles import _reverse_bfs_from, block_kind_by_subgraph, connectivity_by_deletion, is_safe, \
-    recursive_dp_coloring, reference_augment_visibility, reference_dp_f_colorable, \
-    reference_f_choosable, reference_find_dp_coloring, reference_finish, reference_is_nice, \
-    reference_very_nice_subgraph, subgraph_by_edge_filter, three_connected_by_low_point, \
-    vertex_face_incidences
+from oracles import _reverse_bfs_from, block_kind_by_subgraph, connectivity_by_deletion, \
+    inner_face_misses, is_safe, recursive_dp_coloring, reference_augment_visibility, \
+    reference_dp_f_colorable, reference_f_choosable, reference_find_dp_coloring, reference_finish, \
+    reference_is_nice, reference_very_nice_subgraph, subgraph_by_edge_filter, \
+    three_connected_by_low_point, vertex_face_incidences
 from dpchroma import dp_cover, minor_truncated, plane_embed, planar_truncated
 from dpchroma.constructions import build_G42, build_k2_k2, chain_case, gadget_h_plane
 from dpchroma.core_graph import (Graph, bfs_parents, block_kind, blocks_and_cut_vertices,
@@ -617,11 +619,15 @@ def test_record_matches_rebuild_after_every_step(monkeypatch, name):
 
 
 def very_nice_cases():
-    """(plane graph, v_star): every planar class on 6 vertices under
-    every outer face and outer v_star, seeded random planar graphs on
-    20-30 vertices with 10-40 extra edges, and the hubs 2 and hubs 3
-    instances at rim 60."""
-    for g, rot in planar_classes(6):
+    """(plane graph, v_star): every planar class on 6 vertices, and a
+    triangle with two pendant vertices at 0 drawn in two of its faces,
+    under every outer face and outer v_star, seeded random planar graphs
+    on 20-30 vertices with 10-40 extra edges, and the hubs 2 and hubs 3
+    instances at rim 60.  The triangle is a leaf block whose rest lies in
+    two of its faces, so the leaf-block pick passes it over."""
+    pendants = (Graph(range(5), [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4)]),
+                {0: (1, 3, 2, 4), 1: (2, 0), 2: (0, 1), 3: (0,), 4: (0,)})
+    for g, rot in planar_classes(6) + [pendants]:
         for outer in range(PlaneGraph(g, rot).face_count()):
             pg = PlaneGraph(g, rot)
             pg.outer = outer
@@ -655,16 +661,25 @@ def test_very_nice_subgraph_matches_reference(monkeypatch):
         return got
 
     monkeypatch.setattr(plane_embed, "_merges_to_cycle", checked)
+    # an interior deletion reads one rotation, a leaf-block split one per
+    # block it tries: the surplus counts the blocks passed over
+    rotations = []
+    around = plane_embed._Drawing.around
+    monkeypatch.setattr(plane_embed._Drawing, "around",
+                        lambda wd, v: rotations.append(v) or around(wd, v))
     ran = 0
     for pg, v_star in very_nice_cases():
         before = (pg.rot, list(pg.faces), dict(pg._edge_face), pg.outer)
         want = reference_very_nice_subgraph(pg, v_star)
-        assert very_nice_subgraph(pg, v_star) == want, (pg.g.edges(), pg.rot, pg.outer, v_star)
+        got = very_nice_subgraph(pg, v_star)
+        assert got == want, (pg.g.edges(), pg.rot, pg.outer, v_star)
         assert (pg.rot, pg.faces, pg._edge_face, pg.outer) == before
+        assert set(inner_face_misses(pg, got).values()) <= {2}, (pg.g.edges(), pg.outer, v_star)
         ran += 1
     assert ran > 1000
     assert min(fired.values()) > 0, fired
     assert set(face_tests) == {True, False}
+    assert len(rotations) - fired["_vns_interior"] - fired["_vns_leaf_block"] == 4
 
 
 def augment_cases(rng):

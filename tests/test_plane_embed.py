@@ -113,6 +113,7 @@ def test_plane_file_roundtrip():
     assert back.g.edges() == pg.g.edges()
     assert back.rot == pg.rot
     assert back.face_count() == pg.face_count()
+    assert write_plane(parse_plane("v 1\n")) == "v 1\n"
 
 
 def test_plane_parse_errors():

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from corpus import planar_classes, random_connected_planar
-from oracles import vertex_face_incidences
+from oracles import inner_face_misses, vertex_face_incidences
 
 import dpchroma
 from dpchroma import core_graph, plane_embed
@@ -97,6 +97,8 @@ def test_sweep_small_classes_every_outer_and_vstar():
                     h = very_nice_subgraph(pg, v_star)
                     ok, viol = is_nice(pg, h, very=v_star)
                     assert ok, viol
+                    # every inner face misses exactly two of its vertices
+                    assert set(inner_face_misses(pg, h).values()) <= {2}
                     ran += 1
     assert ran > 250
 
@@ -108,6 +110,7 @@ def test_sweep_random_planar():
         v_star = min(pg.face_vertices(pg.outer))
         h = very_nice_subgraph(pg, v_star)
         assert is_nice(pg, h, very=v_star)[0]
+        assert set(inner_face_misses(pg, h).values()) <= {2}
 
 
 def test_no_python_recursion_on_long_rims():
