@@ -10,16 +10,20 @@ single vertex has one face with an empty walk), and a rotation system is
 accepted only if |V| - |E| + |F| = 2, i.e. the embedding is planar.
 
 very_nice_subgraph copies the caller's drawing once into a private
-working drawing with stable face ids: each face keeps its id until a
-reduction merges it away, a merged face takes an id the reduction names,
-and every reduction (interior deletion, degree-2 suppression, ear
-removal, leaf-block split) edits only the faces it merges and puts them
-back from its undo record when the smaller instance's H returns.  H is
-therefore built in the caller's face ids with no per-level re-trace or
-face-id map.  A step costs the face edges it reads plus the heap work
-that picks it, and an ear step reads every inner face once: near-linear
-on the hub instances, where each interior step reads a dozen face edges
-and the ear phase is about one step.  The block decomposition runs only
+working drawing with stable face ids, which only shrinks: each face
+keeps its id until a reduction merges it away, and the merged face
+takes the id of one of the faces it merges.  Every reduction (interior
+deletion, degree-2 suppression, ear removal, leaf-block split) cuts
+away what it removes, relabels only the faces it merges, and builds its
+H from the smaller instance's H and values saved before the cut; none
+reads the drawing again once it yields.  The leaf-block split, which
+needs both sides, copies the drawing and cuts the copy down to the
+block and the drawing itself to the rest.  H is therefore built in the
+caller's face ids with no per-level re-trace or face-id map.  A step
+costs the face edges it reads plus the heap work that picks it, and an
+ear step reads every inner face once: near-linear on the hub instances,
+where each interior step reads a dozen face edges and the ear phase is
+about one step.  The block decomposition runs only
 where 2-connectivity is not known (at the top and on a leaf block's
 remainder); whether deleting an interior vertex keeps 2-connectivity is
 read off the merged face, which must visit no vertex twice.
@@ -255,40 +259,45 @@ def very_nice_subgraph(pg: PlaneGraph, v_star):
 
 
 class _Drawing:
-    """The one working drawing that very_nice_subgraph edits in place.
+    """The working drawing that very_nice_subgraph cuts down in place.
 
     A private copy of the caller's PlaneGraph.  Each rotation is a
-    cyclic linked list (succ, pred) with head, the first neighbor of the
-    caller's rotation still present; the vertex set is succ's keys.
-    Faces have stable ids: rep holds one directed edge of each face (None
-    for a lone vertex's face) and ef the face id of every directed edge,
-    and a walk is traced from the rotation when it is read.  Ids are never
-    renumbered: the caller's faces keep theirs, and a face made by a
-    surgery takes an id the surgery names, so only the edges of the faces
-    that lose their id are relabelled.  Each surgery returns an undo
-    record that restores the drawing exactly, so the reductions' H is
-    built in the caller's face ids.
+    cyclic linked list (succ, pred), read from any neighbor; the vertex
+    set is succ's keys.  Faces have stable ids: rep holds one directed
+    edge of each face (None for a lone vertex's face) and ef the face id
+    of every directed edge, and a walk is traced from the rotation when
+    it is read.  Ids are never renumbered: the caller's faces keep
+    theirs, and a face made by a surgery takes the id of one of the
+    faces it merges, so only the edges of the others are relabelled.
+    The drawing only shrinks: no reduction reads it again once its
+    smaller instance is made, and the leaf-block split, which needs two
+    views of it, hands the block side a copy.
     """
 
-    __slots__ = ("succ", "pred", "head", "ef", "rep", "fresh")
+    __slots__ = ("succ", "pred", "ef", "rep")
 
     def __init__(self, pg):
-        self.succ, self.pred, self.head = {}, {}, {}
+        self.succ, self.pred = {}, {}
         for v, r in pg.rot.items():
             k = len(r)
             self.succ[v] = {r[i]: r[(i + 1) % k] for i in range(k)}
             self.pred[v] = {r[(i + 1) % k]: r[i] for i in range(k)}
-            self.head[v] = r[0] if r else None
         self.ef = dict(pg._edge_face)
         self.rep = {fid: walk[0] if walk else None for fid, walk in enumerate(pg.faces)}
-        self.fresh = len(pg.faces)
+
+    def copy(self):
+        new = object.__new__(_Drawing)
+        new.succ = {v: dict(nb) for v, nb in self.succ.items()}
+        new.pred = {v: dict(nb) for v, nb in self.pred.items()}
+        new.ef, new.rep = dict(self.ef), dict(self.rep)
+        return new
 
     def around(self, v):
-        """v's neighbors in rotation order, from its head; v is an
+        """v's neighbors in rotation order, from any of them; v is an
         interior or a cut vertex, so it has some."""
-        first = self.head[v]
-        out = [first]
         nxt = self.succ[v]
+        first = next(iter(nxt))
+        out = [first]
         w = nxt[first]
         while w != first:
             out.append(w)
@@ -316,70 +325,30 @@ class _Drawing:
         return Graph(self.succ, [(v, w) for v, nb in self.succ.items() for w in nb if v < w])
 
     def cut(self, dead, fid, rep):
-        """Delete the vertices in dead.  What is left of the faces with
-        an edge at dead is one face, which takes the id fid and rep, one
-        of its edges: the surviving edges of the faces other than fid
-        are relabelled.  Returns the undo record."""
+        """Delete the vertices in dead, leaving a connected graph on at
+        least two vertices.  What is left of the faces with an edge at
+        dead is one face, which takes the id fid and rep, one of its
+        edges: the surviving edges of the faces other than fid are
+        relabelled."""
         dead = set(dead)
-        succ, ef = self.succ, self.ef
-        labels = {}
+        succ, pred, ef = self.succ, self.pred, self.ef
+        merged = {ef[de] for v in dead for w in succ[v] for de in ((v, w), (w, v))}
+        merged.discard(fid)
+        for f in merged:
+            for de in self.walk(f):
+                ef[de] = fid
+            del self.rep[f]
         for v in dead:
-            for w in succ[v]:
-                labels[(v, w)] = ef[(v, w)]
-                labels[(w, v)] = ef[(w, v)]
-        merged = {f: self.walk(f) for f in set(labels.values()) if f != fid}
-        reps = {f: self.rep.pop(f) for f in merged}
-        reps[fid] = self.rep.get(fid)
-        links = []
-        kept = {}
-        for v in dead:
-            for w in succ[v]:
+            for w in succ.pop(v):
+                del ef[(v, w)]
                 if w not in dead:
-                    links.append(self._unlink(w, v))
-            kept[v] = (succ.pop(v), self.pred.pop(v), self.head.pop(v))
-        for de in labels:
-            del ef[de]
-        for walk in merged.values():
-            for de in walk:
-                if de in ef:
-                    ef[de] = fid
+                    del ef[(w, v)]
+                    # the rest is connected, so w keeps a neighbor besides v
+                    nxt, prv = succ[w], pred[w]
+                    a, b = prv.pop(v), nxt.pop(v)
+                    nxt[a], prv[b] = b, a
+            del pred[v]
         self.rep[fid] = rep
-        return (labels, merged, reps, links, kept)
-
-    def _unlink(self, w, v):
-        """Take v out of w's rotation; returns what puts it back."""
-        nxt, prv = self.succ[w], self.pred[w]
-        a, b = prv.pop(v), nxt.pop(v)
-        was_head = self.head[w] == v
-        if a == v:
-            self.head[w] = None
-        else:
-            nxt[a], prv[b] = b, a
-            if was_head:
-                self.head[w] = b
-        return (w, v, a, b, was_head)
-
-    def uncut(self, rec):
-        labels, merged, reps, links, kept = rec
-        succ, pred, head, ef = self.succ, self.pred, self.head, self.ef
-        for v, (nxt, prv, first) in kept.items():
-            succ[v], pred[v], head[v] = nxt, prv, first
-        for w, v, a, b, was_head in reversed(links):
-            nxt, prv = succ[w], pred[w]
-            nxt[v], prv[v] = b, a
-            if a != v:
-                nxt[a], prv[b] = v, v
-            if was_head:
-                head[w] = v
-        for f, walk in merged.items():
-            for de in walk:
-                ef[de] = f
-        ef.update(labels)
-        for f, de in reps.items():
-            if de is None:
-                del self.rep[f]
-            else:
-                self.rep[f] = de
 
     def _rename(self, w, old, new):
         """Put new in old's slot of w's rotation."""
@@ -389,8 +358,6 @@ class _Drawing:
             a = b = new
         nxt[a], prv[b] = new, new
         nxt[new], prv[new] = b, a
-        if self.head[w] == old:
-            self.head[w] = new
 
     def smooth(self, v, x, y, f1, f2):
         """Replace the path x-v-y by the edge x-y at the same rotation
@@ -398,37 +365,26 @@ class _Drawing:
         ef = self.ef
         self._rename(x, v, y)
         self._rename(y, v, x)
-        kept = (self.succ.pop(v), self.pred.pop(v), self.head.pop(v))
+        del self.succ[v], self.pred[v]
         for de in ((x, v), (v, y), (y, v), (v, x)):
             del ef[de]
         ef[(x, y)], ef[(y, x)] = f1, f2
-        reps = (self.rep[f1], self.rep[f2])
         self.rep[f1], self.rep[f2] = (x, y), (y, x)
-        return (v, x, y, f1, f2, kept, reps)
-
-    def unsmooth(self, rec):
-        v, x, y, f1, f2, kept, reps = rec
-        ef = self.ef
-        self.succ[v], self.pred[v], self.head[v] = kept
-        self._rename(x, y, v)
-        self._rename(y, x, v)
-        del ef[(x, y)], ef[(y, x)]
-        ef[(x, v)] = ef[(v, y)] = f1
-        ef[(y, v)] = ef[(v, x)] = f2
-        self.rep[f1], self.rep[f2] = reps
 
 
 class _Instance:
-    """What a chain of reductions shares besides the drawing: v_star,
-    the outer face id, whether the graph is known to be 2-connected,
-    and two lazily checked min-heaps of candidates, for suppression
-    (degree-2 vertices) and for deletion (vertices off the outer face).
-    Interior deletion, suppression and ear removal never move a vertex
-    onto the outer face, so the second heap only loses vertices."""
+    """One instance of the reductions: its drawing, v_star, the outer
+    face id, whether the graph is known to be 2-connected, and two
+    lazily checked min-heaps of candidates, for suppression (degree-2
+    vertices) and for deletion (vertices off the outer face).  A chain
+    of interior deletions, suppressions and ear removals shares one
+    instance; none of them moves a vertex onto the outer face, so the
+    second heap only loses vertices."""
 
-    __slots__ = ("v_star", "outer", "biconnected", "deg2", "interior")
+    __slots__ = ("wd", "v_star", "outer", "biconnected", "deg2", "interior")
 
     def __init__(self, wd, v_star, outer, biconnected):
+        self.wd = wd
         self.v_star = v_star
         self.outer = outer
         self.biconnected = biconnected
@@ -437,23 +393,23 @@ class _Instance:
         self.deg2 = [v for v in vs if len(wd.succ[v]) == 2]
         self.interior = [v for v in vs if v not in on_outer]
 
-    def touched(self, wd, vs):
+    def touched(self, vs):
         """Queue those of vs, all survivors, that now have degree 2."""
         for v in vs:
-            if len(wd.succ[v]) == 2:
+            if len(self.wd.succ[v]) == 2:
                 heapq.heappush(self.deg2, v)
 
 
 def _vns(pg, v_star):
     """Run the reductions from one loop over an explicit stack.
 
-    Each reduction is a generator: it edits the shared drawing, yields
-    the smaller instance, receives that instance's covering subgraph
-    back, undoes its edit and returns its own H, in the same face ids.
-    Depth grows with n, so no Python recursion.
+    Each reduction is a generator: it cuts its instance's drawing down,
+    yields the smaller instance, receives that instance's covering
+    subgraph back and builds its own H from it and from values it saved
+    before the cut, in the same face ids.  Depth grows with n, so no
+    Python recursion.
     """
-    wd = _Drawing(pg)
-    stack = [_vns_reduce(wd, _Instance(wd, v_star, pg.outer, False))]
+    stack = [_vns_reduce(_Instance(_Drawing(pg), v_star, pg.outer, False))]
     h = None
     while stack:
         try:
@@ -462,26 +418,27 @@ def _vns(pg, v_star):
             stack.pop()
             h = done.value
         else:
-            stack.append(_vns_reduce(wd, child))
+            stack.append(_vns_reduce(child))
             h = None
     return h
 
 
-def _vns_reduce(wd, inst):
+def _vns_reduce(inst):
     from .core_graph import blocks_and_cut_vertices
 
+    wd = inst.wd
     if len(wd.succ) <= 2:
         return {(v, fid) for fid in wd.rep for v in wd.face_vertices(fid)}
     if not inst.biconnected:
         blocks, cuts = blocks_and_cut_vertices(wd.graph())
         if len(blocks) > 1:
-            return (yield from _vns_leaf_block(wd, inst, blocks, cuts))
+            return (yield from _vns_leaf_block(inst, blocks, cuts))
         inst.biconnected = True
     heap = inst.interior
     while heap and heap[0] not in wd.succ:
         heapq.heappop(heap)
     if not heap:
-        return (yield from _vns_ear(wd, inst))
+        return (yield from _vns_ear(inst))
     heap = inst.deg2
     while heap:
         v = heapq.heappop(heap)
@@ -489,14 +446,15 @@ def _vns_reduce(wd, inst):
         if v != inst.v_star and len(nb) == 2:
             x, y = sorted(nb)
             if y not in wd.succ[x]:
-                return (yield from _vns_suppress(wd, inst, v, x, y))
-    return (yield from _vns_interior(wd, inst))
+                return (yield from _vns_suppress(inst, v, x, y))
+    return (yield from _vns_interior(inst))
 
 
-def _ear_in(wd, inst, fid):
+def _ear_in(inst, fid):
     """(smallest directed edge, ear) of face fid; the ear, read from that
     edge, is (e1, e2, internals) with every vertex but the boundary
     neighbors e1 and e2 of degree 2 and v_star not among them, or None."""
+    wd = inst.wd
     walk = wd.walk(fid)
     i = walk.index(min(walk))
     cyc = list(dict.fromkeys(a for a, _ in walk[i:] + walk[:i]))
@@ -511,35 +469,34 @@ def _ear_in(wd, inst, fid):
     return walk[i], None
 
 
-def _vns_ear(wd, inst):
+def _vns_ear(inst):
     """All vertices on the outer cycle: peel an inner face that is an
     ear, recurse, then cover the ear on its two faces.  The first face
     in order of smallest directed edge that holds an ear is peeled."""
     outer = inst.outer
-    ears = [(first, fid, ear) for fid in wd.rep if fid != outer
-            for first, ear in [_ear_in(wd, inst, fid)] if ear]
+    ears = [(first, fid, ear) for fid in inst.wd.rep if fid != outer
+            for first, ear in [_ear_in(inst, fid)] if ear]
     if not ears:
         raise InternalInvariantBreach("no removable ear face")
     _, fid, (e1, e2, internals) = min(ears)
-    rec = wd.cut(internals, outer, (e1, e2))
+    inst.wd.cut(internals, outer, (e1, e2))
     h = yield inst
-    wd.uncut(rec)
     for v in internals:
         h.add((v, fid))
         h.add((v, outer))
     return h
 
 
-def _vns_suppress(wd, inst, v, x, y):
+def _vns_suppress(inst, v, x, y):
     """Replace the path x-v-y by the edge x-y at the same rotation slot."""
+    wd = inst.wd
     f1 = wd.ef[(x, v)]
     f2 = wd.ef[(y, v)]
     if f1 == f2:
         raise InternalInvariantBreach("degree-2 vertex sees one face twice")
-    rec = wd.smooth(v, x, y, f1, f2)
-    inst.touched(wd, (x, y))
+    wd.smooth(v, x, y, f1, f2)
+    inst.touched((x, y))
     h = yield inst
-    wd.unsmooth(rec)
     h.add((v, f1))
     h.add((v, f2))
     return h
@@ -566,10 +523,10 @@ def _merges_to_cycle(wd, u):
     return steps == len(seen)
 
 
-def _vns_interior(wd, inst):
+def _vns_interior(inst):
     """Delete an interior vertex u; its faces merge into one face of
-    G - u, and the recursion's coverage of that face is redistributed
-    over the restored faces around u.
+    G - u, which takes theta[0]'s id, and the recursion's coverage of
+    that face is redistributed over the restored faces around u.
 
     Face theta[t] runs from u along paths[t], from the next neighbor of
     u to nbrs[t].  The merged face is a cycle, so each link vertex w
@@ -579,7 +536,11 @@ def _vns_interior(wd, inst):
     the merged face.  On two faces, u covers those two; on one face
     theta[j], u covers it and theta[j + 1], and the start s of path j,
     which ends path j + 1, moves from theta[j + 1] to theta[j].  Either
-    way every theta[t] misses exactly two vertices and u has degree 2."""
+    way every theta[t] misses exactly two vertices and u has degree 2.
+    Only link vertices lie on the merged face, and every incidence on it
+    is dropped before the restored ones are added, so reusing theta[0]'s
+    id leaves no trace in H."""
+    wd = inst.wd
     heap = inst.interior
     failed = []
     u = None
@@ -610,22 +571,20 @@ def _vns_interior(wd, inst):
                                           % (theta[t], u, nbrs[t], after))
         paths.append(pvs)
 
-    theta_u = wd.fresh
-    wd.fresh += 1
-    rec = wd.cut((u,), theta_u, (paths[0][0], paths[0][1]))
-    link_walk = wd.walk(theta_u)
+    merged = theta[0]
+    wd.cut((u,), merged, (paths[0][0], paths[0][1]))
+    link_walk = wd.walk(merged)
     link_vs = {a for a, _ in link_walk}
     if len(link_walk) != len(link_vs):
         raise InternalInvariantBreach("merged face around deleted vertex is not a cycle")
-    inst.touched(wd, nbrs)
+    inst.touched(nbrs)
 
     h = yield inst
-    wd.uncut(rec)
-    zs = sorted(w for w in link_vs if (w, theta_u) not in h)
+    zs = sorted(w for w in link_vs if (w, merged) not in h)
     if len(zs) != 2:
         raise InternalInvariantBreach("merged face %d misses %d link vertices, not two"
-                                      % (theta_u, len(zs)))
-    h.difference_update((w, theta_u) for w in link_vs)
+                                      % (merged, len(zs)))
+    h.difference_update((w, merged) for w in link_vs)
     where = {w: t for t in range(k) for w in paths[t][1:]}
     z1, z2 = zs
     i, j = where[z1], where[z2]
@@ -645,16 +604,17 @@ def _vns_interior(wd, inst):
     return h
 
 
-def _vns_leaf_block(wd, inst, blocks, cuts):
+def _vns_leaf_block(inst, blocks, cuts):
     """Split off a leaf block B at its cut vertex r.  B must hold the
     rest of the graph in a single one of its faces (that face plays the
     infinite face of B): the rest's neighbors of r form one run of r's
     rotation.  The mixed face of G passes from the run's last vertex a
-    through r to the next B-neighbor b; each side is cut out of the
-    drawing in turn, its share of the mixed face keeping the mixed
-    face's id.  Recurse on both sides and glue at r, dropping r's
-    block-side incidence when the other side left r uncovered on the
-    shared face, so r never exceeds degree 2."""
+    through r to the next B-neighbor b.  A copy of the drawing is cut
+    down to B and the drawing itself to the rest, each side's share of
+    the mixed face keeping the mixed face's id.  Recurse on both sides
+    and glue at r, dropping r's block-side incidence when the other side
+    left r uncovered on the shared face, so r never exceeds degree 2."""
+    wd = inst.wd
     outer_vs = set(wd.face_vertices(inst.outer))
     chosen = None
     for blk in sorted(blocks, key=lambda b: b[0]):
@@ -683,12 +643,11 @@ def _vns_leaf_block(wd, inst, blocks, cuts):
     inside, r, a, b = chosen
     mixed = wd.ef[(r, b)]
 
-    rec = wd.cut([v for v in wd.succ if v not in inside], mixed, (r, b))
-    hb = yield _Instance(wd, r, mixed, True)
-    wd.uncut(rec)
-    rec = wd.cut(inside - {r}, mixed, (a, r))
+    block = wd.copy()
+    block.cut([v for v in wd.succ if v not in inside], mixed, (r, b))
+    wd.cut(inside - {r}, mixed, (a, r))
+    hb = yield _Instance(block, r, mixed, True)
     h2 = yield _Instance(wd, inst.v_star, inst.outer, False)
-    wd.uncut(rec)
     if (r, mixed) not in h2:
         if (r, mixed) not in hb:
             raise InternalInvariantBreach("cut vertex %r is uncovered on both sides" % (r,))

@@ -135,3 +135,17 @@ def random_connected_planar(n, extra_edges, seed):
     rot = nx_planar_rotation(g)
     assert rot is not None
     return g, rot
+
+
+def triangle_chain(k):
+    """k triangles (2i, 2i+1, 2i+2) glued at their even vertices, drawn
+    along a line: evens on the axis, each odd vertex above its triangle's
+    base, so every vertex lies on the long face and each triangle's
+    inside is a face of its own."""
+    g = Graph(range(2 * k + 1), [e for i in range(k)
+                                 for e in ((2 * i, 2 * i + 1), (2 * i, 2 * i + 2),
+                                           (2 * i + 1, 2 * i + 2))])
+    # counterclockwise by angle: right, upper right, upper left, left
+    rot = {v: tuple(w for w in (v + 2, v + 1, v - 1, v - 2) if w in g.adj[v])
+           for v in g.vertices}
+    return g, rot

@@ -35,12 +35,13 @@ that the steps edit in place is compared with a rebuild after every
 step of those runs, of the planar drum march at quarter 60 and of the
 minor pipeline on the same drums at quarters 15, 30 and 60: same safe
 set, same cut vertices per unsafe component, same next (R1) pick.  very_nice_subgraph
-(one working drawing edited in place) is compared with the
-construction that rebuilt a PlaneGraph at every reduction: same H,
-with every reduction firing and the face test for deleting an
-interior vertex checked against 2-connectivity each time it runs; every
-inner face misses exactly two of its vertices, and the leaf-block pick
-passes over a block whose rest lies in two of its faces.
+(one working drawing cut down in place, copied at each leaf-block
+split) is compared with the construction that rebuilt a PlaneGraph at
+every reduction: same H, with every reduction firing and the face test
+for deleting an interior vertex checked against 2-connectivity each
+time it runs; every inner face misses exactly two of its vertices, the
+leaf-block pick passes over a block whose rest lies in two of its
+faces, and a chain of 60 triangles stacks 59 leaf-block splits.
 is_nice (one pass over h) is compared with the checker that rescanned
 h per face: same violations in the same order.  augment_visibility (one
 pass over the faces, one PlaneGraph built) is compared with the loop
@@ -75,7 +76,7 @@ import networkx as nx
 import pytest
 
 from corpus import connected_graph_classes, connected_graph_extensions, planar_classes, \
-    random_connected_planar
+    random_connected_planar, triangle_chain
 from oracles import _reverse_bfs_from, block_kind_by_subgraph, connectivity_by_deletion, \
     inner_face_misses, is_safe, recursive_dp_coloring, reference_augment_visibility, \
     reference_dp_f_colorable, reference_f_choosable, reference_find_dp_coloring, reference_finish, \
@@ -622,9 +623,12 @@ def very_nice_cases():
     """(plane graph, v_star): every planar class on 6 vertices, and a
     triangle with two pendant vertices at 0 drawn in two of its faces,
     under every outer face and outer v_star, seeded random planar graphs
-    on 20-30 vertices with 10-40 extra edges, and the hubs 2 and hubs 3
-    instances at rim 60.  The triangle is a leaf block whose rest lies in
-    two of its faces, so the leaf-block pick passes it over."""
+    on 20-30 vertices with 10-40 extra edges, the hubs 2 and hubs 3
+    instances at rim 60, and a chain of 60 triangles under its long
+    face and the faces of its first, middle and last triangle, with the
+    smallest outer v_star.  The triangle is a leaf block whose rest lies
+    in two of its faces, so the leaf-block pick passes it over; the
+    chain is 59 stacked leaf-block splits."""
     pendants = (Graph(range(5), [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4)]),
                 {0: (1, 3, 2, 4), 1: (2, 0), 2: (0, 1), 3: (0,), 4: (0,)})
     for g, rot in planar_classes(6) + [pendants]:
@@ -641,6 +645,12 @@ def very_nice_cases():
     for hubs in (2, 3):
         pg = generate_hub_instance(hubs, 60, 1)[0]
         yield pg, min(pg.face_vertices(pg.outer))
+    chain = PlaneGraph(*triangle_chain(60))
+    faces = {frozenset(chain.face_vertices(f)): f for f in range(chain.face_count())}
+    for outer in (range(121), (0, 1, 2), (60, 61, 62), (118, 119, 120)):
+        pg = PlaneGraph(chain.g, chain.rot)
+        pg.outer = faces[frozenset(outer)]
+        yield pg, min(outer)
 
 
 def test_very_nice_subgraph_matches_reference(monkeypatch):

@@ -5,12 +5,12 @@ import sys
 
 import pytest
 
-from corpus import planar_classes, random_connected_planar
+from corpus import planar_classes, random_connected_planar, triangle_chain
 from oracles import inner_face_misses, vertex_face_incidences
 
 import dpchroma
 from dpchroma import core_graph, plane_embed
-from dpchroma.core_graph import Graph, blocks_and_cut_vertices
+from dpchroma.core_graph import Graph, blocks_and_cut_vertices, is_connected
 from dpchroma.errors import NotConnected, PreconditionViolated
 from dpchroma.generators import generate_hub_instance
 from dpchroma.plane_embed import PlaneGraph, is_nice, very_nice_subgraph
@@ -131,11 +131,14 @@ def test_no_python_recursion_on_long_rims():
 
 
 def test_no_per_level_rebuild(monkeypatch):
-    """Full face traces and block decompositions per call do not grow
-    with the instance: a rebuild at every reduction would show here as
-    counts that quadruple from rim 60 to rim 240."""
-    calls = {"trace": 0, "blocks": 0}
+    """Full face traces, block decompositions and drawing copies per
+    call do not grow with the instance: a rebuild at every reduction
+    would show here as counts that quadruple from rim 60 to rim 240.
+    The hub instances are 2-connected, so nothing is copied; the chain
+    of 60 triangles copies once per leaf-block split."""
+    calls = {"trace": 0, "blocks": 0, "copy": 0, "split": 0}
     trace, blocks = PlaneGraph.__init__, core_graph.blocks_and_cut_vertices
+    copy, split = plane_embed._Drawing.copy, plane_embed._vns_leaf_block
 
     def counted_trace(self, *args):
         calls["trace"] += 1
@@ -145,43 +148,90 @@ def test_no_per_level_rebuild(monkeypatch):
         calls["blocks"] += 1
         return blocks(*args)
 
+    def counted_copy(wd):
+        calls["copy"] += 1
+        return copy(wd)
+
+    def counted_split(*args):
+        calls["split"] += 1
+        return (yield from split(*args))
+
     counts = []
-    for rim in (60, 240):
-        pg = generate_hub_instance(3, rim, 1)[0]
+    chain = PlaneGraph(*triangle_chain(60))
+    for pg in [generate_hub_instance(3, rim, 1)[0] for rim in (60, 240)] + [chain]:
         with monkeypatch.context() as m:
             m.setattr(PlaneGraph, "__init__", counted_trace)
             m.setattr(core_graph, "blocks_and_cut_vertices", counted_blocks)
+            m.setattr(plane_embed._Drawing, "copy", counted_copy)
+            m.setattr(plane_embed, "_vns_leaf_block", counted_split)
             very_nice_subgraph(pg, min(pg.face_vertices(pg.outer)))
         counts.append(dict(calls))
-        calls.update(trace=0, blocks=0)
-    assert counts[0] == counts[1], counts
+        calls.update(trace=0, blocks=0, copy=0, split=0)
+    assert counts[0] == counts[1] and counts[0]["copy"] == 0, counts
+    assert counts[2]["copy"] == counts[2]["split"] == 59, counts
 
 
-def test_undo_restores_the_working_drawing():
-    """Each surgery's undo record puts back every rotation link, head,
-    edge label and face representative, whatever the surgery cut."""
-    def state(wd):
-        return ({v: dict(s) for v, s in wd.succ.items()}, {v: dict(p) for v, p in wd.pred.items()},
-                dict(wd.head), dict(wd.ef), dict(wd.rep))
+def drawing_state(wd):
+    """Each face id's walk, and the rotations and edge labels, of a
+    working drawing; the walk is read from the face's rep."""
+    assert all(wd.pred[v][w] == u for v, nb in wd.succ.items() for u, w in nb.items())
+    walks = {f: wd.walk(f) for f in wd.rep}
+    assert wd.ef == {de: f for f, walk in walks.items() for de in walk}
+    return walks, {v: dict(nb) for v, nb in wd.succ.items()}
 
+
+def check_surgery(pg, wd, after, named, touched):
+    """wd, a drawing of pg after one surgery, draws after: the same face
+    walks as sets of directed edges.  Each face of pg that the surgery
+    did not touch keeps its id and walk; the others are the faces that
+    named maps to the directed edge their walks start from."""
+    walks, _ = drawing_state(wd)
+    assert sorted(map(sorted, walks.values())) == sorted(map(sorted, after.faces))
+    kept = [f for f in range(pg.face_count()) if f not in touched]
+    assert sorted(walks) == sorted(kept + list(named))
+    for f in kept:
+        assert walks[f] == list(pg.faces[f])
+    for f, rep in named.items():
+        assert walks[f][0] == rep
+
+
+def test_surgery_draws_the_smaller_graph():
+    """cut and smooth leave the drawing of the smaller graph, in the
+    caller's face ids, and a copy's surgery leaves the original as it
+    was."""
     cuts = smooths = 0
     for seed in range(8):
         pg = PlaneGraph(*random_connected_planar(10 + seed, seed % 4, seed))
-        wd = plane_embed._Drawing(pg)
-        before = state(wd)
+        whole = drawing_state(plane_embed._Drawing(pg))
         for v in sorted(pg.g.vertices):
             for dead in ({v}, {v} | set(sorted(pg.g.adj[v])[:1])):
-                left = [de for f in pg.faces_at(v) for de in pg.faces[f]
-                        if not dead & set(de)]
-                if left:
-                    wd.uncut(wd.cut(dead, wd.fresh, left[0]))
-                    assert state(wd) == before, (seed, dead)
-                    cuts += 1
+                rest = pg.g.vertices - dead
+                if not is_connected(pg.g.subgraph(rest)):
+                    continue
+                touched = {pg.face_of_directed_edge(*de) for d in dead
+                           for w in pg.g.adj[d] for de in ((d, w), (w, d))}
+                fid = max(touched)
+                rep = next(de for f in sorted(touched) for de in pg.faces[f]
+                           if not dead & set(de))
+                original = plane_embed._Drawing(pg)
+                wd = original.copy() if cuts % 2 else original
+                wd.cut(dead, fid, rep)
+                check_surgery(pg, wd, pg.restrict(rest), {fid: rep}, touched)
+                if wd is not original:
+                    assert drawing_state(original) == whole
+                cuts += 1
             if pg.g.degree(v) == 2:
                 x, y = sorted(pg.g.adj[v])
                 if not pg.g.has_edge(x, y):
+                    wd = plane_embed._Drawing(pg)
                     f1, f2 = wd.ef[(x, v)], wd.ef[(y, v)]
-                    wd.unsmooth(wd.smooth(v, x, y, f1, f2))
-                    assert state(wd) == before, (seed, v)
+                    wd.smooth(v, x, y, f1, f2)
+                    g = Graph(pg.g.vertices - {v}, [e for e in pg.g.edges() if v not in e]
+                              + [(x, y)])
+                    rot = {w: tuple({v: y if w == x else x}.get(a, a) for a in pg.rot[w])
+                           for w in g.vertices}
+                    smoothed = PlaneGraph(g, rot)
+                    # on a tree f1 is f2, and its walk starts at (y, x)
+                    check_surgery(pg, wd, smoothed, {f1: (x, y), f2: (y, x)}, {f1, f2})
                     smooths += 1
-    assert cuts > 150 and smooths > 10, (cuts, smooths)
+    assert cuts > 90 and smooths > 20, (cuts, smooths)
