@@ -195,11 +195,11 @@ def build_H() -> GadgetH:
     The edge set is a pinned reconstruction; the rows of verify_gadget
     are what certify it, and ReconstructionFailed names those that fail.
     """
-    bad = [name for name, ok in verify_gadget() if not ok]
+    g, lists, pg, rows = _checked_gadget()
+    bad = [name for name, ok in rows if not ok]
     if bad:
         raise ReconstructionFailed("gadget fails " + ", ".join(bad))
-    g, lists = gadget_h()
-    return GadgetH(g, lists, gadget_h_plane(), gadget_h_names())
+    return GadgetH(g, lists, pg, gadget_h_names())
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +256,18 @@ def _enumerate_claim(g, lists, prop):
 
 def verify_gadget():
     """Run every gadget check; list of (name, ok) rows."""
+    return _checked_gadget()[3]
+
+
+def _checked_gadget():
+    """(g, lists, pg, rows): the gadget, its drawing (None when it is
+    broken) and the rows of every gadget check, run on those objects."""
     g, lists = gadget_h()
     # one color at x and y, min(degree, 7) distinct ones elsewhere
     rows = [("list-sizes", len(lists[0]) == 1 and len(lists[1]) == 1
              and all(len(lists[v]) == min(g.degree(v), 7) for v in range(2, 28))
              and all(len(set(lists[v])) == len(lists[v]) for v in g.vertices))]
+    pg = None
     try:
         pg = gadget_h_plane()
         rows.append(("planar-embedding", pg.face_count() == 51
@@ -287,7 +294,7 @@ def verify_gadget():
     rows.append(("no-list-coloring", find_list_coloring(g, lists) is None))
     cover, _ = induced_cover(g, lists)
     rows.append(("no-cover-coloring", find_dp_coloring(cover) is None))
-    return rows
+    return g, lists, pg, rows
 
 
 # ---------------------------------------------------------------------------

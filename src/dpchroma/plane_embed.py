@@ -23,10 +23,11 @@ caller's face ids with no per-level re-trace or face-id map.  A step
 costs the face edges it reads plus the heap work that picks it, and an
 ear step reads every inner face once: near-linear on the hub instances,
 where each interior step reads a dozen face edges and the ear phase is
-about one step.  The block decomposition runs only
-where 2-connectivity is not known (at the top and on a leaf block's
-remainder); whether deleting an interior vertex keeps 2-connectivity is
-read off the merged face, which must visit no vertex twice.
+about one step.  A connected plane graph on at least 3 vertices is
+2-connected iff no face walk repeats a vertex, so the block search runs
+at the top only when an input face repeats one, and on every leaf
+block's remainder; an interior candidate's faces are walked once, for
+its test (the merged face visits no vertex twice) and its repair.
 
 Every inner face of the H so built misses exactly two of its vertices,
 by induction over the reductions: the base case (at most two vertices)
@@ -193,13 +194,19 @@ def write_plane(pg: PlaneGraph) -> str:
 # vertex-face incidence and nice subgraphs
 
 
+def _one_block(pg):
+    """Whether no face walk repeats a vertex: pg is 2-connected, K1 or K2."""
+    return all(len(dict(walk)) == len(walk) for walk in pg.faces)
+
+
 def is_nice(pg: PlaneGraph, h, very=None):
     """Check the covering-subgraph conditions; returns (ok, violations).
 
     h is a collection of (vertex, face id) incidence pairs.  With
     very=v_star the outer face must be fully covered and v_star must
     have degree exactly 1.  One pass over h groups it by face and
-    counts vertex degrees.
+    counts vertex degrees.  Blocks are searched only when pg is not
+    _one_block, since one block has no misses across blocks.
     """
     from .core_graph import blocks_and_cut_vertices
 
@@ -219,15 +226,16 @@ def is_nice(pg: PlaneGraph, h, very=None):
         if dv[v] > 2:
             viol.append("vertex %r covered %d times" % (v, dv[v]))
     in_blocks = {}
-    for i, blk in enumerate(blocks_and_cut_vertices(pg.g)[0]):
-        for v in blk:
-            in_blocks.setdefault(v, set()).add(i)
+    if not _one_block(pg):
+        for i, blk in enumerate(blocks_and_cut_vertices(pg.g)[0]):
+            for v in blk:
+                in_blocks.setdefault(v, set()).add(i)
     for fid in range(pg.face_count()):
         cov = covered.get(fid, ())
         uncovered = [v for v in face_vs[fid] if v not in cov]
         if len(uncovered) > 2:
             viol.append("face %d misses %d vertices" % (fid, len(uncovered)))
-        if uncovered and not in_blocks[uncovered[0]].intersection(
+        if uncovered and in_blocks and not in_blocks[uncovered[0]].intersection(
                 *(in_blocks[v] for v in uncovered[1:])):
             viol.append("face %d misses vertices across blocks: %r" % (fid, sorted(uncovered)))
     if very is not None:
@@ -304,9 +312,9 @@ class _Drawing:
             w = nxt[w]
         return out
 
-    def walk(self, fid):
-        """Face fid's walk, from its representative edge."""
-        de = self.rep[fid]
+    def walk(self, fid, de=None):
+        """Face fid's walk, from its edge de or its representative."""
+        de = de or self.rep[fid]
         if de is None:
             return []
         walk = [de]
@@ -324,20 +332,22 @@ class _Drawing:
     def graph(self):
         return Graph(self.succ, [(v, w) for v, nb in self.succ.items() for w in nb if v < w])
 
-    def cut(self, dead, fid, rep):
+    def cut(self, dead, fid, rep, walks=None):
         """Delete the vertices in dead, leaving a connected graph on at
         least two vertices.  What is left of the faces with an edge at
         dead is one face, which takes the id fid and rep, one of its
         edges: the surviving edges of the faces other than fid are
-        relabelled."""
+        relabelled, read from walks when the caller has their walks."""
         dead = set(dead)
         succ, pred, ef = self.succ, self.pred, self.ef
-        merged = {ef[de] for v in dead for w in succ[v] for de in ((v, w), (w, v))}
-        merged.discard(fid)
-        for f in merged:
-            for de in self.walk(f):
+        if walks is None:
+            merged = {ef[de] for v in dead for w in succ[v] for de in ((v, w), (w, v))}
+            merged.discard(fid)
+            walks = map(self.walk, merged)
+        for walk in walks:
+            del self.rep[ef[walk[0]]]
+            for de in walk:
                 ef[de] = fid
-            del self.rep[f]
         for v in dead:
             for w in succ.pop(v):
                 del ef[(v, w)]
@@ -409,7 +419,7 @@ def _vns(pg, v_star):
     before the cut, in the same face ids.  Depth grows with n, so no
     Python recursion.
     """
-    stack = [_vns_reduce(_Instance(_Drawing(pg), v_star, pg.outer, False))]
+    stack = [_vns_reduce(_Instance(_Drawing(pg), v_star, pg.outer, _one_block(pg)))]
     h = None
     while stack:
         try:
@@ -424,12 +434,12 @@ def _vns(pg, v_star):
 
 
 def _vns_reduce(inst):
-    from .core_graph import blocks_and_cut_vertices
-
     wd = inst.wd
     if len(wd.succ) <= 2:
         return {(v, fid) for fid in wd.rep for v in wd.face_vertices(fid)}
     if not inst.biconnected:
+        from .core_graph import blocks_and_cut_vertices
+
         blocks, cuts = blocks_and_cut_vertices(wd.graph())
         if len(blocks) > 1:
             return (yield from _vns_leaf_block(inst, blocks, cuts))
@@ -502,25 +512,19 @@ def _vns_suppress(inst, v, x, y):
     return h
 
 
-def _merges_to_cycle(wd, u):
-    """Whether G - u is 2-connected, for a 2-connected G and a vertex u
-    off the outer face: the faces around u merge into one, and a
-    connected plane graph on at least 3 vertices is 2-connected iff
-    every face is bounded by a cycle, so it is iff the merged walk
-    visits no vertex twice.  Each face around u is a cycle through u,
-    so that walk has sum(len - 2) steps over the faces' other
-    vertices."""
-    theta = [wd.ef[(w, u)] for w in wd.succ[u]]
+def _faces_around(wd, u):
+    """(nbrs, theta, walks) for u off the outer face of a 2-connected G,
+    or None when G - u is not 2-connected: nbrs is u's rotation, walks[t]
+    the walk of face theta[t] from (nbrs[t], u).  The faces around u
+    merge into one, so G - u is 2-connected iff that merged walk, the
+    heads of every walks[t][2:], visits no vertex twice."""
+    nbrs = wd.around(u)
+    theta = [wd.ef[(w, u)] for w in nbrs]
     if len(set(theta)) != len(theta):
         raise InternalInvariantBreach("faces around interior vertex repeat")
-    seen = set()
-    steps = 0
-    for f in theta:
-        walk = wd.walk(f)
-        steps += len(walk) - 2
-        seen.update(a for a, _ in walk)
-    seen.discard(u)
-    return steps == len(seen)
+    walks = [wd.walk(f, (w, u)) for f, w in zip(theta, nbrs)]
+    link = [b for walk in walks for _, b in walk[2:]]
+    return (nbrs, theta, walks) if len(set(link)) == len(link) else None
 
 
 def _vns_interior(inst):
@@ -543,36 +547,31 @@ def _vns_interior(inst):
     wd = inst.wd
     heap = inst.interior
     failed = []
-    u = None
+    found = None
     while heap:
-        cand = heapq.heappop(heap)
-        if cand not in wd.succ:
+        u = heapq.heappop(heap)
+        if u not in wd.succ:
             continue
-        if _merges_to_cycle(wd, cand):
-            u = cand
+        found = _faces_around(wd, u)
+        if found:
             break
-        failed.append(cand)
+        failed.append(u)
     for cand in failed:
         heapq.heappush(heap, cand)
-    if u is None:
+    if found is None:
         raise InternalInvariantBreach("no interior vertex with 2-connected remainder")
-    nbrs = wd.around(u)
+    nbrs, theta, walks = found
     k = len(nbrs)
-    theta = [wd.ef[(nbrs[t], u)] for t in range(k)]
     paths = []
-    for t in range(k):
-        wk = wd.walk(theta[t])
-        i = wk.index((nbrs[t], u))
-        rotated = wk[i + 1:] + wk[: i + 1]
-        pvs = [de[0] for de in rotated[1:]]
+    for t, walk in enumerate(walks):
         after = nbrs[(t + 1) % k]
-        if rotated[0] != (u, after) or (pvs[0], pvs[-1]) != (after, nbrs[t]):
+        if walk[1] != (u, after):
             raise InternalInvariantBreach("face %d does not leave %r between neighbors %r and %r"
                                           % (theta[t], u, nbrs[t], after))
-        paths.append(pvs)
+        paths.append([b for _, b in walk[1:]])
 
     merged = theta[0]
-    wd.cut((u,), merged, (paths[0][0], paths[0][1]))
+    wd.cut((u,), merged, (paths[0][0], paths[0][1]), walks[1:])
     link_walk = wd.walk(merged)
     link_vs = {a for a, _ in link_walk}
     if len(link_walk) != len(link_vs):

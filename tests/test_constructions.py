@@ -181,9 +181,29 @@ def test_build_H_validates_and_rejects(monkeypatch):
         with pytest.raises(ReconstructionFailed, match="^gadget fails planar-embedding$"):
             build_H()
     rows = [("list-sizes", False), ("three-connected", True), ("no-list-coloring", False)]
-    monkeypatch.setattr(constructions, "verify_gadget", lambda: rows)
+    g, lists = gadget_h()
+    monkeypatch.setattr(constructions, "_checked_gadget",
+                        lambda: (g, lists, gadget_h_plane(), rows))
     with pytest.raises(ReconstructionFailed, match="^gadget fails list-sizes, no-list-coloring$"):
         build_H()
+
+
+def test_build_H_builds_the_gadget_once(monkeypatch):
+    """build_H returns the objects its checks ran on: it builds the
+    gadget and its drawing no more often than verify_gadget does."""
+    calls = {"gadget_h": 0, "gadget_h_plane": 0}
+    for name in calls:
+        def counted(_build=getattr(constructions, name), _name=name):
+            calls[_name] += 1
+            return _build()
+        monkeypatch.setattr(constructions, name, counted)
+    assert all(ok for _, ok in verify_gadget())
+    alone = dict(calls)
+    calls.update(gadget_h=0, gadget_h_plane=0)
+    gh = build_H()
+    assert calls == alone and calls["gadget_h_plane"] == 1, (calls, alone)
+    g, lists = gadget_h()
+    assert (gh.g.vertices, gh.g.edges(), gh.lists) == (g.vertices, g.edges(), lists)
 
 
 def test_verify_counterexample_dispatch():

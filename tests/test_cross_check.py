@@ -619,6 +619,11 @@ def test_record_matches_rebuild_after_every_step(monkeypatch, name):
     assert name.startswith("minor-double") or any(ln.startswith("R1") for ln in trace)
 
 
+# a triangle with pendant vertices 3 and 4 at 0, drawn in two of its faces
+PENDANT_TRIANGLE = (Graph(range(5), [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4)]),
+                    {0: (1, 3, 2, 4), 1: (2, 0), 2: (0, 1), 3: (0,), 4: (0,)})
+
+
 def very_nice_cases():
     """(plane graph, v_star): every planar class on 6 vertices, and a
     triangle with two pendant vertices at 0 drawn in two of its faces,
@@ -629,9 +634,7 @@ def very_nice_cases():
     smallest outer v_star.  The triangle is a leaf block whose rest lies
     in two of its faces, so the leaf-block pick passes it over; the
     chain is 59 stacked leaf-block splits."""
-    pendants = (Graph(range(5), [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4)]),
-                {0: (1, 3, 2, 4), 1: (2, 0), 2: (0, 1), 3: (0,), 4: (0,)})
-    for g, rot in planar_classes(6) + [pendants]:
+    for g, rot in planar_classes(6) + [PENDANT_TRIANGLE]:
         for outer in range(PlaneGraph(g, rot).face_count()):
             pg = PlaneGraph(g, rot)
             pg.outer = outer
@@ -661,18 +664,18 @@ def test_very_nice_subgraph_matches_reference(monkeypatch):
             return (yield from _step(*args))
         monkeypatch.setattr(plane_embed, name, counted)
     face_tests = []
-    face_test = plane_embed._merges_to_cycle
+    face_test = plane_embed._faces_around
 
     def checked(wd, u):
         got = face_test(wd, u)
         g = Graph(wd.succ, [(a, b) for a in wd.succ for b in wd.succ[a] if a < b])
-        assert got == connectivity_at_least(g.without_vertex(u), 2), (g.edges(), u)
-        face_tests.append(got)
+        assert (got is not None) == connectivity_at_least(g.without_vertex(u), 2), (g.edges(), u)
+        face_tests.append(got is not None)
         return got
 
-    monkeypatch.setattr(plane_embed, "_merges_to_cycle", checked)
-    # an interior deletion reads one rotation, a leaf-block split one per
-    # block it tries: the surplus counts the blocks passed over
+    monkeypatch.setattr(plane_embed, "_faces_around", checked)
+    # each interior candidate's face test reads one rotation, a leaf-block
+    # split one per block it tries: the surplus counts the blocks passed over
     rotations = []
     around = plane_embed._Drawing.around
     monkeypatch.setattr(plane_embed._Drawing, "around",
@@ -689,7 +692,26 @@ def test_very_nice_subgraph_matches_reference(monkeypatch):
     assert ran > 1000
     assert min(fired.values()) > 0, fired
     assert set(face_tests) == {True, False}
-    assert len(rotations) - fired["_vns_interior"] - fired["_vns_leaf_block"] == 4
+    assert len(rotations) - len(face_tests) - fired["_vns_leaf_block"] == 4
+
+
+def test_face_walks_read_two_connectivity():
+    """No face walk repeats a vertex exactly when the block search finds
+    one block, on every drawing of very_nice_cases, a tree and the
+    pendant triangle; both answers occur."""
+    tree = (Graph(range(5), [(0, 1), (1, 2), (1, 3), (3, 4)]),
+            {0: (1,), 1: (0, 2, 3), 2: (1,), 3: (1, 4), 4: (3,)})
+    drawings = [PlaneGraph(*tree), PlaneGraph(*PENDANT_TRIANGLE)]
+    for pg, _ in very_nice_cases():
+        # the cases yield one drawing once per v_star, in a row
+        if pg is not drawings[-1]:
+            drawings.append(pg)
+    answers = []
+    for pg in drawings:
+        got = plane_embed._one_block(pg)
+        assert got == (len(blocks_and_cut_vertices(pg.g)[0]) == 1), (pg.g.edges(), pg.rot)
+        answers.append(got)
+    assert set(answers) == {True, False}, answers
 
 
 def augment_cases(rng):

@@ -134,8 +134,10 @@ def test_no_per_level_rebuild(monkeypatch):
     """Full face traces, block decompositions and drawing copies per
     call do not grow with the instance: a rebuild at every reduction
     would show here as counts that quadruple from rim 60 to rim 240.
-    The hub instances are 2-connected, so nothing is copied; the chain
-    of 60 triangles copies once per leaf-block split."""
+    The hub instances are 2-connected, which their faces show, so
+    nothing is copied and no block search runs; the chain of 60
+    triangles copies once per leaf-block split and searches its blocks
+    61 times: at the top, on each of the 59 remainders, and in is_nice."""
     calls = {"trace": 0, "blocks": 0, "copy": 0, "split": 0}
     trace, blocks = PlaneGraph.__init__, core_graph.blocks_and_cut_vertices
     copy, split = plane_embed._Drawing.copy, plane_embed._vns_leaf_block
@@ -167,8 +169,8 @@ def test_no_per_level_rebuild(monkeypatch):
             very_nice_subgraph(pg, min(pg.face_vertices(pg.outer)))
         counts.append(dict(calls))
         calls.update(trace=0, blocks=0, copy=0, split=0)
-    assert counts[0] == counts[1] and counts[0]["copy"] == 0, counts
-    assert counts[2]["copy"] == counts[2]["split"] == 59, counts
+    assert counts[0] == counts[1] and counts[0]["copy"] == counts[0]["blocks"] == 0, counts
+    assert counts[2]["copy"] == counts[2]["split"] == 59 and counts[2]["blocks"] == 61, counts
 
 
 def drawing_state(wd):
