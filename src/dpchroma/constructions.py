@@ -21,7 +21,7 @@ from collections import namedtuple
 from .core_graph import Graph, connectivity_at_least, is_connected
 from .dp_cover import induced_cover
 from .errors import InputError, InstanceTooLarge, ReconstructionFailed
-from .exact_oracle import find_dp_coloring, find_list_coloring
+from .exact_oracle import _coloring_masks, find_dp_coloring, find_list_coloring
 from .plane_embed import PlaneGraph
 
 # interior local indices (gadget ids are local + 2, after x = 0 and y = 1)
@@ -240,17 +240,29 @@ def cascade_instance():
 
 
 def _enumerate_claim(g, lists, prop):
-    """(total, proper, violations) over the full product of the lists."""
+    """(total, proper, violations) over the full product of the lists:
+    one bit per coloring (_coloring_masks over the sorted vertices), each
+    edge striking those where its ends wear equal tokens; prop runs only
+    on the survivors, decoded in mixed radix."""
     vs = sorted(g.vertices)
-    es = g.edges()
-    total = proper = bad = 0
-    for combo in itertools.product(*(lists[v] for v in vs)):
-        total += 1
-        col = dict(zip(vs, combo))
-        if all(col[u] != col[w] for u, w in es):
-            proper += 1
-            if not prop(col):
-                bad += 1
+    ls = [lists[v] for v in vs]
+    every, at = _coloring_masks([len(l) for l in ls])
+    total, pos = every.bit_length(), {v: i for i, v in enumerate(vs)}
+    for u, w in g.edges():
+        i, j = pos[u], pos[w]
+        for a, x in enumerate(ls[i]):
+            for b, y in enumerate(ls[j]):
+                if x == y:
+                    every &= ~(at[i][a] & at[j][b])
+    proper, bad = every.bit_count(), 0
+    while every:
+        k = (every & -every).bit_length() - 1
+        every &= every - 1
+        col = {}
+        for v, l in zip(vs, ls):
+            k, c = divmod(k, len(l))
+            col[v] = l[c]
+        bad += not prop(col)
     return total, proper, bad
 
 

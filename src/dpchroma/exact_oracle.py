@@ -112,10 +112,14 @@ def _refuted(cover: Cover):
 def _coloring_masks(sizes):
     """(every, at) over the prod(sizes) colorings of vertices 0, 1, ...
     (mixed radix, vertex 0 the lowest digit): every has all their bits
-    set, at[i][c] those of the colorings where i takes color c."""
+    set, at[i][c] those of the colorings where i takes color c.  An empty
+    list leaves no coloring: every and all masks are 0.  Callers: the
+    two quantified oracles and constructions._enumerate_claim."""
     total = 1
     for s in sizes:
         total *= s
+    if total == 0:
+        return 0, [[0] * s for s in sizes]
     at = []
     stride = 1
     for s in sizes:

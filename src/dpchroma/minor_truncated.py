@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .core_graph import (Graph, connected_components, connectivity_at_least,
-                         degeneracy_order, is_gdp_tree)
+                         degeneracy_order, is_complete_graph, is_gdp_tree)
 from .dp_cover import degree_dp_color
 from .errors import (DegreeBelowS, InstanceTooLarge, InternalInvariantBreach, ListTooSmall,
                      PeelBoundExceeded, PreconditionViolated)
@@ -203,7 +203,11 @@ def color_minor_truncated(g, c, params, trace=None):
                 % (len(v2), params.k))
         if not connectivity_at_least(g, params.s):
             raise PreconditionViolated("input graph is not %d-connected" % params.s)
-    if is_gdp_tree(g):
+        # g is one block on n > s >= 2 vertices, a cycle iff m == n
+        gdp_tree = is_complete_graph(g) or g.m == g.n
+    else:
+        gdp_tree = is_gdp_tree(g)
+    if gdp_tree:
         raise PreconditionViolated("GDP-trees are excluded")
     if params.s == 1:
         # K_{1,t}-minor-free caps the maximum degree below k, so the

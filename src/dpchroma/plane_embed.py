@@ -562,13 +562,7 @@ def _vns_interior(inst):
         raise InternalInvariantBreach("no interior vertex with 2-connected remainder")
     nbrs, theta, walks = found
     k = len(nbrs)
-    paths = []
-    for t, walk in enumerate(walks):
-        after = nbrs[(t + 1) % k]
-        if walk[1] != (u, after):
-            raise InternalInvariantBreach("face %d does not leave %r between neighbors %r and %r"
-                                          % (theta[t], u, nbrs[t], after))
-        paths.append([b for _, b in walk[1:]])
+    paths = [[b for _, b in walk[1:]] for walk in walks]
 
     merged = theta[0]
     wd.cut((u,), merged, (paths[0][0], paths[0][1]), walks[1:])

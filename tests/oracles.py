@@ -43,6 +43,10 @@ on the run's live lists: a renumbered residual cover of the whole
 uncolored rest, one sub-cover per component, each colored by
 degree_dp_color and mapped back through the renumbering; it pins the
 colorings finish returns, dict order included.
+reference_enumerate_claim is the gadget's claim counting as it was
+before the colorings became the bits of one int: one tuple and one dict
+per element of the product of the lists; it pins the three counts
+constructions._enumerate_claim returns.
 reference_parse_graph, reference_parse_cover, reference_parse_lists and
 reference_parse_plane (with _reference_token and reference_plane_graph)
 are the file parsers as they were before each made one pass: every
@@ -178,6 +182,21 @@ def raw_has_coloring(g, lists):
         if all(col[u] != col[w] for u, w in es):
             return True
     return False
+
+
+def reference_enumerate_claim(g, lists, prop):
+    """(total, proper, violations) over the full product of the lists."""
+    vs = sorted(g.vertices)
+    es = g.edges()
+    total = proper = bad = 0
+    for combo in itertools.product(*(lists[v] for v in vs)):
+        total += 1
+        col = dict(zip(vs, combo))
+        if all(col[u] != col[w] for u, w in es):
+            proper += 1
+            if not prop(col):
+                bad += 1
+    return total, proper, bad
 
 
 def raw_choosable(g, f, universe):

@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from oracles import reference_enumerate_claim
 
 from dpchroma import constructions
 from dpchroma.constructions import (
@@ -20,8 +22,9 @@ from dpchroma.constructions import (
     verify_gadget,
     w_gadget_instance,
 )
+from dpchroma.core_graph import Graph
 from dpchroma.errors import InstanceTooLarge, ReconstructionFailed
-from dpchroma.exact_oracle import find_list_coloring
+from dpchroma.exact_oracle import _coloring_masks, find_list_coloring
 
 
 def proper_colorings(g, lists):
@@ -82,6 +85,59 @@ def test_forcing_claim_brute_force():
 def test_cascade_claim_brute_force():
     g, lists = cascade_instance()
     assert proper_colorings(g, lists) == []
+
+
+def claim_cases():
+    """(g, lists, prop): the three claim instances under the props
+    verify_gadget gives them and under a prop that always fails, then 240
+    seeded graphs on 0-6 of the ids 0..9 whose lists of 0-3 tokens mix
+    str and int and may repeat a token or be empty, each under a prop
+    that fails when one vertex wears one token of its list."""
+    lo, hi = {1, 2}, {4, 5}
+    never = lambda c: False
+    for inst, prop in ((w_gadget_instance,
+                        lambda c: (c[2] in lo and c[5] in hi) or (c[2] in hi and c[5] in lo)),
+                       (forcing_instance, lambda c: c[3] == 5),
+                       (cascade_instance, never)):
+        g, lists = inst()
+        yield g, lists, prop
+        yield g, lists, never
+    rng = random.Random(33)
+    tokens = ["a", "b", 1, 2, 3]
+    for _ in range(240):
+        vs = rng.sample(range(10), rng.randint(0, 6))
+        es = [e for e in itertools.combinations(vs, 2) if rng.random() < 0.5]
+        lists = {v: [rng.choice(tokens) for _ in range(rng.randint(0, 3))] for v in vs}
+        worn = [(v, t) for v in vs for t in lists[v]]
+        v0, t0 = rng.choice(worn) if worn else (None, None)
+        yield Graph(vs, es), lists, lambda c, v0=v0, t0=t0: c.get(v0) != t0
+
+
+def test_claim_counting_matches_the_product():
+    """The mask count equals the product loop and the brute-force list of
+    proper colorings on every claim case; the cases include a repeated
+    token on an edge, an empty list, an isolated vertex, n = 0, a
+    violated prop and no proper coloring at all."""
+    seen = dict.fromkeys(("repeat", "empty", "isolated", "n0", "bad", "none"), 0)
+    for g, lists, prop in claim_cases():
+        got = constructions._enumerate_claim(g, lists, prop)
+        assert got == reference_enumerate_claim(g, lists, prop), (g.edges(), lists)
+        assert got[1] == len(proper_colorings(g, lists)), (g.edges(), lists)
+        seen["repeat"] += any(len(set(lists[v])) < len(lists[v]) and g.degree(v)
+                              for v in g.vertices)
+        seen["empty"] += any(not lists[v] for v in g.vertices)
+        seen["isolated"] += any(not g.degree(v) for v in g.vertices)
+        seen["n0"] += g.n == 0
+        seen["bad"] += got[2] > 0
+        seen["none"] += got[1] == 0
+    assert min(seen.values()) > 0, seen
+
+
+def test_an_empty_list_leaves_no_coloring():
+    assert _coloring_masks([2, 0, 3]) == (0, [[0, 0], [], [0, 0, 0]])
+    g = Graph(range(3), [(0, 1), (1, 2)])
+    assert constructions._enumerate_claim(g, {0: [1, 2], 1: [], 2: ["a"]},
+                                          lambda c: False) == (0, 0, 0)
 
 
 def test_gadget_not_list_colorable():

@@ -670,6 +670,12 @@ def test_very_nice_subgraph_matches_reference(monkeypatch):
         got = face_test(wd, u)
         g = Graph(wd.succ, [(a, b) for a in wd.succ for b in wd.succ[a] if a < b])
         assert (got is not None) == connectivity_at_least(g.without_vertex(u), 2), (g.edges(), u)
+        if got is not None:
+            # face theta[t] leaves u towards the next neighbor, so paths[t]
+            # runs from nbrs[t + 1] to nbrs[t]
+            nbrs, theta, walks = got
+            for t, walk in enumerate(walks):
+                assert walk[1] == (u, nbrs[(t + 1) % len(nbrs)]), (g.edges(), u, theta[t])
         face_tests.append(got is not None)
         return got
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from dpchroma import minor_truncated
 from dpchroma.core_graph import Graph, connected_components, degeneracy_order, is_gdp_tree
 from dpchroma.dp_cover import Cover, is_coloring_valid
 from dpchroma.errors import (DegreeBelowS, InstanceTooLarge, InternalInvariantBreach,
@@ -267,6 +268,31 @@ def test_color_minor_rejects():
         color_minor_truncated(g, Cover(g, short, {}), params)
     with pytest.raises(ValueError):
         color_minor_truncated(p4, cov, params)
+
+
+def test_gdp_tree_read_off_connectivity(monkeypatch):
+    """For s > 1 the GDP-tree test is read off the s-connectivity just
+    shown, so is_gdp_tree is never reached: C6 at s = 2 and K4 at s = 3
+    are still refused, and the drum and hubs-3 runs color as they do
+    unpatched (test_golden pins those colorings)."""
+    pg, hub_cov = generate_hub_instance(3, 30, 1)
+    runs = [drum_minor_instance(),
+            (pg.g, hub_cov, desk_params(3, 2, q=6, k=16, peel_bound=2, degeneracy_bound=1))]
+    want = [color_minor_truncated(g, cov, params) for g, cov, params in runs]
+
+    def unreachable(g):
+        raise AssertionError("is_gdp_tree called")
+
+    monkeypatch.setattr(minor_truncated, "is_gdp_tree", unreachable)
+    c6 = Graph(range(6), [(i, (i + 1) % 6) for i in range(6)])
+    k4 = Graph(range(4), [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    for g, s in ((c6, 2), (k4, 3)):
+        cov = Cover(g, {v: g.degree(v) for v in g.vertices}, {})
+        with pytest.raises(PreconditionViolated, match="^GDP-trees are excluded$"):
+            color_minor_truncated(g, cov, desk_params(s, 2, k=10))
+    got = [color_minor_truncated(g, cov, params) for g, cov, params in runs]
+    assert got == want
+    assert all(is_coloring_valid(cov, phi) for (_, cov, _), phi in zip(runs, got))
 
 
 def test_true_constants_refuse_high_degree_work():
