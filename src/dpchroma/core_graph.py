@@ -297,11 +297,8 @@ def degeneracy_order(g: Graph, d: int, groups=None):
     the given sequence.  Raises NotDegenerate(d) if some removal step
     only finds vertices of degree above d.
     """
-    if groups is None:
-        groups = [sorted(g.vertices)] if g.n else []
     order = []
-    for grp in groups:
-        sub = g.subgraph(grp)
+    for sub in [g] if groups is None else map(g.subgraph, groups):
         deg = {v: sub.degree(v) for v in sub.vertices}
         alive = set(sub.vertices)
         removed = []

@@ -145,7 +145,7 @@ def is_f_choosable(g: Graph, f):
     if g.n > 8:
         raise InstanceTooLarge("choosability oracle handles at most 8 vertices")
     comps = connected_components(g)
-    if len(comps) > 1:
+    if len(comps) != 1:
         for comp in comps:
             ok, cert = is_f_choosable(g.subgraph(comp), {v: f[v] for v in comp})
             if not ok:
@@ -154,8 +154,6 @@ def is_f_choosable(g: Graph, f):
                         cert[v] = list(range(f[v]))
                 _refuted(induced_cover(g, cert)[0])
                 return False, cert
-        return True, None
-    if g.n == 1:
         return True, None
     colorable, cuts = _surplus_cuts(g, f)
     if colorable:
@@ -331,7 +329,7 @@ def is_dp_f_colorable(g: Graph, f):
     if g.n > 8:
         raise InstanceTooLarge("DP oracle handles at most 8 vertices")
     comps = connected_components(g)
-    if len(comps) > 1:
+    if len(comps) != 1:
         for comp in comps:
             ok, cert = is_dp_f_colorable(g.subgraph(comp), {v: f[v] for v in comp})
             if not ok:

@@ -196,13 +196,13 @@ def color_minor_truncated(g, c, params, trace=None):
     instances that would engage it are refused unless params carries
     overridden values."""
     v1, v2 = entry_gate(g, c, params.k)
+    if params.s > 1 and v2 and not params.overridden:
+        raise InstanceTooLarge(
+            "%d vertices of degree >= %d; override the constants for desk scale"
+            % (len(v2), params.k))
+    if not connectivity_at_least(g, params.s):
+        raise PreconditionViolated("input graph is not %d-connected" % params.s)
     if params.s > 1:
-        if v2 and not params.overridden:
-            raise InstanceTooLarge(
-                "%d vertices of degree >= %d; override the constants for desk scale"
-                % (len(v2), params.k))
-        if not connectivity_at_least(g, params.s):
-            raise PreconditionViolated("input graph is not %d-connected" % params.s)
         # g is one block on n > s >= 2 vertices, a cycle iff m == n
         gdp_tree = is_complete_graph(g) or g.m == g.n
     else:

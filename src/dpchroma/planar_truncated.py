@@ -390,12 +390,12 @@ def finish(state):
     """Color the uncolored rest on the run's own lists and validate the total.
 
     Each uncolored vertex's colors left are recounted from phi and must
-    be the ones in state.avail.  With V2 colored, the rest splits into
-    the uncolored parts of the V1 components, which (R1) and (R2) left
-    safe; degree_dp_extend colors each, in the order of their smallest
-    vertices, straight on the input cover.  It picks the colors that
-    degree_dp_color picks on the residual cover, which numbers each
-    list's live colors in ascending order.
+    be the ones in state.avail.  With V2 colored, the rest is the
+    uncolored parts of state.comps, each connected by (C1) and left safe
+    by (R1) and (R2); degree_dp_extend colors each, in the order of
+    their smallest vertices, straight on the input cover.  It picks the
+    colors that degree_dp_color picks on the residual cover, which
+    numbers each list's live colors in ascending order.
     """
     cover = state.cover
     adj = cover.g.adj
@@ -411,22 +411,13 @@ def finish(state):
         if live != state.avail[v]:
             raise InternalInvariantBreach("availability drifted at %r" % (v,))
         avail[v] = live
-    seen = set()
-    for first in avail:
-        if first in seen:
-            continue
-        # the component of first in the rest: comp grows as it is read
-        comp = [first]
-        seen.add(first)
-        for v in comp:
-            for w in adj[v]:
-                if w in avail and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
+    parts = ([v for v in comp if v not in phi] for comp in state.comps)
+    # disjoint sorted parts: sorting them orders them by smallest vertex
+    for part in sorted(p for p in parts if p):
         try:
-            degree_dp_extend(cover, avail, phi, comp)
+            degree_dp_extend(cover, avail, phi, part)
         except GDPTreeTight:
-            raise GDPTreeTight("component %d was never made safe" % first)
+            raise GDPTreeTight("component %d was never made safe" % part[0])
     if not is_coloring_valid(cover, phi):
         raise InternalInvariantBreach("the finished coloring is not valid")
     return phi

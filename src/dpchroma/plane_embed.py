@@ -205,8 +205,9 @@ def is_nice(pg: PlaneGraph, h, very=None):
     h is a collection of (vertex, face id) incidence pairs.  With
     very=v_star the outer face must be fully covered and v_star must
     have degree exactly 1.  One pass over h groups it by face and
-    counts vertex degrees.  Blocks are searched only when pg is not
-    _one_block, since one block has no misses across blocks.
+    counts vertex degrees.  Blocks are searched only when some face
+    walk is longer than its vertex list, so repeats a vertex: one block
+    has no misses across blocks.
     """
     from .core_graph import blocks_and_cut_vertices
 
@@ -226,7 +227,7 @@ def is_nice(pg: PlaneGraph, h, very=None):
         if dv[v] > 2:
             viol.append("vertex %r covered %d times" % (v, dv[v]))
     in_blocks = {}
-    if not _one_block(pg):
+    if any(len(walk) > len(face_vs[fid]) for fid, walk in enumerate(pg.faces)):
         for i, blk in enumerate(blocks_and_cut_vertices(pg.g)[0]):
             for v in blk:
                 in_blocks.setdefault(v, set()).add(i)
@@ -389,7 +390,11 @@ class _Instance:
     vertices) and for deletion (vertices off the outer face).  A chain
     of interior deletions, suppressions and ear removals shares one
     instance; none of them moves a vertex onto the outer face, so the
-    second heap only loses vertices."""
+    second heap only loses vertices.  The rest of a leaf-block split
+    keeps its instance too: an instance not known to be 2-connected has
+    done only splits, so its heaps hold what fresh ones would, plus dead
+    vertices, skipped as they surface; a split moves no survivor on or
+    off the outer face and changes the degree of its cut vertex alone."""
 
     __slots__ = ("wd", "v_star", "outer", "biconnected", "deg2", "interior")
 
@@ -603,8 +608,9 @@ def _vns_leaf_block(inst, blocks, cuts):
     infinite face of B): the rest's neighbors of r form one run of r's
     rotation.  The mixed face of G passes from the run's last vertex a
     through r to the next B-neighbor b.  A copy of the drawing is cut
-    down to B and the drawing itself to the rest, each side's share of
-    the mixed face keeping the mixed face's id.  Recurse on both sides
+    down to B, in a fresh instance, and the drawing itself to the rest,
+    which keeps inst with r queued again; each side's share of the
+    mixed face keeps the mixed face's id.  Recurse on both sides
     and glue at r, dropping r's block-side incidence when the other side
     left r uncovered on the shared face, so r never exceeds degree 2."""
     wd = inst.wd
@@ -639,8 +645,9 @@ def _vns_leaf_block(inst, blocks, cuts):
     block = wd.copy()
     block.cut([v for v in wd.succ if v not in inside], mixed, (r, b))
     wd.cut(inside - {r}, mixed, (a, r))
+    inst.touched((r,))
     hb = yield _Instance(block, r, mixed, True)
-    h2 = yield _Instance(wd, inst.v_star, inst.outer, False)
+    h2 = yield inst
     if (r, mixed) not in h2:
         if (r, mixed) not in hb:
             raise InternalInvariantBreach("cut vertex %r is uncovered on both sides" % (r,))

@@ -285,6 +285,33 @@ def test_color_minor_refuses_s_past_the_vertex_count(tmp_path, capsys):
     assert capsys.readouterr().err == "error: input graph is not 1500-connected\n"
 
 
+@pytest.mark.parametrize("graph, lists", [("v 3\ne 0 1\n", "L 0 1\nL 1 1\nL 2 1\n"),
+                                          ("v 1\n", "L 0 1\n")])
+def test_color_minor_s1_refuses_a_graph_that_is_not_connected(tmp_path, capsys, graph, lists):
+    # K1 has too few vertices to be 1-connected, as n <= s refuses for s > 1
+    (tmp_path / "g").write_text(graph)
+    (tmp_path / "c").write_text(lists)
+    assert main(["color-minor", "--graph", str(tmp_path / "g"), "--cover", str(tmp_path / "c"),
+                 "--s", "1", "--t", "2"]) == 2
+    assert capsys.readouterr().err == "error: input graph is not 1-connected\n"
+
+
+def test_nice_vstar_pins_a_rim_vertex_and_refuses_the_hub(tmp_path, capsys):
+    pre = str(tmp_path / "w")
+    assert main(["gen", "--hubs", "1", "--rim", "16", "--seed", "1", "--out", pre]) == 0
+    capsys.readouterr()
+    assert main(["nice", "--embed", pre + ".plane", "--vstar", "3"]) == 0
+    at = [ln for ln in capsys.readouterr().out.splitlines() if ln.split()[2] == "3"]
+    assert len(at) == 1, at
+    assert main(["nice", "--embed", pre + ".plane", "--vstar", "16"]) == 2
+    assert capsys.readouterr().err == "error: v_star 16 not on the outer face\n"
+
+
+def test_gen_refuses_a_rim_too_short_for_its_hubs():
+    with pytest.raises(errors.GenerationFailed, match="^rim 3 is too short for 3 hubs$"):
+        generate_hub_instance(3, 3, 1)
+
+
 def test_color_minor_drum_below_the_regime_exits_3(tmp_path, capsys):
     # q=6 is one below the regime bound peel * (s + t - 1) + 1 = 7
     pre = str(tmp_path / "drum")

@@ -270,6 +270,20 @@ def test_verify_counterexample_dispatch():
     assert (g.n, g.m) == (1094, 3276)
 
 
+def test_family_parameters_out_of_range_are_refused():
+    with pytest.raises(ValueError, match="^need k >= 1$"):
+        build_k2_k2(0)
+    for s, k in ((1, 2), (2, 0)):
+        with pytest.raises(ValueError, match="^need s >= 2 and k >= 1$"):
+            build_ks_minus1(s, k)
+    with pytest.raises(ValueError, match="^k2k2 needs k >= 1$"):
+        verify_counterexample("k2k2")
+    with pytest.raises(ValueError, match="^ks needs s and k$"):
+        verify_counterexample("ks", k=3)
+    with pytest.raises(ValueError, match="^unknown family 'G43'$"):
+        verify_counterexample("G43")
+
+
 def test_verify_g42_gives_45_ok_rows():
     rows = verify_counterexample("G42")
     assert len(rows) == 45 and all(ok for _, ok in rows)

@@ -189,6 +189,24 @@ def test_disconnected_inputs():
     assert is_dp_f_colorable(g, f2)[0] is True
 
 
+def test_empty_graph_and_single_vertex():
+    """n = 0 has no component to decide and is colorable; K1 is colorable
+    from any non-empty list, and its degree 0 gives it an empty one."""
+    empty = Graph([], [])
+    for oracle in (is_f_choosable, is_dp_f_colorable):
+        assert oracle(empty, {}) == (True, None)
+    for oracle in (is_degree_choosable, is_degree_dp_colorable):
+        assert oracle(empty) == (True, None)
+    single = Graph([0], [])
+    for oracle in (is_f_choosable, is_dp_f_colorable):
+        for f in (1, 3):
+            assert oracle(single, {0: f}) == (True, None)
+    ok, cert = is_degree_choosable(single)
+    assert not ok and cert == {0: []}
+    ok, cover = is_degree_dp_colorable(single)
+    assert not ok and cover.sizes == {0: 0}
+
+
 def test_size_guards(monkeypatch):
     g = complete(9)
     with pytest.raises(InstanceTooLarge, match="at most 8 vertices"):

@@ -428,7 +428,7 @@ def test_step_r1_nomove_when_all_safe():
 def test_finish_rejects_desafed_state():
     p3 = Graph(range(3), [(0, 1), (1, 2)])
     cover = Cover(p3, {0: 1, 1: 2, 2: 1}, {(0, 1): [(0, 0)], (1, 2): [(1, 0)]})
-    state = SimpleNamespace(v2=frozenset(), phi={}, cover=cover,
+    state = SimpleNamespace(v2=frozenset(), phi={}, cover=cover, comps=((0, 1, 2),),
                             avail={v: set(range(cover.sizes[v])) for v in range(3)})
     with pytest.raises(GDPTreeTight):
         finish(state)
@@ -527,7 +527,8 @@ def two_component_close():
     avail = {v: set(range(sizes[v])) for v in g.vertices}
     avail[5].discard(0)
     avail[12].discard(0)
-    return SimpleNamespace(v2=frozenset({11}), phi={11: (11, 0)}, cover=cover, avail=avail)
+    return SimpleNamespace(v2=frozenset({11}), phi={11: (11, 0)}, cover=cover, avail=avail,
+                           comps=(tuple(range(11)), (12, 13, 14)))
 
 
 def test_finish_searches_the_awkward_block_alone(monkeypatch):
