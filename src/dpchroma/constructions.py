@@ -302,7 +302,8 @@ def _checked_gadget():
     total, proper, bad = _enumerate_claim(g3, l3, lambda c: False)
     rows.append(("cascade-claim", total == 405 and proper == 0))
 
-    # find_list_coloring searches the induced cover: one search answers both rows
+    # the list search runs on the induced cover's strike table, filled from
+    # the lists: one strike table answers both rows
     refuted = find_list_coloring(g, lists) is None
     rows += [("no-list-coloring", refuted), ("no-cover-coloring", refuted)]
     return g, lists, pg, rows

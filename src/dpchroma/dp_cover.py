@@ -4,7 +4,10 @@ A cover assigns each vertex v a list of colors, represented as pairs
 (v, 0), ..., (v, size-1), and each edge a partial matching between the
 two endpoint lists.  A coloring picks one color per vertex avoiding
 matched pairs across edges.  List coloring is the special case where
-colors sharing a token are matched (induced_cover).
+colors sharing a token are matched (induced_cover).  A list search runs
+on the induced cover's strike table, built straight from the lists
+(_list_coloring): the exact search reads only that table, so no Cover
+is built on the way.
 """
 
 from __future__ import annotations
@@ -105,50 +108,64 @@ def find_dp_coloring(cover: Cover, budget=None):
     colored.
     """
     adj = cover.g.adj
-    # vertices by index in vertex order, so the least index in a bucket
-    # is its smallest vertex
     order = sorted(adj)
     index = {v: x for x, v in enumerate(order)}
-    deg = [len(adj[v]) for v in order]
     sizes = [cover.sizes[v] for v in order]
     if 0 in sizes:
         return None
-    # rows[d][c]: the uncolored vertices of degree d with c colors left
-    # (c = 0 only inside a dead attempt).  Equal ratios c / d share one
-    # bucket, keyed c * scale // d on ints, so buckets, in ascending key,
-    # has the pick's vertices in its first non-empty bucket
-    classes = set(deg)
-    # the lcm is 0 when some vertex has degree 0: then take it over the rest
-    scale = math.lcm(*classes) or math.lcm(*classes - {0})
-    counts = range(max(sizes, default=0) + 1)
-    ratio = {}
     rows = {}
-    for d in classes:
-        if d:
-            rows[d] = [ratio.setdefault(c * scale // d, set()) for c in counts]
-        else:
-            # degree 0 comes last: its vertices share the bucket keyed inf
-            last = ratio.setdefault(math.inf, set())
-            rows[d] = [ratio.setdefault(0, set())] + [last] * (len(counts) - 1)
-    ratio.pop(0, None)  # empty whenever the pick reads the buckets
-    buckets = list(map(ratio.get, sorted(ratio)))
-    row = list(map(rows.get, deg))
-    for x, s in enumerate(sizes):
-        row[x][s].add(x)
-    # avail[x] is a bitmask of x's colors left (0 while x is colored, so
-    # no strike reaches it).  Color j of x has slot base[x] + j:
-    # strikes[slot] lists the (neighbor, bit, slot, neighbor's row)
-    # tuples that the color rules out, and by[slot] is the stack level
-    # that struck it (stale while it is not struck)
-    avail = [(1 << s) - 1 for s in sizes]
+    row = [rows.setdefault(len(adj[v]), []) for v in order]
     base = list(itertools.accumulate(sizes, initial=0))
-    by = [0] * base[-1]
-    strikes = [[] for _ in by]
+    strikes = [[] for _ in range(base[-1])]
     for (v, u), match in cover._m.items():
         at, y = base[index[v]], index[u]
         cells, b = row[y], base[y]
         for i, j in match.items():
             strikes[at + i].append((y, 1 << j, b + j, cells))
+    stack = _search(sizes, rows, row, base, strikes, budget)
+    if stack is None:
+        return None
+    return {order[y]: (order[y], i) for y, i, _, _, _, _ in stack}
+
+
+def _search(sizes, rows, row, base, strikes, budget):
+    """find_dp_coloring's search on a strike table: its stack once every
+    vertex is colored, or None.
+
+    Vertex x is the x-th smallest, so the least index in a bucket is
+    its smallest vertex, and sizes[x] counts its colors.  Color j of x
+    has slot base[x] + j, and strikes[slot] lists the (neighbor, bit,
+    slot, neighbor's row) tuples that the color rules out, in the order
+    an attempt strikes them: an attempt stops at the first neighbor it
+    leaves no color, so the order reaches the blame.  row[x] is the one
+    list for every vertex of x's degree, and rows maps each degree to
+    it; a set-up hands them over empty, so that its strikes can name
+    them, and they are filled here.
+    """
+    # rows[d][c]: the uncolored vertices of degree d with c colors left
+    # (c = 0 only inside a dead attempt).  Equal ratios c / d share one
+    # bucket, keyed c * scale // d on ints, so buckets, in ascending key,
+    # has the pick's vertices in its first non-empty bucket
+    # the lcm is 0 when some vertex has degree 0: then take it over the rest
+    scale = math.lcm(*rows) or math.lcm(*rows.keys() - {0})
+    counts = range(max(sizes, default=0) + 1)
+    ratio = {}
+    for d, cells in rows.items():
+        if d:
+            cells += [ratio.setdefault(c * scale // d, set()) for c in counts]
+        else:
+            # degree 0 comes last: its vertices share the bucket keyed inf
+            last = ratio.setdefault(math.inf, set())
+            cells += [ratio.setdefault(0, set())] + [last] * (len(counts) - 1)
+    ratio.pop(0, None)  # empty whenever the pick reads the buckets
+    buckets = list(map(ratio.get, sorted(ratio)))
+    for x, s in enumerate(sizes):
+        row[x][s].add(x)
+    # avail[x] is a bitmask of x's colors left (0 while x is colored, so
+    # no strike reaches it), and by[slot] is the stack level that struck
+    # the slot's color (stale while it is not struck)
+    avail = [(1 << s) - 1 for s in sizes]
+    by = [0] * base[-1]
     # (vertex, color, colors still to try, struck tuples, full mask,
     # levels blamed so far)
     stack = []
@@ -160,7 +177,7 @@ def find_dp_coloring(cover: Cover, budget=None):
                 if bucket:
                     break
             else:
-                return {order[y]: (order[y], i) for y, i, _, _, _, _ in stack}
+                return stack
             x = min(bucket)
             bucket.remove(x)
             rest = full = avail[x]
@@ -296,20 +313,14 @@ def token_sort_key(tok):
     return (isinstance(tok, str), tok)
 
 
-def induced_cover(g: Graph, lists):
-    """Cover induced by a list assignment.
-
-    lists maps each vertex (and nothing else: ValueError) to an iterable
-    of distinct hashable tokens.  Colors of adjacent vertices are
-    matched iff their tokens are equal.
-    Returns (cover, tokens) where tokens[v] is the sorted token list, so
-    color (v, i) stands for tokens[v][i].
-    """
+def _sorted_tokens(g: Graph, lists):
+    """Each vertex's list sorted in token_sort_key order, keyed in vertex
+    order.  lists maps each vertex (and nothing else: ValueError) to an
+    iterable of distinct hashable tokens."""
     extra = set(lists) - g.vertices
     if extra:
         raise ValueError("list for vertex %r, which is not in the graph" % (min(extra),))
     tokens = {}
-    pos = {}
     for v in sorted(g.vertices):
         if v not in lists:
             raise ValueError("no list for vertex %r" % (v,))
@@ -323,7 +334,20 @@ def induced_cover(g: Graph, lists):
         except TypeError:
             ts.sort(key=token_sort_key)
         tokens[v] = ts
-        pos[v] = {t: j for j, t in enumerate(ts)}
+    return tokens
+
+
+def induced_cover(g: Graph, lists):
+    """Cover induced by a list assignment.
+
+    lists maps each vertex (and nothing else: ValueError) to an iterable
+    of distinct hashable tokens.  Colors of adjacent vertices are
+    matched iff their tokens are equal.
+    Returns (cover, tokens) where tokens[v] is the sorted token list, so
+    color (v, i) stands for tokens[v][i].
+    """
+    tokens = _sorted_tokens(g, lists)
+    pos = {v: {t: j for j, t in enumerate(ts)} for v, ts in tokens.items()}
     # the matchings as Cover stores them, each edge both ways; tokens
     # are distinct within a list, so they are matchings by construction
     # and Cover's checks are skipped, as Graph.subgraph skips Graph's
@@ -339,6 +363,42 @@ def induced_cover(g: Graph, lists):
     cover.sizes = {v: len(tokens[v]) for v in g.vertices}
     cover._m = m
     return cover, tokens
+
+
+def _list_coloring(g: Graph, lists, budget):
+    """Token coloring of g from explicit lists, or None: find_dp_coloring
+    on the induced cover, with the strike table filled from the lists.
+
+    The ValueErrors are induced_cover's.  Each edge strikes both ways,
+    edges in sorted order, so each slot lists its neighbors in
+    ascending order, as on the induced cover.
+    """
+    tokens = _sorted_tokens(g, lists)
+    adj = g.adj
+    sizes = [len(ts) for ts in tokens.values()]
+    if 0 in sizes:
+        return None
+    rows = {}
+    row = [rows.setdefault(len(adj[v]), []) for v in tokens]
+    base = list(itertools.accumulate(sizes, initial=0))
+    strikes = [[] for _ in range(base[-1])]
+    # hit[v][t]: the strike on v's color of token t
+    hit = {}
+    for x, (v, ts) in enumerate(tokens.items()):
+        b, cells = base[x], row[x]
+        hit[v] = {t: (x, 1 << j, b + j, cells) for j, t in enumerate(ts)}
+    for u, w in g.edges():
+        hit_w = hit[w]
+        for t, at_u in hit[u].items():
+            at_w = hit_w.get(t)
+            if at_w is not None:
+                strikes[at_u[2]].append(at_w)
+                strikes[at_w[2]].append(at_u)
+    stack = _search(sizes, rows, row, base, strikes, budget)
+    if stack is None:
+        return None
+    vs, named = list(tokens), list(tokens.values())
+    return {vs[y]: named[y][i] for y, i, _, _, _, _ in stack}
 
 
 class _Parsed(dict):

@@ -53,8 +53,8 @@ plain solver before being returned; a certificate that the solver
 colors raises InternalInvariantBreach.  Instances past the budget guards
 raise InstanceTooLarge: more than 8 vertices, more than 30,000,000
 covers, or a list enumeration past DEFAULT_SOLVE_BUDGET nodes (one per
-partial list assignment visited; the cap solve_list puts on
-find_dp_coloring).
+partial list assignment visited; the cap solve_list puts on its
+search).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import itertools
 import math
 
 from .core_graph import Graph, bfs_parents, blocks_and_cut_vertices, connected_components
-from .dp_cover import Cover, find_dp_coloring, induced_cover
+from .dp_cover import Cover, _list_coloring, find_dp_coloring, induced_cover
 from .errors import InstanceTooLarge, InternalInvariantBreach
 
 
@@ -73,15 +73,12 @@ DEFAULT_SOLVE_BUDGET = 5_000_000
 def solve_list(g: Graph, lists, budget=DEFAULT_SOLVE_BUDGET):
     """Token coloring of g from explicit lists, or None.
 
-    Decided on the induced cover, so the verdict agrees with
-    find_dp_coloring by construction.  Passing budget=None lifts the
-    node cap.
+    find_dp_coloring's search on the induced cover's strike table,
+    filled straight from the lists, so the verdict, the witness and the
+    color attempts are those of find_dp_coloring on induced_cover(g,
+    lists).  Passing budget=None lifts the node cap.
     """
-    cover, tokens = induced_cover(g, lists)
-    col = find_dp_coloring(cover, budget=budget)
-    if col is None:
-        return None
-    return {v: tokens[v][i] for v, (_, i) in col.items()}
+    return _list_coloring(g, lists, budget)
 
 
 def find_list_coloring(g: Graph, lists):

@@ -47,6 +47,11 @@ reference_enumerate_claim is the gadget's claim counting as it was
 before the colorings became the bits of one int: one tuple and one dict
 per element of the product of the lists; it pins the three counts
 constructions._enumerate_claim returns.
+reference_solve_list is the list search as it was before the strike
+table was filled straight from the lists: induced_cover, then
+find_dp_coloring on the cover, then each color mapped to its token; it
+pins the list search's witnesses, their order, its color attempts and
+its errors.
 reference_parse_graph, reference_parse_cover, reference_parse_lists and
 reference_parse_plane (with _reference_token and reference_plane_graph)
 are the file parsers as they were before each made one pass: every
@@ -63,11 +68,12 @@ from collections import defaultdict
 
 from dpchroma.core_graph import (Graph, bfs_parents, blocks_and_cut_vertices, connected_components,
                                  connectivity_at_least, is_complete_graph, is_connected, is_gdp_tree)
-from dpchroma.dp_cover import (Cover, degree_dp_color, induced_cover, is_coloring_valid,
-                               residual_cover)
+from dpchroma.dp_cover import (Cover, degree_dp_color, find_dp_coloring, induced_cover,
+                               is_coloring_valid, residual_cover)
 from dpchroma.errors import (BadRotation, GDPTreeTight, InstanceTooLarge, InternalInvariantBreach,
                              MalformedInput, NotConnected, PreconditionViolated)
-from dpchroma.exact_oracle import _maximal_matchings, _refuted, _tree_forms
+from dpchroma.exact_oracle import (DEFAULT_SOLVE_BUDGET, _maximal_matchings, _refuted,
+                                   _tree_forms)
 from dpchroma.plane_embed import PlaneGraph
 
 
@@ -197,6 +203,14 @@ def reference_enumerate_claim(g, lists, prop):
             if not prop(col):
                 bad += 1
     return total, proper, bad
+
+
+def reference_solve_list(g: Graph, lists, budget=DEFAULT_SOLVE_BUDGET):
+    cover, tokens = induced_cover(g, lists)
+    col = find_dp_coloring(cover, budget=budget)
+    if col is None:
+        return None
+    return {v: tokens[v][i] for v, (_, i) in col.items()}
 
 
 def raw_choosable(g, f, universe):

@@ -24,6 +24,12 @@ scanned buckets by colors left alone, on random covers with empty
 lists and isolated vertices, on covers whose picks tie across degree
 classes, on the chain cases and on K_{2,36}: same witnesses in the
 same order, and the same number of color attempts, to the one.
+The list search, which fills the strike table straight from the lists,
+is compared with induced_cover followed by the cover search, on seeded
+mixed-token lists, the chain cases, H, K_{2,4}, K_{2,36}, the ks
+instance and 2-list paths up to 5,000 vertices: same witnesses in the
+same order, the same color attempts and budget trips, and the same
+ValueError on bad lists.
 The quantified oracles (surviving colorings kept as one bitmask per
 search node) are compared with the versions that re-searched the
 colorings at every leaf: same verdicts, same bad lists, same bad
@@ -80,15 +86,17 @@ from corpus import connected_graph_classes, connected_graph_extensions, planar_c
 from oracles import _reverse_bfs_from, block_kind_by_subgraph, connectivity_by_deletion, \
     inner_face_misses, is_safe, recursive_dp_coloring, reference_augment_visibility, \
     reference_dp_f_colorable, reference_f_choosable, reference_find_dp_coloring, reference_finish, \
-    reference_is_nice, reference_very_nice_subgraph, subgraph_by_edge_filter, \
+    reference_is_nice, reference_solve_list, reference_very_nice_subgraph, \
+    subgraph_by_edge_filter, \
     three_connected_by_low_point, vertex_face_incidences
 from dpchroma import dp_cover, minor_truncated, plane_embed, planar_truncated
-from dpchroma.constructions import build_G42, build_k2_k2, chain_case, gadget_h_plane
+from dpchroma.constructions import (build_G42, build_k2_k2, build_ks_minus1, chain_case,
+                                    gadget_h, gadget_h_plane)
 from dpchroma.core_graph import (Graph, bfs_parents, block_kind, blocks_and_cut_vertices,
                                  connectivity_at_least)
 from dpchroma.dp_cover import Cover, degree_truncated_sizes, find_dp_coloring, induced_cover
 from dpchroma.errors import InstanceTooLarge
-from dpchroma.exact_oracle import is_dp_f_colorable, is_f_choosable
+from dpchroma.exact_oracle import is_dp_f_colorable, is_f_choosable, solve_list
 from dpchroma.generators import (Xorshift64Star, drum_forcing_cover, drum_plane,
                                  generate_hub_instance, random_tight_matchings)
 from dpchroma.minor_truncated import color_minor_truncated
@@ -312,12 +320,16 @@ def test_block_kind_matches_subgraph_reference():
     assert kinds == {"complete", "cycle", None}
 
 
-def search_outcome(search, cover, budget):
-    """("witness", items in order), ("none",) or ("trip", message)."""
+def search_outcome(search, *args):
+    """("witness", items in order), ("none",), ("trip", message) or
+    ("error", message) of search(*args): a cover and a budget, or a
+    graph, its lists and a budget."""
     try:
-        col = search(cover, budget)
+        col = search(*args)
     except InstanceTooLarge as exc:
         return ("trip", str(exc))
+    except ValueError as exc:
+        return ("error", str(exc))
     return ("none",) if col is None else ("witness", list(col.items()))
 
 
@@ -507,6 +519,83 @@ def test_search_matches_reference_search():
         seen.add(want is None)
     assert seen == {"degree 0", "empty list", True, False}
     assert ties >= 50, ties
+
+
+def list_instances():
+    """Seeded list assignments on 0-9 vertices, half of them under sparse
+    ids, each list 0-5 tokens out of four ints and three strings (empty
+    with chance 0.03); seeded list assignments on 5-12 vertices, 1-3 of
+    them hubs joined to nearly all others, where a color attempt can
+    take the last color of two neighbors, so the order of a slot's
+    strikes decides which one is blamed and can change the attempt
+    count; the 42 chain cases; H; K_{2,4} and K_{2,36} with
+    their lists; the ks instance at s = k = 3; and 2-list paths of 250,
+    500 and 5,000 vertices."""
+    rng = random.Random(35)
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        g = Graph(range(n), [e for e in itertools.combinations(range(n), 2)
+                             if rng.random() < 0.35])
+        lists = {v: rng.sample((0, 1, 2, 3, "a", "b", "c"),
+                               0 if rng.random() < 0.03 else rng.randint(1, 5))
+                 for v in g.vertices}
+        yield relabelled_lists(g, lists, rng) if rng.random() < 0.5 else (g, lists)
+    for _ in range(3000):
+        n = rng.randint(5, 12)
+        hubs = rng.randint(1, 3)
+        p = rng.choice((0.15, 0.25, 0.35))
+        g = Graph(range(n), [(u, w) for u, w in itertools.combinations(range(n), 2)
+                             if rng.random() < (0.9 if u < hubs else p)])
+        tokens = range(rng.randint(2, 4))
+        yield g, {v: rng.sample(tokens, rng.randint(1, len(tokens))) for v in g.vertices}
+    for i in range(42):
+        yield chain_case(i)
+    yield gadget_h()
+    yield build_k2_k2(2)
+    yield build_k2_k2(6)
+    yield build_ks_minus1(3, 3)
+    for n in (250, 500, 5000):
+        yield (Graph(range(n), [(i, i + 1) for i in range(n - 1)]),
+               {v: ["a", "b"] for v in range(n)})
+
+
+def test_list_search_matches_induced_cover_search():
+    """solve_list against the search it replaced, induced_cover and then
+    find_dp_coloring: the same witness in the same order, and the same
+    number of color attempts n, checked as the budget the list search
+    answers under while n - 1 trips both with the same message; on bad
+    lists, the same ValueError."""
+    seen = set()
+    for g, lists in list_instances():
+        budget = CountingBudget()
+        want = search_outcome(reference_solve_list, g, lists, budget)
+        attempts = budget.nodes
+        assert search_outcome(solve_list, g, lists, attempts) == want, (g.edges(), lists)
+        if attempts:
+            trip = search_outcome(solve_list, g, lists, attempts - 1)
+            assert trip[0] == "trip"
+            assert trip == search_outcome(reference_solve_list, g, lists, attempts - 1)
+        seen.add(want[0])
+        if any(len({type(t) for t in ts}) == 2 for ts in lists.values()):
+            seen.add("mixed tokens")
+        if any(not ts for ts in lists.values()):
+            seen.add("empty list")
+        if any(not g.adj[v] for v in g.vertices):
+            seen.add("isolated vertex")
+        if not g.vertices:
+            seen.add("no vertex")
+    assert seen == {"witness", "none", "mixed tokens", "empty list", "isolated vertex",
+                    "no vertex"}
+    p3 = Graph(range(3), [(0, 1), (1, 2)])
+    bad = [{0: [1], 1: [2], 2: [3], 9: [1], 5: [1]},
+           {0: [1], 2: [3]}, {1: [1]},
+           {0: [1], 1: ["a", 2, "a"], 2: [3]},
+           {0: [1, 1], 2: [3]}, {1: [2, 2]},
+           {0: [1], 1: [2], 2: [3], 3: [1, 1]}]
+    for lists in bad:
+        want = search_outcome(reference_solve_list, p3, lists, None)
+        assert want[0] == "error"
+        assert search_outcome(solve_list, p3, lists, None) == want
 
 
 def oracle_outcome(oracle, g, f):

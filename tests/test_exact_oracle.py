@@ -11,7 +11,7 @@ from oracles import raw_choosable, raw_dp_colorable, raw_has_coloring
 
 import dpchroma
 from dpchroma import exact_oracle
-from dpchroma.constructions import build_G42, build_k2_k2, chain_case
+from dpchroma.constructions import build_G42, build_k2_k2, chain_case, gadget_h
 from dpchroma.core_graph import Graph
 from dpchroma.dp_cover import Cover, degree_dp_color, induced_cover
 from dpchroma.errors import InstanceTooLarge
@@ -336,6 +336,33 @@ def test_backjumping_refutes_the_counterexamples_within_small_budgets():
         assert solve_list(g, lists, budget=attempts) is None
         with pytest.raises(InstanceTooLarge):
             solve_list(g, lists, budget=attempts - 1)
+
+
+def test_list_search_builds_no_induced_cover(monkeypatch):
+    """The list searches fill the strike table straight from the lists,
+    so they answer with induced_cover broken; the choosability oracle
+    still re-checks its certificate on the induced cover, once."""
+    def broken(g, lists):
+        raise RuntimeError("induced_cover called")
+
+    monkeypatch.setattr(exact_oracle, "induced_cover", broken)
+    for i in range(42):
+        assert solve_list(*chain_case(i)) is None
+        assert find_list_coloring(*chain_case(i)) is None
+    assert solve_list(*gadget_h()) is None and find_list_coloring(*gadget_h()) is None
+    path = Graph(range(500), [(i, i + 1) for i in range(499)])
+    col = find_list_coloring(path, {v: ["a", "b"] for v in range(500)})
+    assert col == solve_list(path, {v: ["a", "b"] for v in range(500)})
+    assert all(col[u] != col[w] for u, w in path.edges())
+    calls = []
+
+    def counting(g, lists):
+        calls.append(g)
+        return induced_cover(g, lists)
+
+    monkeypatch.setattr(exact_oracle, "induced_cover", counting)
+    ok, cert = is_degree_choosable(complete(4))
+    assert not ok and len(calls) == 1
 
 
 def test_degree_dp_color_preconditions():

@@ -39,14 +39,23 @@ every connected class on at most 5 vertices: the bad lists, or the
 cover's sizes and the matching on every edge.  ORACLE_GOLDEN_6 pins the
 same past n = 5: choosability on all 112 classes with n = 6, and
 DP-colorability on the 38 of them with at most 7 edges.
+
+SOLVE_GOLDEN pins the stdout of `solve`: on 100 seeded colorable list
+instances whose lists mix int and str tokens, on 100 seeded colorable
+covers, on the 2-list path of 5,000 vertices, and on the files of
+`build --family k2k2 --k 2` (UNCOLORABLE).
 """
 
 import hashlib
+import itertools
+import random
 
 import pytest
 
 from corpus import connected_graph_classes, planar_classes, random_connected_planar
 from dpchroma.cli import main
+from dpchroma.core_graph import Graph, write_graph
+from dpchroma.dp_cover import Cover, write_cover, write_lists
 from dpchroma.exact_oracle import is_degree_choosable, is_degree_dp_colorable
 from dpchroma.generators import drum_forcing_cover, drum_plane, generate_hub_instance
 from dpchroma.minor_truncated import color_minor_truncated
@@ -287,3 +296,58 @@ def test_oracle_certificates_digest_at_six_vertices():
         lines += _oracle_lines(6, ci, g, g.m <= 7)
     assert len(lines) == 112 + 38
     assert _digest(lines) == ORACLE_GOLDEN_6
+
+
+SOLVE_GOLDEN = "f246cb2bba66c0f603bb7aaad9827cb0c19a1d8a80dd6ff7cab71ef36d9aad49"
+
+
+def _solve_stdout(capsys, tmp_path, g, flag, text):
+    """(exit code, stdout) of `solve` on g and one --lists or --cover file."""
+    (tmp_path / "s.graph").write_text(write_graph(g))
+    (tmp_path / "s.data").write_text(text)
+    rc = main(["solve", "--graph", str(tmp_path / "s.graph"), flag, str(tmp_path / "s.data")])
+    return rc, capsys.readouterr().out
+
+
+def _seeded_graph(rng):
+    n = rng.randint(2, 14)
+    return Graph(range(n), [e for e in itertools.combinations(range(n), 2)
+                            if rng.random() < 0.3])
+
+
+def test_solve_witness_digest(tmp_path, capsys):
+    rng = random.Random(35)
+    outs = []
+    mixed = 0
+    while len(outs) < 100:
+        g = _seeded_graph(rng)
+        lists = {v: rng.sample((0, 1, 2, 3, "a", "b", "c"), rng.randint(2, 4)) for v in g.vertices}
+        rc, out = _solve_stdout(capsys, tmp_path, g, "--lists", write_lists(lists))
+        if rc == 0:
+            outs.append(out)
+            mixed += any(len({type(t) for t in ts}) == 2 for ts in lists.values())
+    while len(outs) < 200:
+        g = _seeded_graph(rng)
+        sizes = {v: rng.randint(1, 4) for v in g.vertices}
+        matchings = {}
+        for u, w in g.edges():
+            cols = rng.sample(range(sizes[w]), min(sizes[u], sizes[w]))
+            matchings[(u, w)] = [(i, j) for i, j in enumerate(cols) if rng.random() < 0.8]
+        rc, out = _solve_stdout(capsys, tmp_path, g, "--cover",
+                                write_cover(Cover(g, sizes, matchings)))
+        if rc == 0:
+            outs.append(out)
+    n = 5000
+    path = Graph(range(n), [(i, i + 1) for i in range(n - 1)])
+    rc, out = _solve_stdout(capsys, tmp_path, path, "--lists",
+                            "".join("A %d a b\n" % v for v in range(n)))
+    assert rc == 0 and len(out.splitlines()) == n
+    outs.append(out)
+    pre = str(tmp_path / "w")
+    _run(capsys, ["build", "--family", "k2k2", "--k", "2", "--out", pre])
+    assert main(["solve", "--graph", pre + ".graph", "--lists", pre + ".lists"]) == 10
+    out = capsys.readouterr().out
+    assert out == "UNCOLORABLE\n"
+    outs.append(out)
+    assert mixed >= 50
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == SOLVE_GOLDEN
