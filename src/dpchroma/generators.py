@@ -3,15 +3,17 @@
 `dpchroma gen` writes the seeded hub instances and `dpchroma build
 --family drum` the drum; the tests build both from here too.  The hub
 instances fire only (R2); the drum under `drum_forcing_cover` is the
-input that drives an (R1) march.
+input that drives an (R1) march.  Each builder states a drawing once,
+as its rotation system; the graph is the rotation's drawn_graph, and
+PlaneGraph checks that every edge is listed at both ends.
 """
 
 from __future__ import annotations
 
-from .core_graph import Graph, connectivity_at_least
+from .core_graph import connectivity_at_least
 from .dp_cover import Cover, degree_truncated_sizes
 from .errors import BadRotation, GenerationFailed
-from .plane_embed import PlaneGraph
+from .plane_embed import PlaneGraph, drawn_graph
 from .planar_truncated import THRESHOLD, partition_threshold
 
 MASK64 = (1 << 64) - 1
@@ -65,9 +67,7 @@ def wheel(rim):
     hub = rim
     rot = {i: ((i + 1) % rim, hub, (i - 1) % rim) for i in range(rim)}
     rot[hub] = tuple(range(rim))
-    edges = [(i, (i + 1) % rim) for i in range(rim)]
-    edges += [(i, hub) for i in range(rim)]
-    return Graph(range(rim + 1), edges), rot
+    return drawn_graph(rot), rot
 
 
 def double_wheel(rim):
@@ -75,10 +75,7 @@ def double_wheel(rim):
     rot = {i: ((i + 1) % rim, hin, (i - 1) % rim, hout) for i in range(rim)}
     rot[hin] = tuple(range(rim))
     rot[hout] = tuple(range(rim - 1, -1, -1))
-    edges = [(i, (i + 1) % rim) for i in range(rim)]
-    edges += [(i, hin) for i in range(rim)]
-    edges += [(i, hout) for i in range(rim)]
-    return Graph(range(rim + 2), edges), rot
+    return drawn_graph(rot), rot
 
 
 def fan_wheel(rim):
@@ -103,12 +100,7 @@ def fan_wheel(rim):
     rot[ha] = tuple(range(mid + 1))
     rot[hb] = tuple(range(mid, rim)) + (0,)
     rot[hout] = tuple(range(rim - 1, -1, -1))
-    edges = [(i, (i + 1) % rim) for i in range(rim)]
-    edges += [(i, ha) for i in range(mid + 1)]
-    edges += [(i, hb) for i in range(mid, rim)]
-    edges += [(0, hb)]
-    edges += [(i, hout) for i in range(rim)]
-    return Graph(range(rim + 3), edges), rot
+    return drawn_graph(rot), rot
 
 
 def random_tight_matchings(g, sizes, rng):
@@ -163,60 +155,48 @@ def generate_hub_instance(hubs, rim, seed):
 def drum_plane(quarter=15, perm=(0, 1, 2, 3)):
     """Inner 8-cycle, ring of four hubs, outer cycle in four fanned
     quarters with shared ends.  perm places hub ids around the ring."""
-    k = 8
     hub = lambda j: 8 + perm[j % 4]
     n_o = 4 * quarter
     out = lambda i: 12 + (i % n_o)
-    edges = []
-    rot = {}
-    for i in range(k):
-        edges.append((i, (i + 1) % k))
-        edges.append((i, hub(i // 2)))
-        rot[i] = ((i + 1) % k, (i - 1) % k, hub(i // 2))
-    for j in range(4):
-        edges.append((hub(j), hub(j + 1)))
+    rot = {i: ((i + 1) % 8, (i - 1) % 8, hub(i // 2)) for i in range(8)}
     for i in range(n_o):
-        edges.append((out(i), out(i + 1)))
-        edges.append((out(i), hub(i // quarter)))
         if i % quarter == 0:
-            edges.append((out(i), hub(i // quarter - 1)))
             rot[out(i)] = (out(i + 1), hub(i // quarter), hub(i // quarter - 1), out(i - 1))
         else:
             rot[out(i)] = (out(i + 1), hub(i // quarter), out(i - 1))
     for j in range(4):
         rot[hub(j)] = (hub(j + 1), 2 * j + 1, 2 * j, hub(j - 1)) + tuple(
             out(i) for i in range(quarter * j, quarter * (j + 1) + 1))
-    g = Graph(range(12 + n_o), edges)
-    return PlaneGraph(g, rot)
+    return PlaneGraph(drawn_graph(rot), rot)
+
+
+def _drum_identity(g, sizes):
+    """Identity matchings on every edge of the drum outside the hub ring,
+    keyed by g.edges() in order."""
+    ring = (8, 9, 10, 11)
+    return {(u, w): [(t, t) for t in range(min(sizes[u], sizes[w]))]
+            for u, w in g.edges() if u not in ring or w not in ring}
 
 
 def drum_forcing_cover(pg):
-    """Identity matchings, except hub 11: its first free color (3, after
-    the protection of the inner cycle forbids 0..2) is matched into
-    every list of its own outer quarter.  Coloring 11 then leaves that
-    whole quarter tight, so the outer cycle stays unsafe and (R1) has
-    to march along the freed arc."""
+    """The identity cover, except on hub 11's q + 1 edges (11, w) to its
+    own outer quarter (w >= 12, so 11 is the smaller end): there each
+    pair is shifted by 3 at 11.  Its first free color (3, after the
+    protection of the inner cycle forbids 0..2) is thus matched into
+    every list of that quarter.  Coloring 11 then leaves the whole
+    quarter tight, so the outer cycle stays unsafe and (R1) has to march
+    along the freed arc.  Quarter 1 is refused by Cover: hub 11 has
+    only 6 colors, too few for the shift."""
     g = pg.g
     sizes = degree_truncated_sizes(g, THRESHOLD)
-    matchings = {}
-    for u, w in g.edges():
-        if u in (8, 9, 10, 11) and w in (8, 9, 10, 11):
-            continue
-        small = min(sizes[u], sizes[w])
-        if 11 in (u, w) and u + w - 11 >= 12:
-            pairs = [(3 + t, t) for t in range(small)] if u == 11 else \
-                [(t, 3 + t) for t in range(small)]
-        else:
-            pairs = [(t, t) for t in range(small)]
-        matchings[(u, w)] = pairs
+    matchings = _drum_identity(g, sizes)
+    for w in g.adj[11]:
+        if w >= 12:
+            matchings[(11, w)] = [(3 + t, t) for t, _ in matchings[(11, w)]]
     return Cover(g, sizes, matchings)
 
 
 def drum_identity_cover(g):
     """Identity matchings on every edge of the drum except the hub ring."""
     sizes = degree_truncated_sizes(g, THRESHOLD)
-    matchings = {}
-    for u, w in g.edges():
-        if u not in (8, 9, 10, 11) or w not in (8, 9, 10, 11):
-            matchings[(u, w)] = [(t, t) for t in range(min(sizes[u], sizes[w]))]
-    return Cover(g, sizes, matchings)
+    return Cover(g, sizes, _drum_identity(g, sizes))

@@ -40,7 +40,8 @@ each face it restores (_vns_interior).  So the interior repair has two
 cases, and any other count is a breach.
 
 augment_visibility draws the chords of each face of a 3-connected
-drawing on that face's vertex cycle alone, and builds one PlaneGraph.
+drawing on that face's vertex cycle alone, and builds one PlaneGraph
+on the drawn_graph of the merged rotation.
 """
 
 from __future__ import annotations
@@ -126,6 +127,13 @@ class PlaneGraph:
 
     def __repr__(self):
         return "PlaneGraph(n=%d, m=%d, f=%d)" % (self.g.n, self.g.m, len(self.faces))
+
+
+def drawn_graph(rot) -> Graph:
+    """The graph a rotation system draws: its keys and, once each, the
+    edges it lists from their smaller end.  A neighbor listed on one
+    side only leaves a rotation PlaneGraph refuses."""
+    return Graph(rot, [(v, w) for v, r in rot.items() for w in r if v < w])
 
 
 def parse_plane(text: str) -> PlaneGraph:
@@ -330,9 +338,6 @@ class _Drawing:
     def face_vertices(self, fid):
         return list(dict.fromkeys(a for a, _ in self.walk(fid))) or list(self.succ)
 
-    def graph(self):
-        return Graph(self.succ, [(v, w) for v, nb in self.succ.items() for w in nb if v < w])
-
     def cut(self, dead, fid, rep, walks=None):
         """Delete the vertices in dead, leaving a connected graph on at
         least two vertices.  What is left of the faces with an edge at
@@ -445,7 +450,7 @@ def _vns_reduce(inst):
     if not inst.biconnected:
         from .core_graph import blocks_and_cut_vertices
 
-        blocks, cuts = blocks_and_cut_vertices(wd.graph())
+        blocks, cuts = blocks_and_cut_vertices(drawn_graph(wd.succ))
         if len(blocks) > 1:
             return (yield from _vns_leaf_block(inst, blocks, cuts))
         inst.biconnected = True
@@ -770,13 +775,15 @@ def augment_visibility(pg: PlaneGraph, v2) -> PlaneGraph:
     Its faces are cycles, their vertices adjacent only along them, so
     each face is read as its vertex cycle: while it holds a nonadjacent
     v2-pair, the smallest pair gets a chord after the vertex before each
-    end, and the two faces it leaves are treated alike.  One PlaneGraph
-    is built, or none (pg comes back).  Its outer face holds pg's
-    smallest outer edge, which leaves the smallest outer vertex, so no
-    chord cuts it off.  The chords carry no color constraint.
+    end, and the two faces it leaves are treated alike.  Only the
+    rotations a chord changes are copied, and one PlaneGraph is drawn
+    from them over pg's, or none (no chord: pg comes back).  Its outer
+    face holds pg's smallest outer edge, which leaves the smallest
+    outer vertex, so no chord cuts it off.  The chords carry no color
+    constraint.
     """
     v2 = frozenset(v2)
-    rot, chords = {}, []
+    rot = {}
     todo = [[u for u, _ in walk] for walk in pg.faces]
     while todo:
         cyc = todo.pop()
@@ -787,11 +794,11 @@ def augment_visibility(pg: PlaneGraph, v2) -> PlaneGraph:
             for v, w in (pick, pick[::-1]):
                 r = rot.setdefault(v, list(pg.rot[v]))
                 r.insert(r.index(cyc[pos[v] - 1]) + 1, w)
-            chords.append(pick)
             i, j = sorted(pos[v] for v in pick)
             todo += [cyc[i:j + 1], cyc[j:] + cyc[:i + 1]]
-    if not chords:
+    if not rot:
         return pg
-    aug = PlaneGraph(Graph(pg.g.vertices, pg.g.edges() + chords), {**pg.rot, **rot})
+    rot = {**pg.rot, **rot}
+    aug = PlaneGraph(drawn_graph(rot), rot)
     aug.outer = aug.face_of_directed_edge(*min(pg.faces[pg.outer]))
     return aug

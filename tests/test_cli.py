@@ -5,13 +5,13 @@ import time
 
 import pytest
 
-from dpchroma import cli, constructions, errors
+from dpchroma import cli, constructions, errors, generators
 from dpchroma.cli import main, run_report
 from dpchroma.constructions import verify_counterexample
-from dpchroma.core_graph import Graph, write_graph
+from dpchroma.core_graph import Graph, connectivity_at_least, write_graph
 from dpchroma.dp_cover import write_cover
-from dpchroma.generators import Xorshift64Star, generate_hub_instance
-from dpchroma.plane_embed import write_plane
+from dpchroma.generators import Xorshift64Star, generate_hub_instance, wheel
+from dpchroma.plane_embed import PlaneGraph, drawn_graph, write_plane
 
 
 def test_xorshift_pinned_stream():
@@ -310,6 +310,33 @@ def test_nice_vstar_pins_a_rim_vertex_and_refuses_the_hub(tmp_path, capsys):
 def test_gen_refuses_a_rim_too_short_for_its_hubs():
     with pytest.raises(errors.GenerationFailed, match="^rim 3 is too short for 3 hubs$"):
         generate_hub_instance(3, 3, 1)
+
+
+def test_gen_refuses_a_rotation_that_lists_a_spoke_at_the_hub_only(monkeypatch):
+    def one_sided(rim):
+        _, rot = wheel(rim)
+        rot[0] = (1, rim - 1)   # rim vertex 0 drops the hub, which still lists 0
+        return drawn_graph(rot), rot
+
+    monkeypatch.setattr(generators, "wheel", one_sided)
+    with pytest.raises(errors.GenerationFailed,
+                       match="^generated rotation is not planar: rotation at 20 is not a "
+                             "permutation of neighbors$"):
+        generate_hub_instance(1, 20, 1)
+
+
+def test_gen_refuses_a_drawing_that_is_not_3_connected(monkeypatch):
+    def spoke_missing(rim):
+        _, rot = wheel(rim)
+        rot[0], rot[rim] = (1, rim - 1), rot[rim][1:]   # the spoke (0, hub) goes at both ends
+        return drawn_graph(rot), rot
+
+    g, rot = spoke_missing(20)
+    # a planar 2-connected drawing with the one hub: only 3-connectivity fails
+    assert PlaneGraph(g, rot) and connectivity_at_least(g, 2)
+    monkeypatch.setattr(generators, "wheel", spoke_missing)
+    with pytest.raises(errors.GenerationFailed, match="^generated graph is not 3-connected$"):
+        generate_hub_instance(1, 20, 1)
 
 
 def test_color_minor_drum_below_the_regime_exits_3(tmp_path, capsys):

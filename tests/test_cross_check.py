@@ -101,7 +101,8 @@ from dpchroma.generators import (Xorshift64Star, drum_forcing_cover, drum_plane,
                                  generate_hub_instance, random_tight_matchings)
 from dpchroma.minor_truncated import color_minor_truncated
 from dpchroma.planar_truncated import THRESHOLD, color_planar_truncated, partition_threshold
-from dpchroma.plane_embed import PlaneGraph, augment_visibility, is_nice, very_nice_subgraph
+from dpchroma.plane_embed import (PlaneGraph, augment_visibility, drawn_graph, is_nice,
+                                  very_nice_subgraph)
 from test_golden import PROTECTION_RUNS, _minor, _planar_drum
 from test_minor_truncated import desk_params, drum_minor_instance
 from test_planar_truncated import nx_plane, tight_cover
@@ -861,18 +862,14 @@ def ring_of_hubs(hubs, fan=17):
     n_o = q * hubs
     hub = lambda j: n_o + j % hubs
     out = lambda i: i % n_o
-    edges, rot = [], {}
-    for j in range(hubs):
-        edges.append((hub(j), hub(j + 1)))
-        rot[hub(j)] = (hub(j + 1), hub(j - 1)) + tuple(out(i) for i in range(q * j, q * j + fan))
+    rot = {hub(j): (hub(j + 1), hub(j - 1)) + tuple(out(i) for i in range(q * j, q * j + fan))
+           for j in range(hubs)}
     for i in range(n_o):
-        edges += [(out(i), out(i + 1)), (out(i), hub(i // q))]
         if i % q == 0:
-            edges.append((out(i), hub(i // q - 1)))
             rot[out(i)] = (out(i + 1), hub(i // q), hub(i // q - 1), out(i - 1))
         else:
             rot[out(i)] = (out(i + 1), hub(i // q), out(i - 1))
-    return PlaneGraph(Graph(range(n_o + hubs), edges), rot)
+    return PlaneGraph(drawn_graph(rot), rot)
 
 
 def test_augment_visibility_chords_the_ring_in_one_build(monkeypatch):

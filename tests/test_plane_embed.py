@@ -8,7 +8,7 @@ from dpchroma.dp_cover import Cover
 from dpchroma.errors import (A2Unattainable, BadRotation, InternalInvariantBreach, MalformedInput,
                              NotConnected)
 from dpchroma.generators import generate_hub_instance, wheel
-from dpchroma.plane_embed import (FaceClasses, PlaneGraph, augment_visibility,
+from dpchroma.plane_embed import (FaceClasses, PlaneGraph, augment_visibility, drawn_graph,
                                   component_planes, parse_plane, write_plane)
 from dpchroma.planar_truncated import PipelineState, partition_threshold
 
@@ -84,6 +84,23 @@ def test_rotation_must_match_adjacency():
         PlaneGraph(g, {0: (1,), 1: (0,), 2: (1,)})
     with pytest.raises(BadRotation):
         PlaneGraph(g, {0: (1,), 1: (0, 2, 2), 2: (1,)})
+
+
+def test_drawn_graph_leaves_a_one_sided_neighbour_to_the_rotation_check():
+    rot = {0: (1, 2, 3), 1: (2, 0), 2: (3, 0, 1), 3: (0, 2)}
+    assert drawn_graph(rot).edges() == square_with_chord().g.edges()
+    # 0 lists 2 but 2 does not list 0: the edge is drawn from its smaller
+    # end, and 2's rotation misses a neighbour
+    smaller_only = {**rot, 2: (3, 1)}
+    assert drawn_graph(smaller_only).has_edge(0, 2)
+    with pytest.raises(BadRotation, match="^rotation at 2 is not a permutation"):
+        PlaneGraph(drawn_graph(smaller_only), smaller_only)
+    # 2 lists 0 but 0 does not list 2: no edge is drawn, and 2's
+    # rotation names a vertex that is not its neighbour
+    larger_only = {**rot, 0: (1, 3)}
+    assert not drawn_graph(larger_only).has_edge(0, 2)
+    with pytest.raises(BadRotation, match="^rotation at 2 is not a permutation"):
+        PlaneGraph(drawn_graph(larger_only), larger_only)
 
 
 def test_isolated_vertices_are_rejected():
