@@ -19,7 +19,11 @@ _coloring_masks gives the colorings where a vertex takes a color.
   injections, and one non-tree edge left out.  Each matching strikes
   the colorings it forbids; at a leaf, the realizable color pairs across
   the left-out edge admit a bad matching iff they form a partial
-  matching.
+  matching.  The root's colors are renamed away as well (isomorph
+  rejection, McKay 1998): a root slot's form is kept only if it meets
+  every block of root colors that the earlier root slots leave
+  interchangeable in an initial segment, which keeps the first bad leaf
+  (see is_dp_f_colorable).
 
 Both prune with one greedy lemma, the local step that opens the
 characterization proofs of degree-choosability (Erdos-Rubin-Taylor 1979:
@@ -318,6 +322,21 @@ def is_dp_f_colorable(g: Graph, f):
     """Decide DP-colorability for every cover with sizes f.
 
     Returns (True, None) or (False, cover) with an uncolorable cover.
+
+    The BFS root r = vs[0] has only tree edges, so its slots come first.
+    Renaming r's colors by a permutation p, then renaming each child's
+    colors top-down so that its tree form is canonical again, maps each
+    leaf of the enumeration to a leaf with an isomorphic cover, bad iff
+    the first one is, whose root forms are the p-images of the first
+    one's.  Call two root colors alike when every earlier root form
+    holds both or neither; the classes are blocks.  If a root form meets
+    a block in more than an initial segment, some a < b of the block
+    have b in the form and a not, and swapping a and b keeps the earlier
+    root forms and makes this one earlier, so the image leaf comes
+    first.  The first bad leaf therefore passes this test at every root
+    slot, and skipping the forms that fail it visits a subset of the
+    leaves in the same order: the same verdict and the same certificate.
+    The cover cap still counts every form.
     """
     f = {v: int(f[v]) for v in g.vertices}
     bad_size = sorted(v for v in g.vertices if f[v] <= 0)
@@ -361,8 +380,10 @@ def is_dp_f_colorable(g: Graph, f):
     every, at = _coloring_masks([f[v] for v in vs])
     at = dict(zip(vs, at))
     slot_of = {(min(u, w), max(u, w)): si for si, (u, w, _) in enumerate(slots)}
-    # pair_masks[si][i][j]: the colorings that slot si's pair (i, j) forbids
-    pair_masks = [[[a & b for b in at[w]] for a in at[u]] for u, w, _ in slots]
+    # tables[si]: (form, the colorings it forbids, the root colors it
+    # matches) per form of slot si, filled on the slot's first visit
+    tables = [None] * len(slots)
+    root = vs[0]
     chosen = [None] * len(slots)
     witness = [None]
 
@@ -403,21 +424,31 @@ def is_dp_f_colorable(g: Graph, f):
         witness[0] = current_matchings(extra=sorted(pairs))
         return True
 
-    def assign_slot(si, surv):
+    def assign_slot(si, surv, starts):
         if si == len(slots):
             return handle_full(surv)
-        u, w, forms = slots[si]
-        both = pair_masks[si]
-        for form in forms:
-            hit = 0
-            for i, j in form:
-                hit |= both[i][j]
+        table = tables[si]
+        if table is None:
+            u, w, forms = slots[si]
+            au, aw = at[u], at[w]
+            table = tables[si] = []
+            for form in forms:
+                hit = sub = 0
+                for i, j in form:
+                    hit |= au[i] & aw[j]
+                    sub |= 1 << i
+                table.append((form, hit, sub if u == root else 0))
+        for form, hit, sub in table:
+            # sub must meet each block of interchangeable root colors
+            # (starts holds their lowest colors) in an initial segment
+            if sub & ~(sub << 1 | starts):
+                continue
             chosen[si] = form
-            if assign_slot(si + 1, surv & ~hit):
+            if assign_slot(si + 1, surv & ~hit, starts | sub << 1 & ~sub):
                 return True
         return False
 
-    if assign_slot(0, every):
+    if assign_slot(0, every, 1):
         return False, _refuted(Cover(g, f, witness[0]))
     return True, None
 

@@ -33,7 +33,10 @@ ValueError on bad lists.
 The quantified oracles (surviving colorings kept as one bitmask per
 search node) are compared with the versions that re-searched the
 colorings at every leaf: same verdicts, same bad lists, same bad
-covers.  The pipelines' component safety (comp_safe_now, read off the
+covers.  That includes seeded six-vertex inputs whose root has subset
+forms, where the DP oracle skips covers that only rename the root's
+colors, each also relabelled so that another vertex is the root.  The
+pipelines' component safety (comp_safe_now, read off the
 running availability sets) is compared with oracles.is_safe, which recounts
 the colors left from the cover, after every R1/R2 step of the
 protection runs pinned in tests/test_golden.py.  The block-cut record
@@ -74,6 +77,7 @@ vertices.
 import copy
 import functools
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -634,6 +638,34 @@ def test_oracles_match_reference():
             seen.add((oracle.__name__, want[0]))
     assert seen == {(name, ok) for name in ("is_f_choosable", "is_dp_f_colorable")
                     for ok in (True, False)}
+
+
+def test_dp_oracle_matches_reference_when_the_root_has_subset_forms():
+    """400 seeded six-vertex inputs, each size in 1..deg+1, where the
+    root (vertex 0) has a neighbor with a smaller size, so its tree forms
+    are subsets, and with at most 100,000 covers of maximal matchings,
+    where the reference is quick; each is also relabelled so that
+    another vertex is the root."""
+    pool = connected_graph_classes(6)
+    rng = random.Random(37)
+    seen = set()
+    inputs = 0
+    while inputs < 400:
+        g = rng.choice(pool)
+        f = {v: rng.randint(1, g.degree(v) + 1) for v in sorted(g.vertices)}
+        if all(f[w] >= f[0] for w in g.adj[0]) or math.prod(
+                math.perm(max(f[u], f[w]), min(f[u], f[w])) for u, w in g.edges()) > 100_000:
+            continue
+        inputs += 1
+        perm = list(range(6))
+        while perm[0] == 0:
+            rng.shuffle(perm)
+        h = Graph(range(6), [(min(perm[u], perm[w]), max(perm[u], perm[w])) for u, w in g.edges()])
+        for gi, fi in ((g, f), (h, {perm[v]: f[v] for v in f})):
+            want = oracle_outcome(reference_dp_f_colorable, gi, fi)
+            assert oracle_outcome(is_dp_f_colorable, gi, fi) == want, (gi.edges(), fi)
+            seen.add(want[0])
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(PROTECTION_RUNS))

@@ -39,6 +39,9 @@ every connected class on at most 5 vertices: the bad lists, or the
 cover's sizes and the matching on every edge.  ORACLE_GOLDEN_6 pins the
 same past n = 5: choosability on all 112 classes with n = 6, and
 DP-colorability on the 38 of them with at most 7 edges.
+ORACLE_DP_GOLDEN_6_DENSE pins the DP oracle on the other 74 classes
+with n = 6: verdict and certificate on the 71 under the cover cap, and
+the refusal of K6, K5 plus a pendant and the octahedron.
 
 SOLVE_GOLDEN pins the stdout of `solve`: on 100 seeded colorable list
 instances whose lists mix int and str tokens, on 100 seeded colorable
@@ -56,6 +59,7 @@ from corpus import connected_graph_classes, planar_classes, random_connected_pla
 from dpchroma.cli import main
 from dpchroma.core_graph import Graph, write_graph
 from dpchroma.dp_cover import Cover, write_cover, write_lists
+from dpchroma.errors import InstanceTooLarge
 from dpchroma.exact_oracle import is_degree_choosable, is_degree_dp_colorable
 from dpchroma.generators import drum_forcing_cover, drum_plane, generate_hub_instance
 from dpchroma.minor_truncated import color_minor_truncated
@@ -228,6 +232,7 @@ H_GOLDEN = "292cea8048da13119d2a2a6e5cdbef2cd14f0a58f6347726ab80aa3003c79706"
 PIECES_GOLDEN = "bd419ac19db83b22b6cdb71431e52bb66f20b55a8492ad896fb2edc247c10e47"
 ORACLE_GOLDEN = "d6835479251098155e7503f25cd25b7fcc1d7af08000e4d46e01f3d2c249526b"
 ORACLE_GOLDEN_6 = "fdd8b3ba39a15d67dba3f74e57579cad3bbf2a7b7e0b2b7fcc0dd3a9340be1c4"
+ORACLE_DP_GOLDEN_6_DENSE = "4e1ae9fe747f40c3dc75d075d938c2866e06c6c64782688e3d2d7e578109d330"
 
 
 def _digest(lines):
@@ -267,6 +272,15 @@ def test_component_planes_digest():
     assert _digest(lines) == PIECES_GOLDEN
 
 
+def _dp_line(n, ci, g):
+    """The DP oracle's verdict and certificate line of class ci on n
+    vertices."""
+    ok, cover = is_degree_dp_colorable(g)
+    cert = None if ok else (sorted(cover.sizes.items()),
+                            [(e, cover.edge_pairs(*e)) for e in g.edges()])
+    return "dp %d %d %s %r" % (n, ci, ok, cert)
+
+
 def _oracle_lines(n, ci, g, dp):
     """Verdict and certificate lines of class ci on n vertices: the
     choosability oracle's, then the DP oracle's when dp is set."""
@@ -274,10 +288,7 @@ def _oracle_lines(n, ci, g, dp):
     cert = None if ok else sorted((v, list(lst)) for v, lst in lists.items())
     lines = ["ch %d %d %s %r" % (n, ci, ok, cert)]
     if dp:
-        ok, cover = is_degree_dp_colorable(g)
-        cert = None if ok else (sorted(cover.sizes.items()),
-                                [(e, cover.edge_pairs(*e)) for e in g.edges()])
-        lines.append("dp %d %d %s %r" % (n, ci, ok, cert))
+        lines.append(_dp_line(n, ci, g))
     return lines
 
 
@@ -296,6 +307,22 @@ def test_oracle_certificates_digest_at_six_vertices():
         lines += _oracle_lines(6, ci, g, g.m <= 7)
     assert len(lines) == 112 + 38
     assert _digest(lines) == ORACLE_GOLDEN_6
+
+
+def test_dp_certificates_digest_on_dense_six_vertex_classes():
+    lines = []
+    refused = []
+    for ci, g in enumerate(connected_graph_classes(6)):
+        if g.m >= 8:
+            try:
+                lines.append(_dp_line(6, ci, g))
+            except InstanceTooLarge:
+                lines.append("dp 6 %d InstanceTooLarge" % ci)
+                refused.append(sorted(g.degree(v) for v in g.vertices))
+    assert len(lines) == 74
+    # K5 plus a pendant, the octahedron and K6: past the cover cap
+    assert refused == [[1, 4, 4, 4, 4, 5], [4] * 6, [5] * 6]
+    assert _digest(lines) == ORACLE_DP_GOLDEN_6_DENSE
 
 
 SOLVE_GOLDEN = "f246cb2bba66c0f603bb7aaad9827cb0c19a1d8a80dd6ff7cab71ef36d9aad49"
