@@ -4,10 +4,10 @@ A cover assigns each vertex v a list of colors, represented as pairs
 (v, 0), ..., (v, size-1), and each edge a partial matching between the
 two endpoint lists.  A coloring picks one color per vertex avoiding
 matched pairs across edges.  List coloring is the special case where
-colors sharing a token are matched (induced_cover).  A list search runs
-on the induced cover's strike table, built straight from the lists
-(_list_coloring): the exact search reads only that table, so no Cover
-is built on the way.
+adjacent colors sharing a token are matched.  One exact search (_search)
+reads a strike table, which has two set-ups: find_dp_coloring fills it
+from a cover's matchings, solve_list straight from token lists, so no
+Cover is built for a list search.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from .core_graph import Graph, bfs_parents, block_kind, blocks_and_cut_vertices,
 from .core_graph import is_gdp_tree
 from .errors import (GDPTreeTight, InstanceTooLarge, InternalInvariantBreach, MalformedInput,
                      NotConnected, PreconditionViolated)
+
+
+DEFAULT_SOLVE_BUDGET = 5_000_000
 
 
 class Cover:
@@ -126,6 +129,68 @@ def find_dp_coloring(cover: Cover, budget=None):
     if stack is None:
         return None
     return {order[y]: (order[y], i) for y, i, _, _, _, _ in stack}
+
+
+def token_sort_key(tok):
+    # ints before strings, each kind in natural order
+    return (isinstance(tok, str), tok)
+
+
+def solve_list(g: Graph, lists, budget=DEFAULT_SOLVE_BUDGET):
+    """Token coloring of g from explicit lists, or None.
+
+    lists maps each vertex (and nothing else: ValueError) to an iterable
+    of distinct hashable tokens.  This is find_dp_coloring's search on
+    the cover whose adjacent colors are matched iff their tokens are
+    equal, color (v, i) standing for the i-th of v's tokens in
+    token_sort_key order; the strike table is filled straight from the
+    lists, so no Cover is built.  Each edge strikes both ways, edges in
+    sorted order, so each slot lists its neighbors in ascending order,
+    as find_dp_coloring's set-up does.  Passing budget=None lifts the
+    node cap.
+    """
+    extra = set(lists) - g.vertices
+    if extra:
+        raise ValueError("list for vertex %r, which is not in the graph" % (min(extra),))
+    tokens = {}
+    for v in sorted(g.vertices):
+        if v not in lists:
+            raise ValueError("no list for vertex %r" % (v,))
+        ts = list(lists[v])
+        if len(set(ts)) != len(ts):
+            raise ValueError("duplicate token in list of %r" % (v,))
+        # token_sort_key's order; only a list that mixes strings with
+        # other tokens, which do not compare, needs the key
+        try:
+            ts.sort()
+        except TypeError:
+            ts.sort(key=token_sort_key)
+        tokens[v] = ts
+    adj = g.adj
+    sizes = [len(ts) for ts in tokens.values()]
+    if 0 in sizes:
+        return None
+    rows = {}
+    row = [rows.setdefault(len(adj[v]), []) for v in tokens]
+    base = list(itertools.accumulate(sizes, initial=0))
+    strikes = [[] for _ in range(base[-1])]
+    # hit[v][t]: the strike on v's color of token t
+    hit = {}
+    for x, (v, ts) in enumerate(tokens.items()):
+        b, cells = base[x], row[x]
+        hit[v] = {t: (x, 1 << j, b + j, cells) for j, t in enumerate(ts)}
+    for u, w in g.edges():
+        hit_w = hit[w]
+        for t, at_u in hit[u].items():
+            at_w = hit_w.get(t)
+            if at_w is not None:
+                strikes[at_u[2]].append(at_w)
+                strikes[at_w[2]].append(at_u)
+    stack = _search(sizes, rows, row, base, strikes, budget)
+    if stack is None:
+        return None
+    vs, named = list(tokens), list(tokens.values())
+    return {vs[y]: named[y][i] for y, i, _, _, _, _ in stack}
 
 
 def _search(sizes, rows, row, base, strikes, budget):
@@ -308,99 +373,6 @@ def residual_cover(cover: Cover, phi):
     return Cover(sub, {v: len(kept[v]) for v in rest}, matchings), kept
 
 
-def token_sort_key(tok):
-    # ints before strings, each kind in natural order
-    return (isinstance(tok, str), tok)
-
-
-def _sorted_tokens(g: Graph, lists):
-    """Each vertex's list sorted in token_sort_key order, keyed in vertex
-    order.  lists maps each vertex (and nothing else: ValueError) to an
-    iterable of distinct hashable tokens."""
-    extra = set(lists) - g.vertices
-    if extra:
-        raise ValueError("list for vertex %r, which is not in the graph" % (min(extra),))
-    tokens = {}
-    for v in sorted(g.vertices):
-        if v not in lists:
-            raise ValueError("no list for vertex %r" % (v,))
-        ts = list(lists[v])
-        if len(set(ts)) != len(ts):
-            raise ValueError("duplicate token in list of %r" % (v,))
-        # token_sort_key's order; only a list that mixes strings with
-        # other tokens, which do not compare, needs the key
-        try:
-            ts.sort()
-        except TypeError:
-            ts.sort(key=token_sort_key)
-        tokens[v] = ts
-    return tokens
-
-
-def induced_cover(g: Graph, lists):
-    """Cover induced by a list assignment.
-
-    lists maps each vertex (and nothing else: ValueError) to an iterable
-    of distinct hashable tokens.  Colors of adjacent vertices are
-    matched iff their tokens are equal.
-    Returns (cover, tokens) where tokens[v] is the sorted token list, so
-    color (v, i) stands for tokens[v][i].
-    """
-    tokens = _sorted_tokens(g, lists)
-    pos = {v: {t: j for j, t in enumerate(ts)} for v, ts in tokens.items()}
-    # the matchings as Cover stores them, each edge both ways; tokens
-    # are distinct within a list, so they are matchings by construction
-    # and Cover's checks are skipped, as Graph.subgraph skips Graph's
-    m = {}
-    for u, w in g.edges():
-        pos_w = pos[w]
-        fwd = {i: pos_w[t] for i, t in enumerate(tokens[u]) if t in pos_w}
-        if fwd:
-            m[(u, w)] = fwd
-            m[(w, u)] = {j: i for i, j in fwd.items()}
-    cover = Cover.__new__(Cover)
-    cover.g = g
-    cover.sizes = {v: len(tokens[v]) for v in g.vertices}
-    cover._m = m
-    return cover, tokens
-
-
-def _list_coloring(g: Graph, lists, budget):
-    """Token coloring of g from explicit lists, or None: find_dp_coloring
-    on the induced cover, with the strike table filled from the lists.
-
-    The ValueErrors are induced_cover's.  Each edge strikes both ways,
-    edges in sorted order, so each slot lists its neighbors in
-    ascending order, as on the induced cover.
-    """
-    tokens = _sorted_tokens(g, lists)
-    adj = g.adj
-    sizes = [len(ts) for ts in tokens.values()]
-    if 0 in sizes:
-        return None
-    rows = {}
-    row = [rows.setdefault(len(adj[v]), []) for v in tokens]
-    base = list(itertools.accumulate(sizes, initial=0))
-    strikes = [[] for _ in range(base[-1])]
-    # hit[v][t]: the strike on v's color of token t
-    hit = {}
-    for x, (v, ts) in enumerate(tokens.items()):
-        b, cells = base[x], row[x]
-        hit[v] = {t: (x, 1 << j, b + j, cells) for j, t in enumerate(ts)}
-    for u, w in g.edges():
-        hit_w = hit[w]
-        for t, at_u in hit[u].items():
-            at_w = hit_w.get(t)
-            if at_w is not None:
-                strikes[at_u[2]].append(at_w)
-                strikes[at_w[2]].append(at_u)
-    stack = _search(sizes, rows, row, base, strikes, budget)
-    if stack is None:
-        return None
-    vs, named = list(tokens), list(tokens.values())
-    return {vs[y]: named[y][i] for y, i, _, _, _, _ in stack}
-
-
 class _Parsed(dict):
     """Token -> value, computed by read once per distinct token.
 
@@ -466,13 +438,12 @@ def parse_cover(text: str, g: Graph) -> Cover:
     """`L <v> <n>` size lines and `M <u> <i> <w> <j>` matched pairs.
 
     One pass fills the matchings both ways as Cover stores them, so the
-    Cover skips its constructor's second round of checks, as
-    induced_cover does.  An edge is checked to be one on the first M
-    line that names it, a repeated color on the line that repeats it.
-    The colors are checked against the sizes once per edge at the end,
-    since L lines may come last; each edge's pairs are then put in
-    ascending color order at its smaller end, which is the order a
-    written cover already has.
+    Cover skips its constructor's second round of checks.  An edge is
+    checked to be one on the first M line that names it, a repeated
+    color on the line that repeats it.  The colors are checked against
+    the sizes once per edge at the end, since L lines may come last;
+    each edge's pairs are then put in ascending color order at its
+    smaller end, which is the order a written cover already has.
     """
     vertices = g.vertices
     adj = g.adj

@@ -52,13 +52,13 @@ So on a connected input with f >= deg everywhere:
   their order, so the first bad list assignment found is unchanged.
 
 Both return a certificate when the answer is negative (a bad list
-assignment / a bad cover), and the certificate is re-verified by the
-plain solver before being returned; a certificate that the solver
-colors raises InternalInvariantBreach.  Instances past the budget guards
-raise InstanceTooLarge: more than 8 vertices, more than 30,000,000
-covers, or a list enumeration past DEFAULT_SOLVE_BUDGET nodes (one per
-partial list assignment visited; the cap solve_list puts on its
-search).
+assignment / a bad cover), re-verified before it is returned: by
+solve_list for lists, by find_dp_coloring for covers.  A certificate
+that the search colors raises InternalInvariantBreach.  Instances past
+the budget guards raise InstanceTooLarge: more than 8 vertices, more
+than 30,000,000 covers, or a list enumeration past DEFAULT_SOLVE_BUDGET
+nodes (one per partial list assignment visited; the cap solve_list puts
+on its search).
 """
 
 from __future__ import annotations
@@ -67,22 +67,8 @@ import itertools
 import math
 
 from .core_graph import Graph, bfs_parents, blocks_and_cut_vertices, connected_components
-from .dp_cover import Cover, _list_coloring, find_dp_coloring, induced_cover
+from .dp_cover import DEFAULT_SOLVE_BUDGET, Cover, find_dp_coloring, solve_list
 from .errors import InstanceTooLarge, InternalInvariantBreach
-
-
-DEFAULT_SOLVE_BUDGET = 5_000_000
-
-
-def solve_list(g: Graph, lists, budget=DEFAULT_SOLVE_BUDGET):
-    """Token coloring of g from explicit lists, or None.
-
-    find_dp_coloring's search on the induced cover's strike table,
-    filled straight from the lists, so the verdict, the witness and the
-    color attempts are those of find_dp_coloring on induced_cover(g,
-    lists).  Passing budget=None lifts the node cap.
-    """
-    return _list_coloring(g, lists, budget)
 
 
 def find_list_coloring(g: Graph, lists):
@@ -108,6 +94,12 @@ def _refuted(cover: Cover):
     if find_dp_coloring(cover) is not None:
         raise InternalInvariantBreach("certificate cover has a coloring")
     return cover
+
+
+def _refuted_lists(g: Graph, lists):
+    """Re-check a bad list assignment: the list search must fail on it."""
+    if solve_list(g, lists, budget=None) is not None:
+        raise InternalInvariantBreach("certificate lists have a coloring")
 
 
 def _coloring_masks(sizes):
@@ -138,11 +130,8 @@ def _coloring_masks(sizes):
 def is_f_choosable(g: Graph, f):
     """Decide f-choosability.  Returns (True, None) or (False, bad_lists)."""
     f = {v: int(f[v]) for v in g.vertices}
-    bad_size = sorted(v for v in g.vertices if f[v] <= 0)
-    if bad_size:
-        cert = {v: list(range(f[v])) for v in g.vertices}
-        cert[bad_size[0]] = []
-        return False, cert
+    if any(f[v] <= 0 for v in g.vertices):
+        return False, {v: list(range(f[v])) for v in g.vertices}
     if g.n > 8:
         raise InstanceTooLarge("choosability oracle handles at most 8 vertices")
     comps = connected_components(g)
@@ -153,7 +142,7 @@ def is_f_choosable(g: Graph, f):
                 for v in g.vertices:
                     if v not in cert:
                         cert[v] = list(range(f[v]))
-                _refuted(induced_cover(g, cert)[0])
+                _refuted_lists(g, cert)
                 return False, cert
         return True, None
     colorable, cuts = _surplus_cuts(g, f)
@@ -289,7 +278,7 @@ def is_f_choosable(g: Graph, f):
         return pick(0, fp[p])
 
     if at_vertex(0, every):
-        _refuted(induced_cover(g, found[0])[0])
+        _refuted_lists(g, found[0])
         return False, found[0]
     return True, None
 

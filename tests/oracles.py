@@ -51,7 +51,10 @@ reference_solve_list is the list search as it was before the strike
 table was filled straight from the lists: induced_cover, then
 find_dp_coloring on the cover, then each color mapped to its token; it
 pins the list search's witnesses, their order, its color attempts and
-its errors.
+its errors.  induced_cover, the cover a list assignment induces, lives
+here since the package stopped building one; reference_solve_list and
+reference_f_choosable go through it, and the tests use it to turn a
+list assignment into a cover.
 reference_parse_graph, reference_parse_cover, reference_parse_lists and
 reference_parse_plane (with _reference_token and reference_plane_graph)
 are the file parsers as they were before each made one pass: every
@@ -68,8 +71,8 @@ from collections import defaultdict
 
 from dpchroma.core_graph import (Graph, bfs_parents, blocks_and_cut_vertices, connected_components,
                                  connectivity_at_least, is_complete_graph, is_connected, is_gdp_tree)
-from dpchroma.dp_cover import (Cover, degree_dp_color, find_dp_coloring, induced_cover,
-                               is_coloring_valid, residual_cover)
+from dpchroma.dp_cover import (Cover, degree_dp_color, find_dp_coloring, is_coloring_valid,
+                               residual_cover, token_sort_key)
 from dpchroma.errors import (BadRotation, GDPTreeTight, InstanceTooLarge, InternalInvariantBreach,
                              MalformedInput, NotConnected, PreconditionViolated)
 from dpchroma.exact_oracle import (DEFAULT_SOLVE_BUDGET, _maximal_matchings, _refuted,
@@ -203,6 +206,50 @@ def reference_enumerate_claim(g, lists, prop):
             if not prop(col):
                 bad += 1
     return total, proper, bad
+
+
+def induced_cover(g: Graph, lists):
+    """Cover induced by a list assignment.
+
+    lists maps each vertex (and nothing else: ValueError) to an iterable
+    of distinct hashable tokens.  Colors of adjacent vertices are
+    matched iff their tokens are equal.
+    Returns (cover, tokens) where tokens[v] is the sorted token list, so
+    color (v, i) stands for tokens[v][i].
+    """
+    extra = set(lists) - g.vertices
+    if extra:
+        raise ValueError("list for vertex %r, which is not in the graph" % (min(extra),))
+    tokens = {}
+    for v in sorted(g.vertices):
+        if v not in lists:
+            raise ValueError("no list for vertex %r" % (v,))
+        ts = list(lists[v])
+        if len(set(ts)) != len(ts):
+            raise ValueError("duplicate token in list of %r" % (v,))
+        # token_sort_key's order; only a list that mixes strings with
+        # other tokens, which do not compare, needs the key
+        try:
+            ts.sort()
+        except TypeError:
+            ts.sort(key=token_sort_key)
+        tokens[v] = ts
+    pos = {v: {t: j for j, t in enumerate(ts)} for v, ts in tokens.items()}
+    # the matchings as Cover stores them, each edge both ways; tokens
+    # are distinct within a list, so they are matchings by construction
+    # and Cover's checks are skipped, as Graph.subgraph skips Graph's
+    m = {}
+    for u, w in g.edges():
+        pos_w = pos[w]
+        fwd = {i: pos_w[t] for i, t in enumerate(tokens[u]) if t in pos_w}
+        if fwd:
+            m[(u, w)] = fwd
+            m[(w, u)] = {j: i for i, j in fwd.items()}
+    cover = Cover.__new__(Cover)
+    cover.g = g
+    cover.sizes = {v: len(tokens[v]) for v in g.vertices}
+    cover._m = m
+    return cover, tokens
 
 
 def reference_solve_list(g: Graph, lists, budget=DEFAULT_SOLVE_BUDGET):

@@ -340,14 +340,18 @@ def test_gen_refuses_a_drawing_that_is_not_3_connected(monkeypatch):
 
 
 def test_color_minor_drum_below_the_regime_exits_3(tmp_path, capsys):
-    # q=6 is one below the regime bound peel * (s + t - 1) + 1 = 7
+    # q=6 is one below the regime bound peel * (s + t - 1) + 1 = 7, and
+    # degen=1 below the drum's degeneracy: its hub ring is a 4-cycle
     pre = str(tmp_path / "drum")
     assert main(["build", "--family", "drum", "--out", pre]) == 0
     capsys.readouterr()
-    assert main(["color-minor", "--graph", pre + ".graph", "--cover", pre + ".identity.cover",
-                 "--s", "2", "--t", "2", "--override", "q=6,k=16,peel=2,degen=2"]) == 3
-    assert capsys.readouterr().err == (
-        "diagnostic: (D2) part of 2 components cannot be protected with q=6\n")
+    for override, err in (
+            ("q=6,k=16,peel=2,degen=2",
+             "diagnostic: (D2) part of 2 components cannot be protected with q=6\n"),
+            ("q=7,k=16,peel=2,degen=1", "diagnostic: graph is not 1-degenerate\n")):
+        assert main(["color-minor", "--graph", pre + ".graph", "--cover", pre + ".identity.cover",
+                     "--s", "2", "--t", "2", "--override", override]) == 3
+        assert capsys.readouterr().err == err
 
 
 def test_verify_h_with_a_broken_drawing_exits_10(monkeypatch, capsys):

@@ -22,7 +22,7 @@ from dpchroma.core_graph import (
     write_graph,
     bfs_parents,
 )
-from dpchroma.errors import MalformedInput
+from dpchroma.errors import MalformedInput, NotConnected
 
 
 def cycle(n):
@@ -270,6 +270,10 @@ def test_gallai_and_gdp_trees():
     # K4 minus an edge is one block, neither complete nor cycle
     g = Graph(range(4), [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     assert not is_gallai_tree(g) and not is_gdp_tree(g)
+    # both need a connected graph
+    for tree_test in (is_gallai_tree, is_gdp_tree):
+        with pytest.raises(NotConnected, match="^%s needs a connected graph$" % tree_test.__name__):
+            tree_test(Graph(range(2), []))
 
 
 def prism(rungs):

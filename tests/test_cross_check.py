@@ -88,7 +88,7 @@ import pytest
 from corpus import connected_graph_classes, connected_graph_extensions, planar_classes, \
     random_connected_planar, triangle_chain
 from oracles import _reverse_bfs_from, block_kind_by_subgraph, connectivity_by_deletion, \
-    inner_face_misses, is_safe, recursive_dp_coloring, reference_augment_visibility, \
+    induced_cover, inner_face_misses, is_safe, recursive_dp_coloring, reference_augment_visibility, \
     reference_dp_f_colorable, reference_f_choosable, reference_find_dp_coloring, reference_finish, \
     reference_is_nice, reference_solve_list, reference_very_nice_subgraph, \
     subgraph_by_edge_filter, \
@@ -98,7 +98,7 @@ from dpchroma.constructions import (build_G42, build_k2_k2, build_ks_minus1, cha
                                     gadget_h, gadget_h_plane)
 from dpchroma.core_graph import (Graph, bfs_parents, block_kind, blocks_and_cut_vertices,
                                  connectivity_at_least)
-from dpchroma.dp_cover import Cover, degree_truncated_sizes, find_dp_coloring, induced_cover
+from dpchroma.dp_cover import Cover, degree_truncated_sizes, find_dp_coloring
 from dpchroma.errors import InstanceTooLarge
 from dpchroma.exact_oracle import is_dp_f_colorable, is_f_choosable, solve_list
 from dpchroma.generators import (Xorshift64Star, drum_forcing_cover, drum_plane,

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
+from oracles import induced_cover
+
 from dpchroma import dp_cover
 from dpchroma.core_graph import Graph, connected_components, is_gdp_tree
 from dpchroma.dp_cover import (
     Cover,
     degree_dp_color,
     degree_truncated_sizes,
-    induced_cover,
     is_coloring_valid,
     is_partial_coloring_valid,
     parse_cover,
@@ -51,6 +52,8 @@ def test_cover_rejects_bad_matchings():
         Cover(Graph(range(3), [(0, 1)]), {0: 1, 1: 1, 2: 1}, {(0, 2): [(0, 0)]})
     with pytest.raises(ValueError):
         Cover(g, {0: 1, 1: 1}, {})
+    with pytest.raises(ValueError, match="^negative list size at 1$"):
+        Cover(g, {0: 1, 1: -1, 2: 1}, {})
 
 
 def test_induced_cover_matches_equal_tokens():
@@ -232,6 +235,7 @@ def test_residual_cover_rejects_invalid_phi():
     g = Graph(range(2), [(0, 1)])
     cover = Cover(g, {0: 1, 1: 1}, {(0, 1): [(0, 0)]})
     assert not is_partial_coloring_valid(cover, {0: (0, 0), 1: (1, 0)})
+    assert not is_partial_coloring_valid(cover, {2: (2, 0)})
     with pytest.raises(ValueError):
         residual_cover(cover, {0: (0, 0), 1: (1, 0)})
     with pytest.raises(ValueError):

@@ -7,13 +7,13 @@ import sys
 import pytest
 
 from corpus import connected_graph_classes
-from oracles import raw_choosable, raw_dp_colorable, raw_has_coloring
+from oracles import induced_cover, raw_choosable, raw_dp_colorable, raw_has_coloring
 
 import dpchroma
-from dpchroma import exact_oracle
+from dpchroma import dp_cover, exact_oracle
 from dpchroma.constructions import build_G42, build_k2_k2, chain_case, gadget_h
 from dpchroma.core_graph import Graph
-from dpchroma.dp_cover import Cover, degree_dp_color, induced_cover
+from dpchroma.dp_cover import Cover, degree_dp_color
 from dpchroma.errors import InstanceTooLarge
 from dpchroma.exact_oracle import (
     find_dp_coloring,
@@ -340,12 +340,13 @@ def test_backjumping_refutes_the_counterexamples_within_small_budgets():
 
 def test_list_search_builds_no_induced_cover(monkeypatch):
     """The list searches fill the strike table straight from the lists,
-    so they answer with induced_cover broken; the choosability oracle
-    still re-checks its certificate on the induced cover, once."""
-    def broken(g, lists):
-        raise RuntimeError("induced_cover called")
+    so they answer with the cover search broken; the choosability oracle
+    re-checks its certificate with one uncapped list search."""
+    def broken(cover, budget=None):
+        raise RuntimeError("find_dp_coloring called")
 
-    monkeypatch.setattr(exact_oracle, "induced_cover", broken)
+    monkeypatch.setattr(dp_cover, "find_dp_coloring", broken)
+    monkeypatch.setattr(exact_oracle, "find_dp_coloring", broken)
     for i in range(42):
         assert solve_list(*chain_case(i)) is None
         assert find_list_coloring(*chain_case(i)) is None
@@ -356,13 +357,13 @@ def test_list_search_builds_no_induced_cover(monkeypatch):
     assert all(col[u] != col[w] for u, w in path.edges())
     calls = []
 
-    def counting(g, lists):
-        calls.append(g)
-        return induced_cover(g, lists)
+    def counting(g, lists, budget=dp_cover.DEFAULT_SOLVE_BUDGET):
+        calls.append(budget)
+        return solve_list(g, lists, budget)
 
-    monkeypatch.setattr(exact_oracle, "induced_cover", counting)
+    monkeypatch.setattr(exact_oracle, "solve_list", counting)
     ok, cert = is_degree_choosable(complete(4))
-    assert not ok and len(calls) == 1
+    assert not ok and calls == [None]
 
 
 def test_degree_dp_color_preconditions():
@@ -377,8 +378,9 @@ def test_degree_dp_color_preconditions():
 
 
 def test_certificate_check_survives_optimize():
-    # a search that colors everything must make both oracles' negative
-    # certificates fail their re-check, also under python -O
+    # searches that color everything must make both oracles' negative
+    # certificates fail their re-checks, the cover search's and the list
+    # search's, also under python -O
     src = os.path.dirname(os.path.dirname(os.path.abspath(dpchroma.__file__)))
     script = (
         "import sys\n"
@@ -386,6 +388,7 @@ def test_certificate_check_survives_optimize():
         "from dpchroma.core_graph import Graph\n"
         "from dpchroma.errors import InternalInvariantBreach\n"
         "eo.find_dp_coloring = lambda cover, budget=None: {v: (v, 0) for v in cover.g.vertices}\n"
+        "eo.solve_list = lambda g, lists, budget=None: {v: lists[v][0] for v in g.vertices}\n"
         "k3 = Graph(range(3), [(0, 1), (0, 2), (1, 2)])\n"
         "for oracle in (eo.is_dp_f_colorable, eo.is_f_choosable):\n"
         "    try:\n"
@@ -395,8 +398,8 @@ def test_certificate_check_survives_optimize():
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
-    assert (out.returncode, out.stdout) == (0, "1 certificate cover has a coloring\n" * 2), \
-        out.stderr
+    assert (out.returncode, out.stdout) == (0, "1 certificate cover has a coloring\n"
+                                            "1 certificate lists have a coloring\n"), out.stderr
 
 
 def test_search_needs_no_recursion_under_optimize():
