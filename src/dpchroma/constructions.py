@@ -6,6 +6,15 @@ colors, a cascade of forced choices runs out of colors.  Its lists are
 tight (interior sizes equal min(degree, 7)) and admit no proper
 coloring.
 
+In words, H is two paths u1-u2-u3 and v1-v2-v3 joined by the edge
+u1-v1.  Each path edge carries two adjacent pairs, each pair joined to
+both ends of its edge: s1s2 and s3s4 on u1u2, s5s6 and s7s8 on u2u3, and
+the t-pairs likewise on the v-path.  The pairs w1w2 and w3w4 each make a
+4-clique with u1 and v1.  x sees the six path vertices, w2 and s2, s6,
+t2, t6; y sees the six path vertices, w4 and s4, s8, t4, t8.  These
+edges are stated once, as the drawing _H_ROT: every copy of H below is
+a relabelling of the edges it draws.
+
 chain_graph strings 42 copies of the gadget interior between a shared x
 and y.  Each copy is keyed to one ordered pair of distinct tokens from
 {a..g}; whatever colors x and y receive, the copy keyed to that pair has
@@ -21,65 +30,16 @@ from collections import namedtuple
 from .core_graph import Graph, connectivity_at_least, is_connected
 from .errors import InputError, InstanceTooLarge, ReconstructionFailed
 from .exact_oracle import _coloring_masks, find_list_coloring
-from .plane_embed import PlaneGraph
+from .plane_embed import PlaneGraph, drawn_graph
 
 # interior local indices (gadget ids are local + 2, after x = 0 and y = 1)
-_U1, _U2, _U3, _V1, _V2, _V3 = 0, 1, 2, 3, 4, 5
+_U3, _V3 = 2, 5
 _W1, _W2, _W3, _W4 = 6, 7, 8, 9
-_S = tuple(range(10, 18))
-_T = tuple(range(18, 26))
 _LOCALS = 26
 
 _NAMES = ("u1", "u2", "u3", "v1", "v2", "v3", "w1", "w2", "w3", "w4",
           "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8",
           "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8")
-
-# locals adjacent to x resp. y (the even-numbered gadget vertices carry
-# the extra x/y color in their lists)
-_XFAN = (_U1, _U2, _U3, _V1, _V2, _V3, _W2, 11, 15, 19, 23)
-_YFAN = (_U1, _U2, _U3, _V1, _V2, _V3, _W4, 13, 17, 21, 25)
-
-
-def _gadget_copy(base, a, b):
-    """One gadget interior on ids base..base+25, keyed to the x-color a
-    and the y-color b: its edges, fans to x = 0 and y = 1 included, and
-    its lists."""
-    es = [(_U1, _U2), (_U2, _U3), (_V1, _V2), (_V2, _V3), (_U1, _V1)]
-    for lo, hi, p, q in [(10, 11, _U1, _U2), (12, 13, _U1, _U2),
-                         (14, 15, _U2, _U3), (16, 17, _U2, _U3),
-                         (18, 19, _V1, _V2), (20, 21, _V1, _V2),
-                         (22, 23, _V2, _V3), (24, 25, _V2, _V3)]:
-        es += [(lo, hi), (lo, p), (hi, p), (lo, q), (hi, q)]
-    for lo, hi in [(_W1, _W2), (_W3, _W4)]:
-        es += [(lo, hi), (lo, _U1), (lo, _V1), (hi, _U1), (hi, _V1)]
-    edges = [(u + base, w + base) for u, w in es]
-    edges += [(0, base + l) for l in _XFAN] + [(1, base + l) for l in _YFAN]
-    lists = {l: [a, b, 1, 2, 3, 4, 5] for l in range(6)}
-    lists[_W1] = [1, 2, 3]
-    lists[_W2] = [a, 1, 2, 3]
-    lists[_W3] = [3, 4, 5]
-    lists[_W4] = [b, 3, 4, 5]
-    for k, (low, extra) in enumerate([([1, 2, 3], a), ([1, 2, 4], b),
-                                      ([1, 2, 5], a), ([3, 4, 5], b)]):
-        lists[10 + 2 * k] = list(low)
-        lists[11 + 2 * k] = [extra] + low
-        lists[18 + 2 * k] = list(low)
-        lists[19 + 2 * k] = [extra] + low
-    return edges, {base + l: ts for l, ts in lists.items()}
-
-
-def gadget_h():
-    """The gadget as (Graph, lists).  x = 0 and y = 1, interior 2..27."""
-    edges, lists = _gadget_copy(2, "a", "b")
-    return Graph(range(28), edges), {0: ["a"], 1: ["b"], **lists}
-
-
-def gadget_h_names():
-    names = {0: "x", 1: "y"}
-    for l, nm in enumerate(_NAMES):
-        names[l + 2] = nm
-    return names
-
 
 # rotations of a straight-line drawing: spine u3..v3 on a horizontal
 # axis, x above, y below, each gadget pair nested inside its triangle
@@ -113,6 +73,54 @@ _H_ROT = {
     26: (27, 7, 6),
     27: (1, 7, 26, 6),
 }
+
+# H's edges, read from the drawing once
+_H_EDGES = drawn_graph(_H_ROT).edges()
+
+
+def _gadget_copy(base, a, b):
+    """One gadget interior on ids base..base+25, keyed to the x-color a
+    and the y-color b: its edges, fans to x = 0 and y = 1 included, and
+    its lists.
+
+    The edges are _H_EDGES relabelled: x and y keep their ids and H's
+    vertex v becomes v + base - 2.  The path vertices carry a and b, and
+    of the rest each neighbor of x carries a, each of y's b.
+    """
+    shift = base - 2
+    edges = [(u if u < 2 else u + shift, w if w < 2 else w + shift) for u, w in _H_EDGES]
+    lists = {l: [a, b, 1, 2, 3, 4, 5] for l in range(6)}
+    lists.update({_W1: [1, 2, 3], _W2: [a, 1, 2, 3],
+                  _W3: [3, 4, 5], _W4: [b, 3, 4, 5]})
+    for k, (low, extra) in enumerate([([1, 2, 3], a), ([1, 2, 4], b),
+                                      ([1, 2, 5], a), ([3, 4, 5], b)]):
+        lists[10 + 2 * k] = list(low)
+        lists[11 + 2 * k] = [extra] + low
+        lists[18 + 2 * k] = list(low)
+        lists[19 + 2 * k] = [extra] + low
+    return edges, {base + l: ts for l, ts in lists.items()}
+
+
+def _struck(edges, lists, keep):
+    """The lists of keep once x = 0 and y = 1 wear the first token of
+    theirs: x's struck from each neighbor of x, y's from each of y's."""
+    out = {v: lists[v] for v in keep}
+    for u, w in edges:
+        if u < 2 and w in out:
+            out[w] = [t for t in out[w] if t != lists[u][0]]
+    return out
+
+
+def gadget_h():
+    """The gadget as (Graph, lists).  x = 0 and y = 1, interior 2..27:
+    the copy of _gadget_copy at base 2, whose edges are those _H_ROT
+    draws."""
+    edges, lists = _gadget_copy(2, "a", "b")
+    return Graph(range(28), edges), {0: ["a"], 1: ["b"], **lists}
+
+
+def gadget_h_names():
+    return dict(enumerate(("x", "y") + _NAMES))
 
 
 def gadget_h_plane() -> PlaneGraph:
@@ -202,7 +210,9 @@ def build_H() -> GadgetH:
 
 
 # ---------------------------------------------------------------------------
-# the three forcing claims, as small standalone instances
+# the three forcing claims, as small standalone instances: H's own lists
+# on a few of its vertices, x's and y's tokens struck, plus the claim's
+# hypothesis where it has one
 
 
 def w_gadget_instance():
@@ -213,29 +223,23 @@ def w_gadget_instance():
     most one color in each of {1,2,3} and {3,4,5}, which leaves exactly
     one of them in {1,2} and the other in {4,5}.
     """
-    g, _ = gadget_h()
+    g, lists = gadget_h()
     keep = [2, 5, 8, 9, 10, 11]
-    lists = {2: [1, 2, 3, 4, 5], 5: [1, 2, 3, 4, 5],
-             8: [1, 2, 3], 9: [1, 2, 3], 10: [3, 4, 5], 11: [3, 4, 5]}
-    return g.subgraph(keep), lists
+    return g.subgraph(keep), _struck(_H_EDGES, lists, keep)
 
 
 def forcing_instance():
     """u1 in {1,2} plus the first two s-pairs forces u2 to color 5."""
-    g, _ = gadget_h()
+    g, lists = gadget_h()
     keep = [2, 3, 12, 13, 14, 15]
-    lists = {2: [1, 2], 3: [1, 2, 3, 4, 5],
-             12: [1, 2, 3], 13: [1, 2, 3], 14: [1, 2, 4], 15: [1, 2, 4]}
-    return g.subgraph(keep), lists
+    return g.subgraph(keep), {**_struck(_H_EDGES, lists, keep), 2: [1, 2]}
 
 
 def cascade_instance():
     """u2 stuck on color 5 plus the last two s-pairs: nothing left for u3."""
-    g, _ = gadget_h()
+    g, lists = gadget_h()
     keep = [3, 4, 16, 17, 18, 19]
-    lists = {3: [5], 4: [1, 2, 3, 4, 5],
-             16: [1, 2, 5], 17: [1, 2, 5], 18: [3, 4, 5], 19: [3, 4, 5]}
-    return g.subgraph(keep), lists
+    return g.subgraph(keep), {**_struck(_H_EDGES, lists, keep), 3: [5]}
 
 
 def _enumerate_claim(g, lists, prop):
@@ -345,12 +349,10 @@ def chain_case(i):
     a, b = chain_token_pairs()[i]
     base = _copy_base(i)
     edges, lists = _gadget_copy(base, a, b)
-    for l in _XFAN:
-        lists[base + l].remove(a)
-    for l in _YFAN:
-        lists[base + l].remove(b)
+    keep = range(base, base + _LOCALS)
     # the fan edges are the ones at x = 0 and y = 1
-    return Graph(range(base, base + _LOCALS), [e for e in edges if e[0] > 1]), lists
+    return (Graph(keep, [e for e in edges if e[0] > 1]),
+            _struck(edges, {0: [a], 1: [b], **lists}, keep))
 
 
 def build_G42():

@@ -100,6 +100,7 @@ def _refuted_lists(g: Graph, lists):
     """Re-check a bad list assignment: the list search must fail on it."""
     if solve_list(g, lists, budget=None) is not None:
         raise InternalInvariantBreach("certificate lists have a coloring")
+    return lists
 
 
 def _coloring_masks(sizes):
@@ -131,7 +132,7 @@ def is_f_choosable(g: Graph, f):
     """Decide f-choosability.  Returns (True, None) or (False, bad_lists)."""
     f = {v: int(f[v]) for v in g.vertices}
     if any(f[v] <= 0 for v in g.vertices):
-        return False, {v: list(range(f[v])) for v in g.vertices}
+        return False, _refuted_lists(g, {v: list(range(f[v])) for v in g.vertices})
     if g.n > 8:
         raise InstanceTooLarge("choosability oracle handles at most 8 vertices")
     comps = connected_components(g)
@@ -142,8 +143,7 @@ def is_f_choosable(g: Graph, f):
                 for v in g.vertices:
                     if v not in cert:
                         cert[v] = list(range(f[v]))
-                _refuted_lists(g, cert)
-                return False, cert
+                return False, _refuted_lists(g, cert)
         return True, None
     colorable, cuts = _surplus_cuts(g, f)
     if colorable:
@@ -278,8 +278,7 @@ def is_f_choosable(g: Graph, f):
         return pick(0, fp[p])
 
     if at_vertex(0, every):
-        _refuted_lists(g, found[0])
-        return False, found[0]
+        return False, _refuted_lists(g, found[0])
     return True, None
 
 
@@ -328,8 +327,7 @@ def is_dp_f_colorable(g: Graph, f):
     The cover cap still counts every form.
     """
     f = {v: int(f[v]) for v in g.vertices}
-    bad_size = sorted(v for v in g.vertices if f[v] <= 0)
-    if bad_size:
+    if any(f[v] <= 0 for v in g.vertices):
         return False, _refuted(Cover(g, {v: max(0, f[v]) for v in g.vertices}, {}))
     if g.n > 8:
         raise InstanceTooLarge("DP oracle handles at most 8 vertices")

@@ -59,10 +59,18 @@ def test_gadget_shape():
     assert not g.has_edge(by_name["x"], by_name["y"])
 
 
-def test_gadget_plane_embedding():
+def test_gadget_plane_embedding(monkeypatch):
     pg = gadget_h_plane()
     assert pg.face_count() == 51
     assert sorted(pg.face_vertices(pg.outer)) == [0, 1, 4, 7]
+    # the edge x-y drawn across the square: still a plane drawing, but the
+    # square splits into the triangles x-u3-y and x-y-v3
+    monkeypatch.setattr(constructions, "_H_EDGES", constructions._H_EDGES + [(0, 1)])
+    monkeypatch.setitem(constructions._H_ROT, 0, constructions._H_ROT[0] + (1,))
+    monkeypatch.setitem(constructions._H_ROT, 1, constructions._H_ROT[1] + (0,))
+    with pytest.raises(ReconstructionFailed,
+                       match="^0 faces of the drawing are the x-u3-y-v3 square$"):
+        gadget_h_plane()
 
 
 def test_pair_split_claim_brute_force():
@@ -145,10 +153,21 @@ def test_gadget_not_list_colorable():
     assert find_list_coloring(g, lists) is None
 
 
-def test_verify_gadget_all_green():
+def test_verify_gadget_all_green(monkeypatch):
     rows = verify_gadget()
     assert [name for name, ok in rows if not ok] == []
     assert len(rows) == 8
+    # the claims run on H's own lists: s3 (id 14) given {1,2,5} in place
+    # of {1,2,4} lets u2 take 4, and the forcing claim fails
+    build = constructions.gadget_h
+
+    def changed():
+        g, lists = build()
+        return g, {**lists, 14: [1, 2, 5]}
+
+    monkeypatch.setattr(constructions, "gadget_h", changed)
+    rows = dict(verify_gadget())
+    assert not rows["forcing-claim"] and rows["pair-split-claim"] and rows["cascade-claim"]
 
 
 def test_chain_shape():
@@ -284,6 +303,16 @@ def test_family_parameters_out_of_range_are_refused():
         verify_counterexample("G43")
 
 
-def test_verify_g42_gives_45_ok_rows():
+def test_verify_g42_gives_45_ok_rows(monkeypatch):
     rows = verify_counterexample("G42")
     assert len(rows) == 45 and all(ok for _, ok in rows)
+    # copy 17 built without its edge u1-u2 is no copy of H
+    build, bad = constructions._gadget_copy, constructions._copy_base(17)
+
+    def miswired(base, a, b):
+        edges, lists = build(base, a, b)
+        return [e for e in edges if base != bad or e != (base, base + 1)], lists
+
+    monkeypatch.setattr(constructions, "_gadget_copy", miswired)
+    assert chain_graph()[0].m == 3275
+    assert dict(verify_counterexample("G42"))["copies-induce-gadget"] is False

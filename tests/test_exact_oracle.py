@@ -341,7 +341,8 @@ def test_backjumping_refutes_the_counterexamples_within_small_budgets():
 def test_list_search_builds_no_induced_cover(monkeypatch):
     """The list searches fill the strike table straight from the lists,
     so they answer with the cover search broken; the choosability oracle
-    re-checks its certificate with one uncapped list search."""
+    re-checks its certificate with one uncapped list search, also when a
+    size f <= 0 decides at once."""
     def broken(cover, budget=None):
         raise RuntimeError("find_dp_coloring called")
 
@@ -364,6 +365,11 @@ def test_list_search_builds_no_induced_cover(monkeypatch):
     monkeypatch.setattr(exact_oracle, "solve_list", counting)
     ok, cert = is_degree_choosable(complete(4))
     assert not ok and calls == [None]
+    # a size f <= 0 answers before any enumeration, and its lists are
+    # re-checked all the same
+    calls.clear()
+    assert is_f_choosable(Graph(range(2), [(0, 1)]), {0: 0, 1: 1}) == (False, {0: [], 1: [0]})
+    assert calls == [None]
 
 
 def test_degree_dp_color_preconditions():

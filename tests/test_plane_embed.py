@@ -84,6 +84,8 @@ def test_rotation_must_match_adjacency():
         PlaneGraph(g, {0: (1,), 1: (0,), 2: (1,)})
     with pytest.raises(BadRotation):
         PlaneGraph(g, {0: (1,), 1: (0, 2, 2), 2: (1,)})
+    with pytest.raises(BadRotation, match="^rotation must cover exactly the vertex set$"):
+        PlaneGraph(g, {0: (1,), 1: (0, 2)})
 
 
 def test_drawn_graph_leaves_a_one_sided_neighbour_to_the_rotation_check():
