@@ -23,12 +23,29 @@ _coloring_masks gives the colorings where a vertex takes a color.
   rejection, McKay 1998): a root slot's form is kept only if it meets
   every block of root colors that the earlier root slots leave
   interchangeable in an initial segment, which keeps the first bad leaf
-  (see is_dp_f_colorable).
+  (see _dp_connected).
 
-Both prune with one greedy lemma, the local step that opens the
-characterization proofs of degree-choosability (Erdos-Rubin-Taylor 1979:
-not a Gallai tree) and degree-DP-colorability (Bernshteyn-Kostochka-Pron
-2017: not a GDP tree).
+Both go through one front door, _quantified, which decides what does
+not depend on the enumeration: it reads the sizes as ints, answers a
+size f(v) <= 0 with lists or a cover of those sizes (before the cap),
+refuses more than 8 vertices, splits the input into its components and
+applies the lemma below to each.  Each oracle is left with its
+enumeration of one connected component the lemma leaves open
+(_choosable_connected, _dp_connected), which returns a bad certificate
+or None.  The first bad component decides: its certificate is lifted to
+the whole input (every other vertex gets the colors 0, ..., f(v) - 1,
+every other edge no matching) and re-checked there once, by solve_list
+for lists and by find_dp_coloring for covers.  A certificate that the
+search colors raises InternalInvariantBreach.  Past the budget guards
+the oracles raise InstanceTooLarge: more than 8 vertices, more than
+30,000,000 covers, or a list enumeration past DEFAULT_SOLVE_BUDGET
+nodes (one per partial list assignment visited; the cap solve_list puts
+on its search).
+
+The front door prunes with one greedy lemma, the local step that opens
+the characterization proofs of degree-choosability (Erdos-Rubin-Taylor
+1979: not a Gallai tree) and degree-DP-colorability (Bernshteyn-
+Kostochka-Pron 2017: not a GDP tree).
 
 Lemma.  Let G be connected with f(x) >= deg(x) for every x, let u be a
 vertex that is not a cut vertex, and let uv be an edge.  If L(u) is not
@@ -41,24 +58,18 @@ colors; v keeps one spare, since it lost a neighbor and no color.  So
 each vertex before v has an uncolored neighbor nearer to v when it is
 colored, and v has its spare.
 
-So on a connected input with f >= deg everywhere:
+So on a component with f >= deg everywhere, _quantified finds its cut
+vertices and:
 
-* both oracles answer (True, None) at once when a non-cut vertex u has
-  a neighbor v with f(v) < f(u): sizes alone break L(u) <= L(v), and
-  every matching leaves a color of u unmatched;
-* the list enumeration keeps only branches with L(u) <= L(v) for every
-  edge uv between enumerated vertices whose end u is not a cut vertex.
-  A pruned subtree holds no bad leaf and the surviving branches keep
-  their order, so the first bad list assignment found is unchanged.
-
-Both return a certificate when the answer is negative (a bad list
-assignment / a bad cover), re-verified before it is returned: by
-solve_list for lists, by find_dp_coloring for covers.  A certificate
-that the search colors raises InternalInvariantBreach.  Instances past
-the budget guards raise InstanceTooLarge: more than 8 vertices, more
-than 30,000,000 covers, or a list enumeration past DEFAULT_SOLVE_BUDGET
-nodes (one per partial list assignment visited; the cap solve_list puts
-on its search).
+* calls it colorable at once when a non-cut vertex u has a neighbor v
+  with f(v) < f(u): sizes alone break L(u) <= L(v), and every matching
+  leaves a color of u unmatched;
+* otherwise hands the cut set to the enumeration (None when some
+  f(v) < deg(v)).  The list enumeration keeps only branches with
+  L(u) <= L(v) for every edge uv between enumerated vertices whose end
+  u is not a cut vertex.  A pruned subtree holds no bad leaf and the
+  surviving branches keep their order, so the first bad list assignment
+  found is unchanged.
 """
 
 from __future__ import annotations
@@ -77,18 +88,6 @@ def find_list_coloring(g: Graph, lists):
     return solve_list(g, lists, budget=None)
 
 
-def _surplus_cuts(g: Graph, f):
-    """(colorable, cuts) for connected g by the lemma above: cuts is the
-    cut-vertex set when f >= deg everywhere (else None, and no pruning
-    applies), and colorable is True when some non-cut vertex has a
-    neighbor with a smaller f."""
-    if any(f[v] < g.degree(v) for v in g.vertices):
-        return False, None
-    cuts = blocks_and_cut_vertices(g)[1]
-    colorable = any(f[v] < f[u] for u in g.vertices if u not in cuts for v in g.adj[u])
-    return colorable, cuts
-
-
 def _refuted(cover: Cover):
     """Re-check a negative certificate: the plain search must fail on it."""
     if find_dp_coloring(cover) is not None:
@@ -96,11 +95,38 @@ def _refuted(cover: Cover):
     return cover
 
 
-def _refuted_lists(g: Graph, lists):
-    """Re-check a bad list assignment: the list search must fail on it."""
+def _refuted_lists(g: Graph, f, lists):
+    """Lift a component's bad lists (or {}) to g, giving every vertex
+    they lack the colors 0, ..., f(v) - 1, and re-check them: the list
+    search must fail on them."""
+    lists |= {v: list(range(f[v])) for v in g.vertices if v not in lists}
     if solve_list(g, lists, budget=None) is not None:
         raise InternalInvariantBreach("certificate lists have a coloring")
     return lists
+
+
+def _quantified(g: Graph, f, name, connected, lift):
+    """The front door of both oracles (see the module docstring):
+    connected(component, f, cuts) enumerates one component and returns a
+    bad certificate or None, and lift(g, f, certificate) makes it one for
+    all of g and re-checks it."""
+    f = {v: int(f[v]) for v in g.vertices}
+    if any(f[v] <= 0 for v in g.vertices):
+        return False, lift(g, f, {})
+    if g.n > 8:
+        raise InstanceTooLarge(name + " handles at most 8 vertices")
+    comps = connected_components(g)
+    for comp in comps:
+        sub = g if len(comps) == 1 else g.subgraph(comp)
+        cuts = None
+        if all(f[v] >= g.degree(v) for v in comp):
+            cuts = blocks_and_cut_vertices(sub)[1]
+            if any(f[v] < f[u] for u in comp if u not in cuts for v in g.adj[u]):
+                continue
+        cert = connected(sub, f, cuts)
+        if cert is not None:
+            return False, lift(g, f, cert)
+    return True, None
 
 
 def _coloring_masks(sizes):
@@ -130,25 +156,11 @@ def _coloring_masks(sizes):
 
 def is_f_choosable(g: Graph, f):
     """Decide f-choosability.  Returns (True, None) or (False, bad_lists)."""
-    f = {v: int(f[v]) for v in g.vertices}
-    if any(f[v] <= 0 for v in g.vertices):
-        return False, _refuted_lists(g, {v: list(range(f[v])) for v in g.vertices})
-    if g.n > 8:
-        raise InstanceTooLarge("choosability oracle handles at most 8 vertices")
-    comps = connected_components(g)
-    if len(comps) != 1:
-        for comp in comps:
-            ok, cert = is_f_choosable(g.subgraph(comp), {v: f[v] for v in comp})
-            if not ok:
-                for v in g.vertices:
-                    if v not in cert:
-                        cert[v] = list(range(f[v]))
-                return False, _refuted_lists(g, cert)
-        return True, None
-    colorable, cuts = _surplus_cuts(g, f)
-    if colorable:
-        return True, None
+    return _quantified(g, f, "choosability oracle", _choosable_connected, _refuted_lists)
 
+
+def _choosable_connected(g: Graph, f, cuts):
+    """The first bad list assignment of connected g, or None."""
     vs = sorted(g.vertices)
     w = max(vs, key=lambda v: (f[v], -v))
     rest = sorted((v for v in vs if v != w), key=lambda v: (-f[v], v))
@@ -277,9 +289,8 @@ def is_f_choosable(g: Graph, f):
 
         return pick(0, fp[p])
 
-    if at_vertex(0, every):
-        return False, _refuted_lists(g, found[0])
-    return True, None
+    at_vertex(0, every)
+    return found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +321,19 @@ def is_dp_f_colorable(g: Graph, f):
     """Decide DP-colorability for every cover with sizes f.
 
     Returns (True, None) or (False, cover) with an uncolorable cover.
+    """
+    return _quantified(g, f, "DP oracle", _dp_connected, _lifted_cover)
+
+
+def _lifted_cover(g: Graph, f, matchings):
+    """The cover of g with sizes f (0 for f <= 0) and a component's bad
+    matchings (or {}), re-checked."""
+    return _refuted(Cover(g, {v: max(0, f[v]) for v in g.vertices}, matchings))
+
+
+def _dp_connected(g: Graph, f, cuts):
+    """The matchings of the first bad cover of connected g, or None.
+    cuts goes unread: the cover enumeration prunes by no cut vertex.
 
     The BFS root r = vs[0] has only tree edges, so its slots come first.
     Renaming r's colors by a permutation p, then renaming each child's
@@ -326,22 +350,6 @@ def is_dp_f_colorable(g: Graph, f):
     leaves in the same order: the same verdict and the same certificate.
     The cover cap still counts every form.
     """
-    f = {v: int(f[v]) for v in g.vertices}
-    if any(f[v] <= 0 for v in g.vertices):
-        return False, _refuted(Cover(g, {v: max(0, f[v]) for v in g.vertices}, {}))
-    if g.n > 8:
-        raise InstanceTooLarge("DP oracle handles at most 8 vertices")
-    comps = connected_components(g)
-    if len(comps) != 1:
-        for comp in comps:
-            ok, cert = is_dp_f_colorable(g.subgraph(comp), {v: f[v] for v in comp})
-            if not ok:
-                matchings = {(u, w): cert.edge_pairs(u, w) for u, w in cert.g.edges()}
-                return False, _refuted(Cover(g, f, matchings))
-        return True, None
-    if _surplus_cuts(g, f)[0]:
-        return True, None
-
     vs = sorted(g.vertices)
     parent, order = bfs_parents(g, vs[0])
     tree = {(min(v, parent[v]), max(v, parent[v])) for v in order[1:]}
@@ -435,9 +443,8 @@ def is_dp_f_colorable(g: Graph, f):
                 return True
         return False
 
-    if assign_slot(0, every, 1):
-        return False, _refuted(Cover(g, f, witness[0]))
-    return True, None
+    assign_slot(0, every, 1)
+    return witness[0]
 
 
 def is_degree_choosable(g: Graph):

@@ -177,16 +177,36 @@ def test_non_degree_sizes():
     assert ok is False and find_dp_coloring(cover) is None
 
 
+def matchings(cover):
+    return {e: cover.edge_pairs(*e) for e in cover.g.edges()}
+
+
+# vertex 0 alone, then the triangle 1-2-3: the bad component comes second
+LONE_AND_TRIANGLE = (Graph(range(4), [(1, 2), (2, 3), (1, 3)]), {0: 1, 1: 2, 2: 2, 3: 2})
+
+
 def test_disconnected_inputs():
+    """The first bad component decides: its certificate is kept, every
+    other vertex gets the colors 0, ..., f(v) - 1 and every other edge
+    no matching."""
     g = Graph(range(5), [(0, 1), (1, 2), (0, 2)])   # triangle plus isolated 3, 4
     f = {0: 2, 1: 2, 2: 2, 3: 1, 4: 1}
+    identity = [(0, 0), (1, 1)]
     ok, cert = is_f_choosable(g, f)
     assert not ok and not raw_has_coloring(g, cert)
+    assert cert == {0: [0, 1], 1: [0, 1], 2: [0, 1], 3: [0], 4: [0]}
     ok, cover = is_dp_f_colorable(g, f)
     assert not ok and find_dp_coloring(cover) is None
+    assert cover.sizes == f and matchings(cover) == dict.fromkeys(g.edges(), identity)
     f2 = {0: 3, 1: 3, 2: 3, 3: 1, 4: 1}
     assert is_f_choosable(g, f2) == (True, None)
     assert is_dp_f_colorable(g, f2)[0] is True
+    g, f = LONE_AND_TRIANGLE
+    ok, cert = is_f_choosable(g, f)
+    assert not ok and cert == {0: [0], 1: [0, 1], 2: [0, 1], 3: [0, 1]}
+    ok, cover = is_dp_f_colorable(g, f)
+    assert not ok and cover.sizes == f
+    assert matchings(cover) == dict.fromkeys(g.edges(), identity)
 
 
 def test_empty_graph_and_single_vertex():
@@ -222,6 +242,13 @@ def test_size_guards(monkeypatch):
     c7 = cycle(7)
     ok, cert = is_degree_choosable(c7)
     assert not ok and find_list_coloring(c7, cert) is None
+    # a size f <= 0 is answered before the vertex cap
+    f = dict.fromkeys(range(9), 8)
+    f[4] = 0
+    ok, cert = is_f_choosable(g, f)
+    assert not ok and cert == {v: [] if v == 4 else list(range(8)) for v in range(9)}
+    ok, cover = is_dp_f_colorable(g, f)
+    assert not ok and cover.sizes == f and not any(matchings(cover).values())
     # the node cap: K_{4,4} needs 92 search nodes
     k44 = Graph(range(8), [(a, b) for a in range(4) for b in range(4, 8)])
     monkeypatch.setattr(exact_oracle, "DEFAULT_SOLVE_BUDGET", 50)
@@ -359,17 +386,39 @@ def test_list_search_builds_no_induced_cover(monkeypatch):
     calls = []
 
     def counting(g, lists, budget=dp_cover.DEFAULT_SOLVE_BUDGET):
-        calls.append(budget)
+        calls.append((budget, g.n))
         return solve_list(g, lists, budget)
 
     monkeypatch.setattr(exact_oracle, "solve_list", counting)
     ok, cert = is_degree_choosable(complete(4))
-    assert not ok and calls == [None]
+    assert not ok and calls == [(None, 4)]
     # a size f <= 0 answers before any enumeration, and its lists are
     # re-checked all the same
     calls.clear()
     assert is_f_choosable(Graph(range(2), [(0, 1)]), {0: 0, 1: 1}) == (False, {0: [], 1: [0]})
-    assert calls == [None]
+    assert calls == [(None, 2)]
+    # a bad component's lists are re-checked once, on the whole input
+    calls.clear()
+    assert not is_f_choosable(*LONE_AND_TRIANGLE)[0]
+    assert calls == [(None, 4)]
+
+
+def test_cover_oracle_rechecks_once_on_the_whole_input(monkeypatch):
+    """The DP oracle re-checks its certificate with one cover search, on
+    the cover of the whole input, also when the bad component is not the
+    whole graph."""
+    calls = []
+
+    def counting(cover, budget=None):
+        calls.append(cover.g.n)
+        return find_dp_coloring(cover, budget)
+
+    monkeypatch.setattr(exact_oracle, "find_dp_coloring", counting)
+    assert not is_degree_dp_colorable(complete(4))[0]
+    assert calls == [4]
+    calls.clear()
+    assert not is_dp_f_colorable(*LONE_AND_TRIANGLE)[0]
+    assert calls == [4]
 
 
 def test_degree_dp_color_preconditions():
